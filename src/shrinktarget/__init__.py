@@ -31,6 +31,7 @@ from .orbits import (
     beta_step,
     eigenvalue_moduli,
     iterate,
+    orbit_enclosures,
     required_precision,
 )
 from .cylinders import (
@@ -49,9 +50,6 @@ from .measures import (
     ProductMeasure,
     SupportSet,
     bound_constant,
-    density,
-    measure_interval,
-    product_measure_rectangle,
     support,
 )
 from .targets import (

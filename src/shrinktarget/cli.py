@@ -50,10 +50,9 @@ from .measures import ParryYrrapMeasure, ProductMeasure
 from .orbits import (
     DiagonalTorusSystem,
     IntegerMatrixSystem,
-    UnitRealInterval,
     eigenvalue_moduli,
-    iterate,
-    required_precision,
+    is_symbolic,
+    orbit_enclosures,
     resolve_scalar,
 )
 from .targets import (
@@ -122,10 +121,8 @@ class RunManifest:
 
 
 def _parse_scalar(text: str) -> float:
-    token = text.strip().lower()
-    if token in ("g", "golden", "-g", "-golden", "e", "-e"):
-        return float(resolve_scalar(token))
-    return float(text)
+    token = text.strip()
+    return float(resolve_scalar(token)) if is_symbolic(token) else float(token)
 
 
 def parse_system(text: str):
@@ -134,8 +131,7 @@ def parse_system(text: str):
         vals = [v.strip() for v in rest.split(",") if v.strip()]
         betas = []
         for v in vals:
-            low = v.lower()
-            betas.append(low if low in ("g", "golden", "-g", "e", "-e") else _number(v))
+            betas.append(v.lower() if is_symbolic(v) else _number(v))
         degenerate = any(abs(float(resolve_scalar(b))) <= 1 for b in betas)
         if degenerate:
             return DiagonalTorusSystem.with_degenerate(tuple(betas))
@@ -189,10 +185,14 @@ def parse_t_points(text: str) -> AccumulationSet:
     return AccumulationSet(tuple(pts))
 
 
+def _center(params: dict) -> tuple:
+    center = params.get("center", "0")
+    return tuple(center) if isinstance(center, (list, tuple)) else parse_point(center)
+
+
 def _build_target(params: dict) -> TargetSpec:
     shape = Shape(params.get("shape", "ball"))
-    center = tuple(params["center"]) if isinstance(params.get("center"), (list, tuple)) \
-        else parse_point(params.get("center", "0"))
+    center = _center(params)
     if shape == Shape.RECTANGLE:
         rates = tuple(parse_rate(r) for r in params["rates"])
     else:
@@ -261,8 +261,7 @@ def validate(config: ExperimentConfig) -> list[str]:
             )
     if cmd == "count" and p.get("shape") == "hyperboloid":
         rate = parse_rate(p["rate"])
-        center = parse_point(p.get("center", "0"))
-        if rate.psi(1) >= 2.0 ** -len(center):
+        if rate.psi(1) >= 2.0 ** -len(_center(p)):
             out.append(
                 "note: psi(1) >= 2^-d, so the closed-form hyperboloid volume "
                 "caps at 1 for early n"
@@ -330,34 +329,12 @@ def _cmd_orbit(params: dict, out_dir: Path, jobs: int):
     steps = int(params["steps"])
     stride = int(params.get("stride", 1))
     bits = params.get("precision_bits")
-    bits = int(bits) if bits else required_precision(system, max(steps, 1))
-    rows = []
-    point = [UnitRealInterval.from_value(c, bits) for c in x]
-    for i, iv in enumerate(point):
-        rows.append((0, i, iv.lo_float, iv.hi_float))
-    if isinstance(system, DiagonalTorusSystem):
-        # step manually so the shrinking schedule spans the whole run
-        from .orbits import ScaledScalar, _schedule_bits, beta_step
-
-        scaled = [ScaledScalar.build(b, bits + 8) for b in system.betas]
-        moduli = system.moduli
-        for n in range(1, steps + 1):
-            point = [
-                beta_step(scaled[i], point[i],
-                          out_bits=min(point[i].precision_bits,
-                                       _schedule_bits(moduli[i], steps - n)))
-                for i in range(system.d)
-            ]
-            if n % stride == 0 or n == steps:
-                for i, iv in enumerate(point):
-                    rows.append((n, i, iv.lo_float, iv.hi_float))
-    else:
-        current = tuple(point)
-        for n in range(1, steps + 1):
-            current = iterate(system, current, 1, precision_bits=bits)
-            if n % stride == 0 or n == steps:
-                for i, iv in enumerate(current):
-                    rows.append((n, i, iv.lo_float, iv.hi_float))
+    rows = [
+        (n, i, iv.lo_float, iv.hi_float)
+        for n, point in orbit_enclosures(system, x, steps, int(bits) if bits else None)
+        if n % stride == 0 or n == steps
+        for i, iv in enumerate(point)
+    ]
     path = out_dir / "orbit.csv"
     _write_csv(path, ["n", "coord_index", "lo", "hi"], rows)
     return [path]

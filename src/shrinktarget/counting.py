@@ -34,12 +34,11 @@ from .measures import ParryYrrapMeasure
 from .orbits import (
     DiagonalTorusSystem,
     IntegerMatrixSystem,
-    UnitRealInterval,
     _wrap_distance_bounds,
     as_fraction,
-    beta_step,
-    ScaledScalar,
-    _schedule_bits,
+    beta_step,  # not called here: perfbench/layertrace.py looks it up on this module
+    orbit_enclosures,
+    required_precision,
 )
 from .targets import Containment, Shape, TargetSpec, contains, phi_values
 
@@ -94,6 +93,12 @@ def _error_term(r_mid: float, phi: float, epsilon: float) -> Optional[float]:
     return (r_mid - phi) / (math.sqrt(phi) * math.log(phi) ** (1.5 + epsilon))
 
 
+def _checkpoint(n: int, r_lo: int, r_hi: int, phi, epsilon: float) -> CheckpointRow:
+    phi = float(phi)
+    return CheckpointRow(n=n, r_lo=r_lo, r_hi=r_hi, phi=phi,
+                         e=_error_term((r_lo + r_hi) / 2.0, phi, epsilon))
+
+
 def _digit_window(base: int) -> int:
     return math.ceil(42.0 / math.log2(base))
 
@@ -129,29 +134,36 @@ def _window_values(digits: np.ndarray, base: int, n_steps: int, window: int) -> 
     return vals
 
 
-def _exact_recheck(digits: np.ndarray, base: int, n: int, center: Fraction,
-                   radius: Fraction) -> Optional[bool]:
-    """Exact ||T^n x - a|| <= r from the stored digit tail; None at a tie.
+def _exact_distances(digit_arrays, bases, n: int, centers):
+    """Exact bounds on ||T^n x_i - a_i||, from ever longer digit prefixes.
 
-    T^n(x) is the stream read from digit index n onward.
+    T^n(x_i) is coordinate i's stream read from digit index n onward.
+    Yields a list of (d_lo, d_hi) pairs from 16 digits, then from four
+    times as many each time, the last from every stored digit.
     """
-    avail = len(digits) - n
     k = 16
     while True:
-        k = min(k, avail)
-        val = 0
-        for dig in digits[n: n + k]:
-            val = val * base + int(dig)
-        lo = Fraction(val, base ** k)
-        hi = lo + Fraction(1, base ** k)
-        d_lo, d_hi = _wrap_distance_bounds(lo, hi, center % 1)
-        if d_hi <= radius:
-            return True
-        if d_lo > radius:
-            return False
-        if k >= avail:
-            return None
+        bounds = []
+        for digits, base, a in zip(digit_arrays, bases, centers):
+            used = min(k, len(digits) - n)
+            val = 0
+            for dig in digits[n: n + used]:
+                val = val * base + int(dig)
+            lo = Fraction(val, base ** used)
+            bounds.append(_wrap_distance_bounds(lo, lo + Fraction(1, base ** used),
+                                                as_fraction(a) % 1))
+        yield bounds
+        if all(k >= len(digits) - n for digits in digit_arrays):
+            return
         k *= 4
+
+
+def _exact_radii(target: TargetSpec, n: int) -> list[Fraction]:
+    """psi(n) per coordinate as exact Fractions (one for hyperboloids)."""
+    if target.shape == Shape.RECTANGLE:
+        return [as_fraction(r.psi(n)) for r in target.rates]
+    psi = as_fraction(target.rates[0].psi(n))
+    return [psi] if target.shape == Shape.HYPERBOLOID else [psi] * target.d
 
 
 def _radii_arrays(target: TargetSpec, n_steps: int) -> list[np.ndarray]:
@@ -205,47 +217,17 @@ def _digit_membership(system: DiagonalTorusSystem, target: TargetSpec,
 
 
 def _membership_exact(system, target, digit_arrays, n: int) -> Optional[bool]:
+    radii = _exact_radii(target, n)
     bases = [int(b) for b in system.betas]
-    radii = (
-        [as_fraction(r.psi(n)) for r in target.rates]
-        if target.shape == Shape.RECTANGLE
-        else [as_fraction(target.rates[0].psi(n))] * target.d
-    )
-    if target.shape == Shape.HYPERBOLOID:
-        lo_prod = Fraction(1)
-        hi_prod = Fraction(1)
-        for i, base in enumerate(bases):
-            ok = _exact_distance_bounds(digit_arrays[i], base, n, target.center[i])
-            if ok is None:
-                return None
-            d_lo, d_hi = ok
-            lo_prod *= d_lo
-            hi_prod *= d_hi
-        psi = as_fraction(target.rates[0].psi(n))
-        if hi_prod <= psi:
+    for bounds in _exact_distances(digit_arrays, bases, n, target.center):
+        if target.shape == Shape.HYPERBOLOID:
+            lows, highs = zip(*bounds)
+            bounds = [(math.prod(lows), math.prod(highs))]
+        if all(hi <= r for (_, hi), r in zip(bounds, radii)):
             return True
-        if lo_prod > psi:
+        if any(lo > r for (lo, _), r in zip(bounds, radii)):
             return False
-        return None
-    verdict = True
-    for i, base in enumerate(bases):
-        res = _exact_recheck(digit_arrays[i], base, n, as_fraction(target.center[i]), radii[i])
-        if res is None:
-            return None
-        if res is False:
-            return False
-    return verdict
-
-
-def _exact_distance_bounds(digits, base, n, center):
-    avail = len(digits) - n
-    k = min(64, avail)
-    val = 0
-    for dig in digits[n: n + k]:
-        val = val * base + int(dig)
-    lo = Fraction(val, base ** k)
-    hi = lo + Fraction(1, base ** k)
-    return _wrap_distance_bounds(lo, hi, as_fraction(center) % 1)
+    return None
 
 
 def _digit_arrays_for_sample(system: DiagonalTorusSystem, n_steps: int,
@@ -268,74 +250,36 @@ def _count_digit_engine(system, target, digit_arrays, checkpoints, epsilon,
     hit_lo, hit_hi = _digit_membership(system, target, digit_arrays, n_steps)
     cum_lo = np.cumsum(hit_lo)
     cum_hi = np.cumsum(hit_hi)
-    rows = []
-    for j, n in enumerate(checkpoints):
-        r_lo = int(cum_lo[n - 1]) if n >= 1 else 0
-        r_hi = int(cum_hi[n - 1]) if n >= 1 else 0
-        rows.append(CheckpointRow(
-            n=n, r_lo=r_lo, r_hi=r_hi, phi=float(phi[j]),
-            e=_error_term((r_lo + r_hi) / 2.0, float(phi[j]), epsilon),
-        ))
+    rows = [
+        _checkpoint(n, int(cum_lo[n - 1]), int(cum_hi[n - 1]), phi_n, epsilon)
+        for n, phi_n in zip(checkpoints, phi)
+    ]
     ambiguous = int(cum_hi[-1] - cum_lo[-1])
     return tuple(rows), ambiguous
 
 
 def _count_interval_engine(system, target, x, checkpoints, epsilon, phi,
                            precision_bits=None) -> tuple:
-    n_steps = checkpoints[-1]
-    d = system.d
-    moduli = system.moduli
-    bits0 = [
-        precision_bits or _schedule_bits(moduli[i], n_steps) for i in range(d)
-    ]
-    ivs = []
-    for i in range(d):
-        c = x[i]
-        ivs.append(
-            c.rescaled(bits0[i]) if isinstance(c, UnitRealInterval)
-            else UnitRealInterval.from_value(c, bits0[i])
-        )
-    betas_scaled = [
-        ScaledScalar.build(system.betas[i], bits0[i] + 8) for i in range(d)
-    ]
+    phi_at = dict(zip(checkpoints, phi))
+    orbit = orbit_enclosures(system, x, checkpoints[-1], precision_bits)
+    next(orbit)  # step 0 is x itself
     r_lo = 0
     r_hi = 0
     rows = []
-    cp_iter = iter(enumerate(checkpoints))
-    cp_idx, next_cp = next(cp_iter)
-    while next_cp == 0:
-        rows.append(CheckpointRow(0, 0, 0, 0.0, None))
-        cp_idx, next_cp = next(cp_iter)
-    for n in range(1, n_steps + 1):
-        for i in range(d):
-            target_bits = min(ivs[i].precision_bits,
-                              _schedule_bits(moduli[i], n_steps - n))
-            try:
-                ivs[i] = beta_step(betas_scaled[i], ivs[i], out_bits=target_bits)
-            except PrecisionExhausted as exc:
-                exc.step = n
-                exc.last_checkpoint = rows[-1] if rows else None
-                raise
-        verdict = contains(target, n, ivs)
-        if verdict == Containment.YES:
-            r_lo += 1
-            r_hi += 1
-        elif verdict == Containment.AMBIGUOUS:
-            r_hi += 1
-        if n == next_cp:
-            rows.append(CheckpointRow(
-                n=n, r_lo=r_lo, r_hi=r_hi, phi=float(phi[cp_idx]),
-                e=_error_term((r_lo + r_hi) / 2.0, float(phi[cp_idx]), epsilon),
-            ))
-            try:
-                cp_idx, next_cp = next(cp_iter)
-            except StopIteration:
-                break
+    try:
+        for n, ivs in orbit:
+            verdict = contains(target, n, ivs)
+            if verdict == Containment.YES:
+                r_lo += 1
+                r_hi += 1
+            elif verdict == Containment.AMBIGUOUS:
+                r_hi += 1
+            if n in phi_at:
+                rows.append(_checkpoint(n, r_lo, r_hi, phi_at[n], epsilon))
+    except PrecisionExhausted as exc:
+        exc.last_checkpoint = rows[-1] if rows else None
+        raise
     return tuple(rows), r_hi - r_lo
-
-
-def _phi_at_checkpoints(target, checkpoints, measure) -> np.ndarray:
-    return phi_values(target, checkpoints, measure=measure)
 
 
 def count_hits(system, target: TargetSpec, x, n_steps: int,
@@ -360,7 +304,7 @@ def count_hits(system, target: TargetSpec, x, n_steps: int,
     if n_steps == 0:
         return CountingResult(sample_id, (CheckpointRow(0, 0, 0, 0.0, None),), 0, epsilon)
     cps = [c for c in cps if c >= 1]
-    phi = _phi_at_checkpoints(target, cps, measure)
+    phi = phi_values(target, cps, measure=measure)
     if isinstance(system, DiagonalTorusSystem) and system.degenerate:
         raise ValueError(
             "counting requires every |beta_i| > 1; peel the |beta| <= 1 "
@@ -397,28 +341,14 @@ def _count_matrix_engine(system, target, x, checkpoints, epsilon, phi, rng):
                 num = (num << 32) | int(w)
             x.append(Fraction(num, 1 << bits))
     pt = [as_fraction(c) % 1 for c in x]
+    phi_at = dict(zip(checkpoints, phi))
     rows = []
-    r_lo = 0
-    r_hi = 0
-    cp_iter = iter(enumerate(checkpoints))
-    cp_idx, next_cp = next(cp_iter)
+    hits = 0
     for n in range(1, n_steps + 1):
-        pt = [
-            sum(system.matrix[i][j] * pt[j] for j in range(d)) % 1
-            for i in range(d)
-        ]
-        if _exact_point_membership(target, n, pt):
-            r_lo += 1
-            r_hi += 1
-        if n == next_cp:
-            rows.append(CheckpointRow(
-                n=n, r_lo=r_lo, r_hi=r_hi, phi=float(phi[cp_idx]),
-                e=_error_term((r_lo + r_hi) / 2.0, float(phi[cp_idx]), epsilon),
-            ))
-            try:
-                cp_idx, next_cp = next(cp_iter)
-            except StopIteration:
-                break
+        pt = [sum(m * c for m, c in zip(row, pt)) % 1 for row in system.matrix]
+        hits += _exact_point_membership(target, n, pt)
+        if n in phi_at:
+            rows.append(_checkpoint(n, hits, hits, phi_at[n], epsilon))
     return tuple(rows), 0
 
 
@@ -428,21 +358,13 @@ def _exact_point_membership(target, n: int, pt) -> bool:
         off = (c - as_fraction(a)) % 1
         dists.append(min(off, 1 - off))
     if target.shape == Shape.HYPERBOLOID:
-        prod = Fraction(1)
-        for v in dists:
-            prod *= v
-        return prod <= as_fraction(target.rates[0].psi(n))
-    radii = (
-        [as_fraction(r.psi(n)) for r in target.rates]
-        if target.shape == Shape.RECTANGLE
-        else [as_fraction(target.rates[0].psi(n))] * target.d
-    )
-    return all(v <= r for v, r in zip(dists, radii))
+        dists = [math.prod(dists)]
+    return all(v <= r for v, r in zip(dists, _exact_radii(target, n)))
 
 
 def _draw_initial(system, measure, rng, n_steps):
     d = system.d
-    bits = max(96, max(_schedule_bits(m, n_steps) for m in system.moduli))
+    bits = max(96, required_precision(system, n_steps))
     if measure is None:
         coords = []
         for _ in range(d):

@@ -23,7 +23,7 @@ import mpmath
 import numpy as np
 
 from .errors import Indeterminate, PrecisionExhausted
-from .orbits import as_fraction, is_symbolic, resolve_scalar
+from .orbits import as_fraction, is_symbolic, resolve_scalar, symbolic_value
 
 FULL_DECISION_TOL = 2.0 ** -40
 _MAX_EXPLICIT = 2_000_000
@@ -77,7 +77,7 @@ class BetaAutomaton:
         snap_exp = bits // 2
         with mpmath.workprec(bits):
             if is_symbolic(beta):
-                bval = (1 + mpmath.sqrt(5)) / 2 if str(beta).lower() in ("g", "golden") else mpmath.e
+                bval = symbolic_value(beta, bits)
             else:
                 frac = as_fraction(beta)
                 bval = mpmath.mpf(frac.numerator) / frac.denominator

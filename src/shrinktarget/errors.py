@@ -9,8 +9,10 @@ PrecisionExhausted -> 4, TolUnreachable -> 5.
 class PrecisionExhausted(RuntimeError):
     """An enclosure grew past the width tolerance.
 
-    ``step`` records the last orbit step that completed; ``last_checkpoint``
-    (when set by a counting run) carries the last fully evaluated checkpoint.
+    ``step`` records the last orbit step that completed, so the step that
+    failed is ``step + 1`` (0 when the very first step fails).
+    ``last_checkpoint`` (when set by a counting run) carries the last fully
+    evaluated checkpoint.
     """
 
     def __init__(self, message, step=None, last_checkpoint=None):

@@ -21,7 +21,7 @@ import mpmath
 import numpy as np
 
 from .errors import TolUnreachable
-from .orbits import as_fraction, is_symbolic
+from .orbits import as_fraction, is_symbolic, symbolic_value
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -41,9 +41,7 @@ def _orbit_of_one(beta, n_terms: int) -> tuple[np.ndarray, float]:
     bits = 96 + math.ceil(n_terms * math.log2(absb)) + 32
     with mpmath.workprec(bits):
         if is_symbolic(beta):
-            name = str(beta).lstrip("+-").lower()
-            mag = (1 + mpmath.sqrt(5)) / 2 if name in ("g", "golden") else mpmath.e
-            b = -mag if str(beta).strip().startswith("-") else mag
+            b = symbolic_value(beta, bits)
         else:
             frac = as_fraction(beta)
             b = mpmath.mpf(frac.numerator) / frac.denominator
@@ -66,9 +64,7 @@ def _orbit_of_one(beta, n_terms: int) -> tuple[np.ndarray, float]:
 
 def _beta_float(beta) -> float:
     if is_symbolic(beta):
-        name = str(beta).lstrip("+-").lower()
-        mag = GOLDEN_RATIO if name in ("g", "golden") else math.e
-        return -mag if str(beta).strip().startswith("-") else mag
+        return float(symbolic_value(beta, 53))  # float64's 53 bits
     return float(as_fraction(beta))
 
 
@@ -220,14 +216,6 @@ class ParryYrrapMeasure:
         return out
 
 
-def density(mu: ParryYrrapMeasure, x, tol: Optional[float] = None):
-    return mu.density(x, tol=tol)
-
-
-def measure_interval(mu: ParryYrrapMeasure, a: float, b: float) -> float:
-    return mu.measure_interval(a, b)
-
-
 def support(beta, tol: float = 1e-9, merge_gap: float = 1e-6) -> SupportSet:
     return ParryYrrapMeasure(beta).support(tol=tol, merge_gap=merge_gap)
 
@@ -295,7 +283,3 @@ def _wrapped_interval_measure(mu: ParryYrrapMeasure, a: float, r: float) -> floa
     if hi > 1:
         return mu.measure_interval(0.0, hi - 1.0) + mu.measure_interval(lo, 1.0)
     return mu.measure_interval(lo, hi)
-
-
-def product_measure_rectangle(nu: ProductMeasure, rect: Sequence) -> float:
-    return nu.rectangle(rect)

@@ -3,7 +3,8 @@
 Two engines, per the performance contract:
 
 * an interval engine on dyadic-rational endpoints (``num / 2**bits``) with
-  directed rounding, for arbitrary real multipliers at desk scale, and
+  directed rounding, for arbitrary real multipliers at desk scale; its one
+  orbit stepper is :func:`orbit_enclosures`, and
 * an exact digit-stream engine for integer bases, whose cursor shift
   realizes the map exactly in O(1) amortized time per step.
 
@@ -65,8 +66,24 @@ def as_fraction(x: Number) -> Fraction:
 _SYMBOLIC = {"g", "golden", "e"}
 
 
+def _split_sign(token: str) -> tuple[bool, str]:
+    """(negative?, lower-case name) of a token with at most one leading sign."""
+    negative = token.startswith("-")
+    if token.startswith(("+", "-")):
+        token = token[1:]
+    return negative, token.lower()
+
+
 def is_symbolic(x) -> bool:
-    return isinstance(x, str) and x.lstrip("+-").lower() in _SYMBOLIC
+    return isinstance(x, str) and _split_sign(x)[1] in _SYMBOLIC
+
+
+def symbolic_value(token: str, bits: int) -> mpmath.mpf:
+    """Signed value of a symbolic token ("g"/"golden"/"e") at ``bits`` bits."""
+    negative, name = _split_sign(token)
+    with mpmath.workprec(bits):
+        val = (1 + mpmath.sqrt(5)) / 2 if name in ("g", "golden") else +mpmath.e
+        return -val if negative else val
 
 
 def resolve_scalar(x: Number, bits: int = 96) -> Fraction:
@@ -82,14 +99,8 @@ def resolve_scalar(x: Number, bits: int = 96) -> Fraction:
 
 
 def _symbolic_bounds(token: str, bits: int) -> tuple[Fraction, Fraction]:
-    name = token.lstrip("+-").lower()
-    negative = token.strip().startswith("-")
-    with mpmath.workprec(bits + 16):
-        if name in ("g", "golden"):
-            val = (1 + mpmath.sqrt(5)) / 2
-        else:
-            val = mpmath.e
-        frac = as_fraction(mpmath.mpf(val))
+    negative, name = _split_sign(token)
+    frac = as_fraction(symbolic_value(name, bits + 16))
     scale = 1 << bits
     lo = Fraction(math.floor(frac * scale) - 1, scale)
     hi = Fraction(math.floor(frac * scale) + 2, scale)
@@ -441,112 +452,103 @@ def _schedule_bits(modulus: float, remaining: int) -> int:
     return math.ceil(remaining * math.log2(modulus)) + GUARD_BITS
 
 
-def iterate(
-    system,
-    x: Sequence,
-    n: int,
-    precision_bits: Optional[int] = None,
-    width_tolerance_bits: int = WIDTH_TOLERANCE_BITS,
-):
-    """Coordinatewise enclosure (or exact rationals) of T^n(x).
+def orbit_enclosures(system, x: Sequence, n: int, precision_bits: Optional[int] = None):
+    """Coordinatewise enclosures of the orbit x, T(x), ..., T^n(x).
 
-    DiagonalTorusSystem: per-coordinate beta steps under a shrinking
-    precision schedule (bits retained at step j cover only the n-j steps
-    still to come, plus guard).  Exact Fractions are returned when the
-    system is an integer matrix (or integer diagonal) applied to rational
-    points.  Raises PrecisionExhausted with the failing step index.
+    Yields ``(step, enclosures)`` for step = 0..n, step 0 being x itself.
+    DiagonalTorusSystem: each coordinate starts at ``precision_bits`` or
+    at the bits its n steps need plus guard (refused past
+    ``precision_cap()``), and after step j keeps only the bits the n-j
+    steps still to come need.  IntegerMatrixSystem: fixed bits,
+    ``precision_bits`` or ``required_precision``.  PrecisionExhausted
+    carries the last completed step in ``step``.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if isinstance(system, IntegerMatrixSystem):
-        return _iterate_matrix(system, x, n, precision_bits, width_tolerance_bits)
-    return _iterate_diagonal(system, x, n, precision_bits, width_tolerance_bits)
-
-
-def _all_rational(x) -> bool:
-    return all(isinstance(c, (int, Fraction)) for c in x)
-
-
-def _iterate_matrix(system, x, n, precision_bits, width_tolerance_bits):
-    d = system.d
-    if len(x) != d:
+    if len(x) != system.d:
         raise ValueError("point dimension mismatch")
-    if _all_rational(x):
-        pt = [Fraction(c) % 1 for c in x]
-        for _ in range(n):
-            pt = [
-                sum(system.matrix[i][j] * pt[j] for j in range(d)) % 1
-                for i in range(d)
-            ]
-        return tuple(pt)
-    bits = precision_bits or required_precision(system, max(n, 1))
-    ivs = [
+    matrix = isinstance(system, IntegerMatrixSystem)
+    if matrix:
+        start = [precision_bits or required_precision(system, max(n, 1))] * system.d
+    else:
+        moduli = system.moduli
+        start = [precision_bits or _schedule_bits(m, n) for m in moduli]
+        if precision_bits is None and max(start) > precision_cap():
+            raise BudgetTooLarge(
+                f"{max(start)} bits needed for {n} steps exceeds cap {precision_cap()}"
+            )
+        betas = [ScaledScalar.build(b, bits + 8) for b, bits in zip(system.betas, start)]
+    ivs = tuple(
         c.rescaled(bits) if isinstance(c, UnitRealInterval)
         else UnitRealInterval.from_value(c, bits)
-        for c in x
-    ]
-    scale = 1 << bits
-    tol_width = 1 << max(bits - width_tolerance_bits, 0)
-    for step in range(n):
-        starts = [iv._start for iv in ivs]
-        widths = [iv._width for iv in ivs]
-        new = []
-        for i in range(d):
-            lo = 0
-            hi = 0
-            for j in range(d):
-                m = system.matrix[i][j]
-                if m >= 0:
-                    lo += m * starts[j]
-                    hi += m * (starts[j] + widths[j])
-                else:
-                    lo += m * (starts[j] + widths[j])
-                    hi += m * starts[j]
-            width = hi - lo
-            if width > tol_width:
-                raise PrecisionExhausted(
-                    f"coordinate {i} enclosure too wide at step {step + 1}", step=step
-                )
-            new.append(UnitRealInterval(lo % scale, width, bits))
-        ivs = new
-    return tuple(ivs)
+        for c, bits in zip(x, start)
+    )
+    yield 0, ivs
+    for step in range(1, n + 1):
+        try:
+            if matrix:
+                ivs = _matrix_step(system.matrix, ivs)
+            else:
+                out = []
+                for b, iv, m in zip(betas, ivs, moduli):
+                    out_bits = min(iv.precision_bits, _schedule_bits(m, n - step))
+                    out.append(beta_step(b, iv, out_bits=out_bits))
+                ivs = tuple(out)
+        except PrecisionExhausted as exc:
+            exc.step = step - 1
+            raise
+        yield step, ivs
 
 
-def _iterate_diagonal(system, x, n, precision_bits, width_tolerance_bits):
-    d = system.d
-    if len(x) != d:
-        raise ValueError("point dimension mismatch")
-    if system.is_integer and _all_rational(x) and not system.degenerate:
-        pt = []
-        for b, c in zip(system.betas, x):
-            v = Fraction(c) % 1
-            bi = int(b)
-            num, den = v.numerator, v.denominator
-            num = (num * pow(bi, n, den)) % den if n > 0 else num
-            pt.append(Fraction(num, den))
-        return tuple(pt)
+def _matrix_step(matrix, ivs) -> tuple:
+    """One step of x -> Mx mod 1 on enclosures sharing one precision."""
+    bits = ivs[0].precision_bits
+    tol_width = 1 << max(bits - WIDTH_TOLERANCE_BITS, 0)
     out = []
-    for i, b in enumerate(system.betas):
-        mod = float(DiagonalTorusSystem.modulus_of(b))
-        bits0 = precision_bits or _schedule_bits(mod, n)
-        if precision_bits is None and bits0 > precision_cap():
-            raise BudgetTooLarge(f"{bits0} bits needed for coordinate {i}")
-        c = x[i]
-        iv = (
-            c.rescaled(bits0) if isinstance(c, UnitRealInterval)
-            else UnitRealInterval.from_value(c, max(bits0, GUARD_BITS))
-        )
-        scaled_beta = ScaledScalar.build(b, iv.precision_bits + 8)
-        for step in range(n):
-            target = min(iv.precision_bits, _schedule_bits(mod, n - step - 1))
-            try:
-                iv = beta_step(scaled_beta, iv, out_bits=target,
-                               width_tolerance_bits=width_tolerance_bits)
-            except PrecisionExhausted as exc:
-                exc.step = step
-                raise
-        out.append(iv)
+    for i, row in enumerate(matrix):
+        lo = 0
+        hi = 0
+        for m, iv in zip(row, ivs):
+            end = iv._start + iv._width
+            if m >= 0:
+                lo += m * iv._start
+                hi += m * end
+            else:
+                lo += m * end
+                hi += m * iv._start
+        if hi - lo > tol_width:
+            raise PrecisionExhausted(f"coordinate {i} enclosure too wide")
+        out.append(UnitRealInterval(lo, hi - lo, bits))
     return tuple(out)
+
+
+def iterate(system, x: Sequence, n: int, precision_bits: Optional[int] = None):
+    """Coordinatewise enclosure (or exact rationals) of T^n(x).
+
+    Exact Fractions are returned when the system is an integer matrix (or
+    integer diagonal) applied to rational points; otherwise the last
+    enclosures of :func:`orbit_enclosures`.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if len(x) != system.d:
+        raise ValueError("point dimension mismatch")
+    if all(isinstance(c, (int, Fraction)) for c in x):
+        if isinstance(system, IntegerMatrixSystem):
+            pt = [Fraction(c) % 1 for c in x]
+            for _ in range(n):
+                pt = [sum(m * c for m, c in zip(row, pt)) % 1 for row in system.matrix]
+            return tuple(pt)
+        if system.is_integer and not system.degenerate:
+            pt = []
+            for b, c in zip(system.betas, x):
+                v = Fraction(c) % 1
+                num, den = v.numerator, v.denominator
+                pt.append(Fraction((num * pow(int(b), n, den)) % den, den))
+            return tuple(pt)
+    for _, ivs in orbit_enclosures(system, x, n, precision_bits):
+        pass
+    return ivs
 
 
 class DigitStream:

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import OutOfTable
+from .measures import _wrapped_interval_measure
 
 
 class Shape(enum.Enum):
@@ -412,16 +413,10 @@ def _nu_volumes(target: TargetSpec, ns: np.ndarray, measure, rng=None,
         else:
             radii = [r.psi(int(n)) for r in target.rates]
             out[i] = np.prod([
-                _factor_ball(measure.factors[j], target.center[j], radii[j])
+                _wrapped_interval_measure(measure.factors[j], target.center[j], radii[j])
                 for j in range(target.d)
             ])
     return out
-
-
-def _factor_ball(mu, a, r):
-    from .measures import _wrapped_interval_measure
-
-    return _wrapped_interval_measure(mu, a, r)
 
 
 def nu_hyperboloid_volume(measure, center, delta: float, rng: np.random.Generator,

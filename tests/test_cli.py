@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath
 import pytest
 
 from shrinktarget.cli import (
@@ -26,6 +27,12 @@ class TestParsing:
         assert isinstance(m, IntegerMatrixSystem)
         g = parse_system("diag:g,-g")
         assert g.moduli == pytest.approx([1.618033988749895] * 2)
+
+    def test_signed_symbolic_tokens(self):
+        s = parse_system("diag:+g,-golden,-E")
+        assert s.moduli == pytest.approx([1.618033988749895] * 2 + [math.e])
+        with pytest.raises(ConfigInvalid):
+            parse_system("diag:+-g")
 
     def test_rate_specs(self):
         assert parse_rate("exp:0.7").psi(1) == pytest.approx(math.exp(-0.7))
@@ -183,6 +190,31 @@ class TestMainExitCodes:
             _, _, lo, hi = row.split(",")
             assert 0 <= float(lo) <= float(hi) < 1
             assert float(hi) - float(lo) < 1e-9
+
+    def test_hyperboloid_count_from_argv(self, tmp_path):
+        code = main(["count", "--system", "diag:2,3", "--shape", "hyperboloid",
+                     "--center", "0,0", "--rate", "pow:0.05,0.2", "--steps", "200",
+                     "--seed", "1", "--out", str(tmp_path)])
+        assert code == 0
+        assert len((tmp_path / "count.csv").read_text().splitlines()) == 2
+
+    def test_orbit_trace_encloses_the_orbit(self, tmp_path):
+        code = main(["orbit", "--system", "diag:2,g", "--x", "0.3,0.7",
+                     "--steps", "120", "--stride", "40", "--out", str(tmp_path)])
+        assert code == 0
+        rows = [l.split(",") for l in (tmp_path / "orbit.csv").read_text().splitlines()[1:]]
+        assert [(int(n), int(i)) for n, i, _, _ in rows] == [
+            (n, i) for n in (0, 40, 80, 120) for i in (0, 1)]
+        # oracle: the same orbit in 600-bit mpmath arithmetic
+        with mpmath.workprec(600):
+            pt = [mpmath.mpf(0.3), mpmath.mpf(0.7)]
+            betas = [mpmath.mpf(2), (1 + mpmath.sqrt(5)) / 2]
+            truth = {0: [float(v) for v in pt]}
+            for n in range(1, 121):
+                pt = [b * v - mpmath.floor(b * v) for b, v in zip(betas, pt)]
+                truth[n] = [float(v) for v in pt]
+        for n, i, lo, hi in rows:
+            assert float(lo) - 1e-15 <= truth[int(n)][int(i)] <= float(hi) + 1e-15
 
     def test_precision_cap_env_override(self, tmp_path, monkeypatch):
         from shrinktarget.orbits import DiagonalTorusSystem, required_precision

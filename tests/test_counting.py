@@ -16,10 +16,10 @@ from shrinktarget.counting import (
     variance_check,
     window_hits,
 )
-from shrinktarget.errors import DegenerateF
+from shrinktarget.errors import BudgetTooLarge, DegenerateF, PrecisionExhausted
 from shrinktarget.measures import ProductMeasure
-from shrinktarget.orbits import DiagonalTorusSystem
-from shrinktarget.targets import Containment, RateFunction, ball, contains
+from shrinktarget.orbits import DiagonalTorusSystem, iterate
+from shrinktarget.targets import Containment, RateFunction, ball, contains, hyperboloid
 
 G = (1 + math.sqrt(5)) / 2
 
@@ -160,6 +160,37 @@ class TestCountHits:
                 if dist <= 0.2 * n ** -0.2:
                     r += 1
         assert res.final.r_lo == r
+
+    def test_hyperboloid_recheck_reads_the_whole_tail(self):
+        # T(x) sits 2^-80 outside the d = 1 hyperboloid, past a 64-digit recheck
+        s = DiagonalTorusSystem((2,))
+        t = hyperboloid((0.0,), RateFunction.table([0.25], extend="hold"))
+        x = Fraction(1, 8) + Fraction(1, 2 ** 81)
+        res = count_hits(s, t, (x,), 1)
+        assert (res.final.r_lo, res.final.r_hi, res.ambiguous_hits) == (0, 0, 0)
+
+    def test_interval_engine_enforces_precision_cap(self, monkeypatch):
+        s = DiagonalTorusSystem(("g", 1.5))
+        t = ball((0.2, 0.4), RateFunction.power(0.3, 0.4))
+        # 200 steps of g need 139 + 64 bits, 100 steps need 70 + 64
+        monkeypatch.setenv("SHRINKTARGET_PRECISION_CAP", "200")
+        with pytest.raises(BudgetTooLarge):
+            count_hits(s, t, (Fraction(1, 3), Fraction(1, 5)), 200)
+        with pytest.raises(BudgetTooLarge):
+            count_hits(s, t, None, 200, rng=np.random.default_rng(0))
+        count_hits(s, t, (Fraction(1, 3), Fraction(1, 5)), 100)
+
+    def test_precision_exhausted_step_matches_iterate(self):
+        # both report the last completed step for the same 80-bit orbit
+        s = DiagonalTorusSystem(("g",))
+        t = ball((0.25,), RateFunction.power(0.2, 0.2))
+        x = (Fraction(1, 7),)
+        with pytest.raises(PrecisionExhausted) as by_iterate:
+            iterate(s, x, 200, precision_bits=80)
+        with pytest.raises(PrecisionExhausted) as by_count:
+            count_hits(s, t, x, 200, checkpoints=[50, 200], precision_bits=80)
+        assert by_iterate.value.step == by_count.value.step == 101
+        assert by_count.value.last_checkpoint.n == 50
 
     def test_nu_measure_counting(self):
         s = DiagonalTorusSystem(("g", 1.5))

@@ -35,6 +35,9 @@ class TestCounts:
         for a, b, c in zip(counts, counts[1:], counts[2:]):
             assert c == a + b
 
+    def test_signed_golden_token(self):
+        assert count_cylinders("+g", 10) == count_cylinders("g", 10) == 144
+
     def test_two_point_five_by_hand(self):
         cyls = cylinders_of_order(2.5, 1)
         assert [(c.left, c.right) for c in cyls] == [(0.0, 0.4), (0.4, 0.8), (0.8, 1.0)]

@@ -19,7 +19,9 @@ from shrinktarget.orbits import (
     char_poly_int,
     eigenvalue_moduli,
     iterate,
+    orbit_enclosures,
     required_precision,
+    symbolic_value,
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -106,6 +108,44 @@ class TestRequiredPrecision:
 
     def test_explicit_cap_override(self):
         assert required_precision(DiagonalTorusSystem((2, 3)), 10 ** 6, cap=1 << 22) > 0
+
+
+class TestSymbolicValue:
+    def test_signed_tokens(self):
+        assert symbolic_value("+g", 80) == symbolic_value("golden", 80)
+        assert symbolic_value("-e", 80) + symbolic_value("E", 80) == 0
+
+    def test_float_rounding_matches_math_module(self):
+        assert float(symbolic_value("g", 53)) == GOLDEN
+        assert float(symbolic_value("e", 53)) == math.e
+
+
+class TestOrbitEnclosures:
+    def test_steps_zero_to_n_end_at_iterate(self):
+        s = DiagonalTorusSystem(("g", 2.5))
+        x = (Fraction(1, 7), 0.3)
+        steps = list(orbit_enclosures(s, x, 40))
+        assert [n for n, _ in steps] == list(range(41))
+        assert all(iv.contains_value(c) for iv, c in zip(steps[0][1], x))
+        last = iterate(s, x, 40)
+        assert [(iv.lo, iv.hi) for iv in steps[-1][1]] == [(iv.lo, iv.hi) for iv in last]
+
+    def test_schedule_shrinks_to_guard(self):
+        s = DiagonalTorusSystem((2, 3))
+        bits = [[iv.precision_bits for iv in ivs]
+                for _, ivs in orbit_enclosures(s, (0.3, 0.7), 50)]
+        assert bits[0] == [_schedule_bits(2, 50), _schedule_bits(3, 50)]
+        assert bits[-1] == [64, 64]
+        assert all(a >= b for row, nxt in zip(bits, bits[1:]) for a, b in zip(row, nxt))
+
+    def test_matrix_enclosures_hold_the_exact_orbit(self):
+        # oracle: the exact rational orbit, one matrix application at a time
+        m = IntegerMatrixSystem(((2, 1), (1, 1)))
+        pt = [Fraction(0.3), Fraction(0.7)]
+        for n, ivs in orbit_enclosures(m, (0.3, 0.7), 30):
+            assert all(iv.contains_value(v) for iv, v in zip(ivs, pt))
+            assert {iv.precision_bits for iv in ivs} == {required_precision(m, 30)}
+            pt = [(2 * pt[0] + pt[1]) % 1, (pt[0] + pt[1]) % 1]
 
 
 class TestIterate:
