@@ -259,6 +259,13 @@ def validate(config: ExperimentConfig) -> list[str]:
                 "note: a superexponential rate has lower order +inf; "
                 "use --method unbounded"
             )
+    if cmd == "count" and p.get("shape") == "rectangle":
+        if not p.get("rates"):
+            out.append("error: a rectangle target needs --rates")
+    elif cmd == "count" or (cmd == "volume" and p.get("delta") is None):
+        if p.get("rate") is None:
+            out.append(f"error: {cmd} needs --rate")
+            return out
     if cmd == "count" and p.get("shape") == "hyperboloid":
         rate = parse_rate(p["rate"])
         if rate.psi(1) >= 2.0 ** -len(_center(p)):
@@ -490,9 +497,7 @@ def _cmd_markov(params: dict, out_dir: Path, jobs: int):
     subsystem = build_markov(pl)
     primitive, witness = is_primitive(subsystem.matrix)
     h_top, dim_est = entropy_and_dim(subsystem.matrix, subsystem.slope_modulus)
-    sparse_rows = [
-        [k for k, v in enumerate(row) if v] for row in subsystem.matrix
-    ]
+    sparse_rows = [list(range(lo, hi)) for lo, hi in subsystem.rows]
     path = out_dir / "markov.json"
     _write_json(path, {
         "pieces": [list(p) for p in subsystem.pieces],

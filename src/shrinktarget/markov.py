@@ -15,8 +15,10 @@ otherwise floats with a 2^-40 containment slack.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -84,18 +86,16 @@ class PiecewiseLinearMap:
         return (u, v) if u <= v else (v, u)
 
     def apply(self, x: float) -> float:
-        for j in range(self.num_pieces):
-            if self.breakpoints[j] <= x < self.breakpoints[j + 1]:
-                return float(self.slopes[j]) * float(x) + float(self.intercepts[j])
-        if x == self.breakpoints[-1]:
-            j = self.num_pieces - 1
-            return float(self.slopes[j]) * float(x) + float(self.intercepts[j])
-        raise ValueError("x outside [0, 1]")
+        if not self.breakpoints[0] <= x <= self.breakpoints[-1]:
+            raise ValueError("x outside [0, 1]")
+        j = _piece_at(self, x)
+        return float(self.slopes[j]) * float(x) + float(self.intercepts[j])
 
     def image_of_interval(self, lo, hi) -> list:
         """Forward image of [lo, hi] as a list of intervals."""
         out = []
-        for j in range(self.num_pieces):
+        first = max(bisect_right(self.breakpoints, lo) - 1, 0)
+        for j in range(first, min(bisect_left(self.breakpoints, hi), self.num_pieces)):
             a = max(lo, self.breakpoints[j])
             b = min(hi, self.breakpoints[j + 1])
             if b <= a:
@@ -160,19 +160,27 @@ def power_map(beta, k: int) -> PiecewiseLinearMap:
 
 def _compose(outer: PiecewiseLinearMap, inner: PiecewiseLinearMap) -> PiecewiseLinearMap:
     """outer o inner, splitting inner pieces where their image crosses
-    outer breakpoints."""
+    outer breakpoints.
+
+    Exact crossings that coincide with a breakpoint merge in the set.  A
+    float crossing within ``eps`` of a breakpoint already kept is the
+    same point up to rounding and is dropped, so no sliver piece appears.
+    """
+    exact = isinstance(inner.breakpoints[0], Fraction)
+    eps = Fraction(1, 10 ** 12) if exact else 1e-12
+    tol = 0 if exact else eps
     new_bps = set(inner.breakpoints)
     for j in range(inner.num_pieces):
         a, b = inner.breakpoints[j], inner.breakpoints[j + 1]
         s, t = inner.slopes[j], inner.intercepts[j]
-        for c in outer.breakpoints[1:-1]:
-            x = (c - t) / s
-            if a < x < b:
+        kept = a
+        for x in sorted((c - t) / s for c in outer.breakpoints[1:-1]):
+            if kept + tol < x < b - tol:
                 new_bps.add(x)
+                kept = x
     bps = sorted(new_bps)
     slopes = []
     intercepts = []
-    eps = Fraction(1, 10 ** 12) if isinstance(bps[0], Fraction) else 1e-12
     for a, b in zip(bps, bps[1:]):
         mid = (a + b) / 2
         j = _piece_at(inner, mid)
@@ -186,9 +194,12 @@ def _compose(outer: PiecewiseLinearMap, inner: PiecewiseLinearMap) -> PiecewiseL
 
 
 def _piece_at(pl: PiecewiseLinearMap, x, eps=0) -> int:
-    for j in range(pl.num_pieces):
-        if pl.breakpoints[j] <= x < pl.breakpoints[j + 1]:
-            return j
+    """The j with breakpoints[j] <= x < breakpoints[j+1]; the last piece
+    also takes x = 1 (or x within ``eps`` above it) and the first piece
+    takes x < 0."""
+    j = bisect_right(pl.breakpoints, x) - 1
+    if 0 <= j < pl.num_pieces:
+        return j
     if x >= pl.breakpoints[-1] - eps if eps else x == pl.breakpoints[-1]:
         return pl.num_pieces - 1
     if x < pl.breakpoints[0]:
@@ -227,13 +238,15 @@ def normalize_partition(pl: PiecewiseLinearMap) -> PiecewiseLinearMap:
 class MarkovSubsystem:
     """Invariant sub-dynamics with a finite Markov partition.
 
-    ``pieces`` are the trimmed intervals P(i) (closed), ``matrix`` the 0/1
-    transition matrix A[j][k] = [P(k) inside closure(T(P(j)))], and
-    ``certificates`` the proof-grade bounds extracted from the build.
+    ``pieces`` are the trimmed intervals P(i) (closed, sorted), ``rows``
+    the transitions: row j is the half-open run ``(lo, hi)`` of the k with
+    P(k) inside closure(T(P(j))), and ``certificates`` the proof-grade
+    bounds extracted from the build.  ``matrix`` is the dense 0/1 view
+    A[j][k] = [lo_j <= k < hi_j].
     """
 
     pieces: tuple
-    matrix: tuple
+    rows: tuple
     kappa: float
     slope_modulus: float
     certificates: dict
@@ -243,15 +256,22 @@ class MarkovSubsystem:
         return len(self.pieces)
 
     def row_sums(self) -> list[int]:
-        return [sum(row) for row in self.matrix]
+        return [hi - lo for lo, hi in self.rows]
+
+    @cached_property
+    def matrix(self) -> tuple:
+        m = self.size
+        return tuple((0,) * lo + (1,) * (hi - lo) + (0,) * (m - hi) for lo, hi in self.rows)
 
 
 def build_markov(pl: PiecewiseLinearMap) -> MarkovSubsystem:
     """The Markov subsystem of a constant-slope map with modulus > 8.
 
     Normalizes the partition, trims each piece to the preimage of the
-    union of pieces its image fully contains (an adjacent run, so one
-    O(m) scan per piece), and certifies row sums, entropy and dimension.
+    union of pieces its image fully contains, and certifies row sums,
+    entropy and dimension.  Pieces are disjoint and sorted, so both the
+    contained pieces and each transition row are a contiguous run found
+    by bisection: the build is O(m log m).
     """
     b = pl.slope_modulus
     if b <= 8:
@@ -264,13 +284,12 @@ def build_markov(pl: PiecewiseLinearMap) -> MarkovSubsystem:
     slack = 0 if exact else CONTAINMENT_SLACK
 
     # pieces of the normalized partition fully inside each image (adjacent run)
+    bps = norm.breakpoints
     contained: list[tuple[int, int]] = []  # [lo_idx, hi_idx) per piece
     for j in range(m):
         u, v = norm.image_of_piece(j)
-        lo = _first_piece_at_or_after(norm, u, slack)
-        hi = lo
-        while hi < m and norm.breakpoints[hi + 1] <= v + slack:
-            hi += 1
+        lo = bisect_left(bps, u - slack, 0, m)
+        hi = bisect_right(bps, v + slack, lo + 1, m + 1) - 1
         if hi <= lo:
             raise AssertionError("image contains no full piece despite slope > 8")
         contained.append((lo, hi))
@@ -289,19 +308,22 @@ def build_markov(pl: PiecewiseLinearMap) -> MarkovSubsystem:
             raise AssertionError("empty trimmed piece despite slope > 8")
         pieces.append((plo, phi))
 
-    matrix = []
+    # row j: the k with los[k] >= img_lo - slack and his[k] <= img_hi + slack;
+    # both endpoint lists increase strictly, so that set is one run
+    los = [a for a, _ in pieces]
+    his = [bb for _, bb in pieces]
+    if any(x >= y for x, y in zip(los, los[1:])) or any(x >= y for x, y in zip(his, his[1:])):
+        raise AssertionError("trimmed pieces are not strictly increasing")
+    rows = []
     for j in range(m):
         s, t = norm.slopes[j], norm.intercepts[j]
         y1 = s * pieces[j][0] + t
         y2 = s * pieces[j][1] + t
         img_lo, img_hi = (y1, y2) if y1 <= y2 else (y2, y1)
-        row = [
-            1 if (pieces[k][0] >= img_lo - slack and pieces[k][1] <= img_hi + slack) else 0
-            for k in range(m)
-        ]
-        matrix.append(tuple(row))
+        lo = bisect_left(los, img_lo - slack)
+        rows.append((lo, max(lo, bisect_right(his, img_hi + slack))))
 
-    row_min = min(sum(r) for r in matrix)
+    row_min = min(hi - lo for lo, hi in rows)
     needed = math.floor(b / 2) - 2
     if row_min < max(needed, 1):
         raise AssertionError(f"row sum {row_min} below the guaranteed {needed}")
@@ -309,7 +331,7 @@ def build_markov(pl: PiecewiseLinearMap) -> MarkovSubsystem:
     dim_lb = 1 - math.log(8) / math.log(b)
     return MarkovSubsystem(
         pieces=tuple((float(a), float(bb)) for a, bb in pieces),
-        matrix=tuple(matrix),
+        rows=tuple(rows),
         kappa=kappa,
         slope_modulus=b,
         certificates={
@@ -319,13 +341,6 @@ def build_markov(pl: PiecewiseLinearMap) -> MarkovSubsystem:
             "dim_lb": dim_lb,
         },
     )
-
-
-def _first_piece_at_or_after(pl: PiecewiseLinearMap, x, slack) -> int:
-    for k in range(pl.num_pieces):
-        if pl.breakpoints[k] >= x - slack:
-            return k
-    return pl.num_pieces
 
 
 def verify_markov(pieces: Sequence[tuple], pl: PiecewiseLinearMap,
@@ -377,20 +392,38 @@ def word_count(matrix, n: int) -> int:
 
 
 def is_primitive(matrix) -> tuple[bool, Optional[int]]:
-    """Primitivity of a 0/1 matrix with the witness power k <= (m-1)^2 + 1."""
+    """Primitivity of a 0/1 matrix with the least witness power
+    k <= (m-1)^2 + 1 (Wielandt) such that A^k > 0.
+
+    A zero row stays zero in every power, so a positive power means A has
+    none, and then A^k > 0 implies A^(k+1) = A A^k > 0: positivity is
+    monotone in k.  Square up to the Wielandt bound, then binary-search
+    the least k below the first positive square.  Boolean products run as
+    float matmuls, exact for 0/1 entries.
+    """
     a = np.asarray(matrix, dtype=np.int64)
     m = len(a)
     if np.any((a != 0) & (a != 1)):
         raise ValueError("matrix must be 0/1")
+    if np.all(a > 0):
+        return True, 1
     limit = (m - 1) ** 2 + 1
-    power = np.minimum(a, 1)
-    k = 1
-    while k <= limit:
-        if np.all(power > 0):
-            return True, k
-        power = np.minimum(power @ a, 1)
-        k += 1
-    return False, None
+    squares = [a.astype(np.float64)]  # squares[i] = A^(2^i) as 0/1
+    while not np.all(squares[-1] > 0):
+        if 2 ** (len(squares) - 1) >= limit:
+            return False, None
+        sq = squares[-1]
+        squares.append((sq @ sq > 0).astype(np.float64))
+    # A^(2^top) is positive and A^k, k = 2^(top-1), is not: raise k bit by
+    # bit while A^k stays non-positive, so k + 1 is the least witness
+    top = len(squares) - 1
+    k = 2 ** (top - 1)
+    power = squares[top - 1]
+    for i in range(top - 2, -1, -1):
+        cand = (power @ squares[i] > 0).astype(np.float64)
+        if not np.all(cand > 0):
+            power, k = cand, k + 2 ** i
+    return True, k + 1
 
 
 def perron_bounds(matrix) -> tuple[float, float]:

@@ -140,6 +140,20 @@ class TestMainExitCodes:
                      "--center", "0,0", "--steps", "10", "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["count", "--system", "diag:2,3", "--seed", "1", "--steps", "10"],
+        ["count", "--system", "diag:2,3", "--shape", "hyperboloid", "--center", "0,0",
+         "--seed", "1", "--steps", "10"],
+        ["count", "--system", "diag:2,3", "--shape", "rectangle", "--center", "0,0",
+         "--rate", "pow:0.5,0.25", "--seed", "1", "--steps", "10"],
+        ["volume", "--d", "2", "--shape", "ball"],
+    ])
+    def test_missing_rate_is_two(self, tmp_path, argv):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+
+    def test_volume_delta_needs_no_rate(self, tmp_path):
+        assert main(["volume", "--d", "2", "--delta", "0.1", "--out", str(tmp_path)]) == 0
+
     def test_precondition_is_three(self, tmp_path):
         code = main(["markov", "--beta", "5", "--out", str(tmp_path)])
         assert code == 3

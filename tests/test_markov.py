@@ -1,13 +1,16 @@
 """Markov subsystem tests: construction, certificates, word counts."""
 
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from shrinktarget.cli import main
 from shrinktarget.errors import SlopeTooSmall
 from shrinktarget.markov import (
+    CONTAINMENT_SLACK,
     PiecewiseLinearMap,
     beta_map,
     build_markov,
@@ -69,6 +72,14 @@ class TestPowerMap:
         assert pl.num_pieces == 9
         assert pl.slope_modulus == 9.0
 
+    @pytest.mark.parametrize("k, fib", [(5, 13), (7, 34), (10, 144)])
+    def test_golden_powers_have_no_slivers(self, k, fib):
+        # T_g^k has F(k+2) pieces; float crossings that duplicate a
+        # breakpoint must not leave ~1e-17 slivers behind
+        pl = power_map("g", k)
+        assert pl.num_pieces == fib
+        assert min(pl.piece_lengths()) > 1e-6
+
 
 class TestNormalizePartition:
     def test_balanced_unchanged(self):
@@ -125,11 +136,68 @@ class TestBuildMarkov:
         problems = verify_markov(ms.pieces, normalize_partition(pl))
         assert problems == []
 
+    def test_golden_fifth_power_from_argv(self, tmp_path):
+        assert main(["markov", "--beta", "g", "--power", "5", "--out", str(tmp_path)]) == 0
+        data = json.loads((tmp_path / "markov.json").read_text())
+        pieces = [tuple(p) for p in data["pieces"]]
+        assert verify_markov(pieces, power_map("g", 5)) == []
+
     def test_checker_catches_violations(self):
         pl = beta_map(10)
         # overlapping fake pieces must be flagged
         bad = [(0.0, 0.2), (0.1, 0.3)]
         assert verify_markov(bad, pl)
+
+
+def _pairwise_rows(ms, norm, slack):
+    """Row j = {k : P(k) inside T(P(j))}, one containment test per pair.
+
+    P(j) lies in linearity piece j of ``norm``.  ``ms.pieces`` are floats;
+    for exact maps that rounding needs a tolerance, so every excluded
+    piece must also stick out of the image by far more than it.
+    """
+    tol = max(slack, 1e-12)
+    rows = []
+    for j, (a, b) in enumerate(ms.pieces):
+        s, t = float(norm.slopes[j]), float(norm.intercepts[j])
+        u, v = sorted((s * a + t, s * b + t))
+        row = []
+        for k, (c, d) in enumerate(ms.pieces):
+            if c >= u - tol and d <= v + tol:
+                row.append(k)
+            else:
+                assert max(u - c, d - v) > 1e-9, (j, k)
+        rows.append(row)
+    return rows
+
+
+class TestMarkovRuns:
+    @pytest.mark.parametrize("pl", [
+        beta_map(9), beta_map(Fraction(19, 2)), beta_map(10), beta_map(12),
+        beta_map(-10), power_map(9, 2),
+    ], ids=["9", "9.5", "10", "12", "-10", "9^2"])
+    def test_exact_runs_match_pairwise(self, pl):
+        self._check(pl, 0)
+
+    @pytest.mark.parametrize("beta, k", [("e", 3), ("-e", 3), ("g", 5)])
+    def test_float_runs_match_pairwise(self, beta, k):
+        self._check(power_map(beta, k), CONTAINMENT_SLACK)
+
+    @staticmethod
+    def _check(pl, slack):
+        assert isinstance(pl.breakpoints[1], Fraction) == (slack == 0)
+        ms = build_markov(pl)
+        expected = _pairwise_rows(ms, normalize_partition(pl), slack)
+        assert [list(range(lo, hi)) for lo, hi in ms.rows] == expected
+        for row, dense in zip(expected, ms.matrix):
+            assert [k for k, v in enumerate(dense) if v] == row
+        assert ms.row_sums() == [len(row) for row in expected]
+        assert ms.certificates["row_min"] == min(len(row) for row in expected)
+
+    def test_thousand_pieces(self):
+        ms = build_markov(power_map(10, 3))
+        assert ms.size == 1000
+        assert min(ms.row_sums()) >= 3
 
 
 class TestWordCount:
@@ -150,7 +218,46 @@ class TestWordCount:
             assert word_count(ms.matrix, n) >= m * (beta / 2 - 3) ** (n - 1)
 
 
+def _primitive_stepwise(matrix):
+    """The definition: the least k <= (m-1)^2 + 1 with A^k > 0."""
+    a = np.asarray(matrix, dtype=np.int64)
+    power = a.copy()
+    for k in range(1, (len(a) - 1) ** 2 + 2):
+        if np.all(power > 0):
+            return True, k
+        power = np.minimum(power @ a, 1)
+    return False, None
+
+
+def _wielandt(m):
+    a = np.zeros((m, m), dtype=np.int64)
+    for i in range(m - 1):
+        a[i, i + 1] = 1
+    a[m - 1, 0] = a[m - 1, 1] = 1
+    return a
+
+
 class TestPrimitivity:
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    def test_wielandt_exponent(self, m):
+        a = _wielandt(m)
+        assert is_primitive(a) == _primitive_stepwise(a) == (True, (m - 1) ** 2 + 1)
+
+    @pytest.mark.parametrize("matrix", [
+        np.roll(np.eye(5, dtype=np.int64), 1, axis=1),  # cyclic permutation
+        ((1, 1, 0), (1, 1, 0), (0, 1, 1)),  # reducible: only 2 reaches 2
+        ((1, 1, 0), (1, 0, 0), (1, 1, 0)),  # zero column
+        ((1, 1, 1), (0, 0, 0), (1, 1, 1)),  # zero row
+        ((1, 1, 0), (0, 1, 1), (1, 0, 0)),  # primitive
+        ((0,),), ((1,),),
+    ])
+    def test_matches_stepwise(self, matrix):
+        assert is_primitive(matrix) == _primitive_stepwise(matrix)
+
+    def test_built_subsystem_matches_stepwise(self):
+        matrix = build_markov(beta_map(10)).matrix
+        assert is_primitive(matrix) == _primitive_stepwise(matrix)
+
     def test_all_ones(self):
         assert is_primitive(((1, 1), (1, 1))) == (True, 1)
 
