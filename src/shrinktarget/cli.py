@@ -200,6 +200,19 @@ def _build_target(params: dict) -> TargetSpec:
     return TargetSpec(shape, center, rates)
 
 
+# The parameters each dimension method reads.
+_DIMENSION_PARAMS = {
+    "ball": ("moduli", "lam"),
+    "rect": ("moduli", "t_points"),
+    "onedim": ("beta_modulus", "lam"),
+    "mult": ("moduli", "lam"),
+    "mtp": ("deltas", "u", "v"),
+    "markov": ("beta_modulus", "lam"),
+    "unbounded": ("moduli", "t_points"),
+    "hat": ("moduli", "t_points", "deltas"),
+}
+
+
 def validate(config: ExperimentConfig) -> list[str]:
     """Diagnostics (never raises): each violated module hypothesis named.
 
@@ -244,6 +257,10 @@ def validate(config: ExperimentConfig) -> list[str]:
                 )
     if cmd == "dimension":
         method = p.get("method", "ball")
+        missing = [f"error: dimension --method {method} needs --{k.replace('_', '-')}"
+                   for k in _DIMENSION_PARAMS.get(method, ()) if p.get(k) is None]
+        if missing:
+            return out + missing
         if method == "rect":
             try:
                 acc = parse_t_points(p.get("t_points", ""))

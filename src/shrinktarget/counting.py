@@ -34,13 +34,15 @@ from .measures import ParryYrrapMeasure
 from .orbits import (
     DiagonalTorusSystem,
     IntegerMatrixSystem,
-    _wrap_distance_bounds,
     as_fraction,
     beta_step,  # not called here: perfbench/layertrace.py looks it up on this module
     orbit_enclosures,
     required_precision,
+    wrap_distance_bounds,
 )
-from .targets import Containment, Shape, TargetSpec, contains, phi_values
+from .targets import (
+    MARGIN, Containment, TargetSpec, contains, exact_verdict, phi_values, verdict,
+)
 
 DEFAULT_EPSILON = 0.5
 AMBIGUITY_BUDGET = 1e-3
@@ -134,6 +136,26 @@ def _window_values(digits: np.ndarray, base: int, n_steps: int, window: int) -> 
     return vals
 
 
+def _digits_to_int(digits: np.ndarray, base: int) -> int:
+    """The integer whose base-b digits, most significant first, are ``digits``.
+
+    Blocks of digits become int64 words (below 2^62, so exact); the words
+    then combine pairwise, halving their number each round, so the
+    big-integer work is a few products of balanced size.
+    """
+    block = max(1, int(62 // math.log2(base)))
+    padded = np.concatenate([np.zeros(-len(digits) % block, dtype=np.int64), digits])
+    powers = base ** np.arange(block - 1, -1, -1, dtype=np.int64)
+    parts = [int(v) for v in padded.reshape(-1, block) @ powers]
+    scale = base ** block
+    while len(parts) > 1:
+        if len(parts) % 2:
+            parts.insert(0, 0)
+        parts = [hi * scale + lo for hi, lo in zip(parts[::2], parts[1::2])]
+        scale *= scale
+    return parts[0] if parts else 0
+
+
 def _exact_distances(digit_arrays, bases, n: int, centers):
     """Exact bounds on ||T^n x_i - a_i||, from ever longer digit prefixes.
 
@@ -141,93 +163,50 @@ def _exact_distances(digit_arrays, bases, n: int, centers):
     Yields a list of (d_lo, d_hi) pairs from 16 digits, then from four
     times as many each time, the last from every stored digit.
     """
+    centers = [as_fraction(a) for a in centers]
     k = 16
     while True:
         bounds = []
         for digits, base, a in zip(digit_arrays, bases, centers):
             used = min(k, len(digits) - n)
-            val = 0
-            for dig in digits[n: n + used]:
-                val = val * base + int(dig)
-            lo = Fraction(val, base ** used)
-            bounds.append(_wrap_distance_bounds(lo, lo + Fraction(1, base ** used),
-                                                as_fraction(a) % 1))
+            scale = base ** used
+            lo = Fraction(_digits_to_int(digits[n: n + used], base), scale)
+            bounds.append(wrap_distance_bounds(lo, Fraction(1, scale), a))
         yield bounds
         if all(k >= len(digits) - n for digits in digit_arrays):
             return
         k *= 4
 
 
-def _exact_radii(target: TargetSpec, n: int) -> list[Fraction]:
-    """psi(n) per coordinate as exact Fractions (one for hyperboloids)."""
-    if target.shape == Shape.RECTANGLE:
-        return [as_fraction(r.psi(n)) for r in target.rates]
-    psi = as_fraction(target.rates[0].psi(n))
-    return [psi] if target.shape == Shape.HYPERBOLOID else [psi] * target.d
-
-
-def _radii_arrays(target: TargetSpec, n_steps: int) -> list[np.ndarray]:
-    ns = np.arange(1, n_steps + 1)
-    if target.shape == Shape.RECTANGLE:
-        return [np.asarray(r.psi(ns), dtype=np.float64) for r in target.rates]
-    psi = np.asarray(target.rates[0].psi(ns), dtype=np.float64)
-    return [psi] * target.d
-
-
 def _digit_membership(system: DiagonalTorusSystem, target: TargetSpec,
                       digit_arrays: list[np.ndarray], n_steps: int):
-    """(hit_lo, hit_hi) boolean arrays for n = 1..N, with exact rechecks."""
+    """(hit_lo, hit_hi) boolean arrays for n = 1..N, with exact rechecks.
+
+    The float stage reads T^n x_i as a window value v lying within
+    base^-window below it, so ||T^n x_i - a_i|| is within that band (plus
+    MARGIN) of ||v - a_i||.  Steps it leaves open go to the exact stage.
+    """
     bases = [int(b) for b in system.betas]
-    d = len(bases)
-    radii = _radii_arrays(target, n_steps)
     dists = []
     bands = []
-    for i in range(d):
-        window = min(_digit_window(bases[i]), len(digit_arrays[i]) - n_steps - 1)
-        vals = _window_values(digit_arrays[i], bases[i], n_steps, window)
-        a = target.center[i]
-        diff = np.abs(vals - a)
-        dist = np.minimum(diff, 1.0 - diff)
-        dists.append(dist)
-        bands.append(float(bases[i]) ** -window + 1e-13)
-    if target.shape == Shape.HYPERBOLOID:
-        lo_prod = np.ones(n_steps)
-        hi_prod = np.ones(n_steps)
-        for i in range(d):
-            lo_prod *= np.maximum(dists[i] - bands[i], 0.0)
-            hi_prod *= dists[i] + bands[i]
-        psi = radii[0]
-        hit_lo = hi_prod <= psi
-        hit_hi = lo_prod <= psi
-    else:
-        hit_lo = np.ones(n_steps, dtype=bool)
-        hit_hi = np.ones(n_steps, dtype=bool)
-        for i in range(d):
-            hit_lo &= dists[i] + bands[i] <= radii[i]
-            hit_hi &= dists[i] - bands[i] <= radii[i]
-    unresolved = np.flatnonzero(hit_hi & ~hit_lo)
-    for idx in unresolved:
+    for digits, base, a in zip(digit_arrays, bases, target.center):
+        window = min(_digit_window(base), len(digits) - n_steps - 1)
+        diff = np.abs(_window_values(digits, base, n_steps, window) - a)
+        dists.append(np.minimum(diff, 1.0 - diff))
+        bands.append(float(base) ** -window + MARGIN)
+    hit_lo, hit_hi = verdict(
+        target.shape,
+        (np.maximum(dist - band, 0.0) for dist, band in zip(dists, bands)),
+        (dist + band for dist, band in zip(dists, bands)),
+        target.radii(np.arange(1, n_steps + 1)))
+    for idx in np.flatnonzero(hit_hi & ~hit_lo):
         n = int(idx) + 1
-        decided = _membership_exact(system, target, digit_arrays, n)
-        if decided is True:
-            hit_lo[idx] = True
-        elif decided is False:
-            hit_hi[idx] = False
+        for bounds in _exact_distances(digit_arrays, bases, n, target.center):
+            surely, maybe = exact_verdict(target, n, bounds)
+            if surely or not maybe:
+                hit_lo[idx], hit_hi[idx] = surely, maybe
+                break
     return hit_lo, hit_hi
-
-
-def _membership_exact(system, target, digit_arrays, n: int) -> Optional[bool]:
-    radii = _exact_radii(target, n)
-    bases = [int(b) for b in system.betas]
-    for bounds in _exact_distances(digit_arrays, bases, n, target.center):
-        if target.shape == Shape.HYPERBOLOID:
-            lows, highs = zip(*bounds)
-            bounds = [(math.prod(lows), math.prod(highs))]
-        if all(hi <= r for (_, hi), r in zip(bounds, radii)):
-            return True
-        if any(lo > r for (lo, _), r in zip(bounds, radii)):
-            return False
-    return None
 
 
 def _digit_arrays_for_sample(system: DiagonalTorusSystem, n_steps: int,
@@ -330,64 +309,40 @@ def count_hits(system, target: TargetSpec, x, n_steps: int,
 def _count_matrix_engine(system, target, x, checkpoints, epsilon, phi, rng):
     """Exact rational orbits under an integer matrix (fixed denominator)."""
     n_steps = checkpoints[-1]
-    d = system.d
     if x is None:
-        bits = 128
-        x = []
-        for _ in range(d):
-            words = rng.integers(0, 1 << 32, size=4, dtype=np.uint64)
-            num = 0
-            for w in words:
-                num = (num << 32) | int(w)
-            x.append(Fraction(num, 1 << bits))
+        x = [Fraction(_random_bits(rng, 128), 1 << 128) for _ in range(system.d)]
     pt = [as_fraction(c) % 1 for c in x]
+    centers = [as_fraction(a) for a in target.center]
     phi_at = dict(zip(checkpoints, phi))
     rows = []
     hits = 0
     for n in range(1, n_steps + 1):
         pt = [sum(m * c for m, c in zip(row, pt)) % 1 for row in system.matrix]
-        hits += _exact_point_membership(target, n, pt)
+        bounds = [wrap_distance_bounds(c, Fraction(0), a) for c, a in zip(pt, centers)]
+        hits += exact_verdict(target, n, bounds)[0]
         if n in phi_at:
             rows.append(_checkpoint(n, hits, hits, phi_at[n], epsilon))
     return tuple(rows), 0
 
 
-def _exact_point_membership(target, n: int, pt) -> bool:
-    dists = []
-    for c, a in zip(pt, target.center):
-        off = (c - as_fraction(a)) % 1
-        dists.append(min(off, 1 - off))
-    if target.shape == Shape.HYPERBOLOID:
-        dists = [math.prod(dists)]
-    return all(v <= r for v, r in zip(dists, _exact_radii(target, n)))
+def _random_bits(rng: np.random.Generator, bits: int) -> int:
+    """A uniform integer below 2**bits from ceil(bits/32) uint32 draws.
+
+    The first word is the most significant; bits <= 0 draws nothing.
+    """
+    if bits <= 0:
+        return 0
+    words = rng.integers(0, 1 << 32, size=(bits + 31) // 32, dtype=np.uint64)
+    return int.from_bytes(words.astype(">u4").tobytes(), "big") & ((1 << bits) - 1)
 
 
 def _draw_initial(system, measure, rng, n_steps):
-    d = system.d
     bits = max(96, required_precision(system, n_steps))
     if measure is None:
-        coords = []
-        for _ in range(d):
-            words = rng.integers(0, 1 << 32, size=(bits + 31) // 32, dtype=np.uint64)
-            num = 0
-            for w in words:
-                num = (num << 32) | int(w)
-            num &= (1 << bits) - 1
-            coords.append(Fraction(num, 1 << bits))
-        return coords
+        return [Fraction(_random_bits(rng, bits), 1 << bits) for _ in range(system.d)]
     cols = measure.sample(rng, 1)[0]
-    coords = []
-    for i in range(d):
-        extra_bits = bits - 53
-        extra = 0
-        if extra_bits > 0:
-            words = rng.integers(0, 1 << 32, size=(extra_bits + 31) // 32, dtype=np.uint64)
-            for w in words:
-                extra = (extra << 32) | int(w)
-            extra &= (1 << extra_bits) - 1
-        base = as_fraction(float(cols[i]))
-        coords.append((base + Fraction(extra, 1 << bits)) % 1)
-    return coords
+    return [(as_fraction(float(c)) + Fraction(_random_bits(rng, bits - 53), 1 << bits)) % 1
+            for c in cols[:system.d]]
 
 
 def _sample_rng(seed: int, sample_id: int) -> np.random.Generator:

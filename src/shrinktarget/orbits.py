@@ -644,7 +644,7 @@ class DigitStream:
         k = max(8, math.ceil(16 / math.log2(self.base)))
         while True:
             lo, hi = self.value_bounds(k)
-            d_lo, d_hi = _wrap_distance_bounds(lo, hi, a)
+            d_lo, d_hi = wrap_distance_bounds(lo, hi - lo, a)
             if d_hi <= r:
                 return True
             if d_lo > r:
@@ -654,18 +654,24 @@ class DigitStream:
             k = min(2 * k, max_digits)
 
 
-def _wrap_distance_bounds(lo: Fraction, hi: Fraction, a: Fraction):
-    """Range of ||x - a|| for x in [lo, hi] (arc on the circle, hi-lo < 1)."""
-    width = hi - lo
-    if width >= 1:
-        return Fraction(0), Fraction(1, 2)
-    offset_a = (a - lo) % 1
-    d_end_lo = min((lo - a) % 1, (a - lo) % 1)
-    d_end_hi = min((hi - a) % 1, (a - hi) % 1)
-    d_min = Fraction(0) if offset_a <= width else min(d_end_lo, d_end_hi)
-    offset_anti = (a + Fraction(1, 2) - lo) % 1
-    d_max = Fraction(1, 2) if offset_anti <= width else max(d_end_lo, d_end_hi)
-    return d_min, d_max
+def wrap_distance_bounds(lo, width, a):
+    """Range (d_min, d_max) of ||x - a|| as x runs over the arc [lo, lo + width].
+
+    ||.|| is the distance to the nearest integer.  The arc is given by its
+    width, not by an end reduced mod 1, so an arc past the 0/1 seam needs
+    no special case.  The same code serves Fractions, where it is exact,
+    and floats, where each bound is off by a few rounding errors that the
+    caller must cover with a margin (``targets.MARGIN``).  An arc of
+    width >= 1 is the whole circle.
+    """
+    near = (lo - a) % 1          # the arc, measured from a, is [near, far]
+    far = near + width
+    d_near = min(near, 1 - near)
+    d_far = min(far % 1, 1 - far % 1)
+    d_min = near * 0 if far >= 1 else min(d_near, d_far)
+    if 2 * near <= 1 <= 2 * far or 2 * far >= 3:    # a + 1/2 or a + 3/2 is on the arc
+        return d_min, (near * 0 + 1) / 2
+    return d_min, max(d_near, d_far)
 
 
 def char_poly_int(matrix) -> list[int]:

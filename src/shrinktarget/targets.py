@@ -9,13 +9,22 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import OutOfTable
 from .measures import _wrapped_interval_measure
+from .orbits import UnitRealInterval, as_fraction, wrap_distance_bounds
+
+# Widening of every float-stage distance bound.  Float distances on [0, 1]
+# are off by at most a few 1e-16, so a float verdict clear of the boundary
+# by this much is a proof; anything closer goes to the exact stage.
+MARGIN = 1e-13
 
 
 class Shape(enum.Enum):
@@ -292,10 +301,14 @@ class TargetSpec:
         return len(self.center)
 
     def radii(self, n):
-        """Per-coordinate radii at time n (rectangles) or the single radius."""
+        """The radii :func:`verdict` compares against at time n (scalar or array).
+
+        One per coordinate for balls and rectangles, one for hyperboloids.
+        """
         if self.shape == Shape.RECTANGLE:
-            return tuple(r.psi(n) for r in self.rates)
-        return self.rates[0].psi(n)
+            return [r.psi(n) for r in self.rates]
+        psi = self.rates[0].psi(n)
+        return [psi] if self.shape == Shape.HYPERBOLOID else [psi] * self.d
 
 
 def ball(center, rate: RateFunction) -> TargetSpec:
@@ -437,60 +450,65 @@ class Containment(enum.Enum):
     AMBIGUOUS = "ambiguous"
 
 
-def _distance_bounds(coord, a: float) -> tuple[float, float]:
-    """Range of ||x - a|| as x runs over a point or enclosure coordinate."""
-    from .orbits import UnitRealInterval
+def verdict(shape: Shape, lows, highs, radii):
+    """(surely_in, maybe_in) from per-coordinate bounds on ||x_i - a_i||.
 
+    ``lows`` and ``highs`` bound each coordinate's distance from below and
+    above (non-negative), ``radii`` come from :meth:`TargetSpec.radii`.  A
+    hyperboloid compares the product of the distances with its one
+    radius; a ball or rectangle needs every coordinate within its radius.
+    The same code runs on floats, Fractions and numpy arrays (which give
+    boolean arrays); lows and highs may be iterators, read once each.
+    """
+    if shape == Shape.HYPERBOLOID:
+        return math.prod(highs) <= radii[0], math.prod(lows) <= radii[0]
+    return (reduce(operator.and_, (hi <= r for hi, r in zip(highs, radii))),
+            reduce(operator.and_, (lo <= r for lo, r in zip(lows, radii))))
+
+
+def exact_verdict(target: TargetSpec, n: int, bounds) -> tuple:
+    """:func:`verdict` on exact (Fraction) distance bounds at time n."""
+    return verdict(target.shape, [lo for lo, _ in bounds], [hi for _, hi in bounds],
+                   [as_fraction(r) for r in target.radii(n)])
+
+
+def _exact_arc(coord) -> tuple:
+    """(lo, width) of a point, a (lo, hi) pair or an enclosure, as Fractions."""
     if isinstance(coord, UnitRealInterval):
-        lo = coord.lo_float
-        width = coord.width_float
-    elif isinstance(coord, tuple):
-        lo, hi = float(coord[0]), float(coord[1])
-        width = (hi - lo) % 1.0 if hi != lo else 0.0
-    else:
-        x = float(coord) % 1.0
-        diff = abs(x - (a % 1.0))
-        d = min(diff, 1.0 - diff)
-        return d, d
-    if width >= 1.0:
-        return 0.0, 0.5
-    a = a % 1.0
-    lo = lo % 1.0
-    off_a = (a - lo) % 1.0
-    d_lo = min((lo - a) % 1.0, (a - lo) % 1.0)
-    hi = (lo + width) % 1.0
-    d_hi = min((hi - a) % 1.0, (a - hi) % 1.0)
-    d_min = 0.0 if off_a <= width else min(d_lo, d_hi)
-    off_anti = (a + 0.5 - lo) % 1.0
-    d_max = 0.5 if off_anti <= width else max(d_lo, d_hi)
-    return d_min, d_max
+        return coord.lo, coord.width
+    if isinstance(coord, tuple):
+        lo, hi = as_fraction(coord[0]), as_fraction(coord[1])
+        return lo % 1, (hi - lo) % 1
+    return as_fraction(coord) % 1, Fraction(0)
+
+
+def _float_arc(coord) -> tuple:
+    """(lo, width) as floats, each within a rounding error of the exact arc."""
+    if isinstance(coord, UnitRealInterval):
+        return coord.lo_float, coord.width_float
+    return tuple(map(float, _exact_arc(coord)))
 
 
 def contains(target: TargetSpec, n: int, x) -> Containment:
-    """Three-valued membership of x (points or enclosures) in E_n.
+    """Three-valued membership of x in E_n; YES and NO are proofs.
 
-    Ambiguous only when the enclosure straddles the target boundary; the
-    answer is monotone under enclosure refinement.
+    Each coordinate of x is a point (int, float, Fraction), a ``(lo, hi)``
+    arc (hi < lo wraps past 1, hi == lo is a point) or a
+    UnitRealInterval.  A float stage, with every distance bound widened
+    by ``MARGIN``, decides almost every call; where it cannot, an exact
+    stage decides on the exact arcs.  So YES means every point of x lies
+    in E_n, NO means none does, and AMBIGUOUS means x straddles the
+    boundary.  The answer is monotone under enclosure refinement.
     """
     if len(x) != target.d:
         raise ValueError("point dimension mismatch")
-    bounds = [_distance_bounds(c, a) for c, a in zip(x, target.center)]
-    if target.shape == Shape.HYPERBOLOID:
-        lo = math.prod(b[0] for b in bounds)
-        hi = math.prod(b[1] for b in bounds)
-        radius = target.rates[0].psi(n)
-        if hi <= radius:
-            return Containment.YES
-        if lo > radius:
-            return Containment.NO
-        return Containment.AMBIGUOUS
-    radii = (
-        [target.rates[0].psi(n)] * target.d
-        if target.shape == Shape.BALL
-        else [r.psi(n) for r in target.rates]
-    )
-    if all(hi <= r for (_, hi), r in zip(bounds, radii)):
+    bounds = [wrap_distance_bounds(*_float_arc(c), a) for c, a in zip(x, target.center)]
+    surely, maybe = verdict(target.shape, [max(lo - MARGIN, 0.0) for lo, _ in bounds],
+                            [hi + MARGIN for _, hi in bounds], target.radii(n))
+    if maybe and not surely:
+        bounds = [wrap_distance_bounds(*_exact_arc(c), as_fraction(a))
+                  for c, a in zip(x, target.center)]
+        surely, maybe = exact_verdict(target, n, bounds)
+    if surely:
         return Containment.YES
-    if any(lo > r for (lo, _), r in zip(bounds, radii)):
-        return Containment.NO
-    return Containment.AMBIGUOUS
+    return Containment.AMBIGUOUS if maybe else Containment.NO

@@ -151,6 +151,14 @@ class TestMainExitCodes:
     def test_missing_rate_is_two(self, tmp_path, argv):
         assert main(argv + ["--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["dimension", "--method", "ball", "--moduli", "2,3"], "--lam"),
+        (["dimension", "--method", "onedim", "--lam", "0.5"], "--beta-modulus"),
+    ])
+    def test_missing_dimension_parameter_is_two(self, tmp_path, capsys, argv, flag):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert f"needs {flag}" in capsys.readouterr().err
+
     def test_volume_delta_needs_no_rate(self, tmp_path):
         assert main(["volume", "--d", "2", "--delta", "0.1", "--out", str(tmp_path)]) == 0
 

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from shrinktarget.counting import (
+    _digits_to_int,
+    _random_bits,
     correlation_estimate,
     correlation_series,
     count_hits,
@@ -89,6 +91,15 @@ class TestCountHits:
         res = count_hits(s, t, (Fraction(1, 8),), 1)
         assert (res.final.r_lo, res.final.r_hi) == (0, 1)
         assert res.ambiguous_hits == 1
+
+    def test_exact_tie_recheck_is_not_quadratic(self):
+        # the recheck reads every stored digit (~2N) at the one tie; built
+        # digit by digit this took seconds, by blocks it takes milliseconds
+        s = DiagonalTorusSystem((2,))
+        t = ball((0.0,), RateFunction.table([0.25], extend="hold"))
+        n = 160_000
+        res = count_hits(s, t, (Fraction(1, 8),), n)
+        assert (res.final.r_lo, res.final.r_hi) == (n - 2, n - 1)
 
     def test_against_rational_oracle(self):
         s = DiagonalTorusSystem((2, 3))
@@ -200,6 +211,40 @@ class TestCountHits:
         assert res.final.phi == pytest.approx(
             sum(nu.ball(t.center, t.rates[0].psi(n)) for n in range(1, 301)), rel=1e-9)
         assert res.final.r_hi >= res.final.r_lo >= 0
+
+
+class TestDigitPrefix:
+    @pytest.mark.parametrize("base", [2, 3, 10])
+    def test_blocks_match_horner(self, base):
+        rng = np.random.default_rng(base)
+        for length in (0, 1, 19, 20, 21, 62, 63, 124, 1000, 4099):
+            digits = rng.integers(0, base, size=length, dtype=np.int8)
+            horner = 0
+            for dig in digits:
+                horner = horner * base + int(dig)
+            assert _digits_to_int(digits, base) == horner
+        top = np.full(3000, base - 1, dtype=np.int8)
+        assert _digits_to_int(top, base) == base ** 3000 - 1
+
+
+class TestRandomBits:
+    def test_matches_four_word_composition(self):
+        old = np.random.default_rng(5)
+        words = old.integers(0, 1 << 32, size=4, dtype=np.uint64)
+        num = 0
+        for w in words:
+            num = (num << 32) | int(w)
+        new = np.random.default_rng(5)
+        assert _random_bits(new, 128) == num
+        assert new.integers(0, 1 << 32) == old.integers(0, 1 << 32)
+
+    def test_masks_and_draws_nothing_below_one_bit(self):
+        rng = np.random.default_rng(6)
+        words = np.random.default_rng(6).integers(0, 1 << 32, size=2, dtype=np.uint64)
+        assert _random_bits(rng, 43) == ((int(words[0]) << 32 | int(words[1])) & ((1 << 43) - 1))
+        state = rng.bit_generator.state
+        assert _random_bits(rng, 0) == 0 and _random_bits(rng, -5) == 0
+        assert rng.bit_generator.state == state
 
 
 class TestMonteCarloCounting:

@@ -1,6 +1,8 @@
 """Target family tests: rates, volumes, Phi sums, membership."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -149,6 +151,9 @@ class TestPhi:
         assert abs(est - hyperboloid_volume(2, 0.05)) < 4 * se
 
 
+HELD_QUARTER = RateFunction.table([0.25], extend="hold")
+
+
 class TestContains:
     def test_point_cases(self):
         t = ball((0.0,), RateFunction.table([0.1], extend="hold"))
@@ -185,6 +190,102 @@ class TestContains:
         t = ball((0.0, 0.0), RateFunction.table([0.2], extend="hold"))
         x = (UnitRealInterval.from_value(0.1, 128), UnitRealInterval.from_value(0.9, 128))
         assert contains(t, 1, x) == Containment.YES
+
+    @pytest.mark.parametrize("target", [
+        ball((0.0,), HELD_QUARTER),
+        ball((0.75,), HELD_QUARTER),  # boundary at 1/2 and at the 0/1 seam
+        ball((0.0, 0.75), HELD_QUARTER),
+        rectangle((0.0, 0.75), (HELD_QUARTER, RateFunction.table([0.125], extend="hold"))),
+        hyperboloid((0.0, 0.0), RateFunction.table([1 / 16], extend="hold")),
+        hyperboloid((0.75, 0.0), RateFunction.table([1 / 16], extend="hold")),
+    ], ids=["ball1", "ball1-seam", "ball2", "rect2", "hyp2", "hyp2-seam"])
+    def test_contains_against_exact_oracle(self, target):
+        # points, (lo, hi) arcs and 64..2147-bit enclosures 2^-60..2^-200
+        # inside, outside and across each boundary: YES must mean every
+        # point is in E_n, NO that none is, AMBIGUOUS that x straddles
+        rng = np.random.default_rng(11)
+        coords = [_near_boundary_inputs(target, i, rng) for i in range(target.d)]
+        if target.d == 2:
+            cases = [(c, coords[1][rng.integers(len(coords[1]))]) for c in coords[0]]
+            cases += [(coords[0][rng.integers(len(coords[0]))], c) for c in coords[1]]
+            cases += [(c, c) for c in coords[0] if not isinstance(c, UnitRealInterval)]
+        else:
+            cases = [(c,) for c in coords[0]]
+        assert len(cases) >= 240
+        for x in cases:
+            assert contains(target, 1, x) == _oracle_verdict(target, x), x
+
+    def test_unsound_float_rounding_cases(self):
+        # each of these rounds onto the boundary in float arithmetic
+        quarter = ball((0.0,), HELD_QUARTER)
+        for v in (Fraction(1, 4) + Fraction(1, 2 ** 80), Fraction(3, 4) - Fraction(1, 2 ** 80)):
+            assert contains(quarter, 1, (UnitRealInterval.from_value(v, 128),)) == Containment.NO
+        hyp = hyperboloid((0.0, 0.0), RateFunction.table([1 / 16], extend="hold"))
+        v = UnitRealInterval.from_value(Fraction(1, 4) + Fraction(1, 2 ** 90), 128)
+        assert contains(hyp, 1, (v, v)) == Containment.NO
+        # a float keeps none of the fractional part of 10^20 + 1/3
+        assert contains(quarter, 1, (Fraction(10 ** 20) + Fraction(1, 3),)) == Containment.NO
+
+
+def _near_boundary_inputs(target, i, rng):
+    """Coordinate-i inputs near each value where ||x - a_i|| hits a radius."""
+    a = Fraction(target.center[i])
+    radii = {Fraction(r.psi(1)) for r in target.rates}
+    if target.shape == Shape.HYPERBOLOID:
+        radii = {Fraction(1, 4), Fraction(1, 8), Fraction(1, 2)}  # factors of 1/16
+    values = [(a + s * r) % 1 for r in radii for s in (1, -1)] + [a, (a + Fraction(1, 2)) % 1]
+    out = []
+    for v in values:
+        for k in (60, 80, 90, 128, 200):
+            for off in (Fraction(1, 2 ** k), -Fraction(1, 2 ** k), Fraction(0)):
+                p = (v + off) % 1
+                h = Fraction(1, 2 ** (k + int(rng.integers(-2, 3))))
+                bits = int(rng.integers(64, 2148))
+                out.append(p)
+                out.append(((p - h) % 1, (p + h) % 1))
+                out.append(UnitRealInterval.from_value(p, max(bits, k + 8)))
+                scale = 1 << bits
+                start = math.floor((p - h) * scale)
+                out.append(UnitRealInterval(start, math.ceil((p + h) * scale) - start, bits))
+    return out + [UnitRealInterval(0, 1 << 64, 64)]  # the whole circle
+
+
+def _exact_arc(coord):
+    if isinstance(coord, UnitRealInterval):
+        return coord.lo, coord.width
+    if isinstance(coord, tuple):
+        return Fraction(coord[0]), (Fraction(coord[1]) - Fraction(coord[0])) % 1
+    return Fraction(coord), Fraction(0)
+
+
+def _arc_distances(coord, a):
+    """||x - a|| at the arc's ends and at every kink of the tent inside it."""
+    lo, width = _exact_arc(coord)
+    kinks = range(math.ceil(2 * (lo - a)), math.floor(2 * (lo + width - a)) + 1)
+    points = [lo, lo + width] + [a + Fraction(k, 2) for k in kinks]
+    return [abs(x - a - round(x - a)) for x in points]
+
+
+def _oracle_verdict(target, x):
+    """Brute force over every combination of extremal distances.
+
+    Membership is monotone in each coordinate's distance, so the box is
+    wholly in E_n iff its farthest combination is, and wholly out iff its
+    nearest combination is.
+    """
+    radii = [Fraction(r.psi(1)) for r in target.rates]
+    if target.shape == Shape.BALL:
+        radii *= target.d
+    members = []
+    for dists in itertools.product(*(_arc_distances(c, Fraction(a))
+                                     for c, a in zip(x, target.center))):
+        if target.shape == Shape.HYPERBOLOID:
+            members.append(math.prod(dists) <= radii[0])
+        else:
+            members.append(all(d <= r for d, r in zip(dists, radii)))
+    if all(members):
+        return Containment.YES
+    return Containment.NO if not any(members) else Containment.AMBIGUOUS
 
 
 class TestAccumulationSets:
