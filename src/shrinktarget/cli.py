@@ -238,6 +238,8 @@ def validate(config: ExperimentConfig) -> list[str]:
                 "error: counting requires every |beta_i| > 1; coordinates with "
                 "|beta| <= 1 must first go through the degenerate reduction"
             )
+        if p.get("measure") == "parry" and not isinstance(system, DiagonalTorusSystem):
+            out.append("error: --measure parry needs a diagonal system")
         if isinstance(system, IntegerMatrixSystem):
             mods = eigenvalue_moduli(system)
             if min(mods) <= 1:

@@ -476,24 +476,8 @@ def _exact_joint(mu: ParryYrrapMeasure, e_set, f_set, lag: int, beta_input=None)
     radius = (f_set[1] - f_set[0]) / 2.0
     pieces = preimage_intervals(beta_input if beta_input is not None else mu.beta,
                                 lag, center, radius)
-    lo = np.array([p[0] for p in pieces])
-    hi = np.array([p[1] for p in pieces])
-    lo = np.clip(lo, e_set[0], e_set[1])
-    hi = np.clip(hi, e_set[0], e_set[1])
-    keep = hi > lo
-    return _batched_measure(mu, lo[keep], hi[keep])
-
-
-def _batched_measure(mu: ParryYrrapMeasure, lo: np.ndarray, hi: np.ndarray,
-                     chunk: int = 1 << 14) -> float:
-    total = 0.0
-    orbit = mu.orbit_of_one[None, :]
-    for start in range(0, len(lo), chunk):
-        a = lo[start:start + chunk, None]
-        b = hi[start:start + chunk, None]
-        overlap = np.clip(orbit, a, b) - a
-        total += float(np.sum(overlap @ mu._powers))
-    return total / mu.normalizer
+    lo, hi = np.clip(pieces, e_set[0], e_set[1]).T
+    return float(np.sum(mu.measure_interval(lo, hi)))
 
 
 def fit_exponential(ns, values, std_errors=None) -> tuple[float, float, float]:

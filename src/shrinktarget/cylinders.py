@@ -348,12 +348,12 @@ def _ball_arcs(a: float, r: float) -> list[tuple[float, float]]:
     return [(lo, hi)]
 
 
-def preimage_intervals(beta, n: int, a: float, r: float) -> list[tuple[float, float]]:
+def preimage_intervals(beta, n: int, a: float, r: float) -> np.ndarray:
     """T_beta^{-n}(B(a, r)) as disjoint intervals, each inside one cylinder.
 
-    Each piece lies inside a single order-n cylinder and has length at most
-    2 r |beta|^{-n}.  Pieces are returned sorted and never merged across
-    cylinder boundaries.
+    Returns an (m, 2) float64 array of (lo, hi) rows sorted by lo.  Each
+    piece lies inside a single order-n cylinder and has length at most
+    2 r |beta|^{-n}; pieces are never merged across cylinder boundaries.
     """
     if not (0 < r < 0.5 or n == 0):
         if not 0 < r:
@@ -369,7 +369,7 @@ def preimage_intervals(beta, n: int, a: float, r: float) -> list[tuple[float, fl
     for _ in range(n):
         lo, hi = _pullback(b, lo, hi)
     order = np.argsort(lo, kind="stable")
-    return [(float(lo[i]), float(hi[i])) for i in order]
+    return np.column_stack((lo, hi))[order]
 
 
 def _pullback(b: float, lo: np.ndarray, hi: np.ndarray):

@@ -5,10 +5,12 @@ The density is a step function built from the orbit of 1:
     h_beta(x) = F(beta)^-1 * sum over { n >= 0 : orbit condition at x } of beta^-n
 
 with condition x < T^n(1) for beta > 1 and T^n(1) >= x for beta < -1, and
-F(beta) the normalizing integral.  The orbit cache is computed at high
+F(beta) the normalizing integral.  The orbit is computed at high
 precision (the map is expanding, so float64 iteration of the orbit of 1
 would drift uselessly) and truncated once the geometric tail
-|beta|^-N / (|beta|-1) clears the requested tolerance.
+|beta|^-N / (|beta|-1) clears the requested tolerance.  It is then
+turned into one table of cell edges, cell heights and cumulative masses,
+so the CDF is piecewise linear and every query is a lookup.
 """
 
 from __future__ import annotations
@@ -97,14 +99,23 @@ class SupportSet:
 
 
 class ParryYrrapMeasure:
-    """The absolutely continuous T_beta-invariant probability measure."""
+    """The absolutely continuous T_beta-invariant probability measure.
+
+    Every query reads one table built from the orbit of 1.  ``edges`` are
+    the sorted points 0, 1 and T^n(1); the density is constant on each
+    cell [x_k, x_{k+1}) for beta > 1 and (x_k, x_{k+1}] for beta < -1.
+    ``heights[k]`` is the density between ``edges[k-1]`` and ``edges[k]``
+    (every n with T^n(1) >= edges[k] contributes), where ``heights[0]``
+    and ``heights[-1]`` continue the series left of 0 and right of 1.
+    ``masses[k]`` is the measure of [0, edges[k]], so the CDF interpolates
+    (edges, masses) linearly.
+    """
 
     def __init__(self, beta, tol: float = 1e-12, max_terms: int = _MAX_TERMS):
         b = _beta_float(beta)
         if abs(b) <= 1:
             raise ValueError("|beta| must be > 1")
         self.beta = b
-        self._beta_input = beta
         absb = abs(b)
         n_terms = max(2, math.ceil(math.log(1.0 / (tol * (absb - 1))) / math.log(absb)) + 1)
         if n_terms > max_terms:
@@ -112,12 +123,18 @@ class ParryYrrapMeasure:
                 f"tolerance {tol} needs {n_terms} series terms (cap {max_terms})"
             )
         orbit, normalizer = _orbit_of_one(beta, n_terms)
-        self.orbit_of_one = orbit
         self.normalizer = normalizer
-        self._powers = np.array([b ** -float(n) for n in range(len(orbit))])
         self._truncated_exactly = len(orbit) < n_terms or orbit[-1] == 0.0
         self.truncation_order = len(orbit)
         self.tol = tol
+        powers = np.array([b ** -float(n) for n in range(len(orbit))])
+        self.edges = np.unique(np.concatenate(([0.0, 1.0], orbit)))
+        at_edge = np.bincount(np.searchsorted(self.edges, orbit), weights=powers,
+                              minlength=len(self.edges))
+        # The density is non-negative; a negative suffix sum is truncation error.
+        suffix = np.append(np.cumsum(at_edge[::-1])[::-1], 0.0)
+        self.heights = np.maximum(suffix / normalizer, 0.0)
+        self.masses = np.concatenate(([0.0], np.cumsum(self.heights[1:-1] * np.diff(self.edges))))
 
     @property
     def tail_bound(self) -> float:
@@ -127,15 +144,6 @@ class ParryYrrapMeasure:
         absb = abs(self.beta)
         return absb ** -self.truncation_order / (absb - 1.0)
 
-    def _series(self, x) -> np.ndarray:
-        """sum of beta^-n over the n selected at x (before normalizing)."""
-        xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        if self.beta > 1:
-            mask = xs[:, None] < self.orbit_of_one[None, :]
-        else:
-            mask = xs[:, None] <= self.orbit_of_one[None, :]
-        return mask @ self._powers
-
     def density(self, x, tol: Optional[float] = None):
         """h_beta(x), within ``tol`` (default: the construction tolerance)."""
         if tol is not None and tol < self.tail_bound * 2 / self.normalizer:
@@ -143,28 +151,50 @@ class ParryYrrapMeasure:
                 f"measure built with truncation tail {self.tail_bound:.2e}; "
                 f"rebuild with tol <= {tol}"
             )
-        vals = self._series(x) / self.normalizer
-        return float(vals[0]) if np.isscalar(x) or np.ndim(x) == 0 else vals
+        side = "right" if self.beta > 1 else "left"
+        return _float_or_array(self.heights[np.searchsorted(self.edges, x, side)])
 
-    def measure_interval(self, a: float, b: float) -> float:
-        """mu_beta([a, b]) by exact integration of the truncated step density."""
-        if not 0 <= a <= b <= 1:
+    def cdf(self, x):
+        """mu_beta([0, x]) for x in [0, 1] (clamped outside), scalar or array."""
+        return _float_or_array(np.interp(x, self.edges, self.masses))
+
+    def measure_interval(self, a, b):
+        """mu_beta([a, b]) for 0 <= a <= b <= 1, scalars or arrays."""
+        a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+        if not (np.all(0 <= a) and np.all(a <= b) and np.all(b <= 1)):
             raise ValueError("need 0 <= a <= b <= 1")
-        overlap = np.clip(self.orbit_of_one, a, b) - a
-        return float(self._powers @ overlap) / self.normalizer
+        return _float_or_array(self._between(a, b))
 
-    def cdf(self, x: float) -> float:
-        return self.measure_interval(0.0, min(max(x, 0.0), 1.0))
+    def arc(self, a, r):
+        """mu_beta of the closed arc [a - r, a + r] of the circle; r may be an array."""
+        a = np.mod(a, 1.0)
+        r = np.asarray(r, dtype=np.float64)
+        return _float_or_array(np.where(r >= 0.5, self.masses[-1], self._between(a - r, a + r)))
+
+    def _between(self, x, y):
+        """Integral of the 1-periodic density from x to y (x <= y, arrays).
+
+        The periodic CDF is floor(x) * mass + cdf(x mod 1).  It is read cell
+        by cell, so that a short interval inside one cell costs no
+        cancellation: its measure is the cell height times its length.
+        """
+        fx, fy = np.floor(x), np.floor(y)
+        x, y = x - fx, y - fy
+        last = len(self.edges) - 1
+        i = np.minimum(np.searchsorted(self.edges, x, "right"), last)
+        j = np.minimum(np.searchsorted(self.edges, y, "right"), last)
+        h, e, m = self.heights, self.edges, self.masses
+        spread = (h[i] * (e[i] - x) + (m[j - 1] - m[i] + (fy - fx) * m[-1])
+                  + h[j] * (y - e[j - 1]))
+        return np.where((i == j) & (fx == fy), h[i] * (y - x), spread)
 
     def breakpoints(self) -> np.ndarray:
         """Sorted discontinuity candidates of the truncated density."""
-        return np.unique(np.concatenate(([0.0, 1.0], self.orbit_of_one)))
+        return self.edges
 
     def envelope(self) -> float:
         """sup of the truncated density (step function, so a finite max)."""
-        pts = self.breakpoints()
-        mids = (pts[:-1] + pts[1:]) / 2
-        return float(np.max(self.density(mids)))
+        return float(np.max(self.heights[1:-1]))
 
     def support(self, tol: float = 1e-9, merge_gap: float = 1e-6) -> SupportSet:
         """Support K(beta): [0,1] for beta in (-inf,-g] u (1,inf).
@@ -177,13 +207,9 @@ class ParryYrrapMeasure:
         b = self.beta
         if b > 1 or b <= -GOLDEN_RATIO + 1e-15:
             return SupportSet(((0.0, 1.0),))
-        pts = self.breakpoints()
-        mids = (pts[:-1] + pts[1:]) / 2
-        dens = self.density(mids)
         pieces = [
-            (float(pts[i]), float(pts[i + 1]))
-            for i in range(len(mids))
-            if dens[i] > tol
+            (float(self.edges[k]), float(self.edges[k + 1]))
+            for k in np.flatnonzero(self.heights[1:-1] > tol)
         ]
         if not pieces:
             raise AssertionError("empty support: truncated density vanished everywhere")
@@ -196,24 +222,17 @@ class ParryYrrapMeasure:
         return SupportSet(tuple((a, bb) for a, bb in merged))
 
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        """Rejection sampling from the truncated step density.
+        """Inverse-CDF sampling from the truncated step density.
 
-        Acceptance probability is 1/envelope; total-variation error is
-        bounded by twice the truncation tail.
+        One uniform draw per point; total-variation error is bounded by
+        twice the truncation tail.
         """
-        env = self.envelope()
-        out = np.empty(size)
-        filled = 0
-        while filled < size:
-            k = max(1024, int((size - filled) * env * 1.2))
-            u = rng.random(k)
-            v = rng.random(k)
-            accept = v * env <= self.density(u)
-            got = u[accept]
-            take = min(len(got), size - filled)
-            out[filled:filled + take] = got[:take]
-            filled += take
-        return out
+        return np.interp(rng.random(size) * self.masses[-1], self.masses, self.edges)
+
+
+def _float_or_array(values):
+    """A 0-d result as a Python float; arrays pass through."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def support(beta, tol: float = 1e-9, merge_gap: float = 1e-6) -> SupportSet:
@@ -256,30 +275,12 @@ class ProductMeasure:
         """nu of a product of intervals [a_i, b_i]."""
         if len(rect) != self.d:
             raise ValueError("rectangle dimension mismatch")
-        out = 1.0
-        for mu, (a, b) in zip(self.factors, rect):
-            out *= mu.measure_interval(a, b)
-        return out
+        return math.prod(mu.measure_interval(a, b) for mu, (a, b) in zip(self.factors, rect))
 
-    def ball(self, center: Sequence, radius: float) -> float:
-        """nu of the max-norm ball, wrap-aware per coordinate."""
-        out = 1.0
-        for mu, a in zip(self.factors, center):
-            out *= _wrapped_interval_measure(mu, a, radius)
-        return out
+    def ball(self, center: Sequence, radius):
+        """nu of the max-norm ball, wrap-aware; an array of radii gives one nu per radius."""
+        return math.prod(mu.arc(a, radius) for mu, a in zip(self.factors, center))
 
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
         cols = [mu.sample(rng, size) for mu in self.factors]
         return np.stack(cols, axis=1)
-
-
-def _wrapped_interval_measure(mu: ParryYrrapMeasure, a: float, r: float) -> float:
-    if r >= 0.5:
-        return mu.measure_interval(0.0, 1.0)
-    a = a % 1.0
-    lo, hi = a - r, a + r
-    if lo < 0:
-        return mu.measure_interval(0.0, hi) + mu.measure_interval(lo + 1.0, 1.0)
-    if hi > 1:
-        return mu.measure_interval(0.0, hi - 1.0) + mu.measure_interval(lo, 1.0)
-    return mu.measure_interval(lo, hi)

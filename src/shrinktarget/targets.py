@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import OutOfTable
-from .measures import _wrapped_interval_measure
 from .orbits import UnitRealInterval, as_fraction, wrap_distance_bounds
 
 # Widening of every float-stage distance bound.  Float distances on [0, 1]
@@ -419,17 +418,10 @@ def _nu_volumes(target: TargetSpec, ns: np.ndarray, measure, rng=None,
             out[i], _ = nu_hyperboloid_volume(
                 measure, target.center, target.rates[0].psi(int(n)), rng, mc_samples)
         return out
-    out = np.empty(len(ns))
-    for i, n in enumerate(ns):
-        if target.shape == Shape.BALL:
-            out[i] = measure.ball(target.center, target.rates[0].psi(int(n)))
-        else:
-            radii = [r.psi(int(n)) for r in target.rates]
-            out[i] = np.prod([
-                _wrapped_interval_measure(measure.factors[j], target.center[j], radii[j])
-                for j in range(target.d)
-            ])
-    return out
+    if target.shape == Shape.BALL:
+        return measure.ball(target.center, target.rates[0].psi(ns))
+    return math.prod(mu.arc(a, r) for mu, a, r in
+                     zip(measure.factors, target.center, target.radii(ns)))
 
 
 def nu_hyperboloid_volume(measure, center, delta: float, rng: np.random.Generator,

@@ -159,6 +159,13 @@ class TestMainExitCodes:
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert f"needs {flag}" in capsys.readouterr().err
 
+    def test_parry_measure_on_matrix_system_is_two(self, tmp_path, capsys):
+        code = main(["count", "--system", "matrix:3,1;1,2", "--center", "0,0",
+                     "--rate", "pow:0.25,0.5", "--steps", "50", "--seed", "7",
+                     "--measure", "parry", "--out", str(tmp_path)])
+        assert code == 2
+        assert "--measure parry needs a diagonal system" in capsys.readouterr().err
+
     def test_volume_delta_needs_no_rate(self, tmp_path):
         assert main(["volume", "--d", "2", "--delta", "0.1", "--out", str(tmp_path)]) == 0
 

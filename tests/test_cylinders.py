@@ -131,10 +131,10 @@ class TestFullCylinderGap:
 class TestPreimages:
     def test_doubling_hand_computation(self):
         pieces = preimage_intervals(2, 1, 0, 0.25)
-        assert pieces == [(0.0, 0.125), (0.375, 0.5), (0.5, 0.625), (0.875, 1.0)]
+        assert pieces.tolist() == [[0.0, 0.125], [0.375, 0.5], [0.5, 0.625], [0.875, 1.0]]
 
     def test_identity_at_order_zero(self):
-        assert preimage_intervals(2, 0, 0.3, 0.1) == [(pytest.approx(0.2), pytest.approx(0.4))]
+        assert preimage_intervals(2, 0, 0.3, 0.1).tolist() == [[pytest.approx(0.2), pytest.approx(0.4)]]
 
     def test_piece_lengths_golden(self):
         pieces = preimage_intervals("g", 3, 0.5, 0.05)

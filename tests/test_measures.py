@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,6 +16,7 @@ from shrinktarget.measures import (
     bound_constant,
     support,
 )
+from shrinktarget.targets import RateFunction, ball, phi_sum, phi_values, rectangle
 
 G = GOLDEN_RATIO
 
@@ -29,6 +31,68 @@ def quadrature_oracle(mu: ParryYrrapMeasure, a: float, b: float, cells: int = 2_
         xs = np.linspace(lo, hi, cells, endpoint=False) + (hi - lo) / (2 * cells)
         total += float(np.mean(mu.density(xs)) * (hi - lo))
     return total
+
+
+def series_oracle(beta, n_terms: int):
+    """The density as its defining series, summed point by point.
+
+    h(x) = F^-1 sum_n beta^-n 1[x < T^n 1] (1[T^n 1 >= x] for beta < -1),
+    over the orbit of 1 computed in 2000-bit arithmetic up to its first
+    zero or n_terms points, and F = sum_n beta^-n T^n 1.  Returns the
+    float64 orbit points and the density as a function of one float.
+    """
+    with mpmath.workprec(2000):
+        sym = {"g": (1 + mpmath.sqrt(5)) / 2, "e": mpmath.e}
+        b = sym[beta.lstrip("-")] * (-1 if beta.startswith("-") else 1) \
+            if isinstance(beta, str) else mpmath.mpf(beta)
+        orbit = [mpmath.mpf(1)]
+        while len(orbit) < n_terms and orbit[-1] != 0:
+            f = b * orbit[-1] - mpmath.floor(b * orbit[-1])
+            orbit.append(mpmath.mpf(0) if min(f, 1 - f) < mpmath.mpf(2) ** -1000 else f)
+        powers = [b ** -n for n in range(len(orbit))]
+        norm = float(mpmath.fsum(p * o for p, o in zip(powers, orbit)))
+        points = [float(o) for o in orbit]
+        weights = [float(p) for p in powers]
+
+    def h(x: float) -> float:
+        if b > 1:
+            return math.fsum(w for w, o in zip(weights, points) if x < o) / norm
+        return math.fsum(w for w, o in zip(weights, points) if o >= x) / norm
+
+    return points, h
+
+
+class TestTableOracle:
+    BETAS = ["g", 1.5, "e", 3, "-g", -1.3, -2]
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_density_matches_series(self, beta):
+        mu = ParryYrrapMeasure(beta)
+        points, h = series_oracle(beta, mu.truncation_order)
+        edges = np.unique(np.concatenate(([0.0, 1.0], points)))
+        assert np.array_equal(mu.edges, edges)
+        xs = np.concatenate((edges, edges - 1e-12, edges + 1e-12, (edges[:-1] + edges[1:]) / 2))
+        want = np.array([h(float(x)) for x in xs])
+        assert np.allclose(mu.density(xs), want, rtol=0, atol=1e-12)
+        assert [mu.density(float(x)) for x in xs] == mu.density(xs).tolist()
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_cdf_matches_quadrature_of_series(self, beta):
+        mu = ParryYrrapMeasure(beta)
+        points, h = series_oracle(beta, mu.truncation_order)
+        xs = np.concatenate((np.linspace(0.0, 1.0, 41),
+                             np.random.default_rng(5).random(40)))
+        for x in xs:
+            # the series is constant between orbit points: midpoint panels are exact
+            cuts = sorted({0.0, float(x)} | {p for p in points if p < x})
+            want = math.fsum((hi - lo) * h((lo + hi) / 2) for lo, hi in zip(cuts, cuts[1:]))
+            assert mu.cdf(float(x)) == pytest.approx(want, abs=1e-12)
+        assert [mu.cdf(float(x)) for x in xs] == mu.cdf(xs).tolist()
+        a, b = np.minimum(xs[:40], xs[41:]), np.maximum(xs[:40], xs[41:])
+        assert [mu.measure_interval(float(p), float(q)) for p, q in zip(a, b)] \
+            == mu.measure_interval(a, b).tolist()
+        assert np.allclose(mu.measure_interval(a, b), mu.cdf(b) - mu.cdf(a),
+                           rtol=0, atol=1e-15)
 
 
 class TestDensity:
@@ -179,6 +243,20 @@ class TestSampling:
         assert accept >= 1 / env - 0.01
 
 
+class TestInverseCdfSampling:
+    @pytest.mark.parametrize("beta", ["g", "e", -1.3])
+    def test_kolmogorov_smirnov_against_cdf(self, beta):
+        mu = ParryYrrapMeasure(beta)
+        xs = np.sort(mu.sample(np.random.default_rng(11), 50_000))
+        n = len(xs)
+        cdf = mu.cdf(xs)
+        d = float(np.max(np.maximum(np.arange(1, n + 1) / n - cdf, cdf - np.arange(n) / n)))
+        assert d * math.sqrt(n) < 1.63  # the 1% level
+        if beta == -1.3:
+            sup = mu.support()
+            assert all(sup.contains(float(x)) for x in xs)
+
+
 class TestProductMeasure:
     def test_lebesgue_factors(self):
         nu = ProductMeasure([2, 3])
@@ -201,3 +279,59 @@ class TestProductMeasure:
         want = nu.rectangle(rect)
         se = math.sqrt(want * (1 - want) / len(pts))
         assert abs(emp - want) < 4 * se
+
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (0.97, 0.2), (0.5, 0.97)])
+    def test_ball_array_of_radii_equals_scalar_loop(self, center):
+        nu = ProductMeasure(["g", -1.3])
+        radii = np.array([1e-9, 0.01, 0.029, 0.03, 0.031, 0.2, 0.38, 0.49, 0.5, 0.7, 3.0])
+        got = nu.ball(center, radii)
+        assert got.tolist() == [nu.ball(center, float(r)) for r in radii]
+        assert np.allclose(got[radii >= 0.5], 1.0, rtol=0, atol=1e-12)
+
+    def test_wrapped_arc_against_split_intervals(self):
+        mu = ParryYrrapMeasure("-g")
+        for r in (0.01, 0.03, 0.25):
+            lo, hi = 0.97 - r, 0.97 + r
+            want = (mu.measure_interval(lo, min(hi, 1.0))
+                    + (mu.measure_interval(0.0, hi - 1.0) if hi > 1 else 0.0))
+            assert mu.arc(0.97, r) == pytest.approx(want, abs=1e-15)
+            assert mu.arc(-0.03, r) == pytest.approx(want, abs=1e-15)
+
+
+GOLDEN_LOW = (5 + math.sqrt(5)) / 10       # Parry density of g on [1/g, 1)
+GOLDEN_HIGH = (5 + 3 * math.sqrt(5)) / 10  # and on [0, 1/g)
+
+
+def golden_arc(a: float, r: float) -> float:
+    """Closed-form Parry measure of the arc [a - r, a + r] for beta = g."""
+    if r >= 0.5:
+        return 1.0
+
+    def cdf(x):
+        return GOLDEN_HIGH * min(x, 1 / G) + GOLDEN_LOW * max(x - 1 / G, 0.0)
+
+    lo, hi = a - r, a + r
+    if lo < 0:
+        return cdf(hi) + 1.0 - cdf(lo + 1)
+    if hi > 1:
+        return cdf(hi - 1) + 1.0 - cdf(lo)
+    return cdf(hi) - cdf(lo)
+
+
+class TestPhiUnderProductMeasure:
+    def test_golden_ball_against_closed_form(self):
+        nu = ProductMeasure(["g", "g"])
+        target = ball((0.0, 0.0), RateFunction.power(0.5, 0.25))
+        cps = [300, 1000, 3000]
+        got = phi_values(target, cps, measure=nu)
+        for n_max, value in zip(cps, got):
+            want = math.fsum(golden_arc(0.0, 0.5 * n ** -0.25) ** 2 for n in range(1, n_max + 1))
+            assert value == pytest.approx(want, rel=1e-9)
+
+    def test_golden_rectangle_against_closed_form(self):
+        nu = ProductMeasure(["g", "g"])
+        rates = [RateFunction.power(0.4, 0.5), RateFunction.exponential(0.05)]
+        target = rectangle((0.97, 0.6), rates)
+        want = math.fsum(golden_arc(0.97, rates[0].psi(n)) * golden_arc(0.6, rates[1].psi(n))
+                         for n in range(1, 201))
+        assert phi_sum(target, 200, measure=nu) == pytest.approx(want, rel=1e-9)
