@@ -27,8 +27,10 @@ import numpy as np
 
 from . import __version__
 from .errors import (
+    AmbiguityBudgetExceeded,
     BudgetTooLarge,
     ConfigInvalid,
+    Indeterminate,
     PrecisionExhausted,
     SlopeTooSmall,
     TolUnreachable,
@@ -241,7 +243,11 @@ def validate(config: ExperimentConfig) -> list[str]:
         if p.get("measure") == "parry" and not isinstance(system, DiagonalTorusSystem):
             out.append("error: --measure parry needs a diagonal system")
         if isinstance(system, IntegerMatrixSystem):
-            mods = eigenvalue_moduli(system)
+            try:
+                mods = eigenvalue_moduli(system)
+            except ArithmeticError as exc:
+                out.append(f"error: eigenvalue moduli not certified ({exc})")
+                return out
             if min(mods) <= 1:
                 out.append(
                     "error: counting experiments require all eigenvalue moduli > 1 "
@@ -696,11 +702,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigInvalid as exc:
         print(f"config invalid: {exc}", file=sys.stderr)
         return 2
-    except PrecisionExhausted as exc:
+    except (PrecisionExhausted, Indeterminate) as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return 4
     except TolUnreachable as exc:
         print(f"tolerance unreachable: {exc}", file=sys.stderr)
+        return 5
+    except AmbiguityBudgetExceeded as exc:
+        print(f"ambiguity budget exceeded: {exc}", file=sys.stderr)
         return 5
     except (ValueError, SlopeTooSmall, BudgetTooLarge) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)

@@ -127,13 +127,13 @@ def _rational_digits(x: Fraction, base: int, count: int) -> np.ndarray:
 
 
 def _window_values(digits: np.ndarray, base: int, n_steps: int, window: int) -> np.ndarray:
-    """values[n-1] ~ T^n(x) for n = 1..N, from ``window`` leading digits."""
-    weights = [float(base) ** -(k + 1) for k in range(window)]
-    vals = np.zeros(n_steps, dtype=np.float64)
-    d = digits.astype(np.float64)
-    for k in range(window):
-        vals += weights[k] * d[1 + k:1 + k + n_steps]
-    return vals
+    """values[n-1] ~ T^n(x) for n = 1..N, from ``window`` leading digits.
+
+    values[n-1] = sum_k digits[n+k] base^-(k+1) over k < window, as one
+    convolution with the reversed weights.
+    """
+    weights = float(base) ** -np.arange(window, 0, -1)
+    return np.convolve(digits[1:n_steps + window].astype(np.float64), weights, "valid")
 
 
 def _digits_to_int(digits: np.ndarray, base: int) -> int:
@@ -191,8 +191,11 @@ def _digit_membership(system: DiagonalTorusSystem, target: TargetSpec,
     bands = []
     for digits, base, a in zip(digit_arrays, bases, target.center):
         window = min(_digit_window(base), len(digits) - n_steps - 1)
-        diff = np.abs(_window_values(digits, base, n_steps, window) - a)
-        dists.append(np.minimum(diff, 1.0 - diff))
+        dist = _window_values(digits, base, n_steps, window)
+        dist -= a
+        np.abs(dist, out=dist)
+        np.minimum(dist, 1.0 - dist, out=dist)
+        dists.append(dist)
         bands.append(float(base) ** -window + MARGIN)
     hit_lo, hit_hi = verdict(
         target.shape,
@@ -225,16 +228,15 @@ def _digit_arrays_for_sample(system: DiagonalTorusSystem, n_steps: int,
 
 def _count_digit_engine(system, target, digit_arrays, checkpoints, epsilon,
                         phi) -> tuple:
-    n_steps = checkpoints[-1]
-    hit_lo, hit_hi = _digit_membership(system, target, digit_arrays, n_steps)
-    cum_lo = np.cumsum(hit_lo)
-    cum_hi = np.cumsum(hit_hi)
-    rows = [
-        _checkpoint(n, int(cum_lo[n - 1]), int(cum_hi[n - 1]), phi_n, epsilon)
-        for n, phi_n in zip(checkpoints, phi)
-    ]
-    ambiguous = int(cum_hi[-1] - cum_lo[-1])
-    return tuple(rows), ambiguous
+    hit_lo, hit_hi = _digit_membership(system, target, digit_arrays, checkpoints[-1])
+    r_lo = r_hi = start = 0
+    rows = []
+    for n, phi_n in zip(checkpoints, phi):
+        r_lo += int(np.count_nonzero(hit_lo[start:n]))
+        r_hi += int(np.count_nonzero(hit_hi[start:n]))
+        start = n
+        rows.append(_checkpoint(n, r_lo, r_hi, phi_n, epsilon))
+    return tuple(rows), r_hi - r_lo
 
 
 def _count_interval_engine(system, target, x, checkpoints, epsilon, phi,
@@ -261,6 +263,23 @@ def _count_interval_engine(system, target, x, checkpoints, epsilon, phi,
     return tuple(rows), r_hi - r_lo
 
 
+def _checkpoints_and_phi(target: TargetSpec, n_steps: int, checkpoints, measure):
+    """The sorted checkpoints in 1..N, ending at N, and Phi at each.
+
+    Both are empty when N = 0.  Phi depends on the target, the measure and
+    the checkpoints only, so an experiment computes it once for all samples.
+    """
+    if n_steps < 0:
+        raise ValueError("N must be >= 0")
+    cps = sorted(set(int(c) for c in (checkpoints or [])) | {n_steps})
+    if cps[0] < 0:
+        raise ValueError("checkpoints must be >= 0")
+    if cps[-1] > n_steps:
+        raise ValueError(f"checkpoints must be <= N = {n_steps}")
+    cps = [c for c in cps if c >= 1]
+    return cps, (phi_values(target, cps, measure=measure) if cps else [])
+
+
 def count_hits(system, target: TargetSpec, x, n_steps: int,
                checkpoints: Optional[Sequence[int]] = None,
                epsilon: float = DEFAULT_EPSILON, measure=None,
@@ -273,17 +292,17 @@ def count_hits(system, target: TargetSpec, x, n_steps: int,
     supplied product measure).  Integer diagonal systems use the digit
     engine; anything else the interval engine.
     """
-    if n_steps < 0:
-        raise ValueError("N must be >= 0")
-    cps = sorted(set(int(c) for c in (checkpoints or [n_steps])))
-    if cps[-1] != n_steps:
-        cps.append(n_steps)
-    if any(c < 0 for c in cps):
-        raise ValueError("checkpoints must be >= 0")
-    if n_steps == 0:
+    cps, phi = _checkpoints_and_phi(target, n_steps, checkpoints, measure)
+    return _count_sample(system, target, x, cps, phi, epsilon, measure,
+                         sample_id, rng, precision_bits)
+
+
+def _count_sample(system, target, x, cps, phi, epsilon, measure, sample_id, rng,
+                  precision_bits=None) -> CountingResult:
+    """:func:`count_hits` on checkpoints and Phi from :func:`_checkpoints_and_phi`."""
+    if not cps:
         return CountingResult(sample_id, (CheckpointRow(0, 0, 0, 0.0, None),), 0, epsilon)
-    cps = [c for c in cps if c >= 1]
-    phi = phi_values(target, cps, measure=measure)
+    n_steps = cps[-1]
     if isinstance(system, DiagonalTorusSystem) and system.degenerate:
         raise ValueError(
             "counting requires every |beta_i| > 1; peel the |beta| <= 1 "
@@ -350,10 +369,9 @@ def _sample_rng(seed: int, sample_id: int) -> np.random.Generator:
 
 
 def _run_sample(args) -> CountingResult:
-    (system, target, n_steps, checkpoints, epsilon, measure, seed, sample_id) = args
-    rng = _sample_rng(seed, sample_id)
-    return count_hits(system, target, None, n_steps, checkpoints, epsilon,
-                      measure, sample_id=sample_id, rng=rng)
+    (system, target, checkpoints, phi, epsilon, measure, seed, sample_id) = args
+    return _count_sample(system, target, None, checkpoints, phi, epsilon, measure,
+                         sample_id, _sample_rng(seed, sample_id))
 
 
 def monte_carlo_counting(system, target: TargetSpec, num_samples: int,
@@ -372,8 +390,9 @@ def monte_carlo_counting(system, target: TargetSpec, num_samples: int,
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
+    cps, phi = _checkpoints_and_phi(target, n_steps, checkpoints, measure)
     payloads = [
-        (system, target, n_steps, checkpoints, epsilon, measure, seed, i)
+        (system, target, cps, phi, epsilon, measure, seed, i)
         for i in range(num_samples)
     ]
     if jobs > 1:
@@ -588,10 +607,10 @@ def window_hits(system, target: TargetSpec, a: int, b: int, num_samples: int,
     if not 1 <= a <= b:
         raise ValueError("need 1 <= a <= b")
     zs = np.empty(num_samples, dtype=np.float64)
+    cps, phi = _checkpoints_and_phi(target, b, [a - 1, b] if a > 1 else [b], measure)
     for i in range(num_samples):
-        rng = _sample_rng(seed, i)
-        res = count_hits(system, target, None, b, checkpoints=[a - 1, b] if a > 1 else [b],
-                         measure=measure, sample_id=i, rng=rng)
+        res = _count_sample(system, target, None, cps, phi, DEFAULT_EPSILON, measure,
+                            i, _sample_rng(seed, i))
         if a > 1:
             first = next(row for row in res.checkpoints if row.n == a - 1)
             last = res.final

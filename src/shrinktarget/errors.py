@@ -2,7 +2,8 @@
 
 Exit-code mapping used by the CLI: ConfigInvalid -> 2, precondition
 violations (ValueError and subclasses such as SlopeTooSmall) -> 3,
-PrecisionExhausted -> 4, TolUnreachable -> 5.
+PrecisionExhausted and Indeterminate (both: more precision needed) -> 4,
+TolUnreachable and AmbiguityBudgetExceeded -> 5.
 """
 
 

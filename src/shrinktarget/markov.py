@@ -30,11 +30,6 @@ from .orbits import as_fraction, is_symbolic, resolve_scalar
 CONTAINMENT_SLACK = 2.0 ** -40
 
 
-def _num(x):
-    """Keep Fractions exact, floats as floats."""
-    return x if isinstance(x, Fraction) else float(x)
-
-
 @dataclass(frozen=True)
 class PiecewiseLinearMap:
     """T(x) = slopes[j] * x + intercepts[j] on [breakpoints[j], breakpoints[j+1]).

@@ -157,11 +157,6 @@ class ScaledScalar:
         shift = self.bits - bits
         return self.lo >> shift, -((-self.hi) >> shift)
 
-    @property
-    def abs_floor(self) -> Fraction:
-        vals = (abs(Fraction(self.lo, 1 << self.bits)), abs(Fraction(self.hi, 1 << self.bits)))
-        return min(vals)
-
 
 class UnitRealInterval:
     """A point of [0,1) tracked by an interval enclosure mod 1.
@@ -241,11 +236,6 @@ class UnitRealInterval:
     @property
     def wraps(self) -> bool:
         return self._start + self._width >= (1 << self.precision_bits)
-
-    @property
-    def midpoint_float(self) -> float:
-        scale = 1 << self.precision_bits
-        return ((self._start + self._width // 2) % scale) / scale
 
     def contains_value(self, x: Number) -> bool:
         """Exact membership of a scalar in the enclosure (mod 1)."""
@@ -626,12 +616,6 @@ class DigitStream:
         den = self.base ** num_digits
         lo = Fraction(num, den)
         return lo, lo + Fraction(1, den)
-
-    def float_value(self, num_digits: Optional[int] = None) -> float:
-        if num_digits is None:
-            num_digits = math.ceil(60 / math.log2(self.base))
-        lo, _ = self.value_bounds(num_digits)
-        return float(lo)
 
     def distance_within(self, center, radius, max_digits: int = 4096) -> Optional[bool]:
         """Three-valued test of ||x - center|| <= radius (wrap-aware).

@@ -110,16 +110,6 @@ class RateFunction:
         return float(out) if np.ndim(n) == 0 else out
 
     @property
-    def is_decreasing(self) -> bool:
-        if self.kind == "exponential":
-            return self.t > 0
-        if self.kind == "power":
-            return self.kappa > 0
-        if self.kind == "superexponential":
-            return True
-        return all(b <= a for a, b in zip(self.values, self.values[1:]))
-
-    @property
     def vanishes(self) -> bool:
         """Whether psi(n) -> 0."""
         if self.kind == "exponential":

@@ -6,6 +6,7 @@ import math
 import mpmath
 import pytest
 
+from shrinktarget import cli
 from shrinktarget.cli import (
     ExperimentConfig,
     main,
@@ -15,7 +16,7 @@ from shrinktarget.cli import (
     run,
     validate,
 )
-from shrinktarget.errors import ConfigInvalid
+from shrinktarget.errors import AmbiguityBudgetExceeded, ConfigInvalid, Indeterminate
 from shrinktarget.orbits import DiagonalTorusSystem, IntegerMatrixSystem
 
 
@@ -172,6 +173,46 @@ class TestMainExitCodes:
     def test_precondition_is_three(self, tmp_path):
         code = main(["markov", "--beta", "5", "--out", str(tmp_path)])
         assert code == 3
+
+    def test_checkpoint_past_steps_is_three(self, tmp_path, capsys):
+        # both engines must refuse: the digit engine has no hits past N to
+        # count, and the interval engine would report Phi(100) as Phi(10)
+        for system in ("diag:2,3", "diag:g,2.5"):
+            code = main(["count", "--system", system, "--center", "0,0",
+                         "--rate", "pow:0.5,0.25", "--steps", "10",
+                         "--checkpoints", "5,100", "--seed", "1", "--out", str(tmp_path)])
+            assert code == 3
+            assert "checkpoints must be <= N = 10" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc, code", [
+        (Indeterminate("enclosure too wide"), 4),
+        (AmbiguityBudgetExceeded("sample 0: 9 ambiguous hits"), 5),
+    ])
+    def test_counting_refusals_have_exit_codes(self, tmp_path, monkeypatch, capsys,
+                                               exc, code):
+        # no config reaches either exception through the CLI, so a raiser
+        # stands in for the experiment
+        def refuse(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "monte_carlo_counting", refuse)
+        assert main(["count", "--system", "diag:2,3", "--center", "0,0",
+                     "--rate", "pow:0.5,0.25", "--steps", "10", "--seed", "1",
+                     "--out", str(tmp_path)]) == code
+        assert str(exc) in capsys.readouterr().err
+
+    def test_uncertified_eigenvalues_are_a_diagnostic(self, tmp_path, monkeypatch, capsys):
+        def uncertified(system, tol=1e-12):
+            raise ArithmeticError("root isolation did not reach the requested accuracy")
+
+        monkeypatch.setattr(cli, "eigenvalue_moduli", uncertified)
+        cfg = ExperimentConfig("count", {"system": "matrix:2,1;1,1", "center": [0, 0],
+                                         "rate": "pow:0.25,0.5", "steps": 10, "seed": 1})
+        assert any("eigenvalue moduli not certified" in d for d in validate(cfg))
+        assert main(["count", "--system", "matrix:2,1;1,1", "--center", "0,0",
+                     "--rate", "pow:0.25,0.5", "--steps", "10", "--seed", "1",
+                     "--out", str(tmp_path)]) == 2
+        assert "eigenvalue moduli not certified" in capsys.readouterr().err
 
     def test_config_file_round_trip(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -6,9 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from shrinktarget import counting
 from shrinktarget.counting import (
+    _digit_window,
     _digits_to_int,
     _random_bits,
+    _rational_digits,
+    _sample_rng,
+    _window_values,
     correlation_estimate,
     correlation_series,
     count_hits,
@@ -21,7 +26,9 @@ from shrinktarget.counting import (
 from shrinktarget.errors import BudgetTooLarge, DegenerateF, PrecisionExhausted
 from shrinktarget.measures import ProductMeasure
 from shrinktarget.orbits import DiagonalTorusSystem, iterate
-from shrinktarget.targets import Containment, RateFunction, ball, contains, hyperboloid
+from shrinktarget.targets import (
+    MARGIN, Containment, RateFunction, ball, contains, hyperboloid,
+)
 
 G = (1 + math.sqrt(5)) / 2
 
@@ -227,6 +234,42 @@ class TestDigitPrefix:
         assert _digits_to_int(top, base) == base ** 3000 - 1
 
 
+def exact_windows(digits, base, n_steps, window):
+    """Oracle: T^n x read from ``window`` digits, as Fractions over base^window."""
+    values = []
+    for n in range(1, n_steps + 1):
+        num = 0
+        for dig in digits[n:n + window]:
+            num = num * base + int(dig)
+        values.append(Fraction(num, base ** window))
+    return values
+
+
+class TestWindowValues:
+    @pytest.mark.parametrize("base", [2, 3, 5, 10])
+    def test_matches_exact_windows(self, base):
+        rng = np.random.default_rng(100 + base)
+        n_steps = 3000
+        window = _digit_window(base)
+        random = rng.integers(0, base, size=n_steps + window + 1, dtype=np.int8)
+        # a rational stream just long enough for 10 window digits at step N
+        short = _rational_digits(Fraction(5, 7), base, n_steps + 11)
+        for digits, w in ((random, window), (short, len(short) - n_steps - 1)):
+            got = _window_values(digits, base, n_steps, w)
+            want = exact_windows(digits, base, n_steps, w)
+            assert len(got) == n_steps
+            if base == 2:
+                # every partial sum is a multiple of 2^-w below 1: exact in any order
+                assert [Fraction(v) for v in got] == want
+            else:
+                # each term carries two roundings (weight, product) and the
+                # w - 1 additions, in any order, at most w - 1 more, on a sum
+                # below 1: (w + 1) 2^-53 in all, doubled here; MARGIN is far wider
+                tol = Fraction(2 * w + 1, 2 ** 53)
+                assert tol < Fraction(MARGIN) / 10
+                assert max(abs(Fraction(v) - x) for v, x in zip(got, want)) <= tol
+
+
 class TestRandomBits:
     def test_matches_four_word_composition(self):
         old = np.random.default_rng(5)
@@ -263,6 +306,25 @@ class TestMonteCarloCounting:
         a = monte_carlo_counting(s, t, 3, 5_000, seed=1)
         b = monte_carlo_counting(s, t, 3, 5_000, seed=2)
         assert a.results != b.results
+
+    @pytest.mark.parametrize("betas, n_steps", [((2, 3), 5000), ((G, 2.5), 200)])
+    def test_phi_once_per_experiment(self, monkeypatch, betas, n_steps):
+        s = DiagonalTorusSystem(betas)
+        t = ball((0.0, 0.0), RateFunction.power(0.5, 0.25))
+        calls = []
+        phi_values = counting.phi_values
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return phi_values(*args, **kwargs)
+
+        monkeypatch.setattr(counting, "phi_values", counted)
+        cps = [50, n_steps // 2, n_steps]
+        summary = monte_carlo_counting(s, t, 3, n_steps, seed=11, checkpoints=cps)
+        assert len(calls) == 1
+        for i, res in enumerate(summary.results):
+            assert res == count_hits(s, t, None, n_steps, checkpoints=cps, sample_id=i,
+                                     rng=_sample_rng(11, i))
 
     def test_band_statistics(self):
         s = DiagonalTorusSystem((2, 3))

@@ -57,6 +57,22 @@ class TestRates:
         assert est == pytest.approx(0.4, abs=1e-9)
         assert window[0] >= 1 and window[1] == 400
 
+    @pytest.mark.parametrize("rate", [
+        RateFunction.power(0.5, 0.25),
+        RateFunction.power(0.3, 0.7),
+        RateFunction.exponential(0.37),
+        RateFunction.superexponential(),
+        RateFunction.table([0.5 / k for k in range(1, 1001)], extend="hold"),
+    ])
+    def test_scalar_psi_is_the_array_radius(self, rate):
+        # the digit engine's float stage reads psi(arange)[n-1] and its exact
+        # stage psi(n); math.pow differs from the array pow on ~5% of n
+        n_max = 10 ** 5
+        radii = rate.psi(np.arange(1, n_max + 1))
+        picks = np.random.default_rng(0).integers(1, n_max + 1, size=1500)
+        for n in itertools.chain(range(1, 1001), picks.tolist(), [n_max]):
+            assert rate.psi(n) == radii[n - 1], n
+
     def test_log_psi_no_underflow(self):
         r = RateFunction.exponential(2.0)
         assert r.log_psi(10_000) == pytest.approx(-20_000.0)
