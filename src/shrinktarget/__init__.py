@@ -1,6 +1,6 @@
 """Shrinking-target experiments for matrix transformations of tori.
 
-Orbit engines (exact digit streams for integer bases, dyadic interval
+Orbit engines (digit arrays for integer diagonal bases, dyadic interval
 arithmetic otherwise), Parry/Yrrap invariant measures, quantitative
 hit-counting experiments, closed-form Hausdorff-dimension calculators,
 and constructive Markov subsystems, with a reproducible experiment CLI.
@@ -25,7 +25,6 @@ from .errors import (
 )
 from .orbits import (
     DiagonalTorusSystem,
-    DigitStream,
     IntegerMatrixSystem,
     UnitRealInterval,
     beta_step,

@@ -11,8 +11,8 @@ is reported at checkpoints (defined once Phi(N) > e).
 Engine dispatch: integer diagonal systems run on vectorized digit windows
 (a float64 window of ~42 bits decides membership almost always; near-
 boundary steps are re-decided exactly from the digit stream), which is
-what makes N = 10^6 runs cheap.  Everything else runs on the interval
-engine at desk scale.
+what makes N = 10^6 runs cheap.  Real diagonal systems and integer
+matrices run on the interval engine at desk scale.
 
 Determinism: every sample derives its own generator from
 (seed, sample_id), so results are byte-identical for any worker count.
@@ -33,7 +33,6 @@ from .cylinders import preimage_intervals
 from .measures import ParryYrrapMeasure
 from .orbits import (
     DiagonalTorusSystem,
-    IntegerMatrixSystem,
     as_fraction,
     beta_step,  # not called here: perfbench/layertrace.py looks it up on this module
     orbit_enclosures,
@@ -290,7 +289,7 @@ def count_hits(system, target: TargetSpec, x, n_steps: int,
     ``x`` may be a point (rationals/floats/enclosures) or None to draw a
     fresh initial condition from ``rng`` (uniform under Lebesgue, or the
     supplied product measure).  Integer diagonal systems use the digit
-    engine; anything else the interval engine.
+    engine; real diagonal systems and integer matrices the interval engine.
     """
     cps, phi = _checkpoints_and_phi(target, n_steps, checkpoints, measure)
     return _count_sample(system, target, x, cps, phi, epsilon, measure,
@@ -308,10 +307,7 @@ def _count_sample(system, target, x, cps, phi, epsilon, measure, sample_id, rng,
             "counting requires every |beta_i| > 1; peel the |beta| <= 1 "
             "coordinates off with the degenerate reduction first"
         )
-    if isinstance(system, IntegerMatrixSystem):
-        rows, ambiguous = _count_matrix_engine(
-            system, target, x, cps, epsilon, phi, rng)
-    elif system.is_integer:
+    if isinstance(system, DiagonalTorusSystem) and system.is_integer:
         if x is not None and not all(isinstance(c, (int, Fraction)) for c in x):
             x = [as_fraction(c) for c in x]
         digit_arrays = _digit_arrays_for_sample(system, n_steps, rng, x)
@@ -323,25 +319,6 @@ def _count_sample(system, target, x, cps, phi, epsilon, measure, sample_id, rng,
         rows, ambiguous = _count_interval_engine(
             system, target, x, cps, epsilon, phi, precision_bits)
     return CountingResult(sample_id, rows, ambiguous, epsilon)
-
-
-def _count_matrix_engine(system, target, x, checkpoints, epsilon, phi, rng):
-    """Exact rational orbits under an integer matrix (fixed denominator)."""
-    n_steps = checkpoints[-1]
-    if x is None:
-        x = [Fraction(_random_bits(rng, 128), 1 << 128) for _ in range(system.d)]
-    pt = [as_fraction(c) % 1 for c in x]
-    centers = [as_fraction(a) for a in target.center]
-    phi_at = dict(zip(checkpoints, phi))
-    rows = []
-    hits = 0
-    for n in range(1, n_steps + 1):
-        pt = [sum(m * c for m, c in zip(row, pt)) % 1 for row in system.matrix]
-        bounds = [wrap_distance_bounds(c, Fraction(0), a) for c, a in zip(pt, centers)]
-        hits += exact_verdict(target, n, bounds)[0]
-        if n in phi_at:
-            rows.append(_checkpoint(n, hits, hits, phi_at[n], epsilon))
-    return tuple(rows), 0
 
 
 def _random_bits(rng: np.random.Generator, bits: int) -> int:

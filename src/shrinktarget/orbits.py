@@ -1,12 +1,10 @@
-"""Orbit engines for torus maps x -> beta*x mod 1 and x -> Mx mod 1.
+"""Orbits of torus maps x -> beta*x mod 1 and x -> Mx mod 1.
 
-Two engines, per the performance contract:
-
-* an interval engine on dyadic-rational endpoints (``num / 2**bits``) with
-  directed rounding, for arbitrary real multipliers at desk scale; its one
-  orbit stepper is :func:`orbit_enclosures`, and
-* an exact digit-stream engine for integer bases, whose cursor shift
-  realizes the map exactly in O(1) amortized time per step.
+Orbits are tracked as enclosures with dyadic-rational endpoints
+(``num / 2**bits``) and directed rounding, for real multipliers and
+integer matrices alike; the one orbit stepper is :func:`orbit_enclosures`.
+(Integer diagonal systems are also counted from base-b digit arrays, in
+``counting``.)
 
 All scalar inputs are interpreted as the exact binary value passed: a float
 is the dyadic rational it stores.  The tokens ``"g"``/``"golden"`` and
@@ -20,10 +18,9 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import mpmath
-import numpy as np
 
 from .errors import BudgetTooLarge, PrecisionExhausted, SingularMatrix
 
@@ -427,11 +424,16 @@ def required_precision(system, n_steps: int, cap: Optional[int] = None) -> int:
         bits = GUARD_BITS
     else:
         bits = math.ceil(n_steps * math.log2(growth)) + GUARD_BITS
+    return _within_cap(bits, n_steps, cap)
+
+
+def _within_cap(bits: int, n_steps: int, cap: Optional[int] = None) -> int:
+    """``bits``, or BudgetTooLarge naming the cap and how to raise it."""
     limit = cap if cap is not None else precision_cap()
     if bits > limit:
         raise BudgetTooLarge(
-            f"{bits} bits needed for {n_steps} steps exceeds cap {limit}; "
-            "use the integer digit engine for long runs"
+            f"{bits} bits needed for {n_steps} steps exceeds the precision cap of "
+            f"{limit} bits (set SHRINKTARGET_PRECISION_CAP to raise it)"
         )
     return bits
 
@@ -463,10 +465,8 @@ def orbit_enclosures(system, x: Sequence, n: int, precision_bits: Optional[int] 
     else:
         moduli = system.moduli
         start = [precision_bits or _schedule_bits(m, n) for m in moduli]
-        if precision_bits is None and max(start) > precision_cap():
-            raise BudgetTooLarge(
-                f"{max(start)} bits needed for {n} steps exceeds cap {precision_cap()}"
-            )
+        if precision_bits is None:
+            _within_cap(max(start), n)
         betas = [ScaledScalar.build(b, bits + 8) for b, bits in zip(system.betas, start)]
     ivs = tuple(
         c.rescaled(bits) if isinstance(c, UnitRealInterval)
@@ -539,103 +539,6 @@ def iterate(system, x: Sequence, n: int, precision_bits: Optional[int] = None):
     for _, ivs in orbit_enclosures(system, x, n, precision_bits):
         pass
     return ivs
-
-
-class DigitStream:
-    """Lazily extended base-beta digit sequence; the cursor shift is T^n.
-
-    Represents x = sum digits[k] * beta^-(k+1).  Sources: an exact
-    Fraction (digits computed by long division on demand), a seeded
-    numpy Generator (i.i.d. uniform digits, i.e. x ~ Lebesgue), or an
-    explicit digit sequence.
-    """
-
-    def __init__(self, base: int, *, fraction=None, rng=None, digits=None):
-        if int(base) != base or base < 2:
-            raise ValueError("base must be an integer >= 2")
-        self.base = int(base)
-        self.cursor = 0
-        self._digits: list[int] = []
-        self._rem = None
-        self._rng = None
-        if fraction is not None:
-            frac = as_fraction(fraction) % 1
-            self._rem = (frac.numerator, frac.denominator)
-        elif rng is not None:
-            self._rng = rng
-        elif digits is not None:
-            self._digits = [int(v) for v in digits]
-            if any(v < 0 or v >= base for v in self._digits):
-                raise ValueError("digit out of range")
-        else:
-            raise ValueError("one of fraction, rng, digits is required")
-
-    @classmethod
-    def from_fraction(cls, x, base: int) -> "DigitStream":
-        return cls(base, fraction=x)
-
-    @classmethod
-    def from_rng(cls, base: int, rng: np.random.Generator) -> "DigitStream":
-        return cls(base, rng=rng)
-
-    @classmethod
-    def from_digits(cls, digits: Iterable[int], base: int) -> "DigitStream":
-        return cls(base, digits=digits)
-
-    def _extend(self, upto: int):
-        while len(self._digits) < upto:
-            if self._rem is not None:
-                p, q = self._rem
-                p *= self.base
-                self._digits.append(p // q)
-                self._rem = (p % q, q)
-            elif self._rng is not None:
-                block = self._rng.integers(0, self.base, size=max(64, upto - len(self._digits)))
-                self._digits.extend(int(v) for v in block)
-            else:
-                raise IndexError("fixed digit stream exhausted")
-
-    def digit(self, k: int) -> int:
-        idx = self.cursor + k
-        self._extend(idx + 1)
-        return self._digits[idx]
-
-    def shift(self, n: int = 1) -> "DigitStream":
-        if n < 0 or self.cursor + n < 0:
-            raise ValueError("cannot shift before the stream origin")
-        self._extend(self.cursor + n)
-        self.cursor += n
-        return self
-
-    def value_bounds(self, num_digits: int) -> tuple[Fraction, Fraction]:
-        """Exact bracket [lo, lo + base^-num_digits] of the current value."""
-        self._extend(self.cursor + num_digits)
-        num = 0
-        for k in range(num_digits):
-            num = num * self.base + self._digits[self.cursor + k]
-        den = self.base ** num_digits
-        lo = Fraction(num, den)
-        return lo, lo + Fraction(1, den)
-
-    def distance_within(self, center, radius, max_digits: int = 4096) -> Optional[bool]:
-        """Three-valued test of ||x - center|| <= radius (wrap-aware).
-
-        Returns True/False once decidable from finitely many digits, or
-        None if the value sits on the boundary to within base^-max_digits.
-        """
-        a = as_fraction(center) % 1
-        r = as_fraction(radius)
-        k = max(8, math.ceil(16 / math.log2(self.base)))
-        while True:
-            lo, hi = self.value_bounds(k)
-            d_lo, d_hi = wrap_distance_bounds(lo, hi - lo, a)
-            if d_hi <= r:
-                return True
-            if d_lo > r:
-                return False
-            if k >= max_digits:
-                return None
-            k = min(2 * k, max_digits)
 
 
 def wrap_distance_bounds(lo, width, a):

@@ -167,6 +167,38 @@ class TestMainExitCodes:
         assert code == 2
         assert "--measure parry needs a diagonal system" in capsys.readouterr().err
 
+    def test_hyperboloid_under_parry_measure_is_two(self, tmp_path, capsys):
+        code = main(["count", "--system", "diag:g,g", "--shape", "hyperboloid",
+                     "--center", "0,0", "--rate", "pow:0.05,0.2", "--measure", "parry",
+                     "--steps", "50", "--seed", "1", "--out", str(tmp_path)])
+        assert code == 2
+        assert "hyperboloid targets under --measure parry" in capsys.readouterr().err
+
+    def test_even_determinant_matrix_counts_near_phi(self, tmp_path):
+        # a start on a coarse dyadic grid is periodic: with an even determinant
+        # it falls onto the fixed point 0 and hits at nearly every later step
+        code = main(["count", "--system", "matrix:2,1;0,2", "--center", "0,0",
+                     "--rate", "pow:0.25,0.5", "--steps", "2000", "--seed", "7",
+                     "--samples", "2", "--out", str(tmp_path)])
+        assert code == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "count.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 2
+        for _, n, r_lo, r_hi, phi, _ in rows:
+            assert n == "2000" and float(phi) == pytest.approx(2.04, abs=0.01)
+            assert int(r_lo) <= int(r_hi) <= 12
+
+    def test_matrix_count_past_precision_cap_is_three(self, tmp_path, monkeypatch, capsys):
+        # 100 steps of a matrix with infinity norm 4 need 200 + 64 bits
+        monkeypatch.setenv("SHRINKTARGET_PRECISION_CAP", "200")
+        code = main(["count", "--system", "matrix:3,1;1,2", "--center", "0,0",
+                     "--rate", "pow:0.25,0.5", "--steps", "100", "--seed", "7",
+                     "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "264 bits" in err and "precision cap of 200 bits" in err
+        assert "SHRINKTARGET_PRECISION_CAP" in err
+
     def test_volume_delta_needs_no_rate(self, tmp_path):
         assert main(["volume", "--d", "2", "--delta", "0.1", "--out", str(tmp_path)]) == 0
 

@@ -10,6 +10,7 @@ from shrinktarget import counting
 from shrinktarget.counting import (
     _digit_window,
     _digits_to_int,
+    _exact_distances,
     _random_bits,
     _rational_digits,
     _sample_rng,
@@ -25,9 +26,11 @@ from shrinktarget.counting import (
 )
 from shrinktarget.errors import BudgetTooLarge, DegenerateF, PrecisionExhausted
 from shrinktarget.measures import ProductMeasure
-from shrinktarget.orbits import DiagonalTorusSystem, iterate
+from shrinktarget.orbits import (
+    DiagonalTorusSystem, IntegerMatrixSystem, iterate, required_precision,
+)
 from shrinktarget.targets import (
-    MARGIN, Containment, RateFunction, ball, contains, hyperboloid,
+    MARGIN, Containment, RateFunction, ball, contains, exact_verdict, hyperboloid,
 )
 
 G = (1 + math.sqrt(5)) / 2
@@ -233,6 +236,39 @@ class TestDigitPrefix:
         top = np.full(3000, base - 1, dtype=np.int8)
         assert _digits_to_int(top, base) == base ** 3000 - 1
 
+    def test_rational_digits(self):
+        assert list(_rational_digits(Fraction(1, 3), 2, 6)) == [0, 1, 0, 1, 0, 1]
+
+    def test_prefixes_bracket_the_exact_orbit(self):
+        # oracle: exact rational orbit of 1/7 under x -> 3x mod 1
+        digits = _rational_digits(Fraction(1, 7), 3, 70)
+        x = Fraction(1, 7)
+        for n in range(1, 30):
+            x = (3 * x) % 1
+            lo = Fraction(_digits_to_int(digits[n:n + 40], 3), 3 ** 40)
+            assert lo <= x <= lo + Fraction(1, 3 ** 40)
+
+    @pytest.mark.parametrize("x, center, radius, want", [
+        # T(1/3) = 2/3 under x -> 2x mod 1
+        (Fraction(1, 3), 0.0, 0.25, (False, False)),
+        (Fraction(1, 3), 0.0, 0.375, (True, True)),
+        (Fraction(1, 3), 0.5, 0.25, (True, True)),
+        # no point of the circle is farther than 1/2 from any center
+        (Fraction(1, 3), 1 / 6, 0.5, (True, True)),
+        # T(1/4) = 1/2 lies exactly on the boundary: no prefix decides it
+        (Fraction(1, 4), 0.25, 0.25, None),
+    ], ids=["outside", "inside", "off-center", "antipodal", "on-boundary"])
+    def test_exact_distances_are_three_valued(self, x, center, radius, want):
+        digits = _rational_digits(x, 2, 200)
+        t = ball((center,), RateFunction.power(radius, 0.0))
+        verdicts = [exact_verdict(t, 1, bounds)
+                    for bounds in _exact_distances([digits], [2], 1, t.center)]
+        if want is None:
+            assert set(verdicts) == {(False, True)}
+        else:
+            assert verdicts[-1] == want
+            assert verdicts[0] == want  # 16 digits already decide
+
 
 def exact_windows(digits, base, n_steps, window):
     """Oracle: T^n x read from ``window`` digits, as Fractions over base^window."""
@@ -288,6 +324,57 @@ class TestRandomBits:
         state = rng.bit_generator.state
         assert _random_bits(rng, 0) == 0 and _random_bits(rng, -5) == 0
         assert rng.bit_generator.state == state
+
+
+# by determinant: 2 (a Jordan block), -4, 5 and -5
+MATRICES = {
+    "2,1;0,2": ((2, 1), (0, 2)),
+    "2,0;0,-2": ((2, 0), (0, -2)),
+    "3,1;1,2": ((3, 1), (1, 2)),
+    "2,1;1,-2": ((2, 1), (1, -2)),
+}
+
+
+def exact_matrix_counts(system, x, target, n_steps):
+    """Oracle: the exact Fraction orbit, tested against each ball directly."""
+    pt = tuple(x)
+    r = 0
+    for n in range(1, n_steps + 1):
+        pt = iterate(system, pt, 1)
+        radius = Fraction(target.rates[0].psi(n))
+        r += all(min((c - a) % 1, (a - c) % 1) <= radius
+                 for c, a in zip(pt, target.center))
+    return r
+
+
+class TestMatrixCounting:
+    @pytest.mark.parametrize("name", ["2,1;0,2", "2,0;0,-2", "3,1;1,2"])
+    def test_random_start_matches_exact_orbit(self, name):
+        # the start is drawn at the bits the orbit needs, not on a coarse
+        # dyadic grid, whose points are periodic (and fall onto 0 when the
+        # determinant is even)
+        system = IntegerMatrixSystem(MATRICES[name])
+        t = ball((0.0, 0.0), RateFunction.power(0.5, 0.25))
+        n_steps = 300
+        bits = max(96, required_precision(system, n_steps))
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            x = [Fraction(_random_bits(rng, bits), 1 << bits) for _ in range(2)]
+            want = exact_matrix_counts(system, x, t, n_steps)
+            res = count_hits(system, t, None, n_steps, rng=np.random.default_rng(seed))
+            assert res.final.r_lo == res.final.r_hi == want
+            assert want < n_steps // 4
+
+    @pytest.mark.parametrize("name", sorted(MATRICES))
+    def test_mean_count_near_phi(self, name):
+        system = IntegerMatrixSystem(MATRICES[name])
+        t = ball((0.0, 0.0), RateFunction.power(0.5, 0.25))
+        samples = 20
+        summary = monte_carlo_counting(system, t, samples, 2000, seed=2022)
+        phi = summary.phi_final
+        mean = sum(res.final.r_mid for res in summary.results) / samples
+        assert phi == pytest.approx(87.99, abs=0.01)
+        assert abs(mean - phi) <= 6 * math.sqrt(2 * phi / samples)
 
 
 class TestMonteCarloCounting:

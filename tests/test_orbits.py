@@ -1,4 +1,4 @@
-"""Orbit engine tests: interval soundness, exact paths, digit streams."""
+"""Orbit engine tests: interval soundness, exact paths, engine agreement."""
 
 import math
 from fractions import Fraction
@@ -10,7 +10,6 @@ import pytest
 from shrinktarget.errors import BudgetTooLarge, PrecisionExhausted, SingularMatrix
 from shrinktarget.orbits import (
     DiagonalTorusSystem,
-    DigitStream,
     IntegerMatrixSystem,
     ScaledScalar,
     UnitRealInterval,
@@ -205,40 +204,6 @@ class TestIterate:
         assert s.degenerate
         with pytest.raises(ValueError):
             DiagonalTorusSystem((0.5, 2))
-
-
-class TestDigitStream:
-    def test_fraction_digits(self):
-        ds = DigitStream.from_fraction(Fraction(1, 3), 2)
-        assert [ds.digit(k) for k in range(6)] == [0, 1, 0, 1, 0, 1]
-
-    def test_shift_is_exact_map(self):
-        # oracle: exact rational orbit of 1/7 under x -> 3x mod 1
-        ds = DigitStream.from_fraction(Fraction(1, 7), 3)
-        x = Fraction(1, 7)
-        for n in range(1, 30):
-            x = (3 * x) % 1
-            ds.shift(1)
-            lo, hi = ds.value_bounds(40)
-            assert lo <= x <= hi
-
-    def test_distance_three_valued(self):
-        ds = DigitStream.from_fraction(Fraction(2, 3), 2)
-        assert ds.distance_within(0, Fraction(1, 4)) is False
-        assert ds.distance_within(0, Fraction(17, 48)) is True
-        # a point exactly on the target boundary stays undecided
-        assert ds.distance_within(0, Fraction(1, 3), max_digits=64) is None
-        assert ds.distance_within(Fraction(1, 6), Fraction(1, 2)) is True
-
-    def test_fixed_digits_exhaust(self):
-        ds = DigitStream.from_digits([1, 0, 1], 2)
-        with pytest.raises(IndexError):
-            ds.digit(5)
-
-    def test_rng_stream_reproducible(self):
-        a = DigitStream.from_rng(2, np.random.default_rng(5))
-        b = DigitStream.from_rng(2, np.random.default_rng(5))
-        assert [a.digit(k) for k in range(200)] == [b.digit(k) for k in range(200)]
 
 
 def _digit_engine_values(digits: np.ndarray, base: int, n_max: int, window: int):
