@@ -392,6 +392,7 @@ def _cmd_count(params: dict, out_dir: Path, jobs: int):
     summary = monte_carlo_counting(
         system, target, samples, n_steps, seed, checkpoints=checkpoints,
         epsilon=epsilon, band_tol=band_tol, measure=measure, jobs=jobs,
+        ambiguity_budget=TOLERANCES["ambiguity_budget"], strict_ambiguity=True,
     )
     rows = []
     for res in summary.results:

@@ -9,9 +9,10 @@ ambiguous ones only in R_hi, and the normalized error
 is reported at checkpoints (defined once Phi(N) > e).
 
 Engine dispatch: integer diagonal systems run on vectorized digit windows
-(a float64 window of ~42 bits decides membership almost always; near-
-boundary steps are re-decided exactly from the digit stream), which is
-what makes N = 10^6 runs cheap.  Real diagonal systems and integer
+in a coarse-to-fine ladder (a ~10-bit window of every step decides all but
+a few hundred of 10^6 steps, a ~42-bit window re-decides those, and the
+rare steps still open are re-decided exactly from the digit stream), which
+is what makes N = 10^6 runs cheap.  Real diagonal systems and integer
 matrices run on the interval engine at desk scale.
 
 Determinism: every sample derives its own generator from
@@ -24,6 +25,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,6 +47,11 @@ from .targets import (
 
 DEFAULT_EPSILON = 0.5
 AMBIGUITY_BUDGET = 1e-3
+# Bits of T^n x in the digit engine's two float windows.  The coarse window
+# is read at every step; np.convolve stays cheap up to about ten taps.  The
+# fine window is read only at the steps the coarse one leaves open.
+COARSE_BITS = 10
+FINE_BITS = 42
 
 
 @dataclass(frozen=True)
@@ -100,8 +107,8 @@ def _checkpoint(n: int, r_lo: int, r_hi: int, phi, epsilon: float) -> Checkpoint
                          e=_error_term((r_lo + r_hi) / 2.0, phi, epsilon))
 
 
-def _digit_window(base: int) -> int:
-    return math.ceil(42.0 / math.log2(base))
+def _digit_window(base: int, bits: int = FINE_BITS) -> int:
+    return math.ceil(bits / math.log2(base))
 
 
 def _rational_digits(x: Fraction, base: int, count: int) -> np.ndarray:
@@ -158,11 +165,11 @@ def _digits_to_int(digits: np.ndarray, base: int) -> int:
 def _exact_distances(digit_arrays, bases, n: int, centers):
     """Exact bounds on ||T^n x_i - a_i||, from ever longer digit prefixes.
 
-    T^n(x_i) is coordinate i's stream read from digit index n onward.
-    Yields a list of (d_lo, d_hi) pairs from 16 digits, then from four
-    times as many each time, the last from every stored digit.
+    T^n(x_i) is coordinate i's stream read from digit index n onward; the
+    centers are exact, as :class:`TargetSpec` keeps them.  Yields a list
+    of (d_lo, d_hi) pairs from 16 digits, then from four times as many
+    each time, the last from every stored digit.
     """
-    centers = [as_fraction(a) for a in centers]
     k = 16
     while True:
         bounds = []
@@ -177,36 +184,74 @@ def _exact_distances(digit_arrays, bases, n: int, centers):
         k *= 4
 
 
+def _window_at(digits: np.ndarray, base: int, idx: np.ndarray, window: int) -> np.ndarray:
+    """:func:`_window_values` at the steps n = idx + 1 only.
+
+    Horner's rule from the last window digit, one gathered digit per step
+    and pass, so memory stays O(len(idx)) for any window.
+    """
+    pos = idx + window
+    vals = np.zeros(len(idx))
+    for _ in range(window):
+        vals += digits[pos]
+        vals /= base
+        pos -= 1
+    return vals
+
+
+@lru_cache(maxsize=1)
+def _step_radii(target: TargetSpec, n_steps: int) -> tuple:
+    """``target.radii`` at n = 1..N, read-only; computed once per process and experiment."""
+    radii = tuple(target.radii(np.arange(1, n_steps + 1)))
+    for r in radii:
+        r.flags.writeable = False
+    return radii
+
+
 def _digit_membership(system: DiagonalTorusSystem, target: TargetSpec,
                       digit_arrays: list[np.ndarray], n_steps: int):
-    """(hit_lo, hit_hi) boolean arrays for n = 1..N, with exact rechecks.
+    """(hit_lo, hit_hi) boolean arrays for n = 1..N, decided coarse to fine.
 
-    The float stage reads T^n x_i as a window value v lying within
-    base^-window below it, so ||T^n x_i - a_i|| is within that band (plus
-    MARGIN) of ||v - a_i||.  Steps it leaves open go to the exact stage.
+    A float stage reads T^n x_i as a window value v of w digits, lying
+    within base^-w below it, so ||T^n x_i - a_i|| is within that band (plus
+    MARGIN) of ||v - a_i||.  It runs on a COARSE_BITS window at every step,
+    then on a FINE_BITS window at the steps still open; the exact stage
+    takes what is left.  Each stage is sound, so the ladder decides exactly
+    what the exact stage alone would.
     """
     bases = [int(b) for b in system.betas]
-    dists = []
-    bands = []
-    for digits, base, a in zip(digit_arrays, bases, target.center):
-        window = min(_digit_window(base), len(digits) - n_steps - 1)
-        dist = _window_values(digits, base, n_steps, window)
-        dist -= a
-        np.abs(dist, out=dist)
-        np.minimum(dist, 1.0 - dist, out=dist)
-        dists.append(dist)
-        bands.append(float(base) ** -window + MARGIN)
-    hit_lo, hit_hi = verdict(
-        target.shape,
-        (np.maximum(dist - band, 0.0) for dist, band in zip(dists, bands)),
-        (dist + band for dist, band in zip(dists, bands)),
-        target.radii(np.arange(1, n_steps + 1)))
-    for idx in np.flatnonzero(hit_hi & ~hit_lo):
-        n = int(idx) + 1
+    centers = [float(a) for a in target.center]
+    radii = _step_radii(target, n_steps)
+
+    def window_verdict(bits, idx=None):
+        dists = []
+        bands = []
+        for digits, base, a in zip(digit_arrays, bases, centers):
+            window = min(_digit_window(base, bits), len(digits) - n_steps - 1)
+            if idx is None:
+                dist = _window_values(digits, base, n_steps, window)
+            else:
+                dist = _window_at(digits, base, idx, window)
+            dist -= a
+            np.abs(dist, out=dist)
+            np.minimum(dist, 1.0 - dist, out=dist)
+            dists.append(dist)
+            bands.append(float(base) ** -window + MARGIN)
+        return verdict(
+            target.shape,
+            (np.maximum(dist - band, 0.0) for dist, band in zip(dists, bands)),
+            (dist + band for dist, band in zip(dists, bands)),
+            radii if idx is None else [r[idx] for r in radii])
+
+    hit_lo, hit_hi = window_verdict(COARSE_BITS)
+    idx = np.flatnonzero(hit_hi & ~hit_lo)
+    hit_lo[idx], hit_hi[idx] = window_verdict(FINE_BITS, idx)
+    for i in np.flatnonzero(hit_hi & ~hit_lo):
+        n = int(i) + 1
         for bounds in _exact_distances(digit_arrays, bases, n, target.center):
             surely, maybe = exact_verdict(target, n, bounds)
             if surely or not maybe:
-                hit_lo[idx], hit_hi[idx] = surely, maybe
+                hit_lo[i], hit_hi[i] = surely, maybe
                 break
     return hit_lo, hit_hi
 

@@ -257,7 +257,9 @@ class TargetSpec:
     Balls (max norm) and hyperboloids take one rate; rectangles take one
     rate per coordinate.  ``boundary_content_bound`` witnesses the bounded
     boundary-content property: 2d for balls/rectangles, a documented
-    analytic (non-sharp) constant for hyperboloids.
+    analytic (non-sharp) constant for hyperboloids.  The center is kept
+    exact, as Fractions reduced mod 1: exact stages read it as it is, and
+    float stages read ``float(a)``, whose rounding MARGIN covers.
     """
 
     shape: Shape
@@ -266,7 +268,7 @@ class TargetSpec:
     boundary_content_bound: float = field(default=0.0)
 
     def __post_init__(self):
-        center = tuple(float(c) % 1.0 for c in self.center)
+        center = tuple(as_fraction(c) % 1 for c in self.center)
         object.__setattr__(self, "center", center)
         rates = tuple(self.rates) if isinstance(self.rates, (tuple, list)) else (self.rates,)
         object.__setattr__(self, "rates", rates)
@@ -397,6 +399,7 @@ def phi_sum(target: TargetSpec, n_steps: int, measure=None) -> float:
 
 def _nu_volumes(target: TargetSpec, ns: np.ndarray, measure, rng=None,
                 mc_samples: int = 100_000) -> np.ndarray:
+    center = [float(a) for a in target.center]
     if target.shape == Shape.HYPERBOLOID:
         if rng is None:
             raise ValueError(
@@ -406,12 +409,12 @@ def _nu_volumes(target: TargetSpec, ns: np.ndarray, measure, rng=None,
         out = np.empty(len(ns))
         for i, n in enumerate(ns):
             out[i], _ = nu_hyperboloid_volume(
-                measure, target.center, target.rates[0].psi(int(n)), rng, mc_samples)
+                measure, center, target.rates[0].psi(int(n)), rng, mc_samples)
         return out
     if target.shape == Shape.BALL:
-        return measure.ball(target.center, target.rates[0].psi(ns))
+        return measure.ball(center, target.rates[0].psi(ns))
     return math.prod(mu.arc(a, r) for mu, a, r in
-                     zip(measure.factors, target.center, target.radii(ns)))
+                     zip(measure.factors, center, target.radii(ns)))
 
 
 def nu_hyperboloid_volume(measure, center, delta: float, rng: np.random.Generator,
@@ -484,12 +487,11 @@ def contains(target: TargetSpec, n: int, x) -> Containment:
     """
     if len(x) != target.d:
         raise ValueError("point dimension mismatch")
-    bounds = [wrap_distance_bounds(*_float_arc(c), a) for c, a in zip(x, target.center)]
+    bounds = [wrap_distance_bounds(*_float_arc(c), float(a)) for c, a in zip(x, target.center)]
     surely, maybe = verdict(target.shape, [max(lo - MARGIN, 0.0) for lo, _ in bounds],
                             [hi + MARGIN for _, hi in bounds], target.radii(n))
     if maybe and not surely:
-        bounds = [wrap_distance_bounds(*_exact_arc(c), as_fraction(a))
-                  for c, a in zip(x, target.center)]
+        bounds = [wrap_distance_bounds(*_exact_arc(c), a) for c, a in zip(x, target.center)]
         surely, maybe = exact_verdict(target, n, bounds)
     if surely:
         return Containment.YES

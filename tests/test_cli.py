@@ -222,8 +222,8 @@ class TestMainExitCodes:
     ])
     def test_counting_refusals_have_exit_codes(self, tmp_path, monkeypatch, capsys,
                                                exc, code):
-        # no config reaches either exception through the CLI, so a raiser
-        # stands in for the experiment
+        # no config is known to reach either exception through the CLI, so a
+        # raiser stands in for the experiment
         def refuse(*args, **kwargs):
             raise exc
 
@@ -232,6 +232,20 @@ class TestMainExitCodes:
                      "--rate", "pow:0.5,0.25", "--steps", "10", "--seed", "1",
                      "--out", str(tmp_path)]) == code
         assert str(exc) in capsys.readouterr().err
+
+    def test_count_enforces_the_ambiguity_budget(self, tmp_path, monkeypatch, capsys):
+        # 2 ambiguous hits of R_hi = 1000 is past the manifest's 1e-3 budget
+        from shrinktarget import counting
+
+        def noisy(system, target, x, cps, phi, epsilon, *args, **kwargs):
+            row = counting.CheckpointRow(cps[-1], 998, 1000, float(phi[-1]), None)
+            return counting.CountingResult(args[1], (row,), 2, epsilon)
+
+        monkeypatch.setattr(counting, "_count_sample", noisy)
+        assert main(["count", "--system", "diag:2,3", "--center", "0,0",
+                     "--rate", "pow:0.5,0.25", "--steps", "10", "--seed", "1",
+                     "--out", str(tmp_path)]) == 5
+        assert "sample 0: 2 ambiguous hits" in capsys.readouterr().err
 
     def test_uncertified_eigenvalues_are_a_diagnostic(self, tmp_path, monkeypatch, capsys):
         def uncertified(system, tol=1e-12):

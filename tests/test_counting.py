@@ -1,6 +1,7 @@
 """Counting lab tests: hit counts, determinism, mixing, variance."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,8 @@ from shrinktarget.counting import (
     _random_bits,
     _rational_digits,
     _sample_rng,
+    _step_radii,
+    _window_at,
     _window_values,
     correlation_estimate,
     correlation_series,
@@ -28,9 +31,11 @@ from shrinktarget.errors import BudgetTooLarge, DegenerateF, PrecisionExhausted
 from shrinktarget.measures import ProductMeasure
 from shrinktarget.orbits import (
     DiagonalTorusSystem, IntegerMatrixSystem, iterate, required_precision,
+    wrap_distance_bounds,
 )
 from shrinktarget.targets import (
-    MARGIN, Containment, RateFunction, ball, contains, exact_verdict, hyperboloid,
+    MARGIN, Containment, RateFunction, TargetSpec, ball, contains, exact_verdict,
+    hyperboloid, rectangle,
 )
 
 G = (1 + math.sqrt(5)) / 2
@@ -101,6 +106,14 @@ class TestCountHits:
         res = count_hits(s, t, (Fraction(1, 8),), 1)
         assert (res.final.r_lo, res.final.r_hi) == (0, 1)
         assert res.ambiguous_hits == 1
+
+    def test_exact_center_ties_stay_ambiguous(self):
+        # the orbit of 1/6 under doubling alternates 1/3 and 2/3; 2/3 lies
+        # exactly 1/4 from the center 5/12, which a float center would miss
+        s = DiagonalTorusSystem((2,))
+        t = ball((Fraction(5, 12),), RateFunction.table([0.25], extend="hold"))
+        res = count_hits(s, t, (Fraction(1, 6),), 20)
+        assert (res.final.r_lo, res.final.r_hi, res.ambiguous_hits) == (10, 20, 10)
 
     def test_exact_tie_recheck_is_not_quadratic(self):
         # the recheck reads every stored digit (~2N) at the one tie; built
@@ -304,6 +317,122 @@ class TestWindowValues:
                 tol = Fraction(2 * w + 1, 2 ** 53)
                 assert tol < Fraction(MARGIN) / 10
                 assert max(abs(Fraction(v) - x) for v, x in zip(got, want)) <= tol
+
+
+    @pytest.mark.parametrize("base", [2, 3, 7, 10])
+    def test_gathered_windows_match_exact_windows(self, base):
+        rng = np.random.default_rng(200 + base)
+        n_steps = 2000
+        window = _digit_window(base)
+        digits = rng.integers(0, base, size=n_steps + window + 1, dtype=np.int8)
+        idx = np.sort(rng.choice(n_steps, size=300, replace=False))
+        got = _window_at(digits, base, idx, window)
+        want = exact_windows(digits, base, n_steps, window)
+        # each Horner pass rounds twice (add, divide) and shrinks the error
+        # carried so far by the base: below 4 * 2^-53 in all
+        assert max(abs(Fraction(v) - want[i]) for v, i in zip(got, idx)) <= Fraction(4, 2 ** 53)
+
+    def test_gather_memory_is_linear_in_the_steps(self):
+        # every step open: no (steps, window) index matrix may be built
+        n_steps, window = 10 ** 6, 42
+        digits = np.random.default_rng(3).integers(0, 2, size=n_steps + window + 1,
+                                                   dtype=np.int8)
+        idx = np.arange(n_steps)
+        tracemalloc.start()
+        try:
+            vals = _window_at(digits, 2, idx, window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(vals) == n_steps
+        assert peak < 4 * 8 * n_steps
+
+
+def full_tail_verdicts(target, digit_arrays, bases, n_steps):
+    """Oracle: exact_verdict at each step on the whole stored digit tail.
+
+    T^n x_i lies in [v, v + base^-(L - n)], v the Fraction the L - n stored
+    digits from index n spell (built digit by digit here).
+    """
+    tails = []
+    for digits, base in zip(digit_arrays, bases):
+        value = Fraction(0)
+        for dig in digits[:0:-1]:
+            value = (value + int(dig)) / base
+        tails.append(value)                  # the tail read from index 1
+    out = []
+    for n in range(1, n_steps + 1):
+        bounds = [wrap_distance_bounds(v, Fraction(1, base ** (len(digits) - n)), a)
+                  for v, digits, base, a in zip(tails, digit_arrays, bases, target.center)]
+        out.append(exact_verdict(target, n, bounds))
+        tails = [(v * base) - int(digits[n]) for v, digits, base in
+                 zip(tails, digit_arrays, bases)]
+    return out
+
+
+LADDER_TARGETS = {
+    "ball": ball((Fraction(1, 4), Fraction(0)), RateFunction.table([0.25], extend="hold")),
+    "rectangle": rectangle((Fraction(1, 4), Fraction(0)),
+                           (RateFunction.power(0.3, 0.0),
+                            RateFunction.table([0.25], extend="hold"))),
+    "hyperboloid": hyperboloid((Fraction(1, 4), Fraction(0)),
+                               RateFunction.table([1 / 16], extend="hold")),
+}
+
+
+class TestDigitLadder:
+    # (1/4, 1/4) under diag(2, 3): the first coordinate sits at 1/2, then 0,
+    # both exactly 1/4 from 1/4; the second alternates 3/4 and 1/4, exactly
+    # 1/4 from 0, and no digit prefix pins it down.  So every step is a
+    # boundary tie of all three targets (the rectangle's first side, 0.3,
+    # holds the first coordinate).
+    @pytest.mark.parametrize("start", ["random", "ties", "rational"])
+    @pytest.mark.parametrize("shape", sorted(LADDER_TARGETS))
+    def test_matches_full_tail_oracle(self, monkeypatch, shape, start):
+        target = LADDER_TARGETS[shape]
+        system = DiagonalTorusSystem((2, 3))
+        n_steps = 200
+        x = {"random": None, "ties": (Fraction(1, 4), Fraction(1, 4)),
+             "rational": (Fraction(17, 97), Fraction(23, 89))}[start]
+        digit_arrays = counting._digit_arrays_for_sample(
+            system, n_steps, np.random.default_rng(5), x)
+        # two-bit coarse windows leave most steps to the fine and exact stages
+        monkeypatch.setattr(counting, "COARSE_BITS", 2)
+        stages = {"fine": 0, "exact": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                stages[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(counting, "_window_at", counted("fine", counting._window_at))
+        monkeypatch.setattr(counting, "_exact_distances",
+                            counted("exact", counting._exact_distances))
+        hit_lo, hit_hi = counting._digit_membership(system, target, digit_arrays, n_steps)
+        oracle = full_tail_verdicts(target, digit_arrays, (2, 3), n_steps)
+        assert list(zip(hit_lo.tolist(), hit_hi.tolist())) == oracle
+        assert stages["fine"] > 0
+        if start == "ties":
+            assert stages["exact"] == n_steps
+            assert not hit_lo.any() and hit_hi.all()
+
+    def test_step_radii_once_per_experiment(self, monkeypatch):
+        calls = []
+        radii = TargetSpec.radii
+
+        def counted(self, n):
+            if np.ndim(n):
+                calls.append(len(n))
+            return radii(self, n)
+
+        monkeypatch.setattr(TargetSpec, "radii", counted)
+        _step_radii.cache_clear()
+        s = DiagonalTorusSystem((2, 3))
+        t = ball((0.0, 0.0), RateFunction.power(0.5, 0.25))
+        monte_carlo_counting(s, t, 3, 5000, seed=4, checkpoints=[1000, 5000])
+        assert calls == [5000]
+        assert not _step_radii(t, 5000)[0].flags.writeable
 
 
 class TestRandomBits:

@@ -177,6 +177,14 @@ class TestContains:
         assert contains(t, 1, (0.95,)) == Containment.YES  # wrap-aware
         assert contains(t, 1, (0.25,)) == Containment.NO
 
+    def test_exact_center_stays_exact(self):
+        # 1/6 and 2/3 both lie exactly 1/4 from 5/12, on the closed ball's boundary
+        t = ball((Fraction(5, 12),), HELD_QUARTER)
+        assert t.center == (Fraction(5, 12),)
+        assert contains(t, 1, [Fraction(1, 6)]) == Containment.YES
+        assert contains(t, 1, [Fraction(2, 3)]) == Containment.YES
+        assert ball((Fraction(-7, 12), 2.5), HELD_QUARTER).center == (Fraction(5, 12), 0.5)
+
     def test_hyperboloid_no(self):
         t = hyperboloid((0.0, 0.0), RateFunction.table([0.01], extend="hold"))
         assert contains(t, 1, (0.5, 0.5)) == Containment.NO
