@@ -49,7 +49,6 @@ from .measures import (
     ProductMeasure,
     SupportSet,
     bound_constant,
-    support,
 )
 from .targets import (
     AccumulationSet,
@@ -63,7 +62,6 @@ from .targets import (
     hyperboloid,
     hyperboloid_volume,
     lebesgue_volume,
-    nu_hyperboloid_volume,
     phi_sum,
     phi_values,
     rectangle,

@@ -52,6 +52,7 @@ from .measures import ParryYrrapMeasure, ProductMeasure
 from .orbits import (
     DiagonalTorusSystem,
     IntegerMatrixSystem,
+    as_fraction,
     eigenvalue_moduli,
     is_symbolic,
     orbit_enclosures,
@@ -149,9 +150,7 @@ def parse_system(text: str):
 def _number(text: str):
     try:
         if "/" in text:
-            from fractions import Fraction
-
-            return Fraction(text)
+            return as_fraction(text)
         value = float(text)
         return int(value) if value.is_integer() and "." not in text else value
     except ValueError as exc:
@@ -176,7 +175,11 @@ def parse_rate(text: str) -> RateFunction:
 
 
 def parse_point(text: str) -> tuple:
-    return tuple(float(v) for v in text.split(","))
+    """Comma-separated coordinates, each read exactly ("1/3", "0.1", "2")."""
+    try:
+        return tuple(as_fraction(v) for v in text.split(","))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigInvalid(f"bad point {text!r}") from exc
 
 
 def parse_t_points(text: str) -> AccumulationSet:
@@ -292,11 +295,6 @@ def validate(config: ExperimentConfig) -> list[str]:
             out.append(f"error: {cmd} needs --rate")
             return out
     if cmd == "count" and p.get("shape") == "hyperboloid":
-        if p.get("measure") == "parry":
-            out.append(
-                "error: hyperboloid targets under --measure parry are not supported "
-                "yet (their nu-volumes have no exact form here)"
-            )
         rate = parse_rate(p["rate"])
         if rate.psi(1) >= 2.0 ** -len(_center(p)):
             out.append(
@@ -419,7 +417,7 @@ def _cmd_mixing(params: dict, out_dir: Path, jobs: int):
     lags = params.get("lags", list(range(1, 26)))
     if isinstance(lags, str):
         lo, _, hi = lags.partition(":")
-        lags = list(range(int(lo), int(hi) + 1))
+        lags = list(range(int(lo), int(hi or lo) + 1))
     method = params.get("method", "exact")
     samples = params.get("samples")
     series = correlation_series(
@@ -680,7 +678,10 @@ _LIST_KEYS = {"moduli", "deltas", "u", "v", "center", "set_e", "set_f", "checkpo
 def _namespace_to_config(args: argparse.Namespace) -> ExperimentConfig:
     params: dict = {}
     if args.config:
-        data = json.loads(Path(args.config).read_text())
+        try:
+            data = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:
+            raise ConfigInvalid(f"cannot read config file: {exc}", field="config") from exc
         cfg = ExperimentConfig.from_dict(data)
         if cfg.command != args.command:
             raise ConfigInvalid(

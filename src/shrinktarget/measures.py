@@ -188,10 +188,6 @@ class ParryYrrapMeasure:
                   + h[j] * (y - e[j - 1]))
         return np.where((i == j) & (fx == fy), h[i] * (y - x), spread)
 
-    def breakpoints(self) -> np.ndarray:
-        """Sorted discontinuity candidates of the truncated density."""
-        return self.edges
-
     def envelope(self) -> float:
         """sup of the truncated density (step function, so a finite max)."""
         return float(np.max(self.heights[1:-1]))
@@ -235,8 +231,14 @@ def _float_or_array(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
-def support(beta, tol: float = 1e-9, merge_gap: float = 1e-6) -> SupportSet:
-    return ParryYrrapMeasure(beta).support(tol=tol, merge_gap=merge_gap)
+def _distance_cdf(mu: ParryYrrapMeasure, a: float) -> tuple:
+    """(breaks, slopes, intercepts) of u -> mu.arc(a, u) on [0, 1/2], linear between the
+    breaks 0, 1/2 and the cell edges folded about a."""
+    folded = np.abs(np.mod(mu.edges - a + 0.5, 1.0) - 0.5)
+    breaks = np.unique(np.concatenate(([0.0, 0.5], folded)))
+    cdf = mu.arc(a, breaks)
+    slopes = np.diff(cdf) / np.diff(breaks)
+    return breaks, slopes, cdf[:-1] - slopes * breaks[:-1]
 
 
 def bound_constant(beta) -> float:
@@ -264,13 +266,6 @@ class ProductMeasure:
     def d(self) -> int:
         return len(self.factors)
 
-    @property
-    def betas(self) -> tuple:
-        return tuple(mu.beta for mu in self.factors)
-
-    def support(self) -> tuple:
-        return tuple(mu.support() for mu in self.factors)
-
     def rectangle(self, rect: Sequence) -> float:
         """nu of a product of intervals [a_i, b_i]."""
         if len(rect) != self.d:
@@ -280,6 +275,34 @@ class ProductMeasure:
     def ball(self, center: Sequence, radius):
         """nu of the max-norm ball, wrap-aware; an array of radii gives one nu per radius."""
         return math.prod(mu.arc(a, radius) for mu, a in zip(self.factors, center))
+
+    def hyperboloid(self, center: Sequence, delta):
+        """nu of {x : prod ||x_i - a_i|| <= delta}, d <= 2; an array of delta gives one nu each.
+
+        With F_i(u) = arc(a_i, u) and g_k the slope of F_1 on [b_k, b_k+1],
+        nu = sum_k g_k delta (A(delta / b_k+1) - A(delta / b_k)), where
+        A(w) = int_w^inf F_2(min(v, 1/2)) / v^2 dv is K_j + alpha_j / w - s_j log w
+        on the cell of F_2 where F_2 = alpha_j + s_j v (alpha = F_2(1/2), s = 0 past 1/2).
+        """
+        if self.d == 1:
+            return self.ball(center, delta)
+        if self.d > 2:
+            raise ValueError(f"hyperboloid nu-volumes are exact for d <= 2 only, not d = {self.d}")
+        (a1, a2), (mu1, mu2) = center, self.factors
+        b, g, _ = _distance_cdf(mu1, a1)
+        c, s, alpha = _distance_cdf(mu2, a2)
+        s, alpha = np.append(s, 0.0), np.append(alpha, mu2.arc(a2, 0.5))
+        # K_j - K_j+1 keeps A continuous at c_j+1, and K = 0 past 1/2
+        jumps = np.diff(alpha) / c[1:] - np.diff(s) * np.log(c[1:])
+        k = np.append(np.cumsum(jumps[::-1])[::-1], 0.0)
+        delta, total = np.asarray(delta, dtype=np.float64), 0.0
+        # the sum regrouped by break: g_k - g_k+1 weighs A(delta / b_k+1), and
+        # A(delta / 0) = 0; a tiny floor on w keeps delta = 0 at nu = 0
+        for weight, bk in zip(g - np.append(g[1:], 0.0), b[1:]):
+            w = np.maximum(delta / bk, np.finfo(np.float64).tiny)
+            j = np.searchsorted(c, w, "right") - 1
+            total += weight * (k[j] + alpha[j] / w - s[j] * np.log(w))
+        return _float_or_array(delta * total)
 
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
         cols = [mu.sample(rng, size) for mu in self.factors]

@@ -25,6 +25,9 @@ from .orbits import UnitRealInterval, as_fraction, wrap_distance_bounds
 # by this much is a proof; anything closer goes to the exact stage.
 MARGIN = 1e-13
 
+# Steps per array call when phi_values sums target measures.
+PHI_CHUNK = 1 << 20
+
 
 class Shape(enum.Enum):
     BALL = "ball"
@@ -351,16 +354,13 @@ def lebesgue_volume(target: TargetSpec, n):
     return hyperboloid_volume(target.d, target.rates[0].psi(n))
 
 
-def phi_values(target: TargetSpec, checkpoints: Sequence[int], measure=None,
-               chunk: int = 1 << 20, rng=None, mc_samples: int = 100_000):
+def phi_values(target: TargetSpec, checkpoints: Sequence[int], measure=None):
     """Phi at each checkpoint: cumulative sum of target measures up to N.
 
-    ``measure=None`` uses Lebesgue closed forms (vectorized and chunked so
-    N = 10^6 costs one pass).  A ProductMeasure evaluates balls and
-    rectangles per factor exactly; hyperboloid targets under a product
-    measure have no closed form and fall back to Monte Carlo with
-    ``mc_samples`` draws per step from the supplied ``rng`` (use
-    ``nu_hyperboloid_volume`` directly for the per-step standard errors).
+    ``measure=None`` uses the Lebesgue closed forms; a ProductMeasure gives
+    exact nu-volumes for every shape (balls and rectangles per factor,
+    hyperboloids by :meth:`ProductMeasure.hyperboloid`, for d <= 2).  Both
+    are evaluated in chunks of PHI_CHUNK steps, so N = 10^6 costs one pass.
     """
     cps = sorted(int(c) for c in checkpoints)
     if not cps or cps[0] < 0:
@@ -373,13 +373,13 @@ def phi_values(target: TargetSpec, checkpoints: Sequence[int], measure=None,
         next_idx += 1
         if next_idx == len(cps):
             return np.array([out[c] for c in cps])
-    for start in range(1, n_max + 1, chunk):
-        stop = min(start + chunk - 1, n_max)
+    for start in range(1, n_max + 1, PHI_CHUNK):
+        stop = min(start + PHI_CHUNK - 1, n_max)
         ns = np.arange(start, stop + 1)
         if measure is None:
             vols = np.asarray(lebesgue_volume(target, ns), dtype=np.float64)
         else:
-            vols = _nu_volumes(target, ns, measure, rng, mc_samples)
+            vols = _nu_volumes(target, ns, measure)
         csum = np.cumsum(vols) + total
         total = float(csum[-1])
         while next_idx < len(cps) and cps[next_idx] <= stop:
@@ -397,36 +397,14 @@ def phi_sum(target: TargetSpec, n_steps: int, measure=None) -> float:
     return float(phi_values(target, [n_steps], measure=measure)[0])
 
 
-def _nu_volumes(target: TargetSpec, ns: np.ndarray, measure, rng=None,
-                mc_samples: int = 100_000) -> np.ndarray:
+def _nu_volumes(target: TargetSpec, ns: np.ndarray, measure) -> np.ndarray:
     center = [float(a) for a in target.center]
     if target.shape == Shape.HYPERBOLOID:
-        if rng is None:
-            raise ValueError(
-                "hyperboloid volumes under a product measure are Monte Carlo "
-                "estimates: pass a seeded rng"
-            )
-        out = np.empty(len(ns))
-        for i, n in enumerate(ns):
-            out[i], _ = nu_hyperboloid_volume(
-                measure, center, target.rates[0].psi(int(n)), rng, mc_samples)
-        return out
+        return measure.hyperboloid(center, target.rates[0].psi(ns))
     if target.shape == Shape.BALL:
         return measure.ball(center, target.rates[0].psi(ns))
     return math.prod(mu.arc(a, r) for mu, a, r in
                      zip(measure.factors, center, target.radii(ns)))
-
-
-def nu_hyperboloid_volume(measure, center, delta: float, rng: np.random.Generator,
-                          samples: int = 100_000) -> tuple[float, float]:
-    """Monte Carlo nu-measure of a hyperboloid target, with standard error."""
-    pts = measure.sample(rng, samples)
-    dist = np.abs(pts - np.asarray(center)[None, :])
-    dist = np.minimum(dist, 1.0 - dist)
-    hits = np.prod(dist, axis=1) <= delta
-    p = float(np.mean(hits))
-    se = math.sqrt(max(p * (1 - p), 1e-300) / samples)
-    return p, se
 
 
 class Containment(enum.Enum):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -17,7 +18,7 @@ from shrinktarget.cli import (
     validate,
 )
 from shrinktarget.errors import AmbiguityBudgetExceeded, ConfigInvalid, Indeterminate
-from shrinktarget.orbits import DiagonalTorusSystem, IntegerMatrixSystem
+from shrinktarget.orbits import DiagonalTorusSystem, IntegerMatrixSystem, orbit_enclosures
 
 
 class TestParsing:
@@ -167,13 +168,6 @@ class TestMainExitCodes:
         assert code == 2
         assert "--measure parry needs a diagonal system" in capsys.readouterr().err
 
-    def test_hyperboloid_under_parry_measure_is_two(self, tmp_path, capsys):
-        code = main(["count", "--system", "diag:g,g", "--shape", "hyperboloid",
-                     "--center", "0,0", "--rate", "pow:0.05,0.2", "--measure", "parry",
-                     "--steps", "50", "--seed", "1", "--out", str(tmp_path)])
-        assert code == 2
-        assert "hyperboloid targets under --measure parry" in capsys.readouterr().err
-
     def test_even_determinant_matrix_counts_near_phi(self, tmp_path):
         # a start on a coarse dyadic grid is periodic: with an even determinant
         # it falls onto the fixed point 0 and hits at nearly every later step
@@ -273,6 +267,27 @@ class TestMainExitCodes:
         payload = json.loads((tmp_path / "measure.json").read_text())
         assert payload["beta"] == 2.0
 
+    def test_missing_config_file_is_two(self, tmp_path, capsys):
+        code = main(["measure", "--beta", "2", "--config", str(tmp_path / "absent.json"),
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "config invalid: cannot read config file" in capsys.readouterr().err
+
+    def test_config_file_not_json_is_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("{command: measure")
+        code = main(["measure", "--beta", "2", "--config", str(cfg_path),
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "config invalid: cannot read config file" in capsys.readouterr().err
+
+    def test_mixing_single_lag(self, tmp_path):
+        code = main(["mixing", "--beta", "2", "--set-e", "0,0.5", "--set-f", "0,0.25",
+                     "--lags", "4", "--seed", "3", "--out", str(tmp_path)])
+        assert code == 0
+        lines = (tmp_path / "mixing.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["4"]
+
     def test_mixing_outputs(self, tmp_path):
         code = main(["mixing", "--beta", "2", "--set-e", "0,0.5", "--set-f", "0,0.25",
                      "--lags", "1:6", "--seed", "3", "--method", "auto",
@@ -307,6 +322,24 @@ class TestMainExitCodes:
             assert 0 <= float(lo) <= float(hi) < 1
             assert float(hi) - float(lo) < 1e-9
 
+    def test_orbit_start_is_exact(self, tmp_path):
+        system = parse_system("diag:2")
+        for text, n, value in (("1/3", 1, Fraction(2, 3)), ("0.1", 0, Fraction(1, 10))):
+            assert main(["orbit", "--system", "diag:2", "--x", text, "--steps", "5",
+                         "--out", str(tmp_path)]) == 0
+            row = (tmp_path / "orbit.csv").read_text().splitlines()[1 + n]
+            assert float(row.split(",")[2]) == pytest.approx(float(value), abs=1e-15)
+            enclosures = dict(orbit_enclosures(system, cli.parse_point(text), 5))
+            assert enclosures[n][0].contains_value(value)
+        # the double nearest 0.1 lies above 1/10, outside the start's enclosure
+        assert not enclosures[0][0].contains_value(0.1)
+
+    @pytest.mark.parametrize("text", ["1/0", "0.1.2"])
+    def test_bad_point_is_two(self, tmp_path, capsys, text):
+        assert main(["orbit", "--system", "diag:2", "--x", text, "--steps", "5",
+                     "--out", str(tmp_path)]) == 2
+        assert f"bad point {text!r}" in capsys.readouterr().err
+
     def test_hyperboloid_count_from_argv(self, tmp_path):
         code = main(["count", "--system", "diag:2,3", "--shape", "hyperboloid",
                      "--center", "0,0", "--rate", "pow:0.05,0.2", "--steps", "200",
@@ -323,7 +356,7 @@ class TestMainExitCodes:
             (n, i) for n in (0, 40, 80, 120) for i in (0, 1)]
         # oracle: the same orbit in 600-bit mpmath arithmetic
         with mpmath.workprec(600):
-            pt = [mpmath.mpf(0.3), mpmath.mpf(0.7)]
+            pt = [mpmath.mpf(3) / 10, mpmath.mpf(7) / 10]  # decimals are read exactly
             betas = [mpmath.mpf(2), (1 + mpmath.sqrt(5)) / 2]
             truth = {0: [float(v) for v in pt]}
             for n in range(1, 121):
@@ -348,3 +381,31 @@ class TestMainExitCodes:
         assert manifest.wall_time_seconds >= 0.0
         payload = json.loads((tmp_path / "dimension_manifest.json").read_text())
         assert "wall_time_seconds" in payload and "tolerances" in payload
+
+
+class TestCountSweep:
+    """Every shape under both measures, through ``main``."""
+
+    SHAPES = {
+        "ball": ["--rate", "pow:0.5,0.25"],
+        "rectangle": ["--rates", "pow:0.5,0.25", "pow:0.3,0.1"],
+        "hyperboloid": ["--rate", "pow:0.05,0.2"],
+    }
+
+    @pytest.mark.parametrize("system", ["diag:2,3", "diag:g,g"])
+    @pytest.mark.parametrize("measure", ["lebesgue", "parry"])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_count_succeeds(self, tmp_path, shape, measure, system):
+        code = main(["count", "--system", system, "--shape", shape, "--center", "0.3,0.8",
+                     *self.SHAPES[shape], "--measure", measure, "--steps", "50",
+                     "--seed", "1", "--out", str(tmp_path)])
+        assert code == 0
+        _, n, _, _, phi, _ = (tmp_path / "count.csv").read_text().splitlines()[1].split(",")
+        assert n == "50" and float(phi) > 0
+
+    def test_hyperboloid_under_parry_past_two_dimensions_is_three(self, tmp_path, capsys):
+        code = main(["count", "--system", "diag:g,g,g", "--shape", "hyperboloid",
+                     "--center", "0,0,0", "--rate", "pow:0.05,0.2", "--measure", "parry",
+                     "--steps", "50", "--seed", "1", "--out", str(tmp_path)])
+        assert code == 3
+        assert "exact for d <= 2 only" in capsys.readouterr().err

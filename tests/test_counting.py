@@ -672,19 +672,26 @@ class TestAmbiguityBudget:
 
 
 class TestNuHyperboloidPhi:
-    def test_phi_uses_monte_carlo_under_product_measure(self):
-        from shrinktarget.targets import hyperboloid, phi_values
+    def test_phi_is_exact_under_product_measure(self):
+        from shrinktarget.targets import phi_sum, phi_values
 
-        nu = ProductMeasure([2, 3])  # Lebesgue factors: MC comparable to closed form
+        nu = ProductMeasure([2, 3])  # Lebesgue factors: nu-volumes are the closed form
         t = hyperboloid((0.0, 0.0), RateFunction.power(0.05, 0.2))
-        got = phi_values(t, [20], measure=nu, rng=np.random.default_rng(6),
-                         mc_samples=200_000)[0]
-        from shrinktarget.targets import phi_sum
-
         want = phi_sum(t, 20)
-        assert got == pytest.approx(want, rel=0.05)
-        with pytest.raises(ValueError):
-            phi_values(t, [5], measure=nu)  # rng is mandatory for the MC path
+        assert phi_values(t, [20], measure=nu)[0] == pytest.approx(want, rel=1e-12)
+        res = count_hits(DiagonalTorusSystem((2, 3)), t, None, 20, measure=nu,
+                         rng=np.random.default_rng(6))
+        assert res.final.phi == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (0.3, 0.8)])
+    def test_golden_count_near_phi(self, center):
+        samples = 12
+        summary = monte_carlo_counting(
+            DiagonalTorusSystem(("g", "g")), hyperboloid(center, RateFunction.power(0.05, 0.2)),
+            samples, 3000, seed=2022, measure=ProductMeasure(["g", "g"]))
+        phi = summary.phi_final
+        mean = sum(res.final.r_mid for res in summary.results) / samples
+        assert abs(mean - phi) <= 6 * math.sqrt(2 * phi / samples)
 
 
 class TestPaleyZygmund:

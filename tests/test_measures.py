@@ -14,9 +14,15 @@ from shrinktarget.measures import (
     ProductMeasure,
     SupportSet,
     bound_constant,
-    support,
 )
-from shrinktarget.targets import RateFunction, ball, phi_sum, phi_values, rectangle
+from shrinktarget.targets import (
+    RateFunction,
+    ball,
+    hyperboloid_volume,
+    phi_sum,
+    phi_values,
+    rectangle,
+)
 
 G = GOLDEN_RATIO
 
@@ -25,7 +31,7 @@ def quadrature_oracle(mu: ParryYrrapMeasure, a: float, b: float, cells: int = 2_
     """Adaptive midpoint quadrature of the density: integrates pointwise
     density evaluations on panels split at the discontinuity candidates,
     independent of the exact step-overlap integration."""
-    cuts = [a] + [float(p) for p in mu.breakpoints() if a < p < b] + [b]
+    cuts = [a] + [float(p) for p in mu.edges if a < p < b] + [b]
     total = 0.0
     for lo, hi in zip(cuts, cuts[1:]):
         xs = np.linspace(lo, hi, cells, endpoint=False) + (hi - lo) / (2 * cells)
@@ -179,13 +185,11 @@ class TestBounds:
 
 class TestSupport:
     def test_full_interval_regimes(self):
-        assert support(3).is_full_interval
-        assert support("-g").is_full_interval
-        assert support(-2.4).is_full_interval
-        assert support(1.1).is_full_interval
+        for beta in (3, "-g", -2.4, 1.1):
+            assert ParryYrrapMeasure(beta).support().is_full_interval
 
     def test_gap_regime_with_orbit_oracle(self):
-        sup = support(-1.3)
+        sup = ParryYrrapMeasure(-1.3).support()
         assert not sup.is_full_interval
         assert len(sup.intervals) >= 2
         assert sup.total_length < 1.0
@@ -335,3 +339,69 @@ class TestPhiUnderProductMeasure:
         want = math.fsum(golden_arc(0.97, rates[0].psi(n)) * golden_arc(0.6, rates[1].psi(n))
                          for n in range(1, 201))
         assert phi_sum(target, 200, measure=nu) == pytest.approx(want, rel=1e-9)
+
+
+def golden_hyperboloid_quadrature(center, delta) -> float:
+    """nu{x : ||x_1 - a_1|| ||x_2 - a_2|| <= delta} for beta = (g, g), by mpmath.
+
+    Integrates the closed-form Parry density of g (HIGH on [0, 1/g), LOW
+    on [1/g, 1)) over x_1, times the closed-form arc measure of the x_2
+    slice, split at every kink of the integrand.
+    """
+    with mpmath.workdps(30):
+        g = (1 + mpmath.sqrt(5)) / 2
+        high, low = (5 + 3 * mpmath.sqrt(5)) / 10, (5 + mpmath.sqrt(5)) / 10
+        a1, a2 = (mpmath.mpf(c) for c in center)
+        delta, half = mpmath.mpf(delta), mpmath.mpf(1) / 2
+
+        def cdf(t):  # the periodic CDF of the density
+            whole = mpmath.floor(t)
+            f = t - whole
+            return whole + high * min(f, 1 / g) + low * max(f - 1 / g, 0)
+
+        def fold(x, a):
+            t = (x - a) % 1
+            return min(t, 1 - t)
+
+        def integrand(x):
+            u = fold(x, a1)
+            r = delta / u if u else half
+            slice_ = 1 if r >= half else cdf(a2 + r) - cdf(a2 - r)
+            return (high if x < 1 / g else low) * slice_
+
+        # the slice measure kinks where r = 1/2 or a2 +- r crosses 0 or 1/g
+        cuts = {mpmath.mpf(0), 1 / g, mpmath.mpf(1), a1, (a1 + half) % 1}
+        for r in (half, fold(0, a2), fold(1 / g, a2)):
+            if r > 0:
+                cuts |= {(a1 + delta / r) % 1, (a1 - delta / r) % 1}
+        return float(mpmath.quad(integrand, sorted(cuts)))
+
+
+class TestHyperboloid:
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (0.3, 0.8)])
+    @pytest.mark.parametrize("delta", [0.05, 0.01, 1e-4])
+    def test_golden_against_quadrature(self, center, delta):
+        got = ProductMeasure(["g", "g"]).hyperboloid(center, delta)
+        assert got == pytest.approx(golden_hyperboloid_quadrature(center, delta), rel=1e-9)
+
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (0.3, 0.8), (0.5, 0.97)])
+    def test_lebesgue_factors_give_the_closed_form(self, center):
+        deltas = np.array([1e-12, 1e-4, 0.01, 0.05, 0.2, 0.25, 0.3, 2.0])
+        got = ProductMeasure([2, 3]).hyperboloid(center, deltas)
+        np.testing.assert_allclose(got, hyperboloid_volume(2, deltas), rtol=1e-12)
+
+    def test_array_of_deltas_equals_scalar_loop(self):
+        nu = ProductMeasure(["e", -1.3])
+        deltas = np.geomspace(1e-9, 0.5, 40)
+        got = nu.hyperboloid((0.3, 0.8), deltas)
+        assert got.tolist() == [nu.hyperboloid((0.3, 0.8), float(d)) for d in deltas]
+        assert np.all(np.diff(got) >= 0)
+        assert nu.hyperboloid((0.3, 0.8), 0.0) == 0.0
+
+    def test_one_dimension_is_the_ball(self):
+        nu = ProductMeasure(["g"])
+        assert nu.hyperboloid((0.3,), 0.01) == nu.ball((0.3,), 0.01)
+
+    def test_three_dimensions_are_refused(self):
+        with pytest.raises(ValueError, match="d <= 2"):
+            ProductMeasure(["g", "g", "g"]).hyperboloid((0.0, 0.0, 0.0), 0.01)

@@ -22,11 +22,18 @@ from shrinktarget.targets import (
     hyperboloid,
     hyperboloid_volume,
     lebesgue_volume,
-    nu_hyperboloid_volume,
     phi_sum,
     phi_values,
     rectangle,
 )
+
+
+def mc_hyperboloid_volume(measure, center, delta, rng, samples):
+    """Monte Carlo nu-measure of {x : prod ||x_i - a_i|| <= delta}, with its standard error."""
+    dist = np.abs(measure.sample(rng, samples) - np.asarray(center))
+    dist = np.minimum(dist, 1.0 - dist)
+    p = float(np.mean(np.prod(dist, axis=1) <= delta))
+    return p, math.sqrt(max(p * (1 - p), 1e-300) / samples)
 
 
 class TestRates:
@@ -160,11 +167,27 @@ class TestPhi:
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_nu_hyperboloid_mc_against_closed_form(self):
-        # Lebesgue factors make the Monte Carlo comparable to the exact volume
+        # the Monte Carlo oracle itself: Lebesgue factors have an exact volume
         nu = ProductMeasure([2, 3])
-        est, se = nu_hyperboloid_volume(nu, (0.0, 0.0), 0.05,
+        est, se = mc_hyperboloid_volume(nu, (0.0, 0.0), 0.05,
                                         np.random.default_rng(4), samples=200_000)
         assert abs(est - hyperboloid_volume(2, 0.05)) < 4 * se
+
+    @pytest.mark.parametrize("betas", [("g", "g"), ("e", "g"), (3, 1.5)])
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (0.3, 0.8)])
+    def test_nu_hyperboloid_against_monte_carlo(self, betas, center):
+        nu = ProductMeasure(betas)
+        rng = np.random.default_rng(9)
+        for delta in (0.05, 0.01, 1e-4):
+            est, se = mc_hyperboloid_volume(nu, center, delta, rng, samples=400_000)
+            assert abs(nu.hyperboloid(center, delta) - est) < 4 * se
+
+    def test_hyperboloid_phi_under_product_measure(self):
+        nu = ProductMeasure(["g", "e"])
+        t = hyperboloid((0.3, 0.8), RateFunction.power(0.05, 0.2))
+        got = phi_values(t, [20, 300], measure=nu)
+        want = np.cumsum([nu.hyperboloid((0.3, 0.8), t.rates[0].psi(n)) for n in range(1, 301)])
+        np.testing.assert_allclose(got, want[[19, 299]], rtol=1e-12)
 
 
 HELD_QUARTER = RateFunction.table([0.25], extend="hold")
