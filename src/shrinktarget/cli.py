@@ -365,7 +365,7 @@ def _cmd_orbit(params: dict, out_dir: Path, jobs: int):
     stride = int(params.get("stride", 1))
     bits = params.get("precision_bits")
     rows = [
-        (n, i, iv.lo_float, iv.hi_float)
+        (n, i, *iv.outward_floats())
         for n, point in orbit_enclosures(system, x, steps, int(bits) if bits else None)
         if n % stride == 0 or n == steps
         for i, iv in enumerate(point)

@@ -8,12 +8,21 @@ ambiguous ones only in R_hi, and the normalized error
 
 is reported at checkpoints (defined once Phi(N) > e).
 
-Engine dispatch: integer diagonal systems run on vectorized digit windows
-in a coarse-to-fine ladder (a ~10-bit window of every step decides all but
-a few hundred of 10^6 steps, a ~42-bit window re-decides those, and the
-rare steps still open are re-decided exactly from the digit stream), which
-is what makes N = 10^6 runs cheap.  Real diagonal systems and integer
-matrices run on the interval engine at desk scale.
+Engine dispatch: a diagonal system whose every beta is an integer b >= 2
+or the golden ratio g runs on its digit streams, from a random start or
+(all-integer systems only) a given rational point.  An integer coordinate
+draws i.i.d. base-b digits.  A golden coordinate draws its greedy digits
+from the two-state chain of the orbit of 1 (Renyi 1957, Parry 1960): from
+state 0 they are i.i.d. words "0" (probability 1/g) and "10" (1/g^2), and
+a Parry start first enters state 1, which emits a forced "0", with the
+weight the measure's table gives it.  The digits are read in a
+coarse-to-fine ladder with weights beta^-k: a ~10-bit window of every step
+decides all but a few hundred of 10^6 steps, a ~42-bit window re-decides
+those, and the rare steps still open are re-decided exactly from digit
+prefixes (exact integers for b, Z[g] brackets for g).  This is what makes
+N = 10^6 runs cheap.  Everything else (e, other reals, negative beta,
+given points on non-integer systems, a product measure other than the
+system's own, integer matrices) runs on the interval engine at desk scale.
 
 Determinism: every sample derives its own generator from
 (seed, sample_id), so results are byte-identical for any worker count.
@@ -32,11 +41,12 @@ import numpy as np
 
 from .errors import AmbiguityBudgetExceeded, DegenerateF, PrecisionExhausted
 from .cylinders import preimage_intervals
-from .measures import ParryYrrapMeasure
+from .measures import GOLDEN_RATIO, ParryYrrapMeasure, beta_float
 from .orbits import (
     DiagonalTorusSystem,
     as_fraction,
     beta_step,  # not called here: perfbench/layertrace.py looks it up on this module
+    is_symbolic,
     orbit_enclosures,
     required_precision,
     wrap_distance_bounds,
@@ -107,8 +117,34 @@ def _checkpoint(n: int, r_lo: int, r_hi: int, phi, epsilon: float) -> Checkpoint
                          e=_error_term((r_lo + r_hi) / 2.0, phi, epsilon))
 
 
-def _digit_window(base: int, bits: int = FINE_BITS) -> int:
+def _digit_window(base, bits: int = FINE_BITS) -> int:
     return math.ceil(bits / math.log2(base))
+
+
+def _digit_bases(system, measure=None) -> Optional[list]:
+    """Each beta as a digit-engine base, or None where the engine does not apply.
+
+    A base is an int b >= 2 or ``GOLDEN_RATIO`` for the token "g"/"golden".
+    None for any other beta, and for a ``measure`` that is not the product
+    of the system's own Parry measures (those the digits are drawn from).
+    """
+    if not isinstance(system, DiagonalTorusSystem) or system.degenerate:
+        return None
+    bases = []
+    for b in system.betas:
+        if is_symbolic(b):
+            if b.lstrip("+").lower() not in ("g", "golden"):
+                return None
+            bases.append(GOLDEN_RATIO)
+        else:
+            value = as_fraction(b)
+            if value.denominator != 1 or value < 2:
+                return None
+            bases.append(int(value))
+    if measure is not None and [mu.beta for mu in measure.factors] != [
+            beta_float(b) for b in system.betas]:
+        return None
+    return bases
 
 
 def _rational_digits(x: Fraction, base: int, count: int) -> np.ndarray:
@@ -162,6 +198,83 @@ def _digits_to_int(digits: np.ndarray, base: int) -> int:
     return parts[0] if parts else 0
 
 
+def _prefix_enclosure(digits: np.ndarray, base) -> tuple:
+    """(lo, width), Fractions: the point whose leading digits are ``digits``
+    lies in [lo, lo + width] (the tail adds [0, base^-k) for k digits)."""
+    if isinstance(base, int):
+        scale = base ** len(digits)
+        return Fraction(_digits_to_int(digits, base), scale), Fraction(1, scale)
+    return _golden_prefix_enclosure(digits)
+
+
+def _zg_mul(x: tuple, y: tuple) -> tuple:
+    """(a + b g)(c + d g) in Z[g], as pairs (a, b), using g^2 = g + 1."""
+    (a, b), (c, d) = x, y
+    bd = b * d
+    return a * c + bd, a * d + b * c + bd
+
+
+def _fib_pair(n: int) -> tuple:
+    """(F_n, F_n+1) by fast doubling."""
+    f, f1 = 0, 1
+    for bit in bin(n)[2:]:
+        f, f1 = f * (2 * f1 - f), f * f + f1 * f1
+        if bit == "1":
+            f, f1 = f1, f + f1
+    return f, f1
+
+
+def _golden_int(digits: np.ndarray) -> tuple:
+    """(a, b) with sum_j digits[j] g^(k-1-j) = a + b g, k = len(digits).
+
+    As :func:`_digits_to_int`: blocks of 64 digits become int64 pairs from
+    g^e = F_(e-1) + F_e g (F_-1 = 1), which then combine pairwise.
+    """
+    block = 64
+    fib = [1, 0]                                  # fib[j] = F_(j-1)
+    while len(fib) < block + 2:
+        fib.append(fib[-1] + fib[-2])
+    fib = np.array(fib, dtype=np.int64)
+    padded = np.concatenate([np.zeros(-len(digits) % block, dtype=np.int64), digits])
+    rows = padded.reshape(-1, block)
+    parts = [(int(a), int(b)) for a, b in
+             zip(rows @ fib[block - 1::-1], rows @ fib[block:0:-1])]
+    scale = (int(fib[block]), int(fib[block + 1]))  # g^block
+    while len(parts) > 1:
+        if len(parts) % 2:
+            parts.insert(0, (0, 0))
+        merged = []
+        for hi, lo in zip(parts[::2], parts[1::2]):
+            a, b = _zg_mul(hi, scale)
+            merged.append((a + lo[0], b + lo[1]))
+        parts = merged
+        scale = _zg_mul(scale, scale)
+    return parts[0] if parts else (0, 0)
+
+
+def _golden_prefix_enclosure(digits: np.ndarray) -> tuple:
+    """:func:`_prefix_enclosure` for base g.
+
+    S = sum_j digits[j] g^-(j+1) is exact in Z[g] as (a + b g) g^-k, with
+    g^-k = (-1)^k (F_k+1 - F_k g).  S and S + g^-k are bracketed with
+    g in [G, G + 1] / 2^p, G = floor(g 2^p) from isqrt(5 4^p) = floor(sqrt(5) 2^p),
+    for p large enough to swamp their g-coefficients, and then rounded
+    outward to a grid about 2^-64 of g^-k fine.
+    """
+    k = len(digits)
+    fk, fk1 = _fib_pair(k)
+    sign = -1 if k % 2 else 1
+    step = (sign * fk1, -sign * fk)               # g^-k
+    lo = _zg_mul(_golden_int(digits), step)
+    hi = (lo[0] + step[0], lo[1] + step[1])
+    grid = k * 7 // 10 + 64                       # 0.7 k > k log2(g) bits
+    p = max(abs(lo[1]), abs(hi[1])).bit_length() + grid
+    g = ((1 << p) + math.isqrt(5 << (2 * p))) >> 1
+    lo_num = ((lo[0] << p) + lo[1] * (g + (lo[1] < 0))) >> (p - grid)
+    hi_num = -((-((hi[0] << p) + hi[1] * (g + (hi[1] >= 0)))) >> (p - grid))
+    return Fraction(lo_num, 1 << grid), Fraction(hi_num - lo_num, 1 << grid)
+
+
 def _exact_distances(digit_arrays, bases, n: int, centers):
     """Exact bounds on ||T^n x_i - a_i||, from ever longer digit prefixes.
 
@@ -174,10 +287,8 @@ def _exact_distances(digit_arrays, bases, n: int, centers):
     while True:
         bounds = []
         for digits, base, a in zip(digit_arrays, bases, centers):
-            used = min(k, len(digits) - n)
-            scale = base ** used
-            lo = Fraction(_digits_to_int(digits[n: n + used], base), scale)
-            bounds.append(wrap_distance_bounds(lo, Fraction(1, scale), a))
+            lo, width = _prefix_enclosure(digits[n: n + k], base)
+            bounds.append(wrap_distance_bounds(lo, width, a))
         yield bounds
         if all(k >= len(digits) - n for digits in digit_arrays):
             return
@@ -219,7 +330,7 @@ def _digit_membership(system: DiagonalTorusSystem, target: TargetSpec,
     takes what is left.  Each stage is sound, so the ladder decides exactly
     what the exact stage alone would.
     """
-    bases = [int(b) for b in system.betas]
+    bases = _digit_bases(system)
     centers = [float(a) for a in target.center]
     radii = _step_radii(target, n_steps)
 
@@ -256,14 +367,48 @@ def _digit_membership(system: DiagonalTorusSystem, target: TargetSpec,
     return hit_lo, hit_hi
 
 
+def _golden_start_weight(mu: ParryYrrapMeasure) -> float:
+    """P(state 1) at the start of the golden chain, for x drawn from ``mu``.
+
+    The table is the mixture, over the orbit points t of 1, of the uniform
+    laws on [0, t) with weights (h_left - h_right) t from the heights either
+    side of t.  Every part but t = 1 (weight ``heights[-2]``) lies in
+    [0, 1/g), state 1: g^-2 / (1 + g^-2) for the golden Parry measure.
+    """
+    return 1.0 - float(mu.heights[-2])
+
+
+def _golden_digits(rng: np.random.Generator, total: int, state1_weight: float) -> np.ndarray:
+    """The first ``total`` greedy g-digits of a point drawn from the golden chain.
+
+    From state 0 (T^n x uniform on [0, 1)) the digits are i.i.d. words "0",
+    with probability 1/g, and "10", with probability 1/g^2: after a 1, T^n x
+    is uniform on [0, 1/g), state 1, whose next digit is a forced 0 that
+    returns to state 0.  A start in state 1, drawn with probability
+    ``state1_weight`` (none drawn when it is 0), emits that forced 0 first.
+    """
+    lead = int(state1_weight > 0 and rng.random() < state1_weight)
+    # total words cover total digits; the j-th "10" word, word i, starts
+    # after i words of which j are two digits long
+    tens = np.flatnonzero(rng.random(total) < GOLDEN_RATIO ** -2)
+    ones = tens + np.arange(len(tens)) + lead
+    digits = np.zeros(total, dtype=np.int8)
+    digits[ones[ones < total]] = 1
+    return digits
+
+
 def _digit_arrays_for_sample(system: DiagonalTorusSystem, n_steps: int,
                              rng: Optional[np.random.Generator],
-                             x: Optional[Sequence]) -> list[np.ndarray]:
-    bases = [int(b) for b in system.betas]
+                             x: Optional[Sequence], measure=None) -> list[np.ndarray]:
+    """2N digits and then some per coordinate, the exact stage's reserve;
+    ``x`` (rational, integer bases only) or else a draw from ``rng``."""
     arrays = []
-    for i, base in enumerate(bases):
+    for i, base in enumerate(_digit_bases(system)):
         total = 2 * n_steps + _digit_window(base) + 96
-        if x is None:
+        if not isinstance(base, int):
+            weight = 0.0 if measure is None else _golden_start_weight(measure.factors[i])
+            arrays.append(_golden_digits(rng, total, weight))
+        elif x is None:
             arrays.append(rng.integers(0, base, size=total, dtype=np.int8))
         else:
             arrays.append(_rational_digits(as_fraction(x[i]), base, total))
@@ -333,8 +478,8 @@ def count_hits(system, target: TargetSpec, x, n_steps: int,
 
     ``x`` may be a point (rationals/floats/enclosures) or None to draw a
     fresh initial condition from ``rng`` (uniform under Lebesgue, or the
-    supplied product measure).  Integer diagonal systems use the digit
-    engine; real diagonal systems and integer matrices the interval engine.
+    supplied product measure).  The module docstring says which systems
+    and starts run on the digit engine; the rest run on the interval engine.
     """
     cps, phi = _checkpoints_and_phi(target, n_steps, checkpoints, measure)
     return _count_sample(system, target, x, cps, phi, epsilon, measure,
@@ -352,10 +497,9 @@ def _count_sample(system, target, x, cps, phi, epsilon, measure, sample_id, rng,
             "counting requires every |beta_i| > 1; peel the |beta| <= 1 "
             "coordinates off with the degenerate reduction first"
         )
-    if isinstance(system, DiagonalTorusSystem) and system.is_integer:
-        if x is not None and not all(isinstance(c, (int, Fraction)) for c in x):
-            x = [as_fraction(c) for c in x]
-        digit_arrays = _digit_arrays_for_sample(system, n_steps, rng, x)
+    bases = _digit_bases(system, measure if x is None else None)
+    if bases is not None and (x is None or all(isinstance(b, int) for b in bases)):
+        digit_arrays = _digit_arrays_for_sample(system, n_steps, rng, x, measure)
         rows, ambiguous = _count_digit_engine(
             system, target, digit_arrays, cps, epsilon, phi)
     else:

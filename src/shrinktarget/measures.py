@@ -39,7 +39,7 @@ def _orbit_of_one(beta, n_terms: int) -> tuple[np.ndarray, float]:
     (integer beta, golden ratio, ...), which makes the series finite and
     the truncation error exactly zero.
     """
-    absb = abs(float(_beta_float(beta)))
+    absb = abs(float(beta_float(beta)))
     bits = 96 + math.ceil(n_terms * math.log2(absb)) + 32
     with mpmath.workprec(bits):
         if is_symbolic(beta):
@@ -64,7 +64,8 @@ def _orbit_of_one(beta, n_terms: int) -> tuple[np.ndarray, float]:
         return np.array([float(v) for v in orbit]), normalizer
 
 
-def _beta_float(beta) -> float:
+def beta_float(beta) -> float:
+    """beta as the float64 a measure built on it keeps in ``.beta``."""
     if is_symbolic(beta):
         return float(symbolic_value(beta, 53))  # float64's 53 bits
     return float(as_fraction(beta))
@@ -112,7 +113,7 @@ class ParryYrrapMeasure:
     """
 
     def __init__(self, beta, tol: float = 1e-12, max_terms: int = _MAX_TERMS):
-        b = _beta_float(beta)
+        b = beta_float(beta)
         if abs(b) <= 1:
             raise ValueError("|beta| must be > 1")
         self.beta = b
@@ -248,7 +249,7 @@ def bound_constant(beta) -> float:
     takes exactly the two values 1/(3+beta) and -beta/(3+beta), so the tight
     constant is 3+beta.
     """
-    b = _beta_float(beta)
+    b = beta_float(beta)
     if b > -GOLDEN_RATIO + 1e-12:
         raise ValueError("two-sided bound constant applies to beta <= -g")
     if abs(b + GOLDEN_RATIO) <= 1e-12:

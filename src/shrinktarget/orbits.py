@@ -222,6 +222,15 @@ class UnitRealInterval:
         scale = 1 << self.precision_bits
         return ((self._start + self._width) % scale) / scale
 
+    def outward_floats(self) -> tuple[float, float]:
+        """(lo, hi) as floats rounded outward, lo down and hi up.
+
+        ``lo_float``/``hi_float`` round to nearest; these bound the arc.
+        """
+        scale = 1 << self.precision_bits
+        return (_rounded(self._start, scale, up=False),
+                _rounded((self._start + self._width) % scale, scale, up=True))
+
     @property
     def width(self) -> Fraction:
         return Fraction(self._width, 1 << self.precision_bits)
@@ -258,6 +267,15 @@ class UnitRealInterval:
             f"UnitRealInterval(lo={self.lo_float:.17g}, hi={self.hi_float:.17g}, "
             f"bits={self.precision_bits}{', wraps' if self.wraps else ''})"
         )
+
+
+def _rounded(num: int, den: int, up: bool) -> float:
+    """The float nearest num/den on the given side of it (den > 0)."""
+    f = num / den
+    p, q = f.as_integer_ratio()
+    if (p * den < num * q) if up else (p * den > num * q):
+        f = math.nextafter(f, math.inf if up else -math.inf)
+    return f
 
 
 def beta_step(

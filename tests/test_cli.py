@@ -19,6 +19,7 @@ from shrinktarget.cli import (
 )
 from shrinktarget.errors import AmbiguityBudgetExceeded, ConfigInvalid, Indeterminate
 from shrinktarget.orbits import DiagonalTorusSystem, IntegerMatrixSystem, orbit_enclosures
+from shrinktarget.targets import hyperboloid_volume
 
 
 class TestParsing:
@@ -334,11 +335,45 @@ class TestMainExitCodes:
         # the double nearest 0.1 lies above 1/10, outside the start's enclosure
         assert not enclosures[0][0].contains_value(0.1)
 
+    @pytest.mark.parametrize("system", ["diag:2", "diag:3"])
+    @pytest.mark.parametrize("text", ["1/3", "1/7"])
+    def test_orbit_rows_bound_the_exact_orbit(self, tmp_path, system, text):
+        # lo is rounded down and hi up: 2/3 has no double, and rounding hi
+        # to nearest would put it below the orbit.  A row with hi < lo is an
+        # arc across 0 (3 * 1/3 = 0 is enclosed from just below 1)
+        assert main(["orbit", "--system", system, "--x", text, "--steps", "12",
+                     "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "orbit.csv").read_text().splitlines()[1:]
+        base, value = int(system[-1]), Fraction(text)
+        assert len(rows) == 13
+        for n, row in enumerate(rows):
+            lo, hi = (Fraction(float(v)) for v in row.split(",")[2:])
+            assert 0 <= lo < 1 and 0 <= hi <= 1
+            assert (value * base ** n - lo) % 1 <= (hi - lo) % 1, n
+
     @pytest.mark.parametrize("text", ["1/0", "0.1.2"])
     def test_bad_point_is_two(self, tmp_path, capsys, text):
         assert main(["orbit", "--system", "diag:2", "--x", text, "--steps", "5",
                      "--out", str(tmp_path)]) == 2
         assert f"bad point {text!r}" in capsys.readouterr().err
+
+    def test_hyperboloid_count_past_psi_underflow(self, tmp_path):
+        # psi(n) = e^-n is 0.0 past n = 745; those targets are empty
+        code = main(["count", "--system", "diag:2,3", "--shape", "hyperboloid",
+                     "--center", "0,0", "--rate", "exp:1", "--steps", "800",
+                     "--seed", "1", "--out", str(tmp_path)])
+        assert code == 0
+        phi = float((tmp_path / "count.csv").read_text().splitlines()[1].split(",")[4])
+        terms = [hyperboloid_volume(2, math.exp(-n)) for n in range(1, 801)]
+        assert phi == pytest.approx(math.fsum(v for v in terms if v > 0), rel=1e-12)
+
+    def test_golden_count_at_a_hundred_thousand_steps(self, tmp_path):
+        code = main(["count", "--system", "diag:g,g", "--center", "0,0",
+                     "--rate", "pow:0.5,0.25", "--steps", "100000", "--samples", "1",
+                     "--seed", "1", "--out", str(tmp_path)])
+        assert code == 0
+        _, n, r_lo, r_hi, _, _ = (tmp_path / "count.csv").read_text().splitlines()[1].split(",")
+        assert n == "100000" and r_lo == r_hi
 
     def test_hyperboloid_count_from_argv(self, tmp_path):
         code = main(["count", "--system", "diag:2,3", "--shape", "hyperboloid",

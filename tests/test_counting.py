@@ -4,8 +4,10 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.stats
 
 from shrinktarget import counting
 from shrinktarget.counting import (
@@ -28,14 +30,14 @@ from shrinktarget.counting import (
     window_hits,
 )
 from shrinktarget.errors import BudgetTooLarge, DegenerateF, PrecisionExhausted
-from shrinktarget.measures import ProductMeasure
+from shrinktarget.measures import ParryYrrapMeasure, ProductMeasure
 from shrinktarget.orbits import (
-    DiagonalTorusSystem, IntegerMatrixSystem, iterate, required_precision,
-    wrap_distance_bounds,
+    DiagonalTorusSystem, IntegerMatrixSystem, UnitRealInterval, as_fraction, iterate,
+    orbit_enclosures, required_precision, wrap_distance_bounds,
 )
 from shrinktarget.targets import (
     MARGIN, Containment, RateFunction, TargetSpec, ball, contains, exact_verdict,
-    hyperboloid, rectangle,
+    hyperboloid, phi_values, rectangle,
 )
 
 G = (1 + math.sqrt(5)) / 2
@@ -504,6 +506,153 @@ class TestMatrixCounting:
         mean = sum(res.final.r_mid for res in summary.results) / samples
         assert phi == pytest.approx(87.99, abs=0.01)
         assert abs(mean - phi) <= 6 * math.sqrt(2 * phi / samples)
+
+
+def digit_enclosure(digits, base, bits):
+    """Oracle: an enclosure of the point the digits spell, by Horner's rule in
+    mpmath (the tail past the last digit adds [0, base^-k))."""
+    with mpmath.workprec(bits + 64):
+        b = mpmath.mpf(base) if isinstance(base, int) else (1 + mpmath.sqrt(5)) / 2
+        value = mpmath.mpf(0)
+        for d in digits[::-1]:
+            value = (value + int(d)) / b
+        eps = mpmath.mpf(2) ** -bits
+        lo, hi = value - eps, value + b ** -len(digits) + eps
+        return UnitRealInterval.from_bounds(as_fraction(lo), as_fraction(hi), bits)
+
+
+GOLDEN_TARGETS = {
+    "ball": ball((Fraction(0), Fraction(3, 10)), RateFunction.power(0.5, 0.25)),
+    "rectangle": rectangle((Fraction(1, 4), Fraction(0)),
+                           (RateFunction.power(0.4, 0.2), RateFunction.power(0.3, 0.1))),
+    "hyperboloid": hyperboloid((Fraction(0), Fraction(7, 10)), RateFunction.power(0.05, 0.2)),
+}
+
+
+class TestGoldenDigitEngine:
+    def test_start_weight_reads_the_measure(self):
+        mu = ParryYrrapMeasure("g")
+        assert counting._golden_start_weight(mu) == pytest.approx(G ** -2 / (1 + G ** -2),
+                                                                 rel=1e-12)
+
+    @pytest.mark.parametrize("parry", [False, True])
+    def test_drawn_points_follow_the_measure(self, parry):
+        # x = sum_k d_k g^-k is Lebesgue-distributed from state 0 and
+        # Parry-distributed from the stationary start
+        mu = ParryYrrapMeasure("g")
+        weight = counting._golden_start_weight(mu) if parry else 0.0
+        rng = np.random.default_rng(12)
+        powers = G ** -np.arange(1.0, 81.0)
+        digits = [counting._golden_digits(rng, 80, weight) for _ in range(4000)]
+        assert not any(np.any(d[1:] & d[:-1]) for d in digits)  # no "11"
+        xs = np.array(digits, dtype=np.float64) @ powers
+        cdf = mu.cdf if parry else (lambda x: x)
+        assert scipy.stats.kstest(xs, cdf).pvalue > 1e-3
+        other = (lambda x: x) if parry else mu.cdf
+        assert scipy.stats.kstest(xs, other).pvalue < 1e-6
+
+    def test_prefix_enclosure_against_mpmath(self):
+        rng = np.random.default_rng(13)
+        streams = [counting._golden_digits(rng, 2600, 0.3),
+                   np.tile(np.array([1, 0], dtype=np.int8), 1300),
+                   np.zeros(2600, dtype=np.int8)]
+        with mpmath.workprec(2000):
+            g = (1 + mpmath.sqrt(5)) / 2
+            for digits in streams:
+                for k in (1, 2, 17, 63, 64, 65, 129, 500, 1500, 2500):
+                    lo, width = counting._golden_prefix_enclosure(digits[:k])
+                    value = mpmath.fsum(g ** -(j + 1) for j in np.flatnonzero(digits[:k]))
+                    lo_m = mpmath.mpf(lo.numerator) / lo.denominator
+                    hi_m = lo_m + mpmath.mpf(width.numerator) / width.denominator
+                    assert lo_m <= value and value + g ** -k <= hi_m, k
+                    assert hi_m - lo_m <= g ** -k * (1 + mpmath.mpf(2) ** -40), k
+
+    @pytest.mark.parametrize("betas", [("g", "g"), (2, "g")])
+    @pytest.mark.parametrize("shape", sorted(GOLDEN_TARGETS))
+    def test_agrees_with_interval_engine(self, monkeypatch, shape, betas):
+        system = DiagonalTorusSystem(betas)
+        target = GOLDEN_TARGETS[shape]
+        n_steps = 2000
+        digit_arrays = counting._digit_arrays_for_sample(
+            system, n_steps, np.random.default_rng(8), None)
+        # narrow windows send many steps on to the fine and the exact stage
+        monkeypatch.setattr(counting, "COARSE_BITS", 2)
+        monkeypatch.setattr(counting, "FINE_BITS", 6)
+        exact_calls = []
+        exact = counting._exact_distances
+        monkeypatch.setattr(counting, "_exact_distances",
+                            lambda *args: exact_calls.append(args[2]) or exact(*args))
+        hit_lo, hit_hi = counting._digit_membership(system, target, digit_arrays, n_steps)
+        assert len(exact_calls) > 20
+        assert np.array_equal(hit_lo, hit_hi)  # no ties on a random orbit
+        x = [digit_enclosure(d, b, 3200)
+             for d, b in zip(digit_arrays, counting._digit_bases(system))]
+        orbit = orbit_enclosures(system, x, n_steps)
+        next(orbit)
+        definite = 0
+        for n, ivs in orbit:
+            verdict = contains(target, n, ivs)
+            if verdict != Containment.AMBIGUOUS:
+                definite += 1
+                assert hit_lo[n - 1] == (verdict == Containment.YES), n
+        assert definite >= n_steps - 5
+        assert 0 < np.count_nonzero(hit_lo) < n_steps
+
+    @pytest.mark.parametrize("parry", [False, True])
+    def test_mean_count_near_parry_phi(self, parry):
+        # from either start T^n x equidistributes to the Parry measure
+        # exponentially fast, so the mean count tracks the Parry Phi; the
+        # centre 0.3 sits where the two measures' Phi differ by 20%
+        system = DiagonalTorusSystem(("g", "g"))
+        nu = ProductMeasure(["g", "g"])
+        t = ball((0.0, 0.3), RateFunction.power(0.5, 0.25))
+        samples = 20
+        summary = monte_carlo_counting(system, t, samples, 3000, seed=5,
+                                       measure=nu if parry else None)
+        phi = float(phi_values(t, [3000], measure=nu)[0])
+        mean = sum(res.final.r_mid for res in summary.results) / samples
+        assert abs(mean - phi) <= 6 * math.sqrt(2 * phi / samples)
+        assert all(res.ambiguous_hits == 0 for res in summary.results)
+
+
+def _refused(*args, **kwargs):
+    raise AssertionError("wrong engine")
+
+
+class TestEngineDispatch:
+    @pytest.mark.parametrize("betas", [("g", "g"), (2, "g"), ("golden", 3)])
+    def test_digit_engine(self, monkeypatch, betas):
+        monkeypatch.setattr(counting, "_count_interval_engine", _refused)
+        system = DiagonalTorusSystem(betas)
+        t = ball((0.0,) * system.d, RateFunction.power(0.5, 0.25))
+        for measure in (None, ProductMeasure(betas)):
+            res = count_hits(system, t, None, 500, measure=measure,
+                             rng=np.random.default_rng(1))
+            assert res.final.r_hi >= res.final.r_lo > 0
+
+    @pytest.mark.parametrize("betas, x, measure", [
+        (("e", "e"), None, None),
+        (("g", 1.5), None, None),
+        (("-g",), None, None),
+        ((-2,), None, None),
+        (("g",), (Fraction(1, 7),), None),
+        (("g", "g"), None, ("g", 1.5)),
+        ((2, 3), None, (3, 2)),
+    ])
+    def test_interval_engine(self, monkeypatch, betas, x, measure):
+        monkeypatch.setattr(counting, "_count_digit_engine", _refused)
+        system = DiagonalTorusSystem(betas)
+        t = ball((0.0,) * system.d, RateFunction.power(0.5, 0.25))
+        res = count_hits(system, t, x, 200, rng=np.random.default_rng(1),
+                         measure=measure and ProductMeasure(measure))
+        assert res.final.r_hi >= res.final.r_lo >= 0
+
+    def test_golden_sample_at_a_million_steps(self):
+        system = DiagonalTorusSystem(("g", "g"))
+        t = ball((0.0, 0.0), RateFunction.power(0.5, 0.25))
+        res = count_hits(system, t, None, 10 ** 6, rng=np.random.default_rng(3))
+        assert res.ambiguous_hits == 0
+        assert abs(res.final.r_mid / res.final.phi - 1) < 0.3
 
 
 class TestMonteCarloCounting:

@@ -80,6 +80,26 @@ class TestRates:
         for n in itertools.chain(range(1, 1001), picks.tolist(), [n_max]):
             assert rate.psi(n) == radii[n - 1], n
 
+    @pytest.mark.parametrize("rate", [
+        RateFunction.power(0.5, 0.25),
+        RateFunction.exponential(0.37),
+        RateFunction.superexponential(),
+        RateFunction.table([0.5 / k for k in range(1, 3001)], extend="hold"),
+        RateFunction.table([0.5 / k for k in range(1, 10_001)]),
+    ])
+    def test_scalar_path_is_bitwise_the_array_path(self, rate):
+        n_max = 10 ** 4
+        radii = rate.psi(np.arange(1, n_max + 1))
+        assert all(rate.psi(n) == rate.psi(float(n)) == radii[n - 1]
+                   for n in range(1, n_max + 1))
+        with pytest.raises(ValueError):
+            rate.psi(0)
+
+    def test_scalar_table_past_its_end(self):
+        with pytest.raises(OutOfTable):
+            RateFunction.table([0.5, 0.25]).psi(3)
+        assert RateFunction.table([0.5, 0.25], extend="hold").psi(3) == 0.25
+
     def test_log_psi_no_underflow(self):
         r = RateFunction.exponential(2.0)
         assert r.log_psi(10_000) == pytest.approx(-20_000.0)
@@ -96,6 +116,15 @@ class TestHyperboloidVolume:
 
     def test_two_dimensions_closed_form(self):
         assert hyperboloid_volume(2, 1 / 8) == pytest.approx(0.5 * (1 + math.log(2)))
+
+    def test_zero_delta_is_empty(self):
+        # psi(n) underflows to 0.0 for large n: the target is empty
+        for d in (1, 2, 3):
+            assert hyperboloid_volume(d, 0.0) == 0.0
+            assert list(hyperboloid_volume(d, np.array([0.0, 1e-3]))) == [
+                0.0, hyperboloid_volume(d, 1e-3)]
+        with pytest.raises(ValueError):
+            hyperboloid_volume(2, -1e-300)
 
     def test_continuity_and_monotonicity(self):
         deltas = np.linspace(1e-4, 0.3, 400)
