@@ -601,11 +601,11 @@ class TestGoldenDigitEngine:
     @pytest.mark.parametrize("parry", [False, True])
     def test_mean_count_near_parry_phi(self, parry):
         # from either start T^n x equidistributes to the Parry measure
-        # exponentially fast, so the mean count tracks the Parry Phi; the
-        # centre 0.3 sits where the two measures' Phi differ by 20%
+        # exponentially fast, so the mean count tracks the Parry Phi; at the
+        # centre (0.3, 0.3) it is 147.4, the Lebesgue Phi 108.1
         system = DiagonalTorusSystem(("g", "g"))
         nu = ProductMeasure(["g", "g"])
-        t = ball((0.0, 0.3), RateFunction.power(0.5, 0.25))
+        t = ball((0.3, 0.3), RateFunction.power(0.5, 0.25))
         samples = 20
         summary = monte_carlo_counting(system, t, samples, 3000, seed=5,
                                        measure=nu if parry else None)
@@ -646,13 +646,6 @@ class TestEngineDispatch:
         res = count_hits(system, t, x, 200, rng=np.random.default_rng(1),
                          measure=measure and ProductMeasure(measure))
         assert res.final.r_hi >= res.final.r_lo >= 0
-
-    def test_golden_sample_at_a_million_steps(self):
-        system = DiagonalTorusSystem(("g", "g"))
-        t = ball((0.0, 0.0), RateFunction.power(0.5, 0.25))
-        res = count_hits(system, t, None, 10 ** 6, rng=np.random.default_rng(3))
-        assert res.ambiguous_hits == 0
-        assert abs(res.final.r_mid / res.final.phi - 1) < 0.3
 
 
 class TestMonteCarloCounting:
