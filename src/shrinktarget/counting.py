@@ -31,6 +31,7 @@ Determinism: every sample derives its own generator from
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,6 +47,7 @@ from .orbits import (
     DiagonalTorusSystem,
     as_fraction,
     beta_step,  # not called here: perfbench/layertrace.py looks it up on this module
+    is_golden,
     is_symbolic,
     orbit_enclosures,
     required_precision,
@@ -132,10 +134,10 @@ def _digit_bases(system, measure=None) -> Optional[list]:
         return None
     bases = []
     for b in system.betas:
-        if is_symbolic(b):
-            if b.lstrip("+").lower() not in ("g", "golden"):
-                return None
+        if is_golden(b):
             bases.append(GOLDEN_RATIO)
+        elif is_symbolic(b):
+            return None
         else:
             value = as_fraction(b)
             if value.denominator != 1 or value < 2:
@@ -178,24 +180,35 @@ def _window_values(digits: np.ndarray, base: int, n_steps: int, window: int) -> 
     return np.convolve(digits[1:n_steps + window].astype(np.float64), weights, "valid")
 
 
+def _combine_pairwise(parts: list, scale, mul, add):
+    """sum_j parts[j] scale^(m-1-j) over the m >= 1 parts, in the ring of
+    ``mul`` and ``add``.
+
+    Neighbouring parts merge, halving their number each round (an odd
+    leading part waits a round), so the big-integer work is a few
+    products of balanced size.
+    """
+    while len(parts) > 1:
+        head = parts[:len(parts) % 2]
+        rest = parts[len(head):]
+        parts = head + [add(mul(hi, scale), lo) for hi, lo in zip(rest[::2], rest[1::2])]
+        scale = mul(scale, scale)
+    return parts[0]
+
+
 def _digits_to_int(digits: np.ndarray, base: int) -> int:
     """The integer whose base-b digits, most significant first, are ``digits``.
 
-    Blocks of digits become int64 words (below 2^62, so exact); the words
-    then combine pairwise, halving their number each round, so the
-    big-integer work is a few products of balanced size.
+    Blocks of digits become int64 words (below 2^62, so exact), which
+    :func:`_combine_pairwise` joins.
     """
+    if not len(digits):
+        return 0
     block = max(1, int(62 // math.log2(base)))
     padded = np.concatenate([np.zeros(-len(digits) % block, dtype=np.int64), digits])
     powers = base ** np.arange(block - 1, -1, -1, dtype=np.int64)
     parts = [int(v) for v in padded.reshape(-1, block) @ powers]
-    scale = base ** block
-    while len(parts) > 1:
-        if len(parts) % 2:
-            parts.insert(0, 0)
-        parts = [hi * scale + lo for hi, lo in zip(parts[::2], parts[1::2])]
-        scale *= scale
-    return parts[0] if parts else 0
+    return _combine_pairwise(parts, base ** block, operator.mul, operator.add)
 
 
 def _prefix_enclosure(digits: np.ndarray, base) -> tuple:
@@ -224,12 +237,18 @@ def _fib_pair(n: int) -> tuple:
     return f, f1
 
 
+def _zg_add(x: tuple, y: tuple) -> tuple:
+    return x[0] + y[0], x[1] + y[1]
+
+
 def _golden_int(digits: np.ndarray) -> tuple:
     """(a, b) with sum_j digits[j] g^(k-1-j) = a + b g, k = len(digits).
 
     As :func:`_digits_to_int`: blocks of 64 digits become int64 pairs from
-    g^e = F_(e-1) + F_e g (F_-1 = 1), which then combine pairwise.
+    g^e = F_(e-1) + F_e g (F_-1 = 1), which :func:`_combine_pairwise` joins.
     """
+    if not len(digits):
+        return 0, 0
     block = 64
     fib = [1, 0]                                  # fib[j] = F_(j-1)
     while len(fib) < block + 2:
@@ -240,16 +259,7 @@ def _golden_int(digits: np.ndarray) -> tuple:
     parts = [(int(a), int(b)) for a, b in
              zip(rows @ fib[block - 1::-1], rows @ fib[block:0:-1])]
     scale = (int(fib[block]), int(fib[block + 1]))  # g^block
-    while len(parts) > 1:
-        if len(parts) % 2:
-            parts.insert(0, (0, 0))
-        merged = []
-        for hi, lo in zip(parts[::2], parts[1::2]):
-            a, b = _zg_mul(hi, scale)
-            merged.append((a + lo[0], b + lo[1]))
-        parts = merged
-        scale = _zg_mul(scale, scale)
-    return parts[0] if parts else (0, 0)
+    return _combine_pairwise(parts, scale, _zg_mul, _zg_add)
 
 
 def _golden_prefix_enclosure(digits: np.ndarray) -> tuple:
@@ -319,7 +329,7 @@ def _step_radii(target: TargetSpec, n_steps: int) -> tuple:
     return radii
 
 
-def _digit_membership(system: DiagonalTorusSystem, target: TargetSpec,
+def _digit_membership(bases: list, target: TargetSpec,
                       digit_arrays: list[np.ndarray], n_steps: int):
     """(hit_lo, hit_hi) boolean arrays for n = 1..N, decided coarse to fine.
 
@@ -328,9 +338,9 @@ def _digit_membership(system: DiagonalTorusSystem, target: TargetSpec,
     MARGIN) of ||v - a_i||.  It runs on a COARSE_BITS window at every step,
     then on a FINE_BITS window at the steps still open; the exact stage
     takes what is left.  Each stage is sound, so the ladder decides exactly
-    what the exact stage alone would.
+    what the exact stage alone would.  ``bases`` is the system's
+    :func:`_digit_bases`.
     """
-    bases = _digit_bases(system)
     centers = [float(a) for a in target.center]
     radii = _step_radii(target, n_steps)
 
@@ -370,12 +380,13 @@ def _digit_membership(system: DiagonalTorusSystem, target: TargetSpec,
 def _golden_start_weight(mu: ParryYrrapMeasure) -> float:
     """P(state 1) at the start of the golden chain, for x drawn from ``mu``.
 
-    The table is the mixture, over the orbit points t of 1, of the uniform
-    laws on [0, t) with weights (h_left - h_right) t from the heights either
-    side of t.  Every part but t = 1 (weight ``heights[-2]``) lies in
-    [0, 1/g), state 1: g^-2 / (1 + g^-2) for the golden Parry measure.
+    The Parry density is a mixture, over the orbit points t of 1, of
+    uniform laws on [0, t).  Every part but t = 1 (state 0) lies in
+    [0, 1/g) (state 1), so the density on [1/g, 1), read at its middle
+    g/2, is the weight of state 0: 1 - g^-2 / (1 + g^-2) for the golden
+    Parry measure.
     """
-    return 1.0 - float(mu.heights[-2])
+    return 1.0 - mu.density(GOLDEN_RATIO / 2)
 
 
 def _golden_digits(rng: np.random.Generator, total: int, state1_weight: float) -> np.ndarray:
@@ -397,13 +408,14 @@ def _golden_digits(rng: np.random.Generator, total: int, state1_weight: float) -
     return digits
 
 
-def _digit_arrays_for_sample(system: DiagonalTorusSystem, n_steps: int,
+def _digit_arrays_for_sample(bases: list, n_steps: int,
                              rng: Optional[np.random.Generator],
                              x: Optional[Sequence], measure=None) -> list[np.ndarray]:
-    """2N digits and then some per coordinate, the exact stage's reserve;
-    ``x`` (rational, integer bases only) or else a draw from ``rng``."""
+    """2N digits and then some per coordinate, the exact stage's reserve,
+    in the system's :func:`_digit_bases`; ``x`` (rational, integer bases
+    only) or else a draw from ``rng``."""
     arrays = []
-    for i, base in enumerate(_digit_bases(system)):
+    for i, base in enumerate(bases):
         total = 2 * n_steps + _digit_window(base) + 96
         if not isinstance(base, int):
             weight = 0.0 if measure is None else _golden_start_weight(measure.factors[i])
@@ -415,9 +427,9 @@ def _digit_arrays_for_sample(system: DiagonalTorusSystem, n_steps: int,
     return arrays
 
 
-def _count_digit_engine(system, target, digit_arrays, checkpoints, epsilon,
+def _count_digit_engine(bases, target, digit_arrays, checkpoints, epsilon,
                         phi) -> tuple:
-    hit_lo, hit_hi = _digit_membership(system, target, digit_arrays, checkpoints[-1])
+    hit_lo, hit_hi = _digit_membership(bases, target, digit_arrays, checkpoints[-1])
     r_lo = r_hi = start = 0
     rows = []
     for n, phi_n in zip(checkpoints, phi):
@@ -499,9 +511,9 @@ def _count_sample(system, target, x, cps, phi, epsilon, measure, sample_id, rng,
         )
     bases = _digit_bases(system, measure if x is None else None)
     if bases is not None and (x is None or all(isinstance(b, int) for b in bases)):
-        digit_arrays = _digit_arrays_for_sample(system, n_steps, rng, x, measure)
+        digit_arrays = _digit_arrays_for_sample(bases, n_steps, rng, x, measure)
         rows, ambiguous = _count_digit_engine(
-            system, target, digit_arrays, cps, epsilon, phi)
+            bases, target, digit_arrays, cps, epsilon, phi)
     else:
         if x is None:
             x = _draw_initial(system, measure, rng, n_steps)

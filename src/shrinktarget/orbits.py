@@ -60,7 +60,8 @@ def as_fraction(x: Number) -> Fraction:
     raise TypeError(f"cannot convert {type(x).__name__} to Fraction")
 
 
-_SYMBOLIC = {"g", "golden", "e"}
+_GOLDEN = {"g", "golden"}
+_SYMBOLIC = _GOLDEN | {"e"}
 
 
 def _split_sign(token: str) -> tuple[bool, str]:
@@ -75,11 +76,19 @@ def is_symbolic(x) -> bool:
     return isinstance(x, str) and _split_sign(x)[1] in _SYMBOLIC
 
 
+def is_golden(x) -> bool:
+    """Whether x is the token of +g ("g"/"golden", with no minus sign)."""
+    if not isinstance(x, str):
+        return False
+    negative, name = _split_sign(x)
+    return not negative and name in _GOLDEN
+
+
 def symbolic_value(token: str, bits: int) -> mpmath.mpf:
     """Signed value of a symbolic token ("g"/"golden"/"e") at ``bits`` bits."""
     negative, name = _split_sign(token)
     with mpmath.workprec(bits):
-        val = (1 + mpmath.sqrt(5)) / 2 if name in ("g", "golden") else +mpmath.e
+        val = (1 + mpmath.sqrt(5)) / 2 if name in _GOLDEN else +mpmath.e
         return -val if negative else val
 
 

@@ -78,32 +78,26 @@ class RateFunction:
         return cls(kind="table", values=vals, extend=extend)
 
     def psi(self, n):
-        """psi(n) for scalar or array n >= 1.
-
-        A Python int or float skips the 0-d array round trip but goes
-        through the same numpy ufuncs (libm's exp and pow can differ by an
-        ulp), so a scalar n gives bitwise the value the array path gives.
-        """
-        scalar = isinstance(n, (int, float))
-        x = float(n) if scalar else np.asarray(n, dtype=np.float64)
-        if (x < 1) if scalar else np.any(x < 1):
+        """psi(n) for scalar or array n >= 1."""
+        arr = np.asarray(n, dtype=np.float64)
+        if np.any(arr < 1):
             raise ValueError("n must be >= 1")
         if self.kind == "exponential":
-            out = np.exp(-x * self.t)
+            out = np.exp(-arr * self.t)
         elif self.kind == "power":
-            out = self.c * np.power(x, -self.kappa)
+            out = self.c * arr ** -self.kappa
         elif self.kind == "superexponential":
-            out = np.exp(-(x * x))
+            out = np.exp(-(arr ** 2))
         elif self.kind == "table":
-            idx = round(x) - 1 if scalar else np.asarray(np.round(x), dtype=np.int64) - 1
-            last = len(self.values) - 1
-            if (idx > last if scalar else np.any(idx > last)) and self.extend == "none":
-                raise OutOfTable(f"n={int(np.max(x))} past table of {len(self.values)}")
-            out = (self.values[min(idx, last)] if scalar else
-                   np.asarray(self.values, dtype=np.float64)[np.minimum(idx, last)])
+            idx = np.asarray(np.round(arr), dtype=np.int64) - 1
+            past = idx >= len(self.values)
+            if np.any(past) and self.extend == "none":
+                raise OutOfTable(f"n={int(arr.max())} past table of {len(self.values)}")
+            idx = np.minimum(idx, len(self.values) - 1)
+            out = np.asarray(self.values, dtype=np.float64)[idx]
         else:
             raise ValueError(f"unknown kind {self.kind}")
-        return float(out) if scalar or np.ndim(n) == 0 else out
+        return float(out) if np.ndim(n) == 0 else out
 
     def log_psi(self, n):
         """log psi(n) evaluated symbolically (no underflow at large n)."""

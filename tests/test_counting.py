@@ -396,8 +396,9 @@ class TestDigitLadder:
         n_steps = 200
         x = {"random": None, "ties": (Fraction(1, 4), Fraction(1, 4)),
              "rational": (Fraction(17, 97), Fraction(23, 89))}[start]
+        bases = counting._digit_bases(system)
         digit_arrays = counting._digit_arrays_for_sample(
-            system, n_steps, np.random.default_rng(5), x)
+            bases, n_steps, np.random.default_rng(5), x)
         # two-bit coarse windows leave most steps to the fine and exact stages
         monkeypatch.setattr(counting, "COARSE_BITS", 2)
         stages = {"fine": 0, "exact": 0}
@@ -411,7 +412,7 @@ class TestDigitLadder:
         monkeypatch.setattr(counting, "_window_at", counted("fine", counting._window_at))
         monkeypatch.setattr(counting, "_exact_distances",
                             counted("exact", counting._exact_distances))
-        hit_lo, hit_hi = counting._digit_membership(system, target, digit_arrays, n_steps)
+        hit_lo, hit_hi = counting._digit_membership(bases, target, digit_arrays, n_steps)
         oracle = full_tail_verdicts(target, digit_arrays, (2, 3), n_steps)
         assert list(zip(hit_lo.tolist(), hit_hi.tolist())) == oracle
         assert stages["fine"] > 0
@@ -573,8 +574,9 @@ class TestGoldenDigitEngine:
         system = DiagonalTorusSystem(betas)
         target = GOLDEN_TARGETS[shape]
         n_steps = 2000
+        bases = counting._digit_bases(system)
         digit_arrays = counting._digit_arrays_for_sample(
-            system, n_steps, np.random.default_rng(8), None)
+            bases, n_steps, np.random.default_rng(8), None)
         # narrow windows send many steps on to the fine and the exact stage
         monkeypatch.setattr(counting, "COARSE_BITS", 2)
         monkeypatch.setattr(counting, "FINE_BITS", 6)
@@ -582,11 +584,11 @@ class TestGoldenDigitEngine:
         exact = counting._exact_distances
         monkeypatch.setattr(counting, "_exact_distances",
                             lambda *args: exact_calls.append(args[2]) or exact(*args))
-        hit_lo, hit_hi = counting._digit_membership(system, target, digit_arrays, n_steps)
+        hit_lo, hit_hi = counting._digit_membership(bases, target, digit_arrays, n_steps)
         assert len(exact_calls) > 20
         assert np.array_equal(hit_lo, hit_hi)  # no ties on a random orbit
         x = [digit_enclosure(d, b, 3200)
-             for d, b in zip(digit_arrays, counting._digit_bases(system))]
+             for d, b in zip(digit_arrays, bases)]
         orbit = orbit_enclosures(system, x, n_steps)
         next(orbit)
         definite = 0
