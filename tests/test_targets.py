@@ -80,13 +80,6 @@ class TestRates:
         for n in itertools.chain(range(1, 1001), picks.tolist(), [n_max]):
             assert rate.psi(n) == radii[n - 1], n
 
-    def test_psi_refusals(self):
-        with pytest.raises(ValueError):
-            RateFunction.power(0.5, 0.25).psi(0)
-        with pytest.raises(OutOfTable):
-            RateFunction.table([0.5, 0.25]).psi(3)
-        assert RateFunction.table([0.5, 0.25], extend="hold").psi(3) == 0.25
-
     def test_log_psi_no_underflow(self):
         r = RateFunction.exponential(2.0)
         assert r.log_psi(10_000) == pytest.approx(-20_000.0)
