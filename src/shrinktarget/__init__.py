@@ -20,6 +20,7 @@ from .errors import (
     RateNotVanishing,
     SingularMatrix,
     SlopeTooSmall,
+    StartLawUnsupported,
     TolUnreachable,
     UnboundedU,
 )
@@ -31,6 +32,7 @@ from .orbits import (
     eigenvalue_moduli,
     iterate,
     orbit_enclosures,
+    orbit_of_one,
     required_precision,
 )
 from .cylinders import (
@@ -76,6 +78,7 @@ from .counting import (
     correlation_series,
     count_hits,
     fit_exponential,
+    invariant_measure,
     monte_carlo_counting,
     paley_zygmund_bound,
     variance_check,

@@ -6,7 +6,9 @@ ambiguous ones only in R_hi, and the normalized error
 
     e(N) = (R_mid - Phi(N)) / (Phi(N)^(1/2) (log Phi(N))^(3/2+eps))
 
-is reported at checkpoints (defined once Phi(N) > e).
+is reported at checkpoints (defined once Phi(N) > e).  Phi(N) = sum mu(E_n)
+is summed over the system's :func:`invariant_measure` whatever law the
+starts are drawn from.
 
 Engine dispatch: a diagonal system whose every beta is an integer b >= 2
 or the golden ratio g runs on its digit streams, from a random start or
@@ -40,11 +42,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import AmbiguityBudgetExceeded, DegenerateF, PrecisionExhausted
+from .errors import (
+    AmbiguityBudgetExceeded, DegenerateF, PrecisionExhausted, StartLawUnsupported,
+)
 from .cylinders import preimage_intervals
-from .measures import GOLDEN_RATIO, ParryYrrapMeasure, beta_float
+from .measures import GOLDEN_RATIO, ParryYrrapMeasure, ProductMeasure, beta_float
 from .orbits import (
     DiagonalTorusSystem,
+    IntegerMatrixSystem,
     as_fraction,
     beta_step,  # not called here: perfbench/layertrace.py looks it up on this module
     is_golden,
@@ -143,10 +148,32 @@ def _digit_bases(system, measure=None) -> Optional[list]:
             if value.denominator != 1 or value < 2:
                 return None
             bases.append(int(value))
-    if measure is not None and [mu.beta for mu in measure.factors] != [
-            beta_float(b) for b in system.betas]:
+    if measure is not None and not _is_own_measure(system, measure):
         return None
     return bases
+
+
+def _is_own_measure(system, measure) -> bool:
+    """Whether ``measure`` is the product of the system's own Parry/Yrrap measures."""
+    return [mu.beta for mu in measure.factors] == [beta_float(b) for b in system.betas]
+
+
+def invariant_measure(system) -> Optional[ProductMeasure]:
+    """The T-invariant measure mu that Phi = sum mu(E_n) is summed over.
+
+    None (Lebesgue) for integer matrices and all-integer diagonals, else
+    the product of the Parry/Yrrap measures of the betas.  The counting
+    law holds for mu-almost every start, so Phi is the same whatever law
+    the starts are drawn from.
+    """
+    if isinstance(system, IntegerMatrixSystem):
+        return None
+    if system.degenerate:
+        raise ValueError(
+            "counting requires every |beta_i| > 1; peel the |beta| <= 1 "
+            "coordinates off with the degenerate reduction first"
+        )
+    return None if system.is_integer else ProductMeasure(system.betas)
 
 
 def _rational_digits(x: Fraction, base: int, count: int) -> np.ndarray:
@@ -464,11 +491,12 @@ def _count_interval_engine(system, target, x, checkpoints, epsilon, phi,
     return tuple(rows), r_hi - r_lo
 
 
-def _checkpoints_and_phi(target: TargetSpec, n_steps: int, checkpoints, measure):
+def _checkpoints_and_phi(system, target: TargetSpec, n_steps: int, checkpoints):
     """The sorted checkpoints in 1..N, ending at N, and Phi at each.
 
-    Both are empty when N = 0.  Phi depends on the target, the measure and
-    the checkpoints only, so an experiment computes it once for all samples.
+    Both are empty when N = 0.  Phi depends on the target, the system's
+    :func:`invariant_measure` and the checkpoints only, so an experiment
+    computes it once for all samples.
     """
     if n_steps < 0:
         raise ValueError("N must be >= 0")
@@ -478,7 +506,7 @@ def _checkpoints_and_phi(target: TargetSpec, n_steps: int, checkpoints, measure)
     if cps[-1] > n_steps:
         raise ValueError(f"checkpoints must be <= N = {n_steps}")
     cps = [c for c in cps if c >= 1]
-    return cps, (phi_values(target, cps, measure=measure) if cps else [])
+    return cps, (phi_values(target, cps, measure=invariant_measure(system)) if cps else [])
 
 
 def count_hits(system, target: TargetSpec, x, n_steps: int,
@@ -490,10 +518,11 @@ def count_hits(system, target: TargetSpec, x, n_steps: int,
 
     ``x`` may be a point (rationals/floats/enclosures) or None to draw a
     fresh initial condition from ``rng`` (uniform under Lebesgue, or the
-    supplied product measure).  The module docstring says which systems
-    and starts run on the digit engine; the rest run on the interval engine.
+    supplied product measure); ``measure`` is only this start law.  The
+    module docstring says which systems and starts run on the digit
+    engine; the rest run on the interval engine.
     """
-    cps, phi = _checkpoints_and_phi(target, n_steps, checkpoints, measure)
+    cps, phi = _checkpoints_and_phi(system, target, n_steps, checkpoints)
     return _count_sample(system, target, x, cps, phi, epsilon, measure,
                          sample_id, rng, precision_bits)
 
@@ -504,11 +533,6 @@ def _count_sample(system, target, x, cps, phi, epsilon, measure, sample_id, rng,
     if not cps:
         return CountingResult(sample_id, (CheckpointRow(0, 0, 0, 0.0, None),), 0, epsilon)
     n_steps = cps[-1]
-    if isinstance(system, DiagonalTorusSystem) and system.degenerate:
-        raise ValueError(
-            "counting requires every |beta_i| > 1; peel the |beta| <= 1 "
-            "coordinates off with the degenerate reduction first"
-        )
     bases = _digit_bases(system, measure if x is None else None)
     if bases is not None and (x is None or all(isinstance(b, int) for b in bases)):
         digit_arrays = _digit_arrays_for_sample(bases, n_steps, rng, x, measure)
@@ -534,6 +558,18 @@ def _random_bits(rng: np.random.Generator, bits: int) -> int:
 
 
 def _draw_initial(system, measure, rng, n_steps):
+    """A start drawn from ``measure`` (None: Lebesgue) at the bits the orbit needs.
+
+    For beta in (-g, -1) the Yrrap measure lives on a finite union of
+    intervals, and nothing here shows that orbits from elsewhere reach it,
+    so only the system's own measure may draw starts there.
+    """
+    if (isinstance(system, DiagonalTorusSystem)
+            and any(-GOLDEN_RATIO < beta_float(b) < -1 for b in system.betas)
+            and (measure is None or not _is_own_measure(system, measure))):
+        raise StartLawUnsupported(
+            "random starts on a beta in (-g, -1) must come from the system's "
+            "own Yrrap measure (--measure parry)")
     bits = max(96, required_precision(system, n_steps))
     if measure is None:
         return [Fraction(_random_bits(rng, bits), 1 << bits) for _ in range(system.d)]
@@ -568,7 +604,7 @@ def monte_carlo_counting(system, target: TargetSpec, num_samples: int,
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
-    cps, phi = _checkpoints_and_phi(target, n_steps, checkpoints, measure)
+    cps, phi = _checkpoints_and_phi(system, target, n_steps, checkpoints)
     payloads = [
         (system, target, cps, phi, epsilon, measure, seed, i)
         for i in range(num_samples)
@@ -657,15 +693,8 @@ def correlation_estimate(beta, e_set: tuple, f_set: tuple, lag: int,
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(lag,)))
-    xs = mu.sample(rng, num_samples)
-    orbit = xs.copy()
-    for _ in range(lag):
-        orbit = np.mod(b * orbit, 1.0)
-    hits = ((xs >= e_set[0]) & (xs < e_set[1]) &
-            (orbit >= f_set[0]) & (orbit < f_set[1]))
-    p = float(np.mean(hits))
-    se = math.sqrt(max(p * (1 - p), 1e-300) / num_samples) / mu_f
-    return abs(p / mu_f - mu_e), se
+    _, value, se = _mc_series(mu, e_set, f_set, [lag], num_samples, rng)[0]
+    return value, se
 
 
 def _exact_joint(mu: ParryYrrapMeasure, e_set, f_set, lag: int, beta_input=None) -> float:
@@ -712,7 +741,8 @@ def correlation_series(beta, e_set, f_set, lags: Sequence[int],
     mu = ParryYrrapMeasure(beta)
     lags = sorted(set(int(n) for n in lags))
     if method == "mc":
-        entries = _mc_series(mu, e_set, f_set, lags, num_samples, seed)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+        entries = _mc_series(mu, e_set, f_set, lags, num_samples, rng)
     else:
         entries = tuple(
             (n, *correlation_estimate(beta, e_set, f_set, n, method=method,
@@ -737,11 +767,11 @@ def correlation_series(beta, e_set, f_set, lags: Sequence[int],
                              fit_c=c, fit_gamma=gamma, fit_r2=r2)
 
 
-def _mc_series(mu, e_set, f_set, lags, num_samples, seed):
-    """One sample sweep serving every lag (shared orbit array)."""
+def _mc_series(mu, e_set, f_set, lags, num_samples, rng):
+    """One sweep of ``num_samples`` mu-distributed points from ``rng`` serving
+    every lag (shared orbit array), with binomial standard errors."""
     if num_samples is None:
-        raise ValueError("Monte Carlo series needs num_samples")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+        raise ValueError("Monte Carlo estimates need num_samples")
     mu_e = mu.measure_interval(*e_set)
     mu_f = mu.measure_interval(*f_set)
     if mu_f < 1e-6:
@@ -785,7 +815,7 @@ def window_hits(system, target: TargetSpec, a: int, b: int, num_samples: int,
     if not 1 <= a <= b:
         raise ValueError("need 1 <= a <= b")
     zs = np.empty(num_samples, dtype=np.float64)
-    cps, phi = _checkpoints_and_phi(target, b, [a - 1, b] if a > 1 else [b], measure)
+    cps, phi = _checkpoints_and_phi(system, target, b, [a - 1, b] if a > 1 else [b])
     for i in range(num_samples):
         res = _count_sample(system, target, None, cps, phi, DEFAULT_EPSILON, measure,
                             i, _sample_rng(seed, i))
@@ -803,7 +833,7 @@ def variance_check(system, target: TargetSpec, a: int, b: int,
                    measure=None) -> VarianceReport:
     """Empirical Var(Z_{a,b}) against the bound (2 kappa + 1) sum mu(E_n)."""
     zs = window_hits(system, target, a, b, num_samples, seed, measure=measure)
-    phis = phi_values(target, [a - 1, b] if a > 1 else [b], measure=measure)
+    phis = phi_values(target, [a - 1, b] if a > 1 else [b], measure=invariant_measure(system))
     measure_sum = float(phis[-1] - (phis[0] if a > 1 else 0.0))
     emp = float(np.var(zs, ddof=1)) if num_samples > 1 else 0.0
     bound = (2.0 * kappa_hat + 1.0) * measure_sum

@@ -17,13 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
-import mpmath
 import numpy as np
 
 from .errors import Indeterminate, PrecisionExhausted
-from .orbits import as_fraction, is_symbolic, resolve_scalar, symbolic_value
+from .orbits import orbit_of_one, resolve_scalar
 
 FULL_DECISION_TOL = 2.0 ** -40
 _MAX_EXPLICIT = 2_000_000
@@ -60,52 +58,21 @@ class BetaAutomaton:
 
     State j holds y_j = T_beta^j(1) (y_0 = 1); from state j there are
     m_j = floor(beta*y_j) full children (state 0) and, unless beta*y_j is
-    an exact integer, one partial child (state j+1).  Arithmetic runs at
-    high precision with an exact-snap threshold so algebraic coincidences
-    (e.g. the golden ratio's finite expansion of 1) are honored.
+    an exact integer, one partial child (state j+1).  The states are
+    :func:`orbits.orbit_of_one`, whose exact snap honours algebraic
+    coincidences (e.g. the golden ratio's finite expansion of 1).
     """
 
-    def __init__(self, beta, depth: int, bits: Optional[int] = None):
+    def __init__(self, beta, depth: int):
         b_float = float(resolve_scalar(beta))
         if b_float <= 1:
             raise ValueError("automaton requires beta > 1")
         self.beta = b_float
         self.depth = depth
-        if bits is None:
-            bits = max(320, 2 * (math.ceil(depth * math.log2(b_float)) + 80))
-        self.bits = bits
-        snap_exp = bits // 2
-        with mpmath.workprec(bits):
-            if is_symbolic(beta):
-                bval = symbolic_value(beta, bits)
-            else:
-                frac = as_fraction(beta)
-                bval = mpmath.mpf(frac.numerator) / frac.denominator
-            snap = mpmath.mpf(2) ** (-snap_exp)
-            ys = [mpmath.mpf(1)]
-            ms: list[int] = []
-            terminal: list[bool] = []
-            for _ in range(depth + 1):
-                z = bval * ys[-1]
-                k = int(mpmath.floor(z))
-                f = z - k
-                if f < snap:
-                    ms.append(k)
-                    terminal.append(True)
-                    ys.append(mpmath.mpf(0))
-                elif f > 1 - snap:
-                    ms.append(k + 1)
-                    terminal.append(True)
-                    ys.append(mpmath.mpf(0))
-                else:
-                    ms.append(k)
-                    terminal.append(False)
-                    ys.append(f)
-                if terminal[-1]:
-                    break
-            self.y_values = [float(y) for y in ys]
-            self.branch_counts = ms
-            self.terminal = terminal
+        points, self.branch_counts, _ = orbit_of_one(beta, depth + 1)
+        self.y_values = [float(y) for y in points]
+        # only the last state can be terminal: the orbit of 1 stops at 0
+        self.terminal = [False] * (len(points) - 2) + [points[-1] == 0]
 
     def state(self, j: int) -> tuple[int, bool, float]:
         """(full children, terminal?, y) for state j; terminal states repeat."""

@@ -9,13 +9,16 @@ exponent vector t, into
 
 and scores theta_i(t) = sum_{K1} 1 + sum_{K2} (1 - t_k/(log b_i + t_i))
 + sum_{K3} log b_k/(log b_i + t_i); the dimension is the sup over the
-accumulation set of the min over i.  The ball case collapses to a single
+accumulation set of the min over i.  One weighted form of this sum serves
+the rectangle, delta-weighted, unbounded and mass-transference
+variants.  The ball case collapses to a single
 closed form in lambda, implemented separately so the two routes
 cross-check each other.  All indices here are 0-based.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,6 +79,18 @@ def _partition_sets(i, logb, t, k1_strict=True, k2_strict=False):
     return tuple(k1), tuple(k2), tuple(k3)
 
 
+def _theta_sum(i, logb, t, w, k1_strict=True, k2_strict=False) -> float:
+    """The one partition sum behind every theta: sum_{K1} w_k
+    + sum_{K2} w_k (1 - t_k/thr) + sum_{K3} w_k log b_k/thr, thr = log b_i + t_i.
+
+    An infinite t_k never joins K2, so weight 0 drops a coordinate."""
+    thr = logb[i] + t[i]
+    k1, k2, k3 = _partition_sets(i, logb, t, k1_strict, k2_strict)
+    return sum(itertools.chain((w[k] for k in k1),
+                               (w[k] * (1.0 - t[k] / thr) for k in k2),
+                               (w[k] * (logb[k] / thr) for k in k3)))
+
+
 def theta_rect(i, moduli, t, weights=None, k1_strict=True, k2_strict=False) -> float:
     """theta_i(t) by the partition sums; ``weights`` gives the delta-weighted
     variant (all weights 1 reproduces the plain value bit for bit)."""
@@ -91,17 +106,7 @@ def theta_rect(i, moduli, t, weights=None, k1_strict=True, k2_strict=False) -> f
             f"t[{i}] is infinite; route this instance through unbounded_bounds"
         )
     w = [1.0] * d if weights is None else [float(v) for v in weights]
-    logb = [math.log(m) for m in mods]
-    thr = logb[i] + t[i]
-    k1, k2, k3 = _partition_sets(i, logb, t, k1_strict, k2_strict)
-    total = 0.0
-    for k in k1:
-        total += w[k]
-    for k in k2:
-        total += w[k] * (1.0 - t[k] / thr)
-    for k in k3:
-        total += w[k] * (logb[k] / thr)
-    return total
+    return _theta_sum(i, [math.log(m) for m in mods], t, w, k1_strict, k2_strict)
 
 
 def theta_partition(i, moduli, t):
@@ -122,6 +127,17 @@ def _theta_lipschitz(moduli, t) -> float:
     return len(logb) * (1.0 / thr_min + top / (thr_min * thr_min))
 
 
+def _sup_min(points, d, theta) -> tuple:
+    """(value, point, argmin i) of sup over the points of min_i theta(i, point)."""
+    best = None
+    for point in points:
+        vals = [theta(i, point) for i in range(d)]
+        i_min = int(np.argmin(vals))
+        if best is None or vals[i_min] > best[0]:
+            best = (vals[i_min], point, i_min)
+    return best
+
+
 def dim_rect(moduli, accumulation: AccumulationSet) -> DimensionReport:
     """sup over U(Psi) of min_i theta_i(t) (rectangular targets).
 
@@ -134,14 +150,8 @@ def dim_rect(moduli, accumulation: AccumulationSet) -> DimensionReport:
         raise UnboundedU("accumulation set has an infinite coordinate")
     if accumulation.d != len(mods):
         raise ValueError("accumulation points must match the number of moduli")
-    best = None
-    for point in accumulation.points:
-        vals = [theta_rect(i, mods, point) for i in range(len(mods))]
-        i_min = int(np.argmin(vals))
-        cand = (vals[i_min], point, i_min)
-        if best is None or cand[0] > best[0]:
-            best = cand
-    value, point, i_min = best
+    value, point, i_min = _sup_min(accumulation.points, len(mods),
+                                   lambda i, t: theta_rect(i, mods, t))
     err = 0.0
     if accumulation.radius > 0:
         err = _theta_lipschitz(mods, point) * accumulation.radius
@@ -234,18 +244,10 @@ class MtpInput:
 
 def mtp_score(inp: MtpInput, i: int) -> float:
     """s(u, v, i) = sum_{K1} delta_k + sum_{K2} delta_k (1-(v_k-u_k)/v_i)
-    + sum_{K3} u_k delta_k / v_i, with K1 = {u_k >= v_i}, K2 = {v_k <= v_i}."""
-    p = len(inp.deltas)
-    vi = inp.v[i]
-    total = 0.0
-    for k in range(p):
-        if inp.u[k] >= vi:
-            total += inp.deltas[k]
-        elif inp.v[k] <= vi:
-            total += inp.deltas[k] * (1.0 - (inp.v[k] - inp.u[k]) / vi)
-        else:
-            total += inp.u[k] * inp.deltas[k] / vi
-    return total
+    + sum_{K3} u_k delta_k / v_i, with K1 = {u_k >= v_i}, K2 = {v_k <= v_i}:
+    the partition sum with log b = u and t = v - u."""
+    gaps = [vk - uk for uk, vk in zip(inp.u, inp.v)]
+    return _theta_sum(i, inp.u, gaps, inp.deltas, k1_strict=False)
 
 
 def mtp_dimension(inp: MtpInput) -> DimensionReport:
@@ -288,38 +290,12 @@ def conjectured_dim_hat(moduli, accumulation: AccumulationSet, deltas) -> Dimens
     mods = _check_moduli(moduli)
     if not accumulation.bounded:
         raise UnboundedU("accumulation set has an infinite coordinate")
-    best = None
-    for point in accumulation.points:
-        vals = [conjectured_theta_hat(i, mods, point, deltas) for i in range(len(mods))]
-        i_min = int(np.argmin(vals))
-        if best is None or vals[i_min] > best[0]:
-            best = (vals[i_min], point, i_min)
+    value, point, i_min = _sup_min(accumulation.points, len(mods),
+                                   lambda i, t: conjectured_theta_hat(i, mods, t, deltas))
     return DimensionReport(
-        value=best[0], method="conj_hat", argmin_index=best[2],
-        attained_t=tuple(best[1]), conjectural=True,
+        value=value, method="conj_hat", argmin_index=i_min,
+        attained_t=tuple(point), conjectural=True,
     )
-
-
-def _theta_unbounded(i, logb, t, drop_infinite: bool) -> float:
-    """theta_i at a t-vector that may carry +inf coordinates.
-
-    Infinite coordinates can never join K2; with ``drop_infinite`` they are
-    removed from every sum (the reduced lower-bound variant).
-    """
-    d = len(logb)
-    thr = logb[i] + t[i]
-    total = 0.0
-    for k in range(d):
-        infinite = math.isinf(t[k])
-        if drop_infinite and infinite:
-            continue
-        if logb[k] > thr:
-            total += 1.0
-        elif not infinite and logb[k] + t[k] <= thr:
-            total += 1.0 - t[k] / thr
-        else:
-            total += logb[k] / thr
-    return total
 
 
 def unbounded_bounds(moduli, accumulation: AccumulationSet) -> tuple[float, float]:
@@ -338,8 +314,9 @@ def unbounded_bounds(moduli, accumulation: AccumulationSet) -> tuple[float, floa
         finite = [i for i in range(len(mods)) if math.isfinite(t[i])]
         if not finite:
             continue
-        red = min(_theta_unbounded(i, logb, t, drop_infinite=True) for i in finite)
-        ful = min(_theta_unbounded(i, logb, t, drop_infinite=False) for i in finite)
+        kept = [0.0 if math.isinf(v) else 1.0 for v in t]
+        red = min(_theta_sum(i, logb, t, kept) for i in finite)
+        ful = min(_theta_sum(i, logb, t, [1.0] * len(t)) for i in finite)
         lower = max(lower, min(red, float(len(finite))))
         upper = max(upper, min(ful, float(len(finite))))
     return lower, upper

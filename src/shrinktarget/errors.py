@@ -66,6 +66,10 @@ class AmbiguityBudgetExceeded(RuntimeError):
     """Interval-arithmetic indecision exceeded the configured fraction of hits."""
 
 
+class StartLawUnsupported(ValueError):
+    """Random starts drawn from a law the counting law is not known to hold for."""
+
+
 class ConfigInvalid(ValueError):
     """Experiment config failed validation; ``field`` is the offending key path."""
 

@@ -5,9 +5,10 @@ The density is a step function built from the orbit of 1:
     h_beta(x) = F(beta)^-1 * sum over { n >= 0 : orbit condition at x } of beta^-n
 
 with condition x < T^n(1) for beta > 1 and T^n(1) >= x for beta < -1, and
-F(beta) the normalizing integral.  The orbit is computed at high
-precision (the map is expanding, so float64 iteration of the orbit of 1
-would drift uselessly) and truncated once the geometric tail
+F(beta) the normalizing integral.  The orbit is ``orbits.orbit_of_one``,
+worked at high precision (the map is expanding, so float64 iteration of
+the orbit of 1 would drift uselessly), and F(beta) is summed at that
+precision too.  The orbit is truncated once the geometric tail
 |beta|^-N / (|beta|-1) clears the requested tolerance.  It is then
 turned into one table of cell edges, cell heights and cumulative masses,
 so the CDF is piecewise linear and every query is a lookup.
@@ -23,45 +24,11 @@ import mpmath
 import numpy as np
 
 from .errors import TolUnreachable
-from .orbits import as_fraction, is_symbolic, symbolic_value
+from .orbits import as_fraction, is_symbolic, mp_value, orbit_of_one, symbolic_value
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
 _MAX_TERMS = 200_000
-
-
-def _orbit_of_one(beta, n_terms: int) -> tuple[np.ndarray, float]:
-    """First n_terms points of T_beta on 1 (starting at 1), plus F(beta).
-
-    Returns float64 orbit values accurate to far below float resolution,
-    computed at a precision budget covering the expansion over n_terms
-    steps.  The orbit is cut short if it hits an exact fixed point at 0
-    (integer beta, golden ratio, ...), which makes the series finite and
-    the truncation error exactly zero.
-    """
-    absb = abs(float(beta_float(beta)))
-    bits = 96 + math.ceil(n_terms * math.log2(absb)) + 32
-    with mpmath.workprec(bits):
-        if is_symbolic(beta):
-            b = symbolic_value(beta, bits)
-        else:
-            frac = as_fraction(beta)
-            b = mpmath.mpf(frac.numerator) / frac.denominator
-        snap = mpmath.mpf(2) ** (-(bits // 2))
-        orbit = [mpmath.mpf(1)]
-        for _ in range(n_terms - 1):
-            z = b * orbit[-1]
-            f = z - mpmath.floor(z)
-            if f < snap:
-                f = mpmath.mpf(0)
-            elif f > 1 - snap:
-                f = mpmath.mpf(0)
-            orbit.append(f)
-            if f == 0:
-                break
-        powers = [b ** -n for n in range(len(orbit))]
-        normalizer = float(mpmath.fsum(p * o for p, o in zip(powers, orbit)))
-        return np.array([float(v) for v in orbit]), normalizer
 
 
 def beta_float(beta) -> float:
@@ -123,8 +90,11 @@ class ParryYrrapMeasure:
             raise TolUnreachable(
                 f"tolerance {tol} needs {n_terms} series terms (cap {max_terms})"
             )
-        orbit, normalizer = _orbit_of_one(beta, n_terms)
-        self.normalizer = normalizer
+        points, _, bits = orbit_of_one(beta, n_terms - 1)
+        b_mp = mp_value(beta, bits)
+        with mpmath.workprec(bits):
+            self.normalizer = float(mpmath.fsum(b_mp ** -n * y for n, y in enumerate(points)))
+        orbit = np.array([float(y) for y in points])
         self._truncated_exactly = len(orbit) < n_terms or orbit[-1] == 0.0
         self.truncation_order = len(orbit)
         self.tol = tol
@@ -134,7 +104,7 @@ class ParryYrrapMeasure:
                               minlength=len(self.edges))
         # The density is non-negative; a negative suffix sum is truncation error.
         suffix = np.append(np.cumsum(at_edge[::-1])[::-1], 0.0)
-        self.heights = np.maximum(suffix / normalizer, 0.0)
+        self.heights = np.maximum(suffix / self.normalizer, 0.0)
         self.masses = np.concatenate(([0.0], np.cumsum(self.heights[1:-1] * np.diff(self.edges))))
 
     @property

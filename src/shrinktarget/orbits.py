@@ -4,7 +4,8 @@ Orbits are tracked as enclosures with dyadic-rational endpoints
 (``num / 2**bits``) and directed rounding, for real multipliers and
 integer matrices alike; the one orbit stepper is :func:`orbit_enclosures`.
 (Integer diagonal systems are also counted from base-b digit arrays, in
-``counting``.)
+``counting``.)  The orbit of 1, which the invariant measures and the
+cylinder automaton are built from, is :func:`orbit_of_one`.
 
 All scalar inputs are interpreted as the exact binary value passed: a float
 is the dyadic rational it stores.  The tokens ``"g"``/``"golden"`` and
@@ -90,6 +91,44 @@ def symbolic_value(token: str, bits: int) -> mpmath.mpf:
     with mpmath.workprec(bits):
         val = (1 + mpmath.sqrt(5)) / 2 if name in _GOLDEN else +mpmath.e
         return -val if negative else val
+
+
+def mp_value(x: Number, bits: int) -> mpmath.mpf:
+    """x at ``bits`` bits: a symbolic token's value, or a rational rounded once."""
+    if is_symbolic(x):
+        return symbolic_value(x, bits)
+    frac = as_fraction(x)
+    with mpmath.workprec(bits):
+        return mpmath.mpf(frac.numerator) / frac.denominator
+
+
+def orbit_of_one(beta: Number, steps: int) -> tuple[list, list, int]:
+    """(points, digits, bits): the orbit of 1 under x -> beta*x mod 1.
+
+    points[j] = T^j(1) as mpf values (points[0] = 1) and digits[j] =
+    floor(beta * points[j]), for up to ``steps`` steps, worked at
+    bits = max(320, 2 (ceil(steps log2|beta|) + 80)).  A fractional part
+    within 2^-(bits/2) of 0 or 1 snaps to 0 (the digit rounding up in the
+    second case), so algebraic coincidences such as the golden ratio's
+    1 = 1/g + 1/g^2 end the orbit exactly.  The orbit stops at its first
+    0, so len(points) = len(digits) + 1.
+    """
+    bits = max(320, 2 * (math.ceil(steps * math.log2(abs(float(resolve_scalar(beta))))) + 80))
+    b = mp_value(beta, bits)
+    with mpmath.workprec(bits):
+        snap = mpmath.mpf(2) ** (-(bits // 2))
+        points, digits = [mpmath.mpf(1)], []
+        while len(digits) < steps and points[-1] != 0:
+            z = b * points[-1]
+            k = int(mpmath.floor(z))
+            f = z - k
+            if f < snap:
+                f = mpmath.mpf(0)
+            elif f > 1 - snap:
+                k, f = k + 1, mpmath.mpf(0)
+            digits.append(k)
+            points.append(f)
+    return points, digits, bits
 
 
 def resolve_scalar(x: Number, bits: int = 96) -> Fraction:

@@ -130,28 +130,22 @@ class RateFunction:
         estimate (min over the tail half of the horizon) returned together
         with the window it was taken over.
         """
+        return self.subsampled_lower_order(1, horizon)
+
+    def subsampled_lower_order(self, k: int, horizon: Optional[int] = None):
+        """liminf over multiples of k of -log psi(kn) / (kn).
+
+        Equals lambda(psi) for decreasing psi.  Closed form for symbolic
+        kinds (where it holds with no monotonicity caveat): t, 0 and +inf.
+        """
+        if k < 1:
+            raise ValueError("k must be >= 1")
         if self.kind == "exponential":
             return self.t
         if self.kind == "power":
             return 0.0
         if self.kind == "superexponential":
             return math.inf
-        n_max = min(horizon or len(self.values), len(self.values))
-        lo = max(1, n_max // 2)
-        ns = np.arange(lo, n_max + 1)
-        vals = -np.log(self.psi(ns)) / ns
-        return float(vals.min()), (int(lo), int(n_max))
-
-    def subsampled_lower_order(self, k: int, horizon: Optional[int] = None):
-        """liminf over multiples of k of -log psi(kn) / (kn).
-
-        Equals lambda(psi) for decreasing psi.  Closed form for symbolic
-        kinds (where it holds with no monotonicity caveat).
-        """
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if self.kind in ("exponential", "power", "superexponential"):
-            return self.lower_order()
         n_max = min(horizon or len(self.values), len(self.values)) // k
         if n_max < 1:
             raise OutOfTable("table too short for this subsampling")
@@ -214,29 +208,14 @@ def accumulation_set(rates: Sequence[RateFunction], horizon: int = 2000,
     set is a singleton; table kinds are clustered numerically over the
     horizon tail and the cluster radius is reported.
     """
-    limits = []
-    any_table = False
-    for r in rates:
-        if r.kind == "exponential":
-            limits.append((r.t,))
-        elif r.kind == "power":
-            limits.append((0.0,))
-        elif r.kind == "superexponential":
-            limits.append((math.inf,))
-        else:
-            any_table = True
-            limits.append(None)
-    if not any_table:
-        return AccumulationSet((tuple(l[0] for l in limits),))
-    n_hi = min(horizon, min(len(r.values) for r in rates if r.kind == "table"))
+    tables = [r for r in rates if r.kind == "table"]
+    if not tables:
+        return AccumulationSet((tuple(r.lower_order() for r in rates),))
+    n_hi = min(horizon, min(len(r.values) for r in tables))
     n_lo = max(1, n_hi // 2)
     ns = np.arange(n_lo, n_hi + 1)
-    cols = []
-    for r, lim in zip(rates, limits):
-        if lim is None:
-            cols.append(-np.log(r.psi(ns)) / ns)
-        else:
-            cols.append(np.full(len(ns), lim[0]))
+    cols = [-np.log(r.psi(ns)) / ns if r.kind == "table" else np.full(len(ns), r.lower_order())
+            for r in rates]
     pts = np.stack(cols, axis=1)
     clusters: list[np.ndarray] = []
     for row in pts:

@@ -18,8 +18,9 @@ from shrinktarget.cli import (
     validate,
 )
 from shrinktarget.errors import AmbiguityBudgetExceeded, ConfigInvalid, Indeterminate
+from shrinktarget.measures import ProductMeasure
 from shrinktarget.orbits import DiagonalTorusSystem, IntegerMatrixSystem, orbit_enclosures
-from shrinktarget.targets import hyperboloid_volume
+from shrinktarget.targets import RateFunction, ball, hyperboloid_volume, phi_values
 
 
 class TestParsing:
@@ -437,6 +438,35 @@ class TestCountSweep:
         assert code == 0
         _, n, _, _, phi, _ = (tmp_path / "count.csv").read_text().splitlines()[1].split(",")
         assert n == "50" and float(phi) > 0
+
+    def test_lebesgue_phi_is_the_parry_phi(self, tmp_path):
+        # Phi sums the invariant (Parry) measure from Lebesgue starts too
+        code = main(["count", "--system", "diag:g,g", "--center", "0.3,0.3",
+                     "--rate", "pow:0.5,0.25", "--checkpoints", "100,1000", "--steps", "1000",
+                     "--samples", "2", "--seed", "5", "--out", str(tmp_path)])
+        assert code == 0
+        rows = (tmp_path / "count.csv").read_text().splitlines()[1:]
+        target = ball((Fraction(3, 10),) * 2, RateFunction.power(0.5, 0.25))
+        want = phi_values(target, [100, 1000], measure=ProductMeasure(["g", "g"]))
+        assert [float(row.split(",")[4]) for row in rows] == list(want) * 2
+
+    def test_lebesgue_starts_inside_minus_g_are_three(self, tmp_path, capsys):
+        code = main(["count", "--system", "diag:-1.3", "--center", "0.3",
+                     "--rate", "pow:0.5,0.25", "--steps", "50", "--seed", "1",
+                     "--out", str(tmp_path)])
+        assert code == 3
+        assert "(-g, -1)" in capsys.readouterr().err
+        assert main(["count", "--system", "diag:-1.3", "--center", "0.3",
+                     "--rate", "pow:0.5,0.25", "--measure", "parry", "--steps", "50",
+                     "--seed", "1", "--out", str(tmp_path)]) == 0
+
+    def test_hyperboloid_past_two_dimensions_from_lebesgue_is_three(self, tmp_path, capsys):
+        # Phi needs the Parry nu-volumes whatever the start law
+        code = main(["count", "--system", "diag:e,g,g", "--shape", "hyperboloid",
+                     "--center", "0,0,0", "--rate", "pow:0.05,0.2", "--steps", "50",
+                     "--seed", "1", "--out", str(tmp_path)])
+        assert code == 3
+        assert "exact for d <= 2 only" in capsys.readouterr().err
 
     def test_hyperboloid_under_parry_past_two_dimensions_is_three(self, tmp_path, capsys):
         code = main(["count", "--system", "diag:g,g,g", "--shape", "hyperboloid",

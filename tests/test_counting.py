@@ -24,12 +24,15 @@ from shrinktarget.counting import (
     correlation_series,
     count_hits,
     fit_exponential,
+    invariant_measure,
     monte_carlo_counting,
     paley_zygmund_bound,
     variance_check,
     window_hits,
 )
-from shrinktarget.errors import BudgetTooLarge, DegenerateF, PrecisionExhausted
+from shrinktarget.errors import (
+    BudgetTooLarge, DegenerateF, PrecisionExhausted, StartLawUnsupported,
+)
 from shrinktarget.measures import ParryYrrapMeasure, ProductMeasure
 from shrinktarget.orbits import (
     DiagonalTorusSystem, IntegerMatrixSystem, UnitRealInterval, as_fraction, iterate,
@@ -648,6 +651,42 @@ class TestEngineDispatch:
         res = count_hits(system, t, x, 200, rng=np.random.default_rng(1),
                          measure=measure and ProductMeasure(measure))
         assert res.final.r_hi >= res.final.r_lo >= 0
+
+
+class TestInvariantPhi:
+    """Phi sums the system's invariant measure, whatever law draws the starts."""
+
+    def test_invariant_measure(self):
+        assert invariant_measure(DiagonalTorusSystem((2, -3))) is None
+        assert invariant_measure(IntegerMatrixSystem(((2, 1), (1, 1)))) is None
+        nu = invariant_measure(DiagonalTorusSystem(("e", 2)))
+        assert [mu.beta for mu in nu.factors] == [math.e, 2.0]
+
+    def test_lebesgue_starts_on_the_interval_engine(self, monkeypatch):
+        monkeypatch.setattr(counting, "_count_digit_engine", _refused)
+        t = ball((0.3, 0.3), RateFunction.power(0.5, 0.25))
+        samples = 8
+        summary = monte_carlo_counting(DiagonalTorusSystem(("e", "g")), t, samples, 1500,
+                                       seed=5, checkpoints=[500])
+        phi = phi_values(t, [500, 1500], measure=ProductMeasure(["e", "g"]))
+        for res in summary.results:
+            assert [row.phi for row in res.checkpoints] == list(phi)
+        mean = sum(res.final.r_mid for res in summary.results) / samples
+        assert abs(mean - phi[-1]) <= 6 * math.sqrt(2 * phi[-1] / samples)
+
+    def test_lebesgue_starts_refused_inside_minus_g(self):
+        system = DiagonalTorusSystem((-1.3,))
+        t = ball((0.3,), RateFunction.power(0.5, 0.25))
+        with pytest.raises(StartLawUnsupported):
+            count_hits(system, t, None, 50, rng=np.random.default_rng(1))
+        with pytest.raises(StartLawUnsupported):
+            count_hits(system, t, None, 50, measure=ProductMeasure([-1.5]),
+                       rng=np.random.default_rng(1))
+        res = count_hits(system, t, None, 50, measure=ProductMeasure([-1.3]),
+                         rng=np.random.default_rng(1))
+        assert res.final.phi == phi_values(t, [50], measure=ProductMeasure([-1.3]))[0]
+        # a given point is the caller's own start
+        assert count_hits(system, t, (Fraction(1, 3),), 50).final.n == 50
 
 
 class TestMonteCarloCounting:

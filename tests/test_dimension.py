@@ -276,6 +276,24 @@ class TestMtp:
             want = dim_ball([2, 3], t).value
             assert got == pytest.approx(want, abs=1e-4)
 
+    def test_score_is_the_weighted_partition_sum(self):
+        # log b = u and t = v - u, with a non-strict K1, turn the weighted
+        # theta_i into s(u, v, i); some t sit exactly on a K1 boundary
+        rng = np.random.default_rng(30)
+        for _ in range(300):
+            mods = _random_instance(rng)
+            logb = [math.log(m) for m in mods]
+            d = len(mods)
+            t = [float(v) for v in rng.uniform(0.01, 2, d)]
+            for j in range(d - 1):
+                if rng.random() < 0.3:
+                    t[j] = max(logb[int(rng.integers(j + 1, d))] - logb[j], 0.01)
+            w = [float(v) for v in rng.uniform(0.1, 1.0, d)]
+            inp = MtpInput(w, logb, [a + b for a, b in zip(logb, t)])
+            for i in range(d):
+                want = theta_rect(i, mods, t, weights=w, k1_strict=False)
+                assert mtp_score(inp, i) == pytest.approx(want, abs=1e-12)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             MtpInput(deltas=(1.0,), u=(0.5,), v=(0.5,))
@@ -362,6 +380,22 @@ class TestUnboundedBounds:
                     t[k] = math.inf
             lo, hi = unbounded_bounds(mods, AccumulationSet((tuple(t),)))
             assert lo <= hi + 1e-12
+
+    def test_lower_bound_drops_infinite_coordinates(self):
+        # the reduced theta_i is theta_rect with weight 0 on every t_k = inf
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            mods = _random_instance(rng)
+            t = [math.inf if rng.random() < 0.4 else float(v)
+                 for v in rng.uniform(0, 2, len(mods))]
+            finite = [i for i in range(len(mods)) if math.isfinite(t[i])]
+            if not finite:
+                continue
+            w = [0.0 if math.isinf(v) else 1.0 for v in t]
+            want = min(min(theta_rect(i, mods, t, weights=w) for i in finite),
+                       len(finite))
+            lo, _ = unbounded_bounds(mods, AccumulationSet((tuple(t),)))
+            assert lo == pytest.approx(want, abs=1e-12)
 
     def test_rect_rejects_unbounded(self):
         with pytest.raises(UnboundedU):
