@@ -17,22 +17,21 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__
 from .errors import (
     AmbiguityBudgetExceeded,
-    BudgetTooLarge,
     ConfigInvalid,
     Indeterminate,
     PrecisionExhausted,
-    SlopeTooSmall,
     TolUnreachable,
 )
 from .counting import correlation_series, monte_carlo_counting
@@ -47,7 +46,7 @@ from .dimension import (
     mtp_dimension,
     unbounded_bounds,
 )
-from .markov import beta_map, build_markov, entropy_and_dim, is_primitive, power_map
+from .markov import build_markov, entropy_and_dim, is_primitive, power_map
 from .measures import ParryYrrapMeasure, ProductMeasure
 from .orbits import (
     DiagonalTorusSystem,
@@ -66,8 +65,6 @@ from .targets import (
     hyperboloid_volume,
     lebesgue_volume,
 )
-
-STOCHASTIC_COMMANDS = {"count", "mixing"}
 
 TOLERANCES = {
     "measure_truncation_tail": 1e-12,
@@ -96,8 +93,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        if "command" not in data:
+        if not isinstance(data, dict) or "command" not in data:
             raise ConfigInvalid("config missing 'command'", field="command")
+        if not isinstance(data.get("params", {}), dict):
+            raise ConfigInvalid("config 'params' must be an object", field="params")
         return cls(command=data["command"], params=dict(data.get("params", {})))
 
     def canonical_json(self) -> str:
@@ -123,18 +122,22 @@ class RunManifest:
         return dataclasses.asdict(self)
 
 
-def _parse_scalar(text: str) -> float:
-    token = text.strip()
-    return float(resolve_scalar(token)) if is_symbolic(token) else float(token)
+REQUIRED = object()  # table default of a parameter that must be given
+
+
+class Command(NamedTuple):
+    help: str
+    handler: Callable
+    # name -> (parser, default); the default is a typed value, REQUIRED, or
+    # a function of the parameters parsed before it that returns either
+    params: dict
 
 
 def parse_system(text: str):
     kind, _, rest = text.partition(":")
     if kind == "diag":
         vals = [v.strip() for v in rest.split(",") if v.strip()]
-        betas = []
-        for v in vals:
-            betas.append(v.lower() if is_symbolic(v) else _number(v))
+        betas = [v.lower() if is_symbolic(v) else _number(v) for v in vals]
         degenerate = any(abs(float(resolve_scalar(b))) <= 1 for b in betas)
         if degenerate:
             return DiagonalTorusSystem.with_degenerate(tuple(betas))
@@ -174,12 +177,12 @@ def parse_rate(text: str) -> RateFunction:
     raise ConfigInvalid(f"unknown rate spec {text!r}", field="rate")
 
 
-def parse_point(text: str) -> tuple:
-    """Comma-separated coordinates, each read exactly ("1/3", "0.1", "2")."""
+def parse_point(value) -> tuple:
+    """A comma list or JSON array of coordinates, each read exactly ("1/3", "0.1")."""
     try:
-        return tuple(as_fraction(v) for v in text.split(","))
+        return tuple(as_fraction(v) for v in _items(value))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigInvalid(f"bad point {text!r}") from exc
+        raise ConfigInvalid(f"bad point {value!r}") from exc
 
 
 def parse_t_points(text: str) -> AccumulationSet:
@@ -190,118 +193,145 @@ def parse_t_points(text: str) -> AccumulationSet:
     return AccumulationSet(tuple(pts))
 
 
-def _center(params: dict) -> tuple:
-    center = params.get("center", "0")
-    return tuple(center) if isinstance(center, (list, tuple)) else parse_point(center)
+def _items(value):
+    return [v.strip() for v in value.split(",")] if isinstance(value, str) else value
 
 
-def _build_target(params: dict) -> TargetSpec:
-    shape = Shape(params.get("shape", "ball"))
-    center = _center(params)
-    if shape == Shape.RECTANGLE:
-        rates = tuple(parse_rate(r) for r in params["rates"])
-    else:
-        rates = (parse_rate(params["rate"]),)
-    return TargetSpec(shape, center, rates)
+def _each(parse):
+    """A parser of comma lists (flags) and JSON arrays, item by item."""
+    return lambda value: tuple(parse(v) for v in _items(value))
 
 
-# The parameters each dimension method reads.
-_DIMENSION_PARAMS = {
-    "ball": ("moduli", "lam"),
-    "rect": ("moduli", "t_points"),
-    "onedim": ("beta_modulus", "lam"),
-    "mult": ("moduli", "lam"),
-    "mtp": ("deltas", "u", "v"),
-    "markov": ("beta_modulus", "lam"),
-    "unbounded": ("moduli", "t_points"),
-    "hat": ("moduli", "t_points", "deltas"),
-}
+def _int(value) -> int:
+    return int(value) if isinstance(value, str) else operator.index(value)
 
 
-def validate(config: ExperimentConfig) -> list[str]:
-    """Diagnostics (never raises): each violated module hypothesis named.
+def _at_least(low: int):
+    def parse(value) -> int:
+        n = _int(value)
+        if n < low:
+            raise ValueError(f"must be >= {low}")
+        return n
+    return parse
+
+
+def _choice(*options):
+    def parse(value):
+        if value not in options:
+            raise ValueError(f"choose from {', '.join(options)}")
+        return value
+    return parse
+
+
+def _pair(value) -> tuple:
+    a, b = _each(float)(value)
+    return a, b
+
+
+def _lags(value) -> tuple:
+    """A range "lo:hi", a single lag "n", or a JSON array of lags."""
+    if not isinstance(value, str):
+        return _each(_int)(value)
+    lo, _, hi = value.partition(":")
+    lags = tuple(range(int(lo), int(hi or lo) + 1))
+    if not lags:
+        raise ValueError("empty range")
+    return lags
+
+
+def _scalar(value):
+    """A beta: a token as given (symbolic or exact), or a JSON number as a float."""
+    if isinstance(value, str):
+        resolve_scalar(value)  # refuses what is neither
+        return value
+    return float(value)
+
+
+def _modulus(value) -> float:
+    return abs(float(resolve_scalar(_scalar(value))))
+
+
+def parse_params(config: ExperimentConfig) -> dict:
+    """The config's parameters, typed and defaulted by its command's table.
+
+    A missing or refused value raises ConfigInvalid naming its flag.
+    Parameters the command does not declare are ignored.
+    """
+    if config.command not in COMMANDS:
+        raise ConfigInvalid(f"unknown command {config.command!r}", field="command")
+    out: dict = {}
+    for name, (parse, default) in COMMANDS[config.command].params.items():
+        flag = "--" + name.replace("_", "-")
+        value = config.params.get(name)
+        if value is None:
+            out[name] = default(out) if callable(default) else default
+            if out[name] is REQUIRED:
+                raise ConfigInvalid(f"{config.command} needs {flag}", field=name)
+            continue
+        try:
+            out[name] = parse(value)
+        except (ValueError, TypeError, AttributeError, ArithmeticError) as exc:
+            raise ConfigInvalid(f"bad {flag} {value!r}: {exc}", field=name) from exc
+    return out
+
+
+def _diagnostics(command: str, p: dict) -> list[str]:
+    """Module hypotheses the parsed parameters violate.
 
     "error:" entries make run() fail fast; "note:" entries are advisory.
     """
     out: list[str] = []
-    cmd = config.command
-    p = config.params
-    if cmd not in ("orbit", "count", "mixing", "volume", "dimension", "markov",
-                   "support", "measure"):
-        out.append(f"error: unknown command {cmd!r}")
-        return out
-    if cmd in STOCHASTIC_COMMANDS and p.get("seed") is None:
-        out.append("error: a seed is mandatory for stochastic commands")
-    if cmd in ("orbit", "count") and "system" in p:
+    system = p.get("system")
+    if isinstance(system, DiagonalTorusSystem) and system.degenerate:
+        out.append(
+            "error: counting requires every |beta_i| > 1; coordinates with "
+            "|beta| <= 1 must first go through the degenerate reduction"
+        )
+    if p.get("measure") == "parry" and not isinstance(system, DiagonalTorusSystem):
+        out.append("error: --measure parry needs a diagonal system")
+    if isinstance(system, IntegerMatrixSystem):
         try:
-            system = parse_system(p["system"])
-        except (ConfigInvalid, ValueError) as exc:
-            out.append(f"error: bad system spec ({exc})")
-            return out
-        if isinstance(system, DiagonalTorusSystem) and system.degenerate:
+            mods = eigenvalue_moduli(system)
+        except ArithmeticError as exc:
+            return out + [f"error: eigenvalue moduli not certified ({exc})"]
+        if min(mods) <= 1:
             out.append(
-                "error: counting requires every |beta_i| > 1; coordinates with "
-                "|beta| <= 1 must first go through the degenerate reduction"
+                "error: counting experiments require all eigenvalue moduli > 1 "
+                f"(got {mods})"
             )
-        if p.get("measure") == "parry" and not isinstance(system, DiagonalTorusSystem):
-            out.append("error: --measure parry needs a diagonal system")
-        if isinstance(system, IntegerMatrixSystem):
-            try:
-                mods = eigenvalue_moduli(system)
-            except ArithmeticError as exc:
-                out.append(f"error: eigenvalue moduli not certified ({exc})")
-                return out
-            if min(mods) <= 1:
-                out.append(
-                    "error: counting experiments require all eigenvalue moduli > 1 "
-                    f"(got {mods})"
-                )
-    if cmd == "markov":
-        beta = p.get("beta")
-        power = int(p.get("power", 1))
-        if beta is not None:
-            slope = abs(float(resolve_scalar(str(beta)))) ** power
-            if slope <= 8:
-                out.append(
-                    f"note: slope modulus {slope:.4g} <= 8; the Markov construction "
-                    "requires modulus > 8 (raise --power)"
-                )
-    if cmd == "dimension":
-        method = p.get("method", "ball")
-        missing = [f"error: dimension --method {method} needs --{k.replace('_', '-')}"
-                   for k in _DIMENSION_PARAMS.get(method, ()) if p.get(k) is None]
-        if missing:
-            return out + missing
-        if method == "rect":
-            try:
-                acc = parse_t_points(p.get("t_points", ""))
-                if not acc.bounded:
-                    out.append(
-                        "note: accumulation set has infinite coordinates; "
-                        "use --method unbounded for two-sided bounds"
-                    )
-            except (ValueError, ConfigInvalid):
-                out.append("error: bad t_points")
-        if p.get("rate", "").startswith("superexp") and method == "rect":
+    for name in ("x", "center"):
+        if name in p and len(p[name]) != system.d:
+            out.append(f"error: --{name} has {len(p[name])} coordinates, "
+                       f"the system has d = {system.d}")
+    if command == "markov":
+        slope = abs(float(resolve_scalar(p["beta"]))) ** p["power"]
+        if slope <= 8:
             out.append(
-                "note: a superexponential rate has lower order +inf; "
-                "use --method unbounded"
+                f"note: slope modulus {slope:.4g} <= 8; the Markov construction "
+                "requires modulus > 8 (raise --power)"
             )
-    if cmd == "count" and p.get("shape") == "rectangle":
-        if not p.get("rates"):
-            out.append("error: a rectangle target needs --rates")
-    elif cmd == "count" or (cmd == "volume" and p.get("delta") is None):
-        if p.get("rate") is None:
-            out.append(f"error: {cmd} needs --rate")
-            return out
-    if cmd == "count" and p.get("shape") == "hyperboloid":
-        rate = parse_rate(p["rate"])
-        if rate.psi(1) >= 2.0 ** -len(_center(p)):
-            out.append(
-                "note: psi(1) >= 2^-d, so the closed-form hyperboloid volume "
-                "caps at 1 for early n"
-            )
+    if command == "dimension" and p["method"] == "rect" and not p["t_points"].bounded:
+        out.append(
+            "note: accumulation set has infinite coordinates; "
+            "use --method unbounded for two-sided bounds"
+        )
+    if (command == "count" and p["shape"] is Shape.HYPERBOLOID
+            and p["rate"].psi(1) >= 2.0 ** -system.d):
+        out.append(
+            "note: psi(1) >= 2^-d, so the closed-form hyperboloid volume "
+            "caps at 1 for early n"
+        )
     return out
+
+
+def validate(config: ExperimentConfig) -> list[str]:
+    """Diagnostics (never raises): the parse's refusal, or each violated
+    module hypothesis named."""
+    try:
+        params = parse_params(config)
+    except ConfigInvalid as exc:
+        return [f"error: {exc}"]
+    return _diagnostics(config.command, params)
 
 
 def _float_str(x) -> str:
@@ -329,7 +359,8 @@ def _digest(path: Path) -> str:
 def run(config: ExperimentConfig, out_dir: Path, jobs: int = 1,
         manifest_only: bool = False) -> RunManifest:
     """Execute a config; outputs land in out_dir next to the manifest."""
-    diagnostics = validate(config)
+    params = parse_params(config)
+    diagnostics = _diagnostics(config.command, params)
     errors = [d for d in diagnostics if d.startswith("error:")]
     if errors:
         raise ConfigInvalid("; ".join(errors))
@@ -340,13 +371,12 @@ def run(config: ExperimentConfig, out_dir: Path, jobs: int = 1,
     clock = time.monotonic()
     outputs: dict[str, str] = {}
     if not manifest_only:
-        handler = _HANDLERS[config.command]
-        for path in handler(config.params, out_dir, jobs):
+        for path in COMMANDS[config.command].handler(params, out_dir, jobs):
             outputs[path.name] = _digest(path)
     finished = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     manifest = RunManifest(
         config_hash=config.config_hash,
-        seed=config.params.get("seed"),
+        seed=params.get("seed"),
         tool_version=__version__,
         started_at=started,
         finished_at=finished,
@@ -358,15 +388,11 @@ def run(config: ExperimentConfig, out_dir: Path, jobs: int = 1,
     return manifest
 
 
-def _cmd_orbit(params: dict, out_dir: Path, jobs: int):
-    system = parse_system(params["system"])
-    x = parse_point(params["x"])
-    steps = int(params["steps"])
-    stride = int(params.get("stride", 1))
-    bits = params.get("precision_bits")
+def _cmd_orbit(p: dict, out_dir: Path, jobs: int):
+    steps, stride = p["steps"], p["stride"]
     rows = [
         (n, i, *iv.outward_floats())
-        for n, point in orbit_enclosures(system, x, steps, int(bits) if bits else None)
+        for n, point in orbit_enclosures(p["system"], p["x"], steps, p["precision_bits"])
         if n % stride == 0 or n == steps
         for i, iv in enumerate(point)
     ]
@@ -375,27 +401,17 @@ def _cmd_orbit(params: dict, out_dir: Path, jobs: int):
     return [path]
 
 
-def _cmd_count(params: dict, out_dir: Path, jobs: int):
-    system = parse_system(params["system"])
-    target = _build_target(params)
-    n_steps = int(params["steps"])
-    samples = int(params.get("samples", 1))
-    seed = int(params["seed"])
-    checkpoints = [int(v) for v in params.get("checkpoints", [n_steps])]
-    epsilon = float(params.get("epsilon", 0.5))
-    band_tol = float(params.get("band_tol", 0.2))
-    measure = None
-    if params.get("measure") == "parry":
-        measure = ProductMeasure(system.betas)
+def _cmd_count(p: dict, out_dir: Path, jobs: int):
+    system, shape = p["system"], p["shape"]
+    rates = p["rates"] if shape is Shape.RECTANGLE else (p["rate"],)
     summary = monte_carlo_counting(
-        system, target, samples, n_steps, seed, checkpoints=checkpoints,
-        epsilon=epsilon, band_tol=band_tol, measure=measure, jobs=jobs,
-        ambiguity_budget=TOLERANCES["ambiguity_budget"], strict_ambiguity=True,
+        system, TargetSpec(shape, p["center"], rates), p["samples"], p["steps"], p["seed"],
+        checkpoints=p["checkpoints"], epsilon=p["epsilon"], band_tol=p["band_tol"],
+        measure=ProductMeasure(system.betas) if p["measure"] == "parry" else None,
+        jobs=jobs, ambiguity_budget=TOLERANCES["ambiguity_budget"], strict_ambiguity=True,
     )
-    rows = []
-    for res in summary.results:
-        for row in res.checkpoints:
-            rows.append((res.sample_id, row.n, row.r_lo, row.r_hi, row.phi, row.e))
+    rows = [(res.sample_id, row.n, row.r_lo, row.r_hi, row.phi, row.e)
+            for res in summary.results for row in res.checkpoints]
     path = out_dir / "count.csv"
     _write_csv(path, ["sample_id", "N", "R_lo", "R_hi", "Phi", "e"], rows)
     summary_path = out_dir / "count_summary.json"
@@ -404,26 +420,16 @@ def _cmd_count(params: dict, out_dir: Path, jobs: int):
         "band_tol": summary.band_tol,
         "max_abs_e": summary.max_abs_e,
         "phi_final": summary.phi_final,
-        "samples": samples,
-        "seed": seed,
+        "samples": p["samples"],
+        "seed": p["seed"],
     })
     return [path, summary_path]
 
 
-def _cmd_mixing(params: dict, out_dir: Path, jobs: int):
-    beta = params["beta"]
-    e_set = tuple(float(v) for v in params["set_e"])
-    f_set = tuple(float(v) for v in params["set_f"])
-    lags = params.get("lags", list(range(1, 26)))
-    if isinstance(lags, str):
-        lo, _, hi = lags.partition(":")
-        lags = list(range(int(lo), int(hi or lo) + 1))
-    method = params.get("method", "exact")
-    samples = params.get("samples")
+def _cmd_mixing(p: dict, out_dir: Path, jobs: int):
     series = correlation_series(
-        beta if isinstance(beta, str) else float(beta), e_set, f_set, lags,
-        num_samples=int(samples) if samples else None,
-        seed=int(params["seed"]), method=method,
+        p["beta"], p["set_e"], p["set_f"], p["lags"],
+        num_samples=p["samples"], seed=p["seed"], method=p["method"],
     )
     path = out_dir / "mixing.csv"
     _write_csv(path, ["n", "phi_hat", "stderr"],
@@ -434,76 +440,26 @@ def _cmd_mixing(params: dict, out_dir: Path, jobs: int):
         "fit_c": series.fit_c,
         "fit_gamma": series.fit_gamma,
         "fit_r2": series.fit_r2,
-        "method": method,
+        "method": p["method"],
     })
     return [path, fit_path]
 
 
-def _cmd_volume(params: dict, out_dir: Path, jobs: int):
-    d = int(params["d"])
-    shape = params.get("shape", "hyperboloid")
+def _cmd_volume(p: dict, out_dir: Path, jobs: int):
+    d, shape, delta = p["d"], p["shape"], p["delta"]
     path = out_dir / "volume.csv"
-    if "delta" in params and params["delta"] is not None:
-        delta = float(params["delta"])
-        if shape == "hyperboloid":
+    if delta is not None:
+        if shape is Shape.HYPERBOLOID:
             vol = hyperboloid_volume(d, delta)
         else:
             vol = min(1.0, 2.0 * delta) ** d
         _write_csv(path, ["n", "volume"], [(0, vol)])
         return [path]
-    rate = parse_rate(params["rate"])
-    steps = int(params.get("steps", 100))
-    target = TargetSpec(Shape(shape), (0.0,) * d, (rate,) * (d if shape == "rectangle" else 1))
-    ns = np.arange(1, steps + 1)
+    target = TargetSpec(shape, (0.0,) * d, (p["rate"],) * (d if shape is Shape.RECTANGLE else 1))
+    ns = np.arange(1, p["steps"] + 1)
     vols = lebesgue_volume(target, ns)
     _write_csv(path, ["n", "volume"], [(int(n), float(v)) for n, v in zip(ns, vols)])
     return [path]
-
-
-def _cmd_dimension(params: dict, out_dir: Path, jobs: int):
-    method = params.get("method", "ball")
-    payload: dict
-    if method == "ball":
-        report = dim_ball(_moduli(params), float(params["lam"]))
-        payload = _report_dict(report)
-    elif method == "rect":
-        report = dim_rect(_moduli(params), parse_t_points(params["t_points"]))
-        payload = _report_dict(report)
-    elif method == "onedim":
-        payload = {"value": dim_onedim(float(params["beta_modulus"]), float(params["lam"])),
-                   "method": "onedim"}
-    elif method == "mult":
-        payload = {"value": dim_mult(_moduli(params), float(params["lam"])),
-                   "method": "mult"}
-    elif method == "mtp":
-        inp = MtpInput(
-            deltas=tuple(float(v) for v in params["deltas"]),
-            u=tuple(float(v) for v in params["u"]),
-            v=tuple(float(v) for v in params["v"]),
-        )
-        payload = _report_dict(mtp_dimension(inp))
-    elif method == "markov":
-        lam_lb, dim_lb = markov_bounds(float(params["beta_modulus"]), float(params["lam"]))
-        payload = {"value": lam_lb, "dim_lb": dim_lb, "method": "markov_lb"}
-    elif method == "unbounded":
-        lo, hi = unbounded_bounds(_moduli(params), parse_t_points(params["t_points"]))
-        payload = {"lower": lo, "upper": hi, "method": "unbounded_bounds"}
-    elif method == "hat":
-        report = conjectured_dim_hat(
-            _moduli(params), parse_t_points(params["t_points"]),
-            tuple(float(v) for v in params["deltas"]),
-        )
-        payload = _report_dict(report)
-        payload["conjectural"] = True
-    else:
-        raise ConfigInvalid(f"unknown dimension method {method!r}", field="method")
-    path = out_dir / "dimension.json"
-    _write_json(path, payload)
-    return [path]
-
-
-def _moduli(params: dict) -> list[float]:
-    return [abs(_parse_scalar(str(v))) for v in params["moduli"]]
 
 
 def _report_dict(report) -> dict:
@@ -518,19 +474,47 @@ def _report_dict(report) -> dict:
     }
 
 
-def _cmd_markov(params: dict, out_dir: Path, jobs: int):
-    beta = params["beta"]
-    power = int(params.get("power", 1))
-    pl = power_map(str(beta) if isinstance(beta, str) else float(beta), power) \
-        if power > 1 else beta_map(str(beta) if isinstance(beta, str) else float(beta))
-    subsystem = build_markov(pl)
+# dimension method -> (the parameters it needs, its JSON report)
+_METHODS = {
+    "ball": (("moduli", "lam"), lambda p: _report_dict(dim_ball(p["moduli"], p["lam"]))),
+    "rect": (("moduli", "t_points"),
+             lambda p: _report_dict(dim_rect(p["moduli"], p["t_points"]))),
+    "onedim": (("beta_modulus", "lam"), lambda p: {
+        "value": dim_onedim(p["beta_modulus"], p["lam"]), "method": "onedim"}),
+    "mult": (("moduli", "lam"), lambda p: {
+        "value": dim_mult(p["moduli"], p["lam"]), "method": "mult"}),
+    "mtp": (("deltas", "u", "v"),
+            lambda p: _report_dict(mtp_dimension(MtpInput(p["deltas"], p["u"], p["v"])))),
+    "markov": (("beta_modulus", "lam"), lambda p: dict(
+        zip(("value", "dim_lb"), markov_bounds(p["beta_modulus"], p["lam"])),
+        method="markov_lb")),
+    "unbounded": (("moduli", "t_points"), lambda p: dict(
+        zip(("lower", "upper"), unbounded_bounds(p["moduli"], p["t_points"])),
+        method="unbounded_bounds")),
+    "hat": (("moduli", "t_points", "deltas"), lambda p: dict(
+        _report_dict(conjectured_dim_hat(p["moduli"], p["t_points"], p["deltas"])),
+        conjectural=True)),
+}
+
+
+def _method_needs(name: str):
+    return lambda p: REQUIRED if name in _METHODS[p["method"]][0] else None
+
+
+def _cmd_dimension(p: dict, out_dir: Path, jobs: int):
+    path = out_dir / "dimension.json"
+    _write_json(path, _METHODS[p["method"]][1](p))
+    return [path]
+
+
+def _cmd_markov(p: dict, out_dir: Path, jobs: int):
+    subsystem = build_markov(power_map(p["beta"], p["power"]))
     primitive, witness = is_primitive(subsystem.matrix)
     h_top, dim_est = entropy_and_dim(subsystem.matrix, subsystem.slope_modulus)
-    sparse_rows = [list(range(lo, hi)) for lo, hi in subsystem.rows]
     path = out_dir / "markov.json"
     _write_json(path, {
-        "pieces": [list(p) for p in subsystem.pieces],
-        "matrix_sparse_rows": sparse_rows,
+        "pieces": [list(piece) for piece in subsystem.pieces],
+        "matrix_sparse_rows": [list(range(lo, hi)) for lo, hi in subsystem.rows],
         "kappa": subsystem.kappa,
         "slope_modulus": subsystem.slope_modulus,
         "certificates": subsystem.certificates,
@@ -542,54 +526,96 @@ def _cmd_markov(params: dict, out_dir: Path, jobs: int):
     return [path]
 
 
-def _cmd_support(params: dict, out_dir: Path, jobs: int):
-    beta = params["beta"]
-    tol = float(params.get("tol", TOLERANCES["support_threshold"]))
-    mu = ParryYrrapMeasure(str(beta) if isinstance(beta, str) else float(beta))
-    sup = mu.support(tol=tol)
+def _cmd_support(p: dict, out_dir: Path, jobs: int):
+    mu = ParryYrrapMeasure(p["beta"])
+    sup = mu.support(tol=p["tol"])
     path = out_dir / "support.json"
     _write_json(path, {
         "beta": mu.beta,
         "intervals": [list(iv) for iv in sup.intervals],
-        "tol": tol,
+        "tol": p["tol"],
     })
     return [path]
 
 
-def _cmd_measure(params: dict, out_dir: Path, jobs: int):
-    beta = params["beta"]
-    mu = ParryYrrapMeasure(str(beta) if isinstance(beta, str) else float(beta))
-    a = float(params.get("a", 0.0))
-    b = float(params.get("b", 1.0))
-    value = mu.measure_interval(a, b)
+def _cmd_measure(p: dict, out_dir: Path, jobs: int):
+    mu = ParryYrrapMeasure(p["beta"])
+    value = mu.measure_interval(p["a"], p["b"])
     path = out_dir / "measure.json"
     _write_json(path, {
         "beta": mu.beta,
-        "a": a,
-        "b": b,
+        "a": p["a"],
+        "b": p["b"],
         "value": value,
         "tol": 2 * mu.tail_bound,
     })
     return [path]
 
 
-_HANDLERS = {
-    "orbit": _cmd_orbit,
-    "count": _cmd_count,
-    "mixing": _cmd_mixing,
-    "volume": _cmd_volume,
-    "dimension": _cmd_dimension,
-    "markov": _cmd_markov,
-    "support": _cmd_support,
-    "measure": _cmd_measure,
+# The one declaration of every command and parameter: the flags, --config
+# files, validate and the handlers all read it.
+COMMANDS = {
+    "orbit": Command("emit an orbit enclosure trace", _cmd_orbit, {
+        "system": (parse_system, REQUIRED),
+        "x": (parse_point, REQUIRED),
+        "steps": (_at_least(0), REQUIRED),
+        "precision_bits": (_at_least(1), None),
+        "stride": (_at_least(1), 1),
+    }),
+    "count": Command("hit-counting experiment", _cmd_count, {
+        "system": (parse_system, REQUIRED),
+        "shape": (Shape, Shape.BALL),
+        "center": (parse_point, lambda p: (0,) * p["system"].d),
+        "rate": (parse_rate, lambda p: None if p["shape"] is Shape.RECTANGLE else REQUIRED),
+        "rates": (_each(parse_rate), lambda p: REQUIRED if p["shape"] is Shape.RECTANGLE else None),
+        "samples": (_at_least(1), 1),
+        "steps": (_at_least(0), REQUIRED),
+        "seed": (_at_least(0), REQUIRED),
+        "checkpoints": (_each(_int), None),
+        "epsilon": (float, 0.5),
+        "band_tol": (float, 0.2),
+        "measure": (_choice("lebesgue", "parry"), "lebesgue"),
+    }),
+    "mixing": Command("correlation decay estimation", _cmd_mixing, {
+        "beta": (_scalar, REQUIRED),
+        "set_e": (_pair, REQUIRED),
+        "set_f": (_pair, REQUIRED),
+        "lags": (_lags, tuple(range(1, 26))),
+        "samples": (_at_least(1), None),
+        "seed": (_at_least(0), REQUIRED),
+        "method": (_choice("exact", "mc", "auto"), "exact"),
+    }),
+    "volume": Command("target volume tables", _cmd_volume, {
+        "shape": (Shape, Shape.HYPERBOLOID),
+        "d": (_at_least(1), REQUIRED),
+        "delta": (float, None),
+        "rate": (parse_rate, lambda p: REQUIRED if p["delta"] is None else None),
+        "steps": (_at_least(0), 100),
+    }),
+    "dimension": Command("dimension formula calculators", _cmd_dimension, {
+        "method": (_choice(*_METHODS), "ball"),
+        "moduli": (_each(_modulus), _method_needs("moduli")),
+        "lam": (float, _method_needs("lam")),
+        "t_points": (parse_t_points, _method_needs("t_points")),
+        "beta_modulus": (float, _method_needs("beta_modulus")),
+        "deltas": (_each(float), _method_needs("deltas")),
+        "u": (_each(float), _method_needs("u")),
+        "v": (_each(float), _method_needs("v")),
+    }),
+    "markov": Command("build a Markov subsystem", _cmd_markov, {
+        "beta": (_scalar, REQUIRED),
+        "power": (_at_least(1), 1),
+    }),
+    "support": Command("support of the invariant measure", _cmd_support, {
+        "beta": (_scalar, REQUIRED),
+        "tol": (float, TOLERANCES["support_threshold"]),
+    }),
+    "measure": Command("invariant measure of an interval", _cmd_measure, {
+        "beta": (_scalar, REQUIRED),
+        "a": (float, 0.0),
+        "b": (float, 1.0),
+    }),
 }
-
-
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file; flags override its params")
-    sub.add_argument("--out", default=".", help="output directory")
-    sub.add_argument("--jobs", type=int, default=1)
-    sub.add_argument("--manifest-only", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -598,81 +624,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="shrinking-target experiments on torus dynamics",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("orbit", help="emit an orbit enclosure trace")
-    p.add_argument("--system", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--precision-bits", type=int)
-    p.add_argument("--stride", type=int, default=1)
-    _add_common(p)
-
-    p = subs.add_parser("count", help="hit-counting experiment")
-    p.add_argument("--system", required=True)
-    p.add_argument("--shape", default="ball", choices=["ball", "rectangle", "hyperboloid"])
-    p.add_argument("--center", default="0")
-    p.add_argument("--rate")
-    p.add_argument("--rates", nargs="*")
-    p.add_argument("--samples", type=int, default=1)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--checkpoints", default=None)
-    p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--band-tol", type=float, default=0.2)
-    p.add_argument("--measure", choices=["lebesgue", "parry"], default="lebesgue")
-    _add_common(p)
-
-    p = subs.add_parser("mixing", help="correlation decay estimation")
-    p.add_argument("--beta", required=True)
-    p.add_argument("--set-e", required=True, help="a,b for the interval E")
-    p.add_argument("--set-f", required=True, help="a,b for the interval F")
-    p.add_argument("--lags", default="1:25")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--method", choices=["exact", "mc", "auto"], default="exact")
-    _add_common(p)
-
-    p = subs.add_parser("volume", help="target volume tables")
-    p.add_argument("--shape", default="hyperboloid",
-                   choices=["ball", "rectangle", "hyperboloid"])
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--rate")
-    p.add_argument("--steps", type=int, default=100)
-    _add_common(p)
-
-    p = subs.add_parser("dimension", help="dimension formula calculators")
-    p.add_argument("--method", default="ball",
-                   choices=["ball", "rect", "onedim", "mult", "mtp", "markov",
-                            "unbounded", "hat"])
-    p.add_argument("--moduli", default=None, help="comma list, e.g. 2,3")
-    p.add_argument("--lam", type=float)
-    p.add_argument("--t-points", default=None, help="semicolon list of comma vectors")
-    p.add_argument("--beta-modulus", type=float)
-    p.add_argument("--deltas", default=None)
-    p.add_argument("--u", default=None)
-    p.add_argument("--v", default=None)
-    _add_common(p)
-
-    p = subs.add_parser("markov", help="build a Markov subsystem")
-    p.add_argument("--beta", required=True)
-    p.add_argument("--power", type=int, default=1)
-    _add_common(p)
-
-    p = subs.add_parser("support", help="support of the invariant measure")
-    p.add_argument("--beta", required=True)
-    p.add_argument("--tol", type=float)
-    _add_common(p)
-
-    p = subs.add_parser("measure", help="invariant measure of an interval")
-    p.add_argument("--beta", required=True)
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=1.0)
-    _add_common(p)
+    for command, spec in COMMANDS.items():
+        sub = subs.add_parser(command, help=spec.help)
+        for name in spec.params:
+            # a rate spec has commas of its own, so --rates takes one per word
+            sub.add_argument("--" + name.replace("_", "-"),
+                             nargs="+" if name == "rates" else None)
+        sub.add_argument("--config", help="JSON config file; a flag that is given overrides it")
+        sub.add_argument("--out", default=".", help="output directory")
+        sub.add_argument("--jobs", type=int, default=1)
+        sub.add_argument("--manifest-only", action="store_true")
     return parser
-
-
-_LIST_KEYS = {"moduli", "deltas", "u", "v", "center", "set_e", "set_f", "checkpoints"}
 
 
 def _namespace_to_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -689,20 +651,13 @@ def _namespace_to_config(args: argparse.Namespace) -> ExperimentConfig:
                 field="command",
             )
         params.update(cfg.params)
-    skip = {"command", "config", "out", "jobs", "manifest_only"}
-    for key, value in vars(args).items():
-        if key in skip or value is None:
-            continue
-        if key in _LIST_KEYS and isinstance(value, str):
-            params[key] = [v.strip() for v in value.split(",")]
-        else:
-            params[key] = value
+    declared = COMMANDS[args.command].params
+    params.update((k, v) for k, v in vars(args).items() if k in declared and v is not None)
     return ExperimentConfig(command=args.command, params=params)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = _namespace_to_config(args)
         run(config, Path(args.out), jobs=args.jobs, manifest_only=args.manifest_only)
@@ -718,7 +673,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except AmbiguityBudgetExceeded as exc:
         print(f"ambiguity budget exceeded: {exc}", file=sys.stderr)
         return 5
-    except (ValueError, SlopeTooSmall, BudgetTooLarge) as exc:
+    except ValueError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 3
     return 0

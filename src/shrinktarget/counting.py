@@ -23,8 +23,9 @@ decides all but a few hundred of 10^6 steps, a ~42-bit window re-decides
 those, and the rare steps still open are re-decided exactly from digit
 prefixes (exact integers for b, Z[g] brackets for g).  This is what makes
 N = 10^6 runs cheap.  Everything else (e, other reals, negative beta,
-given points on non-integer systems, a product measure other than the
-system's own, integer matrices) runs on the interval engine at desk scale.
+given enclosures, given points on non-integer systems, a product
+measure other than the system's own, integer matrices) runs on the
+interval engine at desk scale.
 
 Determinism: every sample derives its own generator from
 (seed, sample_id), so results are byte-identical for any worker count.
@@ -496,10 +497,13 @@ def _checkpoints_and_phi(system, target: TargetSpec, n_steps: int, checkpoints):
 
     Both are empty when N = 0.  Phi depends on the target, the system's
     :func:`invariant_measure` and the checkpoints only, so an experiment
-    computes it once for all samples.
+    computes it once for all samples.  Every count passes through here, so
+    here a target whose dimension is not the system's is refused.
     """
     if n_steps < 0:
         raise ValueError("N must be >= 0")
+    if target.d != system.d:
+        raise ValueError(f"target dimension {target.d} != system dimension {system.d}")
     cps = sorted(set(int(c) for c in (checkpoints or [])) | {n_steps})
     if cps[0] < 0:
         raise ValueError("checkpoints must be >= 0")
@@ -534,7 +538,8 @@ def _count_sample(system, target, x, cps, phi, epsilon, measure, sample_id, rng,
         return CountingResult(sample_id, (CheckpointRow(0, 0, 0, 0.0, None),), 0, epsilon)
     n_steps = cps[-1]
     bases = _digit_bases(system, measure if x is None else None)
-    if bases is not None and (x is None or all(isinstance(b, int) for b in bases)):
+    rational = x is not None and all(isinstance(v, (int, float, Fraction)) for v in x)
+    if bases is not None and (x is None or rational and all(isinstance(b, int) for b in bases)):
         digit_arrays = _digit_arrays_for_sample(bases, n_steps, rng, x, measure)
         rows, ambiguous = _count_digit_engine(
             bases, target, digit_arrays, cps, epsilon, phi)

@@ -20,7 +20,9 @@ from shrinktarget.cli import (
 from shrinktarget.errors import AmbiguityBudgetExceeded, ConfigInvalid, Indeterminate
 from shrinktarget.measures import ProductMeasure
 from shrinktarget.orbits import DiagonalTorusSystem, IntegerMatrixSystem, orbit_enclosures
-from shrinktarget.targets import RateFunction, ball, hyperboloid_volume, phi_values
+from shrinktarget.targets import (
+    RateFunction, ball, hyperboloid, hyperboloid_volume, phi_values,
+)
 
 
 class TestParsing:
@@ -269,6 +271,58 @@ class TestMainExitCodes:
         payload = json.loads((tmp_path / "measure.json").read_text())
         assert payload["beta"] == 2.0
 
+    COUNT_FILE = {"command": "count", "params": {
+        "system": "diag:2,3", "rate": "pow:0.05,0.2", "steps": 1000, "seed": 1,
+        "samples": 5, "shape": "hyperboloid", "band_tol": 0.5, "center": [0, 0]}}
+
+    def test_config_file_alone(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(self.COUNT_FILE))
+        assert main(["count", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "count_summary.json").read_text())
+        assert summary["samples"] == 5 and summary["band_tol"] == 0.5
+        target = hyperboloid((0, 0), RateFunction.power(0.05, 0.2))
+        assert summary["phi_final"] == phi_values(target, [1000])[0]
+
+    def test_given_flag_overrides_the_config_file(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(self.COUNT_FILE))
+        assert main(["count", "--config", str(cfg_path), "--samples", "2",
+                     "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "count_summary.json").read_text())
+        assert summary["samples"] == 2 and summary["band_tol"] == 0.5
+
+    def test_center_defaults_to_the_origin_of_the_system(self, tmp_path):
+        assert main(["count", "--system", "diag:2,3", "--rate", "pow:0.5,0.25",
+                     "--steps", "1000", "--seed", "1", "--samples", "3",
+                     "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "count_summary.json").read_text())
+        want = phi_values(ball((0, 0), RateFunction.power(0.5, 0.25)), [1000])[0]
+        assert summary["phi_final"] == want == pytest.approx(61.80, abs=0.01)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["mixing", "--beta", "g", "--set-e", "0,0.5", "--set-f", "0.5", "--seed", "1"],
+         "--set-f"),
+        (["orbit", "--system", "diag:2", "--x", "0.1", "--steps", "3", "--stride", "0"],
+         "--stride"),
+        (["mixing", "--beta", "2", "--set-e", "0,0.5", "--set-f", "0,0.25", "--seed", "1",
+          "--lags", "abc"], "--lags"),
+        (["count", "--system", "diag:2,3", "--rate", "pow:0.5,0.25", "--steps", "10",
+          "--seed", "1", "--checkpoints", "a"], "--checkpoints"),
+        (["count", "--system", "diag:2,3", "--rate", "pow:0.5", "--steps", "10",
+          "--seed", "1"], "--rate"),
+        (["count", "--system", "diag:2,3", "--rate", "pow:0.5,0.25", "--steps", "10",
+          "--seed", "1", "--shape", "cube"], "--shape"),
+        (["dimension", "--method", "foo", "--moduli", "2,3", "--lam", "0.5"], "--method"),
+        (["count", "--system", "diag:2,3", "--rate", "pow:0.5,0.25", "--steps", "10",
+          "--seed", "1", "--center", "0.1"], "--center"),
+        (["markov", "--beta", "10", "--power", "0"], "--power"),
+        (["markov", "--beta", "abc"], "--beta"),
+    ])
+    def test_malformed_value_is_two(self, tmp_path, capsys, argv, flag):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert flag in capsys.readouterr().err
+
     def test_missing_config_file_is_two(self, tmp_path, capsys):
         code = main(["measure", "--beta", "2", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path)])
@@ -282,6 +336,13 @@ class TestMainExitCodes:
                      "--out", str(tmp_path)])
         assert code == 2
         assert "config invalid: cannot read config file" in capsys.readouterr().err
+
+    def test_config_file_params_not_an_object_is_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"command": "measure", "params": [1, 2]}))
+        code = main(["measure", "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert code == 2
+        assert "'params' must be an object" in capsys.readouterr().err
 
     def test_mixing_single_lag(self, tmp_path):
         code = main(["mixing", "--beta", "2", "--set-e", "0,0.5", "--set-f", "0,0.25",

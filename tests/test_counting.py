@@ -652,6 +652,29 @@ class TestEngineDispatch:
                          measure=measure and ProductMeasure(measure))
         assert res.final.r_hi >= res.final.r_lo >= 0
 
+    def test_enclosure_start_runs_on_the_interval_engine(self, monkeypatch):
+        system = DiagonalTorusSystem((2, 3))
+        t = ball((0.0, 0.0), RateFunction.power(0.5, 0.25))
+        exact = count_hits(system, t, (Fraction(1, 3), Fraction(1, 5)), 50).final
+        monkeypatch.setattr(counting, "_count_digit_engine", _refused)
+        start = [UnitRealInterval.from_value(Fraction(1, 3), 128),
+                 UnitRealInterval.from_value(Fraction(1, 5), 128)]
+        res = count_hits(system, t, start, 50).final
+        assert (res.r_lo, res.r_hi) == (exact.r_lo, exact.r_hi)
+
+    @pytest.mark.parametrize("betas", [(2, 3), ("e", "g")])
+    @pytest.mark.parametrize("center", [(0,), (0, 0, 0)])
+    def test_target_of_another_dimension_is_refused(self, betas, center):
+        # a 1-d or 3-d target on a 2-d system would count against the wrong Phi
+        system = DiagonalTorusSystem(betas)
+        t = ball(center, RateFunction.power(0.5, 0.25))
+        with pytest.raises(ValueError, match="target dimension"):
+            count_hits(system, t, None, 100, rng=np.random.default_rng(1))
+        with pytest.raises(ValueError, match="target dimension"):
+            monte_carlo_counting(system, t, 2, 100, seed=1)
+        with pytest.raises(ValueError, match="target dimension"):
+            window_hits(system, t, 1, 100, 2, seed=1)
+
 
 class TestInvariantPhi:
     """Phi sums the system's invariant measure, whatever law draws the starts."""
