@@ -52,10 +52,10 @@ from .orbits import (
     DiagonalTorusSystem,
     IntegerMatrixSystem,
     as_fraction,
+    beta_float,
     eigenvalue_moduli,
-    is_symbolic,
     orbit_enclosures,
-    resolve_scalar,
+    scalar,
 )
 from .targets import (
     AccumulationSet,
@@ -136,28 +136,16 @@ class Command(NamedTuple):
 def parse_system(text: str):
     kind, _, rest = text.partition(":")
     if kind == "diag":
-        vals = [v.strip() for v in rest.split(",") if v.strip()]
-        betas = [v.lower() if is_symbolic(v) else _number(v) for v in vals]
-        degenerate = any(abs(float(resolve_scalar(b))) <= 1 for b in betas)
-        if degenerate:
-            return DiagonalTorusSystem.with_degenerate(tuple(betas))
-        return DiagonalTorusSystem(tuple(betas))
+        betas = [_scalar(v) for v in rest.split(",") if v.strip()]
+        if any(DiagonalTorusSystem.modulus_of(b) <= 1 for b in betas):
+            return DiagonalTorusSystem.with_degenerate(betas)
+        return DiagonalTorusSystem(betas)
     if kind == "matrix":
         rows = tuple(
             tuple(int(v) for v in row.split(",")) for row in rest.split(";") if row
         )
         return IntegerMatrixSystem(rows)
     raise ConfigInvalid(f"unknown system spec {text!r}", field="system")
-
-
-def _number(text: str):
-    try:
-        if "/" in text:
-            return as_fraction(text)
-        value = float(text)
-        return int(value) if value.is_integer() and "." not in text else value
-    except ValueError as exc:
-        raise ConfigInvalid(f"bad number {text!r}") from exc
 
 
 def parse_rate(text: str) -> RateFunction:
@@ -240,15 +228,17 @@ def _lags(value) -> tuple:
 
 
 def _scalar(value):
-    """A beta: a token as given (symbolic or exact), or a JSON number as a float."""
-    if isinstance(value, str):
-        resolve_scalar(value)  # refuses what is neither
-        return value
-    return float(value)
+    """A beta read by :func:`orbits.scalar`, refused where its float overflows."""
+    try:
+        beta = scalar(value)
+        beta_float(beta)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigInvalid(str(exc)) from exc
+    return beta
 
 
 def _modulus(value) -> float:
-    return abs(float(resolve_scalar(_scalar(value))))
+    return abs(beta_float(_scalar(value)))
 
 
 def parse_params(config: ExperimentConfig) -> dict:
@@ -304,7 +294,7 @@ def _diagnostics(command: str, p: dict) -> list[str]:
             out.append(f"error: --{name} has {len(p[name])} coordinates, "
                        f"the system has d = {system.d}")
     if command == "markov":
-        slope = abs(float(resolve_scalar(p["beta"]))) ** p["power"]
+        slope = abs(beta_float(p["beta"])) ** p["power"]
         if slope <= 8:
             out.append(
                 f"note: slope modulus {slope:.4g} <= 8; the Markov construction "
@@ -641,7 +631,8 @@ def _namespace_to_config(args: argparse.Namespace) -> ExperimentConfig:
     params: dict = {}
     if args.config:
         try:
-            data = json.loads(Path(args.config).read_text())
+            # decimals stay strings, read exactly as the same flag would be
+            data = json.loads(Path(args.config).read_text(), parse_float=str)
         except (OSError, ValueError) as exc:
             raise ConfigInvalid(f"cannot read config file: {exc}", field="config") from exc
         cfg = ExperimentConfig.from_dict(data)

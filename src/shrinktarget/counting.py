@@ -10,22 +10,22 @@ is reported at checkpoints (defined once Phi(N) > e).  Phi(N) = sum mu(E_n)
 is summed over the system's :func:`invariant_measure` whatever law the
 starts are drawn from.
 
-Engine dispatch: a diagonal system whose every beta is an integer b >= 2
-or the golden ratio g runs on its digit streams, from a random start or
-(all-integer systems only) a given rational point.  An integer coordinate
-draws i.i.d. base-b digits.  A golden coordinate draws its greedy digits
-from the two-state chain of the orbit of 1 (Renyi 1957, Parry 1960): from
-state 0 they are i.i.d. words "0" (probability 1/g) and "10" (1/g^2), and
-a Parry start first enters state 1, which emits a forced "0", with the
-weight the measure's table gives it.  The digits are read in a
+Engine dispatch: a diagonal system whose every beta is an integer
+2 <= b <= 128 or the golden ratio g runs on its digit streams, from a
+random start or (all-integer systems only) a given rational point.  An
+integer coordinate draws i.i.d. base-b digits.  A golden coordinate draws
+its greedy digits from the two-state chain of the orbit of 1 (Renyi 1957,
+Parry 1960): from state 0 they are i.i.d. words "0" (probability 1/g) and
+"10" (1/g^2), and a Parry start first enters state 1, which emits a forced
+"0", with the weight the measure's table gives it.  The digits are read in a
 coarse-to-fine ladder with weights beta^-k: a ~10-bit window of every step
 decides all but a few hundred of 10^6 steps, a ~42-bit window re-decides
 those, and the rare steps still open are re-decided exactly from digit
 prefixes (exact integers for b, Z[g] brackets for g).  This is what makes
 N = 10^6 runs cheap.  Everything else (e, other reals, negative beta,
-given enclosures, given points on non-integer systems, a product
-measure other than the system's own, integer matrices) runs on the
-interval engine at desk scale.
+integer bases above 128, given enclosures, given points on non-integer
+systems, a product measure other than the system's own, integer
+matrices) runs on the interval engine at desk scale.
 
 Determinism: every sample derives its own generator from
 (seed, sample_id), so results are byte-identical for any worker count.
@@ -47,14 +47,13 @@ from .errors import (
     AmbiguityBudgetExceeded, DegenerateF, PrecisionExhausted, StartLawUnsupported,
 )
 from .cylinders import preimage_intervals
-from .measures import GOLDEN_RATIO, ParryYrrapMeasure, ProductMeasure, beta_float
+from .measures import GOLDEN_RATIO, ParryYrrapMeasure, ProductMeasure
 from .orbits import (
     DiagonalTorusSystem,
     IntegerMatrixSystem,
     as_fraction,
+    beta_float,
     beta_step,  # not called here: perfbench/layertrace.py looks it up on this module
-    is_golden,
-    is_symbolic,
     orbit_enclosures,
     required_precision,
     wrap_distance_bounds,
@@ -70,6 +69,8 @@ AMBIGUITY_BUDGET = 1e-3
 # fine window is read only at the steps the coarse one leaves open.
 COARSE_BITS = 10
 FINE_BITS = 42
+# Digits are int8, so the digit engine takes integer bases up to 128.
+MAX_DIGIT_BASE = 128
 
 
 @dataclass(frozen=True)
@@ -132,23 +133,21 @@ def _digit_window(base, bits: int = FINE_BITS) -> int:
 def _digit_bases(system, measure=None) -> Optional[list]:
     """Each beta as a digit-engine base, or None where the engine does not apply.
 
-    A base is an int b >= 2 or ``GOLDEN_RATIO`` for the token "g"/"golden".
-    None for any other beta, and for a ``measure`` that is not the product
-    of the system's own Parry measures (those the digits are drawn from).
+    A base is an int 2 <= b <= MAX_DIGIT_BASE or ``GOLDEN_RATIO`` for the
+    token "g".  None for any other beta, and for a ``measure`` that is not
+    the product of the system's own Parry measures (those the digits are
+    drawn from).
     """
     if not isinstance(system, DiagonalTorusSystem) or system.degenerate:
         return None
     bases = []
     for b in system.betas:
-        if is_golden(b):
+        if b == "g":
             bases.append(GOLDEN_RATIO)
-        elif is_symbolic(b):
-            return None
+        elif isinstance(b, Fraction) and b.denominator == 1 and 2 <= b <= MAX_DIGIT_BASE:
+            bases.append(int(b))
         else:
-            value = as_fraction(b)
-            if value.denominator != 1 or value < 2:
-                return None
-            bases.append(int(value))
+            return None
     if measure is not None and not _is_own_measure(system, measure):
         return None
     return bases
@@ -693,7 +692,7 @@ def correlation_estimate(beta, e_set: tuple, f_set: tuple, lag: int,
                 return 0.0, 0.0
         method = "exact" if num_samples is None else "mc"
     if method == "exact":
-        joint = _exact_joint(mu, e_set, f_set, lag, beta_input=beta)
+        joint = _exact_joint(mu, e_set, f_set, lag)
         return abs(joint / mu_f - mu_e), 0.0
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
@@ -702,11 +701,10 @@ def correlation_estimate(beta, e_set: tuple, f_set: tuple, lag: int,
     return value, se
 
 
-def _exact_joint(mu: ParryYrrapMeasure, e_set, f_set, lag: int, beta_input=None) -> float:
+def _exact_joint(mu: ParryYrrapMeasure, e_set, f_set, lag: int) -> float:
     center = (f_set[0] + f_set[1]) / 2.0
     radius = (f_set[1] - f_set[0]) / 2.0
-    pieces = preimage_intervals(beta_input if beta_input is not None else mu.beta,
-                                lag, center, radius)
+    pieces = preimage_intervals(mu.beta, lag, center, radius)
     lo, hi = np.clip(pieces, e_set[0], e_set[1]).T
     return float(np.sum(mu.measure_interval(lo, hi)))
 

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import Indeterminate, PrecisionExhausted
-from .orbits import orbit_of_one, resolve_scalar
+from .orbits import beta_float, orbit_of_one
 
 FULL_DECISION_TOL = 2.0 ** -40
 _MAX_EXPLICIT = 2_000_000
@@ -64,7 +64,7 @@ class BetaAutomaton:
     """
 
     def __init__(self, beta, depth: int):
-        b_float = float(resolve_scalar(beta))
+        b_float = beta_float(beta)
         if b_float <= 1:
             raise ValueError("automaton requires beta > 1")
         self.beta = b_float
@@ -128,7 +128,7 @@ def cylinders_of_order(beta, n: int, engine: str = "auto") -> list[Cylinder]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    b = float(resolve_scalar(beta))
+    b = beta_float(beta)
     if abs(b) <= 1:
         raise ValueError("|beta| must be > 1")
     if engine == "auto":
@@ -175,7 +175,7 @@ def _cylinders_automaton(beta, n: int) -> list[Cylinder]:
 
 def _cylinders_refine(beta, n: int) -> list[Cylinder]:
     """Order-n cylinders by direct refinement; works for either sign of beta."""
-    b = float(resolve_scalar(beta))
+    b = beta_float(beta)
     absb = abs(b)
     num_cells = math.floor(absb) + 1
     # pieces: (left, right, slope, offset) with T^k(x) = slope*x + offset on [left, right)
@@ -327,7 +327,7 @@ def preimage_intervals(beta, n: int, a: float, r: float) -> np.ndarray:
             raise ValueError("radius must be positive")
         if r >= 0.5:
             raise ValueError("radius must be < 1/2")
-    b = float(resolve_scalar(beta))
+    b = beta_float(beta)
     if abs(b) <= 1:
         raise ValueError("|beta| must be > 1")
     arcs = _ball_arcs(a % 1.0, r)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import SlopeTooSmall
 from .measures import SupportSet
-from .orbits import as_fraction, is_symbolic, resolve_scalar
+from .orbits import _scalar_bounds, scalar
 
 CONTAINMENT_SLACK = 2.0 ** -40
 
@@ -115,30 +115,28 @@ def _merge_intervals(ivs: list, slack=0) -> list:
 
 
 def beta_map(beta) -> PiecewiseLinearMap:
-    """T_beta(x) = beta x mod 1 as an explicit piecewise linear map."""
-    exact = not is_symbolic(beta)
-    b = as_fraction(beta) if exact else resolve_scalar(beta, 128)
+    """T_beta(x) = beta x mod 1 as an explicit piecewise linear map.
+
+    Exact for a rational beta; for a token "g"/"e", the map of the midpoint
+    of its 128-bit bounds, in floats.
+    """
+    b = scalar(beta)
+    exact = isinstance(b, Fraction)
+    if not exact:
+        lo, hi = _scalar_bounds(b, 128)
+        b = Fraction(lo + hi, 1 << 129)
     absb = abs(b)
     if absb <= 1:
         raise ValueError("|beta| must be > 1")
-    cells = math.floor(absb) + (0 if absb == math.floor(absb) else 1)
-    bps = [Fraction(j) / absb for j in range(cells)] + [Fraction(1)]
-    slopes = []
-    intercepts = []
-    for j in range(cells):
-        if b > 0:
-            slopes.append(b)
-            intercepts.append(Fraction(-j))
-        else:
-            slopes.append(b)
-            intercepts.append(Fraction(j + 1))
+    cells = math.ceil(absb)
+    parts = (
+        [Fraction(j) / absb for j in range(cells)] + [Fraction(1)],
+        [b] * cells,
+        [Fraction(-j if b > 0 else j + 1) for j in range(cells)],
+    )
     if not exact:
-        return PiecewiseLinearMap(
-            tuple(float(x) for x in bps),
-            tuple(float(s) for s in slopes),
-            tuple(float(t) for t in intercepts),
-        )
-    return PiecewiseLinearMap(tuple(bps), tuple(slopes), tuple(intercepts))
+        return PiecewiseLinearMap(*(tuple(float(v) for v in part) for part in parts))
+    return PiecewiseLinearMap(*(tuple(part) for part in parts))
 
 
 def power_map(beta, k: int) -> PiecewiseLinearMap:

@@ -24,18 +24,11 @@ import mpmath
 import numpy as np
 
 from .errors import TolUnreachable
-from .orbits import as_fraction, is_symbolic, mp_value, orbit_of_one, symbolic_value
+from .orbits import beta_float, mp_value, orbit_of_one
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
 _MAX_TERMS = 200_000
-
-
-def beta_float(beta) -> float:
-    """beta as the float64 a measure built on it keeps in ``.beta``."""
-    if is_symbolic(beta):
-        return float(symbolic_value(beta, 53))  # float64's 53 bits
-    return float(as_fraction(beta))
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,10 @@ integer matrices alike; the one orbit stepper is :func:`orbit_enclosures`.
 ``counting``.)  The orbit of 1, which the invariant measures and the
 cylinder automaton are built from, is :func:`orbit_of_one`.
 
-All scalar inputs are interpreted as the exact binary value passed: a float
-is the dyadic rational it stores.  The tokens ``"g"``/``"golden"`` and
-``"e"`` resolve to directed high-precision enclosures of the golden ratio
-and Euler's number.
+Every scalar is read once by :func:`scalar`: a float is the dyadic
+rational it stores, a decimal string the rational it spells, and the
+tokens ``"g"`` and ``"e"`` name the golden ratio and Euler's number, which
+resolve to directed high-precision enclosures.
 """
 
 from __future__ import annotations
@@ -42,17 +42,12 @@ def as_fraction(x: Number) -> Fraction:
     """Exact conversion of a scalar to a Fraction.
 
     Floats convert via their exact binary value; strings parse as decimal
-    literals or fractions ("0.7", "9/5").  The symbolic tokens handled by
-    :func:`resolve_scalar` are not accepted here because they are not
-    rational.
+    literals or fractions ("0.7", "9/5").  The tokens "g" and "e" of
+    :func:`scalar` are not accepted here because they are not rational.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, float, str)):
         return Fraction(x)
     if isinstance(x, mpmath.mpf):
         sign, man, exp, _ = x._mpf_
@@ -61,45 +56,43 @@ def as_fraction(x: Number) -> Fraction:
     raise TypeError(f"cannot convert {type(x).__name__} to Fraction")
 
 
-_GOLDEN = {"g", "golden"}
-_SYMBOLIC = _GOLDEN | {"e"}
+_TOKENS = {"g": "g", "golden": "g", "e": "e"}
 
 
-def _split_sign(token: str) -> tuple[bool, str]:
-    """(negative?, lower-case name) of a token with at most one leading sign."""
-    negative = token.startswith("-")
-    if token.startswith(("+", "-")):
-        token = token[1:]
-    return negative, token.lower()
+def scalar(x) -> Union[Fraction, str]:
+    """x read once, as an exact Fraction or the signed token "g", "-g", "e", "-e".
 
-
-def is_symbolic(x) -> bool:
-    return isinstance(x, str) and _split_sign(x)[1] in _SYMBOLIC
-
-
-def is_golden(x) -> bool:
-    """Whether x is the token of +g ("g"/"golden", with no minus sign)."""
-    if not isinstance(x, str):
-        return False
-    negative, name = _split_sign(x)
-    return not negative and name in _GOLDEN
-
-
-def symbolic_value(token: str, bits: int) -> mpmath.mpf:
-    """Signed value of a symbolic token ("g"/"golden"/"e") at ``bits`` bits."""
-    negative, name = _split_sign(token)
-    with mpmath.workprec(bits):
-        val = (1 + mpmath.sqrt(5)) / 2 if name in _GOLDEN else +mpmath.e
-        return -val if negative else val
+    Ints, Fractions and floats (their binary value) are exact, and so is a
+    decimal or fraction string ("2.7" is 27/10, "5/2").  The golden ratio
+    ("g", "golden") and Euler's number ("e") may be spelled in any case with
+    at most one leading sign; surrounding whitespace is ignored.  Anything
+    else, nan and infinities included, raises ValueError.
+    """
+    if isinstance(x, str):
+        x = x.strip()
+        name = _TOKENS.get((x[1:] if x.startswith(("+", "-")) else x).lower())
+        if name is not None:
+            return "-" + name if x.startswith("-") else name
+    try:
+        return as_fraction(x)
+    except (ValueError, ArithmeticError) as exc:
+        raise ValueError(f"not a real number, g or e: {x!r}") from exc
 
 
 def mp_value(x: Number, bits: int) -> mpmath.mpf:
-    """x at ``bits`` bits: a symbolic token's value, or a rational rounded once."""
-    if is_symbolic(x):
-        return symbolic_value(x, bits)
-    frac = as_fraction(x)
+    """x at ``bits`` bits: a token's signed value, or a rational rounded once."""
+    x = scalar(x)
     with mpmath.workprec(bits):
-        return mpmath.mpf(frac.numerator) / frac.denominator
+        if isinstance(x, Fraction):
+            return mpmath.mpf(x.numerator) / x.denominator
+        val = (1 + mpmath.sqrt(5)) / 2 if x.endswith("g") else +mpmath.e
+        return -val if x.startswith("-") else val
+
+
+def beta_float(x: Number) -> float:
+    """x as the nearest float64 (a token at float64's 53 bits)."""
+    x = scalar(x)
+    return float(x) if isinstance(x, Fraction) else float(mp_value(x, 53))
 
 
 def orbit_of_one(beta: Number, steps: int) -> tuple[list, list, int]:
@@ -113,7 +106,7 @@ def orbit_of_one(beta: Number, steps: int) -> tuple[list, list, int]:
     1 = 1/g + 1/g^2 end the orbit exactly.  The orbit stops at its first
     0, so len(points) = len(digits) + 1.
     """
-    bits = max(320, 2 * (math.ceil(steps * math.log2(abs(float(resolve_scalar(beta))))) + 80))
+    bits = max(320, 2 * (math.ceil(steps * math.log2(abs(beta_float(beta)))) + 80))
     b = mp_value(beta, bits)
     with mpmath.workprec(bits):
         snap = mpmath.mpf(2) ** (-(bits // 2))
@@ -131,40 +124,19 @@ def orbit_of_one(beta: Number, steps: int) -> tuple[list, list, int]:
     return points, digits, bits
 
 
-def resolve_scalar(x: Number, bits: int = 96) -> Fraction:
-    """Resolve a scalar (possibly symbolic "g"/"golden"/"e") to a Fraction.
-
-    Symbolic constants are rounded to ``bits`` bits; everything else is
-    exact.
-    """
-    if is_symbolic(x):
-        lo, hi = _symbolic_bounds(x, bits)
-        return (lo + hi) / 2
-    return as_fraction(x)
-
-
-def _symbolic_bounds(token: str, bits: int) -> tuple[Fraction, Fraction]:
-    negative, name = _split_sign(token)
-    frac = as_fraction(symbolic_value(name, bits + 16))
-    scale = 1 << bits
-    lo = Fraction(math.floor(frac * scale) - 1, scale)
-    hi = Fraction(math.floor(frac * scale) + 2, scale)
-    if negative:
-        lo, hi = -hi, -lo
-    return lo, hi
-
-
 def _scalar_bounds(x: Number, bits: int) -> tuple[int, int]:
-    """Integer bounds b_lo <= x*2**bits <= b_hi (exact for rationals)."""
-    if is_symbolic(x):
-        lo, hi = _symbolic_bounds(x, bits)
-        scale = 1 << bits
-        return math.floor(lo * scale), math.ceil(hi * scale)
-    frac = as_fraction(x)
-    scaled = frac * (1 << bits)
-    lo = math.floor(scaled)
-    hi = lo if scaled == lo else lo + 1
-    return lo, hi
+    """Integer bounds b_lo <= x*2**bits <= b_hi (exact for rationals).
+
+    A token's bounds are (top - 1, top + 2) about top = floor(|x| 2**bits)
+    worked at bits + 16, negated for a negative token.
+    """
+    x = scalar(x)
+    if isinstance(x, Fraction):
+        scaled = x * (1 << bits)
+        lo = math.floor(scaled)
+        return lo, lo if scaled == lo else lo + 1
+    top = int(mpmath.ldexp(mp_value(x.lstrip("-"), bits + 16), bits))  # exact floor
+    return (-top - 2, -top + 1) if x.startswith("-") else (top - 1, top + 2)
 
 
 class ScaledScalar:
@@ -185,13 +157,10 @@ class ScaledScalar:
     def build(cls, value: Number, bits: int) -> "ScaledScalar":
         if isinstance(value, ScaledScalar):
             return value
-        if not is_symbolic(value):
-            frac = as_fraction(value)
-            den = frac.denominator
-            if den & (den - 1) == 0:
-                b = den.bit_length() - 1
-                return cls(frac.numerator, frac.numerator, b)
-        lo, hi = _scalar_bounds(value, bits)
+        x = scalar(value)
+        if isinstance(x, Fraction) and x.denominator & (x.denominator - 1) == 0:
+            return cls(x.numerator, x.numerator, x.denominator.bit_length() - 1)
+        lo, hi = _scalar_bounds(x, bits)
         return cls(lo, hi, bits)
 
     def at(self, bits: int) -> tuple[int, int]:
@@ -385,20 +354,22 @@ class DiagonalTorusSystem:
     degenerate: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "betas", tuple(self.betas))
+        object.__setattr__(self, "betas", tuple(scalar(b) for b in self.betas))
         if not self.betas:
             raise ValueError("empty diagonal")
         if not self.degenerate:
             for b in self.betas:
-                if abs(self.modulus_of(b)) <= 1:
+                if self.modulus_of(b) <= 1:
                     raise ValueError(
                         f"|beta|={float(self.modulus_of(b))} <= 1: use "
                         "DiagonalTorusSystem.with_degenerate for the reduction path"
                     )
 
     @staticmethod
-    def modulus_of(b) -> Fraction:
-        return abs(resolve_scalar(b))
+    def modulus_of(b) -> Union[Fraction, float]:
+        """|b|: exact for a rational, a token's float."""
+        b = scalar(b)
+        return abs(b) if isinstance(b, Fraction) else abs(beta_float(b))
 
     @classmethod
     def with_degenerate(cls, betas) -> "DiagonalTorusSystem":
@@ -419,11 +390,7 @@ class DiagonalTorusSystem:
 
     @property
     def is_integer(self) -> bool:
-        return all(
-            isinstance(b, int) or (isinstance(b, float) and b.is_integer()) or
-            (isinstance(b, Fraction) and b.denominator == 1)
-            for b in self.betas
-        )
+        return all(isinstance(b, Fraction) and b.denominator == 1 for b in self.betas)
 
 
 @dataclass(frozen=True)

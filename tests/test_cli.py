@@ -33,6 +33,7 @@ class TestParsing:
         assert isinstance(m, IntegerMatrixSystem)
         g = parse_system("diag:g,-g")
         assert g.moduli == pytest.approx([1.618033988749895] * 2)
+        assert parse_system("diag:2.7,5/2").betas == (Fraction(27, 10), Fraction(5, 2))
 
     def test_signed_symbolic_tokens(self):
         s = parse_system("diag:+g,-golden,-E")
@@ -157,6 +158,18 @@ class TestMainExitCodes:
     def test_missing_rate_is_two(self, tmp_path, argv):
         assert main(argv + ["--out", str(tmp_path)]) == 2
 
+    def test_integer_base_above_int8_digits(self, tmp_path):
+        # base 200 has no int8 digit stream, so it counts on the interval engine
+        samples = 8
+        assert main(["count", "--system", "diag:200", "--rate", "pow:0.5,0.25",
+                     "--steps", "1000", "--seed", "1", "--samples", str(samples),
+                     "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "count_summary.json").read_text())
+        rows = [line.split(",") for line in (tmp_path / "count.csv").read_text().splitlines()]
+        mean = sum(int(r[2]) + int(r[3]) for r in rows if r[1] == "1000") / (2 * samples)
+        phi = summary["phi_final"]
+        assert abs(mean - phi) <= 6 * math.sqrt(2 * phi / samples)
+
     @pytest.mark.parametrize("argv, flag", [
         (["dimension", "--method", "ball", "--moduli", "2,3"], "--lam"),
         (["dimension", "--method", "onedim", "--lam", "0.5"], "--beta-modulus"),
@@ -275,6 +288,20 @@ class TestMainExitCodes:
         "system": "diag:2,3", "rate": "pow:0.05,0.2", "steps": 1000, "seed": 1,
         "samples": 5, "shape": "hyperboloid", "band_tol": 0.5, "center": [0, 0]}}
 
+    @pytest.mark.parametrize("argv, params, data", [
+        (["orbit", "--system", "diag:2", "--x", "0.1", "--steps", "3"],
+         '{"system": "diag:2", "x": [0.1], "steps": 3}', "orbit.csv"),
+        (["markov", "--beta", "2.7", "--power", "3"], '{"beta": 2.7, "power": 3}',
+         "markov.json"),
+    ], ids=["orbit", "markov"])
+    def test_config_file_decimals_read_as_flags(self, tmp_path, argv, params, data):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(f'{{"command": "{argv[0]}", "params": {params}}}')
+        assert main(argv + ["--out", str(tmp_path / "flags")]) == 0
+        assert main([argv[0], "--config", str(cfg_path), "--out", str(tmp_path / "file")]) == 0
+        flags, file = ((tmp_path / d / data).read_bytes() for d in ("flags", "file"))
+        assert flags == file
+
     def test_config_file_alone(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(self.COUNT_FILE))
@@ -318,6 +345,11 @@ class TestMainExitCodes:
           "--seed", "1", "--center", "0.1"], "--center"),
         (["markov", "--beta", "10", "--power", "0"], "--power"),
         (["markov", "--beta", "abc"], "--beta"),
+        (["mixing", "--beta", "1e400", "--set-e", "0,0.5", "--set-f", "0,0.25", "--seed", "1"],
+         "--beta"),
+        (["measure", "--beta", "1e400"], "--beta"),
+        (["support", "--beta", "1e400"], "--beta"),
+        (["markov", "--beta", "1e400"], "--beta"),
     ])
     def test_malformed_value_is_two(self, tmp_path, capsys, argv, flag):
         assert main(argv + ["--out", str(tmp_path)]) == 2

@@ -625,7 +625,7 @@ def _refused(*args, **kwargs):
 
 
 class TestEngineDispatch:
-    @pytest.mark.parametrize("betas", [("g", "g"), (2, "g"), ("golden", 3)])
+    @pytest.mark.parametrize("betas", [("g", "g"), (2, "g"), ("golden", 3), (128,)])
     def test_digit_engine(self, monkeypatch, betas):
         monkeypatch.setattr(counting, "_count_interval_engine", _refused)
         system = DiagonalTorusSystem(betas)
@@ -643,6 +643,7 @@ class TestEngineDispatch:
         (("g",), (Fraction(1, 7),), None),
         (("g", "g"), None, ("g", 1.5)),
         ((2, 3), None, (3, 2)),
+        ((200,), None, None),  # int8 digits stop at base 128
     ])
     def test_interval_engine(self, monkeypatch, betas, x, measure):
         monkeypatch.setattr(counting, "_count_digit_engine", _refused)

@@ -7,20 +7,24 @@ import mpmath
 import numpy as np
 import pytest
 
+from shrinktarget.counting import invariant_measure
 from shrinktarget.errors import BudgetTooLarge, PrecisionExhausted, SingularMatrix
 from shrinktarget.orbits import (
     DiagonalTorusSystem,
     IntegerMatrixSystem,
     ScaledScalar,
     UnitRealInterval,
+    _scalar_bounds,
     _schedule_bits,
+    as_fraction,
     beta_step,
     char_poly_int,
     eigenvalue_moduli,
     iterate,
     orbit_enclosures,
     required_precision,
-    symbolic_value,
+    mp_value,
+    scalar,
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -109,14 +113,46 @@ class TestRequiredPrecision:
         assert required_precision(DiagonalTorusSystem((2, 3)), 10 ** 6, cap=1 << 22) > 0
 
 
+class TestScalar:
+    @pytest.mark.parametrize("x, want", [
+        ("g", "g"), ("G", "g"), ("golden", "g"), ("+g", "g"), ("-Golden", "-g"),
+        ("e", "e"), ("-E", "-e"), (" -g ", "-g"),
+        ("2.7", Fraction(27, 10)), (2.7, Fraction(2.7)), ("5/2", Fraction(5, 2)),
+        (3, Fraction(3)), ("1e20", Fraction(10 ** 20)),
+    ])
+    def test_canonical_forms(self, x, want):
+        got = scalar(x)
+        assert got == want and type(got) is type(want)
+        assert scalar(got) == got
+
+    @pytest.mark.parametrize("x", ["+-g", "--e", "1/0", "nan", "inf", float("nan"),
+                                   float("inf"), "", "gold"])
+    def test_refusals(self, x):
+        with pytest.raises(ValueError):
+            scalar(x)
+
+    @pytest.mark.parametrize("token", ["g", "-g", "e", "-e"])
+    @pytest.mark.parametrize("bits", [53, 96, 200])
+    def test_token_bounds_enclose_the_value(self, token, bits):
+        lo, hi = _scalar_bounds(token, bits)
+        assert lo <= as_fraction(mp_value(token, bits + 64)) * 2 ** bits <= hi
+        assert hi - lo == 3
+
+    def test_integer_strings_are_an_integer_system(self):
+        for betas in (("2", "3"), (Fraction(2), "3"), (2.0, 3)):
+            system = DiagonalTorusSystem(betas)
+            assert system.is_integer and invariant_measure(system) is None
+        assert iterate(DiagonalTorusSystem(("2",)), (Fraction(1, 3),), 5) == (Fraction(2, 3),)
+
+
 class TestSymbolicValue:
     def test_signed_tokens(self):
-        assert symbolic_value("+g", 80) == symbolic_value("golden", 80)
-        assert symbolic_value("-e", 80) + symbolic_value("E", 80) == 0
+        assert mp_value("+g", 80) == mp_value("golden", 80)
+        assert mp_value("-e", 80) + mp_value("E", 80) == 0
 
     def test_float_rounding_matches_math_module(self):
-        assert float(symbolic_value("g", 53)) == GOLDEN
-        assert float(symbolic_value("e", 53)) == math.e
+        assert float(mp_value("g", 53)) == GOLDEN
+        assert float(mp_value("e", 53)) == math.e
 
 
 class TestOrbitEnclosures:
