@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, counting, cylinders, markov, measures, orbits
 from .errors import (
     AmbiguityBudgetExceeded,
     ConfigInvalid,
@@ -67,13 +67,13 @@ from .targets import (
 )
 
 TOLERANCES = {
-    "measure_truncation_tail": 1e-12,
-    "full_cylinder_decision": 2.0 ** -40,
-    "eigenvalue_moduli": 1e-12,
-    "perron_rayleigh": 1e-12,
-    "support_threshold": 1e-9,
-    "support_merge_gap": 1e-6,
-    "ambiguity_budget": 1e-3,
+    "measure_truncation_tail": measures.TRUNCATION_TOL,
+    "full_cylinder_decision": cylinders.FULL_DECISION_TOL,
+    "eigenvalue_moduli": orbits.EIGENVALUE_TOL,
+    "perron_rayleigh": markov.PERRON_TOL,
+    "support_threshold": measures.SUPPORT_TOL,
+    "support_merge_gap": measures.SUPPORT_MERGE_GAP,
+    "ambiguity_budget": counting.AMBIGUITY_BUDGET,
 }
 
 
@@ -151,15 +151,15 @@ def parse_system(text: str):
 def parse_rate(text: str) -> RateFunction:
     kind, _, rest = text.partition(":")
     if kind == "exp":
-        return RateFunction.exponential(float(rest))
+        return RateFunction.exponential(_finite(rest))
     if kind == "pow":
-        c, kappa = (float(v) for v in rest.split(","))
+        c, kappa = (_finite(v) for v in rest.split(","))
         return RateFunction.power(c, kappa)
     if kind == "superexp":
         return RateFunction.superexponential()
     if kind == "table":
         parts = rest.split(":")
-        vals = [float(v) for v in parts[0].split(",")]
+        vals = [_finite(v) for v in parts[0].split(",")]
         extend = parts[1] if len(parts) > 1 else "none"
         return RateFunction.table(vals, extend=extend)
     raise ConfigInvalid(f"unknown rate spec {text!r}", field="rate")
@@ -176,7 +176,7 @@ def parse_point(value) -> tuple:
 def parse_t_points(text: str) -> AccumulationSet:
     pts = []
     for chunk in text.split(";"):
-        pts.append(tuple(math.inf if v.strip() in ("inf", "+inf") else float(v)
+        pts.append(tuple(math.inf if v.strip() in ("inf", "+inf") else _finite(v)
                          for v in chunk.split(",")))
     return AccumulationSet(tuple(pts))
 
@@ -188,6 +188,14 @@ def _items(value):
 def _each(parse):
     """A parser of comma lists (flags) and JSON arrays, item by item."""
     return lambda value: tuple(parse(v) for v in _items(value))
+
+
+def _finite(value) -> float:
+    """A float that is neither nan nor infinite (nor overflows to one)."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{value!r} is not a finite number")
+    return x
 
 
 def _int(value) -> int:
@@ -212,7 +220,7 @@ def _choice(*options):
 
 
 def _pair(value) -> tuple:
-    a, b = _each(float)(value)
+    a, b = _each(_finite)(value)
     return a, b
 
 
@@ -293,12 +301,15 @@ def _diagnostics(command: str, p: dict) -> list[str]:
         if name in p and len(p[name]) != system.d:
             out.append(f"error: --{name} has {len(p[name])} coordinates, "
                        f"the system has d = {system.d}")
-    if command == "markov":
-        slope = abs(beta_float(p["beta"])) ** p["power"]
-        if slope <= 8:
+    if command == "markov" and (modulus := abs(beta_float(p["beta"]))) > 1:
+        # power_map builds up to (floor|beta| + 1)^power pieces: compare in logs
+        if p["power"] > math.log(cylinders.MAX_EXPLICIT) / math.log(math.floor(modulus) + 1):
+            out.append(f"error: --power {p['power']} gives up to (floor|beta| + 1)^power "
+                       f"pieces, past the {cylinders.MAX_EXPLICIT} a Markov build can take")
+        elif modulus ** p["power"] <= 8:
             out.append(
-                f"note: slope modulus {slope:.4g} <= 8; the Markov construction "
-                "requires modulus > 8 (raise --power)"
+                f"note: slope modulus {modulus ** p['power']:.4g} <= 8; the Markov "
+                "construction requires modulus > 8 (raise --power)"
             )
     if command == "dimension" and p["method"] == "rect" and not p["t_points"].bounded:
         out.append(
@@ -397,9 +408,7 @@ def _cmd_count(p: dict, out_dir: Path, jobs: int):
     summary = monte_carlo_counting(
         system, TargetSpec(shape, p["center"], rates), p["samples"], p["steps"], p["seed"],
         checkpoints=p["checkpoints"], epsilon=p["epsilon"], band_tol=p["band_tol"],
-        measure=ProductMeasure(system.betas) if p["measure"] == "parry" else None,
-        jobs=jobs, ambiguity_budget=TOLERANCES["ambiguity_budget"], strict_ambiguity=True,
-    )
+        measure=ProductMeasure(system.betas) if p["measure"] == "parry" else None, jobs=jobs)
     rows = [(res.sample_id, row.n, row.r_lo, row.r_hi, row.phi, row.e)
             for res in summary.results for row in res.checkpoints]
     path = out_dir / "count.csv"
@@ -562,8 +571,8 @@ COMMANDS = {
         "steps": (_at_least(0), REQUIRED),
         "seed": (_at_least(0), REQUIRED),
         "checkpoints": (_each(_int), None),
-        "epsilon": (float, 0.5),
-        "band_tol": (float, 0.2),
+        "epsilon": (_finite, 0.5),
+        "band_tol": (_finite, 0.2),
         "measure": (_choice("lebesgue", "parry"), "lebesgue"),
     }),
     "mixing": Command("correlation decay estimation", _cmd_mixing, {
@@ -578,19 +587,19 @@ COMMANDS = {
     "volume": Command("target volume tables", _cmd_volume, {
         "shape": (Shape, Shape.HYPERBOLOID),
         "d": (_at_least(1), REQUIRED),
-        "delta": (float, None),
+        "delta": (_finite, None),
         "rate": (parse_rate, lambda p: REQUIRED if p["delta"] is None else None),
         "steps": (_at_least(0), 100),
     }),
     "dimension": Command("dimension formula calculators", _cmd_dimension, {
         "method": (_choice(*_METHODS), "ball"),
         "moduli": (_each(_modulus), _method_needs("moduli")),
-        "lam": (float, _method_needs("lam")),
+        "lam": (_finite, _method_needs("lam")),
         "t_points": (parse_t_points, _method_needs("t_points")),
-        "beta_modulus": (float, _method_needs("beta_modulus")),
-        "deltas": (_each(float), _method_needs("deltas")),
-        "u": (_each(float), _method_needs("u")),
-        "v": (_each(float), _method_needs("v")),
+        "beta_modulus": (_finite, _method_needs("beta_modulus")),
+        "deltas": (_each(_finite), _method_needs("deltas")),
+        "u": (_each(_finite), _method_needs("u")),
+        "v": (_each(_finite), _method_needs("v")),
     }),
     "markov": Command("build a Markov subsystem", _cmd_markov, {
         "beta": (_scalar, REQUIRED),
@@ -598,12 +607,12 @@ COMMANDS = {
     }),
     "support": Command("support of the invariant measure", _cmd_support, {
         "beta": (_scalar, REQUIRED),
-        "tol": (float, TOLERANCES["support_threshold"]),
+        "tol": (_finite, measures.SUPPORT_TOL),
     }),
     "measure": Command("invariant measure of an interval", _cmd_measure, {
         "beta": (_scalar, REQUIRED),
-        "a": (float, 0.0),
-        "b": (float, 1.0),
+        "a": (_finite, 0.0),
+        "b": (_finite, 1.0),
     }),
 }
 

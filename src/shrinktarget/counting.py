@@ -63,7 +63,10 @@ from .targets import (
 )
 
 DEFAULT_EPSILON = 0.5
+# largest share of a sample's R_hi that may be boundary-ambiguous
 AMBIGUITY_BUDGET = 1e-3
+MIN_MU_F = 1e-6
+KAPPA_LAGS = 30
 # Bits of T^n x in the digit engine's two float windows.  The coarse window
 # is read at every step; np.convolve stays cheap up to about ten taps.  The
 # fine window is read only at the steps the coarse one leaves open.
@@ -97,9 +100,8 @@ class CountingResult:
     def final(self) -> CheckpointRow:
         return self.checkpoints[-1]
 
-    def ambiguity_ok(self, budget: float = AMBIGUITY_BUDGET) -> bool:
-        r_hi = self.final.r_hi
-        return self.ambiguous_hits <= max(budget * r_hi, 0.0)
+    def ambiguity_ok(self) -> bool:
+        return self.ambiguous_hits <= max(AMBIGUITY_BUDGET * self.final.r_hi, 0.0)
 
 
 @dataclass(frozen=True)
@@ -467,10 +469,9 @@ def _count_digit_engine(bases, target, digit_arrays, checkpoints, epsilon,
     return tuple(rows), r_hi - r_lo
 
 
-def _count_interval_engine(system, target, x, checkpoints, epsilon, phi,
-                           precision_bits=None) -> tuple:
+def _count_interval_engine(system, target, x, checkpoints, epsilon, phi) -> tuple:
     phi_at = dict(zip(checkpoints, phi))
-    orbit = orbit_enclosures(system, x, checkpoints[-1], precision_bits)
+    orbit = orbit_enclosures(system, x, checkpoints[-1])
     next(orbit)  # step 0 is x itself
     r_lo = 0
     r_hi = 0
@@ -515,8 +516,7 @@ def _checkpoints_and_phi(system, target: TargetSpec, n_steps: int, checkpoints):
 def count_hits(system, target: TargetSpec, x, n_steps: int,
                checkpoints: Optional[Sequence[int]] = None,
                epsilon: float = DEFAULT_EPSILON, measure=None,
-               sample_id: int = 0, rng: Optional[np.random.Generator] = None,
-               precision_bits=None) -> CountingResult:
+               sample_id: int = 0, rng: Optional[np.random.Generator] = None) -> CountingResult:
     """One orbit's hit counts against the target family.
 
     ``x`` may be a point (rationals/floats/enclosures) or None to draw a
@@ -526,12 +526,10 @@ def count_hits(system, target: TargetSpec, x, n_steps: int,
     engine; the rest run on the interval engine.
     """
     cps, phi = _checkpoints_and_phi(system, target, n_steps, checkpoints)
-    return _count_sample(system, target, x, cps, phi, epsilon, measure,
-                         sample_id, rng, precision_bits)
+    return _count_sample(system, target, x, cps, phi, epsilon, measure, sample_id, rng)
 
 
-def _count_sample(system, target, x, cps, phi, epsilon, measure, sample_id, rng,
-                  precision_bits=None) -> CountingResult:
+def _count_sample(system, target, x, cps, phi, epsilon, measure, sample_id, rng) -> CountingResult:
     """:func:`count_hits` on checkpoints and Phi from :func:`_checkpoints_and_phi`."""
     if not cps:
         return CountingResult(sample_id, (CheckpointRow(0, 0, 0, 0.0, None),), 0, epsilon)
@@ -545,8 +543,7 @@ def _count_sample(system, target, x, cps, phi, epsilon, measure, sample_id, rng,
     else:
         if x is None:
             x = _draw_initial(system, measure, rng, n_steps)
-        rows, ambiguous = _count_interval_engine(
-            system, target, x, cps, epsilon, phi, precision_bits)
+        rows, ambiguous = _count_interval_engine(system, target, x, cps, epsilon, phi)
     return CountingResult(sample_id, rows, ambiguous, epsilon)
 
 
@@ -596,15 +593,15 @@ def monte_carlo_counting(system, target: TargetSpec, num_samples: int,
                          n_steps: int, seed: int,
                          checkpoints: Optional[Sequence[int]] = None,
                          epsilon: float = DEFAULT_EPSILON, band_tol: float = 0.2,
-                         measure=None, jobs: int = 1,
-                         ambiguity_budget: float = AMBIGUITY_BUDGET,
-                         strict_ambiguity: bool = False) -> CountingSummary:
+                         measure=None, jobs: int = 1) -> CountingSummary:
     """Seeded multi-sample counting experiment.
 
     Sample i uses the generator derived from (seed, i); aggregation is in
     sample order, so output is identical for any ``jobs``.  The summary
     reports the fraction of samples with |R/Phi - 1| <= band_tol at the
-    final checkpoint and the largest |e(N)| seen.
+    final checkpoint and the largest |e(N)| seen.  A sample whose ambiguous
+    hits exceed ``AMBIGUITY_BUDGET`` of its R_hi raises
+    AmbiguityBudgetExceeded.
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
@@ -623,7 +620,7 @@ def monte_carlo_counting(system, target: TargetSpec, num_samples: int,
     in_band = 0
     max_abs_e = 0.0
     for res in results:
-        if strict_ambiguity and not res.ambiguity_ok(ambiguity_budget):
+        if not res.ambiguity_ok():
             raise AmbiguityBudgetExceeded(
                 f"sample {res.sample_id}: {res.ambiguous_hits} ambiguous hits"
             )
@@ -675,10 +672,7 @@ def correlation_estimate(beta, e_set: tuple, f_set: tuple, lag: int,
     """
     mu = mu or ParryYrrapMeasure(beta)
     b = mu.beta
-    mu_e = mu.measure_interval(*e_set)
-    mu_f = mu.measure_interval(*f_set)
-    if mu_f < 1e-6:
-        raise DegenerateF(f"mu(F) = {mu_f:.2e} below the 1e-6 floor")
+    mu_e, mu_f = _set_masses(mu, e_set, f_set)
     if lag == 0:
         joint = mu.measure_interval(max(e_set[0], f_set[0]), min(e_set[1], f_set[1])) \
             if min(e_set[1], f_set[1]) > max(e_set[0], f_set[0]) else 0.0
@@ -699,6 +693,15 @@ def correlation_estimate(beta, e_set: tuple, f_set: tuple, lag: int,
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(lag,)))
     _, value, se = _mc_series(mu, e_set, f_set, [lag], num_samples, rng)[0]
     return value, se
+
+
+def _set_masses(mu: ParryYrrapMeasure, e_set, f_set) -> tuple[float, float]:
+    """(mu(E), mu(F)); DegenerateF for mu(F) below MIN_MU_F, which the estimates divide by."""
+    mu_e = mu.measure_interval(*e_set)
+    mu_f = mu.measure_interval(*f_set)
+    if mu_f < MIN_MU_F:
+        raise DegenerateF(f"mu(F) = {mu_f:.2e} below the {MIN_MU_F:g} floor")
+    return mu_e, mu_f
 
 
 def _exact_joint(mu: ParryYrrapMeasure, e_set, f_set, lag: int) -> float:
@@ -734,12 +737,11 @@ def fit_exponential(ns, values, std_errors=None) -> tuple[float, float, float]:
 
 def correlation_series(beta, e_set, f_set, lags: Sequence[int],
                        num_samples: Optional[int] = None,
-                       seed: Optional[int] = None, method: str = "exact",
-                       kappa_lags: int = 30) -> CorrelationSeries:
+                       seed: Optional[int] = None, method: str = "exact") -> CorrelationSeries:
     """phi-hat over the requested lags plus the summability diagnostic.
 
-    kappa_hat sums phi-hat over lags 1..kappa_lags and completes the series
-    with the fitted geometric tail C gamma^(kappa_lags+1) / (1 - gamma).
+    kappa_hat sums phi-hat over lags 1..KAPPA_LAGS and completes the series
+    with the fitted geometric tail C gamma^(KAPPA_LAGS+1) / (1 - gamma).
     """
     mu = ParryYrrapMeasure(beta)
     lags = sorted(set(int(n) for n in lags))
@@ -756,16 +758,15 @@ def correlation_series(beta, e_set, f_set, lags: Sequence[int],
     vals = [v for _, v, _ in entries]
     ses = [s for _, _, s in entries]
     c, gamma, r2 = fit_exponential(ns, vals, ses)
-    kappa_cover = [n for n in range(1, kappa_lags + 1)]
     known = dict((n, v) for n, v, _ in entries)
     kappa = 0.0
-    for n in kappa_cover:
+    for n in range(1, KAPPA_LAGS + 1):
         if n in known:
             kappa += known[n]
         elif 0 < gamma < 1:
             kappa += c * gamma ** n
     if 0 < gamma < 1:
-        kappa += c * gamma ** (kappa_lags + 1) / (1 - gamma)
+        kappa += c * gamma ** (KAPPA_LAGS + 1) / (1 - gamma)
     return CorrelationSeries(entries=tuple(entries), kappa_hat=kappa,
                              fit_c=c, fit_gamma=gamma, fit_r2=r2)
 
@@ -775,10 +776,7 @@ def _mc_series(mu, e_set, f_set, lags, num_samples, rng):
     every lag (shared orbit array), with binomial standard errors."""
     if num_samples is None:
         raise ValueError("Monte Carlo estimates need num_samples")
-    mu_e = mu.measure_interval(*e_set)
-    mu_f = mu.measure_interval(*f_set)
-    if mu_f < 1e-6:
-        raise DegenerateF(f"mu(F) = {mu_f:.2e} below the 1e-6 floor")
+    mu_e, mu_f = _set_masses(mu, e_set, f_set)
     xs = mu.sample(rng, num_samples)
     in_e = (xs >= e_set[0]) & (xs < e_set[1])
     orbit = xs.copy()

@@ -24,7 +24,7 @@ from .errors import Indeterminate, PrecisionExhausted
 from .orbits import beta_float, orbit_of_one
 
 FULL_DECISION_TOL = 2.0 ** -40
-_MAX_EXPLICIT = 2_000_000
+MAX_EXPLICIT = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ def cylinders_of_order(beta, n: int, engine: str = "auto") -> list[Cylinder]:
 def _cylinders_automaton(beta, n: int) -> list[Cylinder]:
     auto = BetaAutomaton(beta, n)
     total = auto.count(n)
-    if total > _MAX_EXPLICIT:
+    if total > MAX_EXPLICIT:
         raise ValueError(
             f"{total} cylinders at order {n}: too many to materialize; "
             "use full_cylinder_gap / count_cylinders for streaming statistics"
@@ -200,7 +200,7 @@ def _cylinders_refine(beta, n: int) -> list[Cylinder]:
                 else:
                     s2, t2 = b * s, b * t + j + 1
                 nxt.append((xl, xr, s2, t2, word + (j,)))
-            if len(nxt) > _MAX_EXPLICIT:
+            if len(nxt) > MAX_EXPLICIT:
                 raise ValueError("too many cylinders to materialize")
         pieces = nxt
     out = []
@@ -212,20 +212,18 @@ def _cylinders_refine(beta, n: int) -> list[Cylinder]:
     return out
 
 
-def is_full_cylinder(beta, cyl: Cylinder, tol: float = FULL_DECISION_TOL) -> bool:
+def is_full_cylinder(beta, cyl: Cylinder) -> bool:
     """True iff T_beta^n maps the cylinder onto all of [0,1).
 
-    Full is declared only when both image endpoints sit within ``tol`` of 0
-    and 1.  Raises Indeterminate when the stored endpoint uncertainty
-    overlaps the decision threshold.
+    Full is declared only when both image endpoints sit within
+    ``FULL_DECISION_TOL`` of 0 and 1.  Raises Indeterminate when the stored
+    endpoint uncertainty overlaps the decision threshold.
     """
     u, v = cyl.image
-    unc = cyl.uncertainty
-    lo_gap = u - 0.0
-    hi_gap = 1.0 - v
-    if max(lo_gap, hi_gap) + unc <= tol:
+    gap, unc = max(u, 1.0 - v), cyl.uncertainty
+    if gap + unc <= FULL_DECISION_TOL:
         return True
-    if max(lo_gap, hi_gap) - unc > tol:
+    if gap - unc > FULL_DECISION_TOL:
         return False
     raise Indeterminate(
         "image endpoint within rounding uncertainty of the fullness threshold; "

@@ -16,10 +16,8 @@ class PrecisionExhausted(RuntimeError):
     evaluated checkpoint.
     """
 
-    def __init__(self, message, step=None, last_checkpoint=None):
-        super().__init__(message)
-        self.step = step
-        self.last_checkpoint = last_checkpoint
+    step = None
+    last_checkpoint = None
 
 
 class BudgetTooLarge(ValueError):
@@ -27,7 +25,7 @@ class BudgetTooLarge(ValueError):
 
 
 class TolUnreachable(ValueError):
-    """A requested tolerance would need a truncation order past the cap."""
+    """A fixed tolerance would need a truncation order past the cap."""
 
 
 class Indeterminate(RuntimeError):
@@ -63,7 +61,7 @@ class RateNotVanishing(ValueError):
 
 
 class AmbiguityBudgetExceeded(RuntimeError):
-    """Interval-arithmetic indecision exceeded the configured fraction of hits."""
+    """Interval-arithmetic indecision exceeded the ambiguity budget's fraction of hits."""
 
 
 class StartLawUnsupported(ValueError):

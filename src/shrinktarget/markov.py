@@ -28,6 +28,9 @@ from .measures import SupportSet
 from .orbits import _scalar_bounds, scalar
 
 CONTAINMENT_SLACK = 2.0 ** -40
+PERRON_TOL = 1e-12  # power iteration stops once Rayleigh quotients agree this closely
+_PERRON_MAX_ITER = 100_000
+COVER_TOL = 1e-9  # slack of the eventually-onto covering test
 
 
 @dataclass(frozen=True)
@@ -336,8 +339,7 @@ def build_markov(pl: PiecewiseLinearMap) -> MarkovSubsystem:
     )
 
 
-def verify_markov(pieces: Sequence[tuple], pl: PiecewiseLinearMap,
-                  slack: float = CONTAINMENT_SLACK) -> list[str]:
+def verify_markov(pieces: Sequence[tuple], pl: PiecewiseLinearMap) -> list[str]:
     """Independent checker of the Markov conditions on actual intervals.
 
     (i) pairwise disjoint interiors, (ii) injectivity on each piece (true
@@ -349,7 +351,7 @@ def verify_markov(pieces: Sequence[tuple], pl: PiecewiseLinearMap,
     problems = []
     ivs = sorted((float(a), float(b), i) for i, (a, b) in enumerate(pieces))
     for (a1, b1, i1), (a2, b2, i2) in zip(ivs, ivs[1:]):
-        if a2 < b1 - slack:
+        if a2 < b1 - CONTAINMENT_SLACK:
             problems.append(f"pieces {i1} and {i2} have overlapping interiors")
     images = []
     for i, (a, b) in enumerate(pieces):
@@ -363,9 +365,9 @@ def verify_markov(pieces: Sequence[tuple], pl: PiecewiseLinearMap,
     for j, (u, v) in enumerate(images):
         for k, (a, b) in enumerate(pieces):
             a, b = float(a), float(b)
-            meets_interior = min(v, b) - max(u, a) > slack
+            meets_interior = min(v, b) - max(u, a) > CONTAINMENT_SLACK
             if meets_interior:
-                inside = a >= u - slack and b <= v + slack
+                inside = a >= u - CONTAINMENT_SLACK and b <= v + CONTAINMENT_SLACK
                 if not inside:
                     problems.append(
                         f"T(P({j})) meets the interior of P({k}) without containing it"
@@ -425,11 +427,10 @@ def perron_bounds(matrix) -> tuple[float, float]:
     return float(min(sums)), float(max(sums))
 
 
-def entropy_and_dim(matrix, beta_modulus: float,
-                    tol: float = 1e-12, max_iter: int = 100_000) -> tuple[float, float]:
+def entropy_and_dim(matrix, beta_modulus: float) -> tuple[float, float]:
     """(h_top, dim) from the Perron root of the transition matrix.
 
-    Power iteration until successive Rayleigh quotients differ by < tol;
+    Power iteration until successive Rayleigh quotients differ by < PERRON_TOL;
     the row-sum sandwich stays the rigorous bound (use perron_bounds).
     dim = h_top / log(beta_modulus).
     """
@@ -439,14 +440,14 @@ def entropy_and_dim(matrix, beta_modulus: float,
         raise ValueError("empty matrix")
     v = np.ones(m) / math.sqrt(m)
     prev = 0.0
-    for _ in range(max_iter):
+    for _ in range(_PERRON_MAX_ITER):
         w = a @ v
         norm = np.linalg.norm(w)
         if norm == 0:
             return -math.inf, 0.0
         v = w / norm
         rho = float(v @ (a @ v))
-        if abs(rho - prev) < tol:
+        if abs(rho - prev) < PERRON_TOL:
             break
         prev = rho
     h = math.log(rho)
@@ -454,12 +455,11 @@ def entropy_and_dim(matrix, beta_modulus: float,
 
 
 def eventually_onto_search(pl: PiecewiseLinearMap, interval: tuple,
-                           support: Union[SupportSet, tuple], max_k: int = 200,
-                           tol: float = 1e-9) -> Optional[int]:
+                           support: Union[SupportSet, tuple], max_k: int = 200) -> Optional[int]:
     """Smallest k <= max_k with T^k(I) covering the support, else None.
 
     Forward-image propagation on unions of intervals, merging as they
-    grow; containment is checked within ``tol``.
+    grow; containment is checked within ``COVER_TOL``.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if hi <= lo:
@@ -470,19 +470,19 @@ def eventually_onto_search(pl: PiecewiseLinearMap, interval: tuple,
         images = []
         for a, b in current:
             images.extend(pl.image_of_interval(a, b))
-        current = _merge_intervals([(float(a), float(b)) for a, b in images], slack=tol)
-        if _covers(current, targets, tol):
+        current = _merge_intervals([(float(a), float(b)) for a, b in images], slack=COVER_TOL)
+        if _covers(current, targets):
             return k
     return None
 
 
-def _covers(cover: list, targets: Sequence[tuple], tol: float) -> bool:
+def _covers(cover: list, targets: Sequence[tuple]) -> bool:
     for (a, b) in targets:
-        pos = a + tol
-        while pos < b - tol:
+        pos = a + COVER_TOL
+        while pos < b - COVER_TOL:
             advanced = False
             for (u, v) in cover:
-                if u <= pos + tol and v > pos:
+                if u <= pos + COVER_TOL and v > pos:
                     pos = v
                     advanced = True
                     break

@@ -9,7 +9,7 @@ F(beta) the normalizing integral.  The orbit is ``orbits.orbit_of_one``,
 worked at high precision (the map is expanding, so float64 iteration of
 the orbit of 1 would drift uselessly), and F(beta) is summed at that
 precision too.  The orbit is truncated once the geometric tail
-|beta|^-N / (|beta|-1) clears the requested tolerance.  It is then
+|beta|^-N / (|beta|-1) clears ``TRUNCATION_TOL``.  It is then
 turned into one table of cell edges, cell heights and cumulative masses,
 so the CDF is piecewise linear and every query is a lookup.
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import mpmath
 import numpy as np
@@ -28,7 +28,10 @@ from .orbits import beta_float, mp_value, orbit_of_one
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
+TRUNCATION_TOL = 1e-12  # bound on the dropped tail of the density series
 _MAX_TERMS = 200_000
+SUPPORT_TOL = 1e-9  # density below which a cell is off the support
+SUPPORT_MERGE_GAP = 1e-6  # support gaps shorter than this are merged
 
 
 @dataclass(frozen=True)
@@ -72,16 +75,17 @@ class ParryYrrapMeasure:
     (edges, masses) linearly.
     """
 
-    def __init__(self, beta, tol: float = 1e-12, max_terms: int = _MAX_TERMS):
+    def __init__(self, beta):
         b = beta_float(beta)
         if abs(b) <= 1:
             raise ValueError("|beta| must be > 1")
         self.beta = b
         absb = abs(b)
-        n_terms = max(2, math.ceil(math.log(1.0 / (tol * (absb - 1))) / math.log(absb)) + 1)
-        if n_terms > max_terms:
+        n_terms = max(2, math.ceil(
+            math.log(1.0 / (TRUNCATION_TOL * (absb - 1))) / math.log(absb)) + 1)
+        if n_terms > _MAX_TERMS:
             raise TolUnreachable(
-                f"tolerance {tol} needs {n_terms} series terms (cap {max_terms})"
+                f"tolerance {TRUNCATION_TOL} needs {n_terms} series terms (cap {_MAX_TERMS})"
             )
         points, _, bits = orbit_of_one(beta, n_terms - 1)
         b_mp = mp_value(beta, bits)
@@ -90,7 +94,6 @@ class ParryYrrapMeasure:
         orbit = np.array([float(y) for y in points])
         self._truncated_exactly = len(orbit) < n_terms or orbit[-1] == 0.0
         self.truncation_order = len(orbit)
-        self.tol = tol
         powers = np.array([b ** -float(n) for n in range(len(orbit))])
         self.edges = np.unique(np.concatenate(([0.0, 1.0], orbit)))
         at_edge = np.bincount(np.searchsorted(self.edges, orbit), weights=powers,
@@ -108,13 +111,8 @@ class ParryYrrapMeasure:
         absb = abs(self.beta)
         return absb ** -self.truncation_order / (absb - 1.0)
 
-    def density(self, x, tol: Optional[float] = None):
-        """h_beta(x), within ``tol`` (default: the construction tolerance)."""
-        if tol is not None and tol < self.tail_bound * 2 / self.normalizer:
-            raise TolUnreachable(
-                f"measure built with truncation tail {self.tail_bound:.2e}; "
-                f"rebuild with tol <= {tol}"
-            )
+    def density(self, x):
+        """h_beta(x), off by at most 2 ``tail_bound`` / ``normalizer``."""
         side = "right" if self.beta > 1 else "left"
         return _float_or_array(self.heights[np.searchsorted(self.edges, x, side)])
 
@@ -156,13 +154,13 @@ class ParryYrrapMeasure:
         """sup of the truncated density (step function, so a finite max)."""
         return float(np.max(self.heights[1:-1]))
 
-    def support(self, tol: float = 1e-9, merge_gap: float = 1e-6) -> SupportSet:
+    def support(self, tol: float = SUPPORT_TOL) -> SupportSet:
         """Support K(beta): [0,1] for beta in (-inf,-g] u (1,inf).
 
         For beta in (-g,-1) the support is a finite union of closed
         intervals; it is approximated here as the closure of the truncated
         density's positivity set (threshold ``tol``), merging spurious gaps
-        shorter than ``merge_gap``.  No certified gap count is claimed.
+        shorter than ``SUPPORT_MERGE_GAP``.  No certified gap count is claimed.
         """
         b = self.beta
         if b > 1 or b <= -GOLDEN_RATIO + 1e-15:
@@ -175,7 +173,7 @@ class ParryYrrapMeasure:
             raise AssertionError("empty support: truncated density vanished everywhere")
         merged = [list(pieces[0])]
         for a, bb in pieces[1:]:
-            if a - merged[-1][1] < merge_gap:
+            if a - merged[-1][1] < SUPPORT_MERGE_GAP:
                 merged[-1][1] = bb
             else:
                 merged.append([a, bb])
@@ -223,8 +221,8 @@ def bound_constant(beta) -> float:
 class ProductMeasure:
     """Product of per-coordinate Parry/Yrrap measures on the d-torus."""
 
-    def __init__(self, betas: Sequence, tol: float = 1e-12):
-        self.factors = tuple(ParryYrrapMeasure(b, tol=tol) for b in betas)
+    def __init__(self, betas: Sequence):
+        self.factors = tuple(ParryYrrapMeasure(b) for b in betas)
 
     @property
     def d(self) -> int:

@@ -28,6 +28,7 @@ from .errors import BudgetTooLarge, PrecisionExhausted, SingularMatrix
 GUARD_BITS = 64
 WIDTH_TOLERANCE_BITS = 8
 _DEFAULT_PRECISION_CAP = 1 << 20
+EIGENVALUE_TOL = 1e-12  # error bound on each eigenvalue modulus
 
 Number = Union[int, float, Fraction, str]
 
@@ -295,12 +296,8 @@ def _rounded(num: int, den: int, up: bool) -> float:
     return f
 
 
-def beta_step(
-    beta: Number,
-    x: UnitRealInterval,
-    out_bits: Optional[int] = None,
-    width_tolerance_bits: int = WIDTH_TOLERANCE_BITS,
-) -> UnitRealInterval:
+def beta_step(beta: Number, x: UnitRealInterval,
+              out_bits: Optional[int] = None) -> UnitRealInterval:
     """One application of x -> beta*x mod 1 on an enclosure.
 
     frac(y) = y - floor(y) maps into [0,1) for either sign of beta.  A
@@ -339,9 +336,9 @@ def beta_step(
         start = rem << -shift
         end = (rem + (m_hi - m_lo)) << -shift
     width = end - start
-    if width >= (1 << out_bits) or width > (1 << max(out_bits - width_tolerance_bits, 0)):
+    if width >= (1 << out_bits) or width > (1 << max(out_bits - WIDTH_TOLERANCE_BITS, 0)):
         raise PrecisionExhausted(
-            f"enclosure width {width / (1 << out_bits):.3e} exceeds 2^-{width_tolerance_bits}"
+            f"enclosure width {width / (1 << out_bits):.3e} exceeds 2^-{WIDTH_TOLERANCE_BITS}"
         )
     return UnitRealInterval(start, width, out_bits)
 
@@ -440,7 +437,7 @@ def _int_det(rows) -> int:
     return sign * m[-1][-1]
 
 
-def required_precision(system, n_steps: int, cap: Optional[int] = None) -> int:
+def required_precision(system, n_steps: int) -> int:
     """Bits needed so that ``iterate`` never exhausts precision in n steps.
 
     ceil(n * log2(max expansion factor)) + 64 guard bits.  For integer
@@ -457,16 +454,15 @@ def required_precision(system, n_steps: int, cap: Optional[int] = None) -> int:
         bits = GUARD_BITS
     else:
         bits = math.ceil(n_steps * math.log2(growth)) + GUARD_BITS
-    return _within_cap(bits, n_steps, cap)
+    return _within_cap(bits, n_steps)
 
 
-def _within_cap(bits: int, n_steps: int, cap: Optional[int] = None) -> int:
+def _within_cap(bits: int, n_steps: int) -> int:
     """``bits``, or BudgetTooLarge naming the cap and how to raise it."""
-    limit = cap if cap is not None else precision_cap()
-    if bits > limit:
+    if bits > precision_cap():
         raise BudgetTooLarge(
             f"{bits} bits needed for {n_steps} steps exceeds the precision cap of "
-            f"{limit} bits (set SHRINKTARGET_PRECISION_CAP to raise it)"
+            f"{precision_cap()} bits (set SHRINKTARGET_PRECISION_CAP to raise it)"
         )
     return bits
 
@@ -620,12 +616,12 @@ def char_poly_int(matrix) -> list[int]:
     return out
 
 
-def eigenvalue_moduli(system, tol: float = 1e-12) -> list[float]:
-    """Sorted eigenvalue moduli of an integer matrix, error <= tol.
+def eigenvalue_moduli(system) -> list[float]:
+    """Sorted eigenvalue moduli of an integer matrix, error <= EIGENVALUE_TOL.
 
     Exact integer characteristic polynomial, then high-precision root
     finding with an error estimate; precision is raised until the
-    estimate clears tol.
+    estimate clears EIGENVALUE_TOL.
     """
     matrix = system.matrix if isinstance(system, IntegerMatrixSystem) else tuple(
         tuple(int(v) for v in row) for row in system
@@ -639,7 +635,7 @@ def eigenvalue_moduli(system, tol: float = 1e-12) -> list[float]:
             roots, err = mpmath.polyroots(
                 coeffs, maxsteps=200, extraprec=extraprec, error=True
             )
-            if err < tol / 10:
+            if err < EIGENVALUE_TOL / 10:
                 return sorted(float(abs(r)) for r in roots)
         extraprec *= 2
     raise ArithmeticError("root isolation did not reach the requested accuracy")

@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -123,16 +123,16 @@ class RateFunction:
             return True
         return False  # finite tables with "hold" never vanish; "none" is unknowable
 
-    def lower_order(self, horizon: Optional[int] = None):
+    def lower_order(self):
         """lambda(psi) = liminf -log psi(n) / n.
 
         Closed form for symbolic kinds; for tables, a numeric liminf
-        estimate (min over the tail half of the horizon) returned together
+        estimate (min over the tail half of the table) returned together
         with the window it was taken over.
         """
-        return self.subsampled_lower_order(1, horizon)
+        return self.subsampled_lower_order(1)
 
-    def subsampled_lower_order(self, k: int, horizon: Optional[int] = None):
+    def subsampled_lower_order(self, k: int):
         """liminf over multiples of k of -log psi(kn) / (kn).
 
         Equals lambda(psi) for decreasing psi.  Closed form for symbolic
@@ -146,7 +146,7 @@ class RateFunction:
             return 0.0
         if self.kind == "superexponential":
             return math.inf
-        n_max = min(horizon or len(self.values), len(self.values)) // k
+        n_max = len(self.values) // k
         if n_max < 1:
             raise OutOfTable("table too short for this subsampling")
         lo = max(1, n_max // 2)
@@ -154,8 +154,9 @@ class RateFunction:
         vals = -np.log(self.psi(ns)) / ns
         return float(vals.min()), (int(k * lo), int(k * n_max))
 
-    def tau_limsup(self, beta_modulus: float, horizon: int = 10_000) -> float:
-        """limsup psi(n) |beta|^-n for |beta| <= 1 (degenerate reduction)."""
+    def tau_limsup(self, beta_modulus: float) -> float:
+        """limsup psi(n) |beta|^-n for |beta| <= 1 (degenerate reduction), over
+        a table's first 10^4 terms."""
         if beta_modulus > 1:
             raise ValueError("tau is used for |beta| <= 1")
         if beta_modulus == 0:
@@ -171,7 +172,7 @@ class RateFunction:
             return 0.0 if gap == 0.0 and self.kappa > 0 else (math.inf if gap > 0 else 1.0)
         if self.kind == "superexponential":
             return 0.0
-        ns = np.arange(1, min(horizon, len(self.values)) + 1)
+        ns = np.arange(1, min(10_000, len(self.values)) + 1)
         return float(np.max(self.psi(ns) * beta_modulus ** -ns.astype(float)))
 
 

@@ -82,6 +82,19 @@ class TestValidate:
         cfg = ExperimentConfig("markov", {"beta": 5})
         assert any("modulus > 8" in d for d in validate(cfg))
 
+    @pytest.mark.parametrize("params, refused", [
+        ({"beta": "1e200", "power": 2}, True),
+        ({"beta": "1e300"}, True),
+        ({"beta": "g", "power": 21}, True),    # 2^21 pieces
+        ({"beta": "g", "power": 20}, False),
+        ({"beta": 7, "power": 3}, False),
+        ({"beta": 10, "power": 3}, False),
+        ({"beta": "0.5", "power": 10 ** 400}, False),  # beta_map refuses |beta| <= 1
+    ])
+    def test_markov_piece_cap(self, params, refused):
+        msgs = validate(ExperimentConfig("markov", params))
+        assert any(d.startswith("error:") and "pieces" in d for d in msgs) == refused
+
     def test_superexponential_routed_to_unbounded(self):
         cfg = ExperimentConfig("dimension", {"method": "rect", "rate": "superexp",
                                              "t_points": "0.5,inf", "moduli": ["2", "3"]})
@@ -125,6 +138,27 @@ class TestRun:
                                          "center": [0, 0], "steps": 10})
         with pytest.raises(ConfigInvalid):
             run(cfg, tmp_path)
+
+    def test_manifest_tolerances_are_the_module_constants(self, tmp_path):
+        from shrinktarget import counting, cylinders, markov, measures, orbits
+
+        run(ExperimentConfig("measure", {"beta": "g"}), tmp_path, manifest_only=True)
+        written = json.loads((tmp_path / "measure_manifest.json").read_text())["tolerances"]
+        assert written == {
+            "ambiguity_budget": counting.AMBIGUITY_BUDGET,
+            "eigenvalue_moduli": orbits.EIGENVALUE_TOL,
+            "full_cylinder_decision": cylinders.FULL_DECISION_TOL,
+            "measure_truncation_tail": measures.TRUNCATION_TOL,
+            "perron_rayleigh": markov.PERRON_TOL,
+            "support_merge_gap": measures.SUPPORT_MERGE_GAP,
+            "support_threshold": measures.SUPPORT_TOL,
+        }
+        assert written == {
+            "ambiguity_budget": 0.001, "eigenvalue_moduli": 1e-12,
+            "full_cylinder_decision": 9.094947017729282e-13,
+            "measure_truncation_tail": 1e-12, "perron_rayleigh": 1e-12,
+            "support_merge_gap": 1e-06, "support_threshold": 1e-09,
+        }
 
     def test_manifest_only_skips_outputs(self, tmp_path):
         cfg = ExperimentConfig("dimension", {"method": "ball", "moduli": ["2", "3"],
@@ -259,7 +293,7 @@ class TestMainExitCodes:
         assert "sample 0: 2 ambiguous hits" in capsys.readouterr().err
 
     def test_uncertified_eigenvalues_are_a_diagnostic(self, tmp_path, monkeypatch, capsys):
-        def uncertified(system, tol=1e-12):
+        def uncertified(system):
             raise ArithmeticError("root isolation did not reach the requested accuracy")
 
         monkeypatch.setattr(cli, "eigenvalue_moduli", uncertified)
@@ -350,6 +384,21 @@ class TestMainExitCodes:
         (["measure", "--beta", "1e400"], "--beta"),
         (["support", "--beta", "1e400"], "--beta"),
         (["markov", "--beta", "1e400"], "--beta"),
+        (["markov", "--beta", "1e200", "--power", "2"], "--power"),
+        (["dimension", "--method", "onedim", "--beta-modulus", "nan", "--lam", "0.5"],
+         "--beta-modulus"),
+        (["dimension", "--method", "onedim", "--beta-modulus", "1e400", "--lam", "0.5"],
+         "--beta-modulus"),
+        (["dimension", "--method", "rect", "--moduli", "2,3", "--t-points", "nan,inf"],
+         "--t-points"),
+        (["volume", "--d", "2", "--delta", "nan"], "--delta"),
+        (["count", "--system", "diag:2", "--rate", "pow:nan,0.25", "--steps", "100",
+          "--seed", "1"], "--rate"),
+        (["count", "--system", "diag:2", "--rate", "pow:0.5,0.25", "--steps", "100",
+          "--seed", "1", "--epsilon", "inf"], "--epsilon"),
+        (["mixing", "--beta", "g", "--set-e", "0,nan", "--set-f", "0,0.25", "--seed", "1"],
+         "--set-e"),
+        (["measure", "--beta", "2", "--b", "inf"], "--b"),
     ])
     def test_malformed_value_is_two(self, tmp_path, capsys, argv, flag):
         assert main(argv + ["--out", str(tmp_path)]) == 2

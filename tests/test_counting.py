@@ -31,7 +31,8 @@ from shrinktarget.counting import (
     window_hits,
 )
 from shrinktarget.errors import (
-    BudgetTooLarge, DegenerateF, PrecisionExhausted, StartLawUnsupported,
+    AmbiguityBudgetExceeded, BudgetTooLarge, DegenerateF, PrecisionExhausted,
+    StartLawUnsupported,
 )
 from shrinktarget.measures import ParryYrrapMeasure, ProductMeasure
 from shrinktarget.orbits import (
@@ -220,15 +221,16 @@ class TestCountHits:
         count_hits(s, t, (Fraction(1, 3), Fraction(1, 5)), 100)
 
     def test_precision_exhausted_step_matches_iterate(self):
-        # both report the last completed step for the same 80-bit orbit
+        # both report the last completed step for the same given 80-bit enclosure
         s = DiagonalTorusSystem(("g",))
         t = ball((0.25,), RateFunction.power(0.2, 0.2))
-        x = (Fraction(1, 7),)
+        x = (UnitRealInterval.from_value(Fraction(1, 7), 80),)
         with pytest.raises(PrecisionExhausted) as by_iterate:
-            iterate(s, x, 200, precision_bits=80)
+            iterate(s, x, 200)
         with pytest.raises(PrecisionExhausted) as by_count:
-            count_hits(s, t, x, 200, checkpoints=[50, 200], precision_bits=80)
-        assert by_iterate.value.step == by_count.value.step == 101
+            count_hits(s, t, x, 200, checkpoints=[50, 200])
+        # the width 2^-80 g^n passes the 2^-8 tolerance at n = 104
+        assert by_iterate.value.step == by_count.value.step == 103
         assert by_count.value.last_checkpoint.n == 50
 
     def test_nu_measure_counting(self):
@@ -869,13 +871,23 @@ class TestAmbiguityBudget:
         assert clean.ambiguity_ok()
         noisy = CountingResult(0, (CheckpointRow(100, 990, 1000, 900.0, None),), 10, 0.5)
         assert not noisy.ambiguity_ok()          # 10 > 0.1% of 1000
-        assert noisy.ambiguity_ok(budget=0.02)   # but fine at a 2% budget
 
-    def test_strict_mode_passes_clean_runs(self):
+    def test_clean_runs_pass_the_budget(self):
         s = DiagonalTorusSystem((2,))
         t = ball((0.0,), RateFunction.power(0.3, 0.1))
-        summary = monte_carlo_counting(s, t, 3, 2000, seed=1, strict_ambiguity=True)
+        summary = monte_carlo_counting(s, t, 3, 2000, seed=1)
         assert all(r.ambiguous_hits == 0 for r in summary.results)
+
+    def test_monte_carlo_counting_enforces_the_budget(self, monkeypatch):
+        # 2 ambiguous hits of R_hi = 1000 is past AMBIGUITY_BUDGET = 1e-3
+        def noisy(system, target, x, cps, phi, epsilon, measure, sample_id, rng):
+            row = counting.CheckpointRow(cps[-1], 998, 1000, float(phi[-1]), None)
+            return counting.CountingResult(sample_id, (row,), 2, epsilon)
+
+        monkeypatch.setattr(counting, "_count_sample", noisy)
+        with pytest.raises(AmbiguityBudgetExceeded, match="sample 0: 2 ambiguous hits"):
+            monte_carlo_counting(DiagonalTorusSystem((2,)),
+                                 ball((0.0,), RateFunction.power(0.3, 0.1)), 2, 10, seed=1)
 
 
 class TestNuHyperboloidPhi:

@@ -123,8 +123,9 @@ class TestDensity:
         assert mu.density(0.8) == pytest.approx(1 / f, abs=1e-12)
 
     def test_tol_unreachable(self):
+        # 1e-12 of tail needs about 368434 terms at beta = 1.0001, past the 200000 cap
         with pytest.raises(TolUnreachable):
-            ParryYrrapMeasure(1.0001, tol=1e-300, max_terms=1000)
+            ParryYrrapMeasure(1.0001)
 
 
 class TestMeasureInterval:

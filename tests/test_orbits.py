@@ -109,8 +109,9 @@ class TestRequiredPrecision:
             required_precision(DiagonalTorusSystem((2, 3)), 10 ** 6)
         # the integer digit engine is the documented fallback at that scale
 
-    def test_explicit_cap_override(self):
-        assert required_precision(DiagonalTorusSystem((2, 3)), 10 ** 6, cap=1 << 22) > 0
+    def test_explicit_cap_override(self, monkeypatch):
+        monkeypatch.setenv("SHRINKTARGET_PRECISION_CAP", str(1 << 22))
+        assert required_precision(DiagonalTorusSystem((2, 3)), 10 ** 6) > 0
 
 
 class TestScalar:
