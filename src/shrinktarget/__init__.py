@@ -16,6 +16,7 @@ from .errors import (
     Indeterminate,
     InfiniteCoordinate,
     OutOfTable,
+    PieceCapExceeded,
     PrecisionExhausted,
     RateNotVanishing,
     SingularMatrix,
@@ -44,6 +45,7 @@ from .cylinders import (
     full_cylinder_stats,
     is_full_cylinder,
     preimage_intervals,
+    preimage_sweep,
 )
 from .measures import (
     GOLDEN_RATIO,

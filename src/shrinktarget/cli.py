@@ -34,7 +34,7 @@ from .errors import (
     PrecisionExhausted,
     TolUnreachable,
 )
-from .counting import correlation_series, monte_carlo_counting
+from .counting import correlation_series, exact_piece_bound, monte_carlo_counting
 from .dimension import (
     MtpInput,
     conjectured_dim_hat,
@@ -287,7 +287,7 @@ def _diagnostics(command: str, p: dict) -> list[str]:
         )
     if p.get("measure") == "parry" and not isinstance(system, DiagonalTorusSystem):
         out.append("error: --measure parry needs a diagonal system")
-    if isinstance(system, IntegerMatrixSystem):
+    if command == "count" and isinstance(system, IntegerMatrixSystem):
         try:
             mods = eigenvalue_moduli(system)
         except ArithmeticError as exc:
@@ -311,6 +311,13 @@ def _diagnostics(command: str, p: dict) -> list[str]:
                 f"note: slope modulus {modulus ** p['power']:.4g} <= 8; the Markov "
                 "construction requires modulus > 8 (raise --power)"
             )
+    if command == "mixing" and abs(beta_float(p["beta"])) > 1:
+        lag, pieces = exact_piece_bound(p["beta"], p["set_e"], p["set_f"], p["lags"],
+                                        p["method"], p["samples"])
+        if pieces > cylinders.MAX_EXPLICIT:
+            out.append(f"error: the exact method at lag {lag} may need more than the "
+                       f"{cylinders.MAX_EXPLICIT} preimage pieces it can hold "
+                       "(lower --lags or use --method mc)")
     if command == "dimension" and p["method"] == "rect" and not p["t_points"].bounded:
         out.append(
             "note: accumulation set has infinite coordinates; "

@@ -46,7 +46,7 @@ import numpy as np
 from .errors import (
     AmbiguityBudgetExceeded, DegenerateF, PrecisionExhausted, StartLawUnsupported,
 )
-from .cylinders import preimage_intervals
+from .cylinders import preimage_intervals, preimage_piece_bound, preimage_sweep
 from .measures import GOLDEN_RATIO, ParryYrrapMeasure, ProductMeasure
 from .orbits import (
     DiagonalTorusSystem,
@@ -652,11 +652,15 @@ class CorrelationSeries:
     fit_r2: float
 
 
-def _beta_adic_order(value: Fraction, base: int, max_order: int) -> Optional[int]:
-    for k in range(max_order + 1):
-        if (value * base ** k).denominator == 1:
-            return k
-    return None
+def _beta_adic_order(value: Fraction, base: int) -> Optional[int]:
+    """The least k with value * base^k an integer, or None when there is none."""
+    q, k = value.denominator, 0
+    while q > 1:
+        g = math.gcd(q, base)
+        if g == 1:
+            return None
+        q, k = q // g, k + 1
+    return k
 
 
 def correlation_estimate(beta, e_set: tuple, f_set: tuple, lag: int,
@@ -671,28 +675,56 @@ def correlation_estimate(beta, e_set: tuple, f_set: tuple, lag: int,
     beta-adic E of order <= lag, then exact for modest lags, else MC).
     """
     mu = mu or ParryYrrapMeasure(beta)
-    b = mu.beta
     mu_e, mu_f = _set_masses(mu, e_set, f_set)
     if lag == 0:
         joint = mu.measure_interval(max(e_set[0], f_set[0]), min(e_set[1], f_set[1])) \
             if min(e_set[1], f_set[1]) > max(e_set[0], f_set[0]) else 0.0
         return abs(joint / mu_f - mu_e), 0.0
-    if method == "auto":
-        if float(b).is_integer() and b > 1:
-            base = int(b)
-            k_lo = _beta_adic_order(as_fraction(e_set[0]), base, lag)
-            k_hi = _beta_adic_order(as_fraction(e_set[1]), base, lag)
-            if k_lo is not None and k_hi is not None:
-                return 0.0, 0.0
-        method = "exact" if num_samples is None else "mc"
+    method = _lag_method(mu.beta, e_set, lag, method, num_samples)
+    if method == "zero":
+        return 0.0, 0.0
     if method == "exact":
-        joint = _exact_joint(mu, e_set, f_set, lag)
-        return abs(joint / mu_f - mu_e), 0.0
-    if method != "mc":
-        raise ValueError(f"unknown method {method!r}")
+        center, radius = _f_ball(f_set)
+        lo, hi = preimage_intervals(mu.beta, lag, center, radius).T
+        return abs(_exact_joint(mu, e_set, lo, hi) / mu_f - mu_e), 0.0
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(lag,)))
     _, value, se = _mc_series(mu, e_set, f_set, [lag], num_samples, rng)[0]
     return value, se
+
+
+def _lag_method(beta, e_set: tuple, lag: int, method: str,
+                num_samples: Optional[int]) -> str:
+    """What an estimate at ``lag`` > 0 runs: "zero", "exact" or "mc".
+
+    "auto" is "zero" for integer beta and E of beta-adic order <= lag,
+    else "exact" without ``num_samples`` and "mc" with them.
+    """
+    if method == "auto":
+        b = beta_float(beta)
+        if float(b).is_integer() and b > 1 and all(
+                (k := _beta_adic_order(as_fraction(x), int(b))) is not None and k <= lag
+                for x in e_set):
+            return "zero"
+        return "exact" if num_samples is None else "mc"
+    if method not in ("exact", "mc"):
+        raise ValueError(f"unknown method {method!r}")
+    return method
+
+
+def _exact_lags(beta, e_set, lags, method: str, num_samples) -> list:
+    """The sorted lags >= 1 that run the exact method."""
+    return sorted(n for n in set(lags) if n > 0
+                  and _lag_method(beta, e_set, n, method, num_samples) == "exact")
+
+
+def exact_piece_bound(beta, e_set, f_set, lags, method: str,
+                      num_samples: Optional[int]) -> tuple[int, float]:
+    """(n, bound): the last lag a series' preimage sweep reaches and
+    :func:`cylinders.preimage_piece_bound` there; (0, 0.0) when no lag runs exact."""
+    exact = _exact_lags(beta, e_set, lags, method, num_samples)
+    if not exact:
+        return 0, 0.0
+    return exact[-1], preimage_piece_bound(beta, exact[-1], *_f_ball(f_set))
 
 
 def _set_masses(mu: ParryYrrapMeasure, e_set, f_set) -> tuple[float, float]:
@@ -704,11 +736,14 @@ def _set_masses(mu: ParryYrrapMeasure, e_set, f_set) -> tuple[float, float]:
     return mu_e, mu_f
 
 
-def _exact_joint(mu: ParryYrrapMeasure, e_set, f_set, lag: int) -> float:
-    center = (f_set[0] + f_set[1]) / 2.0
-    radius = (f_set[1] - f_set[0]) / 2.0
-    pieces = preimage_intervals(mu.beta, lag, center, radius)
-    lo, hi = np.clip(pieces, e_set[0], e_set[1]).T
+def _f_ball(f_set) -> tuple[float, float]:
+    """F = [f0, f1] as the ball (center, radius) that the preimages pull back."""
+    return (f_set[0] + f_set[1]) / 2.0, (f_set[1] - f_set[0]) / 2.0
+
+
+def _exact_joint(mu: ParryYrrapMeasure, e_set, lo: np.ndarray, hi: np.ndarray) -> float:
+    """mu(E ∩ union of the pieces [lo, hi]), summed over the pieces in order."""
+    lo, hi = np.clip(lo, *e_set), np.clip(hi, *e_set)
     return float(np.sum(mu.measure_interval(lo, hi)))
 
 
@@ -749,7 +784,10 @@ def correlation_series(beta, e_set, f_set, lags: Sequence[int],
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
         entries = _mc_series(mu, e_set, f_set, lags, num_samples, rng)
     else:
+        swept = _exact_series(mu, e_set, f_set,
+                              _exact_lags(beta, e_set, lags, method, num_samples))
         entries = tuple(
+            (n, *swept[n]) if n in swept else
             (n, *correlation_estimate(beta, e_set, f_set, n, method=method,
                                       num_samples=num_samples, seed=seed, mu=mu))
             for n in lags
@@ -790,6 +828,20 @@ def _mc_series(mu, e_set, f_set, lags, num_samples, rng):
             se = math.sqrt(max(joint * (1 - joint), 1e-300) / num_samples) / mu_f
             entries.append((n, abs(joint / mu_f - mu_e), se))
     return tuple(entries)
+
+
+def _exact_series(mu, e_set, f_set, lags) -> dict:
+    """{lag: (estimate, 0.0)} for the sorted ``lags`` >= 1 from one preimage
+    sweep of F, the exact twin of :func:`_mc_series`."""
+    if not lags:
+        return {}
+    mu_e, mu_f = _set_masses(mu, e_set, f_set)
+    want = set(lags)
+    out = {}
+    for n, (lo, hi) in enumerate(preimage_sweep(mu.beta, lags[-1], *_f_ball(f_set))):
+        if n in want:
+            out[n] = (abs(_exact_joint(mu, e_set, lo, hi) / mu_f - mu_e), 0.0)
+    return out
 
 
 # ---------------------------------------------------------------------------

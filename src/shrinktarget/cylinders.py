@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import Indeterminate, PrecisionExhausted
+from .errors import Indeterminate, PieceCapExceeded, PrecisionExhausted
 from .orbits import beta_float, orbit_of_one
 
 FULL_DECISION_TOL = 2.0 ** -40
@@ -86,19 +85,22 @@ class BetaAutomaton:
         return len(self.branch_counts)
 
     def count(self, n: int) -> int:
-        """Exact number of order-n cylinders (paths of length n from state 0)."""
+        """Exact number of order-n cylinders (paths of length n from state 0).
 
-        @lru_cache(maxsize=None)
-        def c(j: int, k: int) -> int:
-            if k == 0:
-                return 1
-            m, term, _ = self.state(j)
-            total = m * c(0, k - 1)
-            if not term:
-                total += c(j + 1, k - 1)
-            return total
-
-        return c(0, n)
+        A path from state 0 follows the partial chain 0 -> 1 -> ... -> j
+        and then takes one of the m_j full children back to state 0, or
+        stays on the chain to the end:
+        N_k = sum_{j<k} P_j m_j N_{k-1-j} + P_k, where P_j = 1 while
+        states 0..j-1 are not terminal.  No recursion, so any n runs.
+        """
+        weights, counts, alive = [], [1], 1
+        for k in range(1, n + 1):
+            if alive:
+                m, term, _ = self.state(k - 1)
+                weights.append(m)
+                alive = not term
+            counts.append(sum(w * c for w, c in zip(weights, reversed(counts))) + alive)
+        return counts[n]
 
     def leaf_states(self, j: int, k: int) -> np.ndarray:
         """Depth-k leaf state indices below state j, in left-to-right order."""
@@ -146,7 +148,7 @@ def _cylinders_automaton(beta, n: int) -> list[Cylinder]:
     auto = BetaAutomaton(beta, n)
     total = auto.count(n)
     if total > MAX_EXPLICIT:
-        raise ValueError(
+        raise PieceCapExceeded(
             f"{total} cylinders at order {n}: too many to materialize; "
             "use full_cylinder_gap / count_cylinders for streaming statistics"
         )
@@ -201,7 +203,7 @@ def _cylinders_refine(beta, n: int) -> list[Cylinder]:
                     s2, t2 = b * s, b * t + j + 1
                 nxt.append((xl, xr, s2, t2, word + (j,)))
             if len(nxt) > MAX_EXPLICIT:
-                raise ValueError("too many cylinders to materialize")
+                raise PieceCapExceeded("too many cylinders to materialize")
         pieces = nxt
     out = []
     for (l, r, s, t, word) in sorted(pieces, key=lambda p: p[0]):
@@ -212,7 +214,7 @@ def _cylinders_refine(beta, n: int) -> list[Cylinder]:
     return out
 
 
-def is_full_cylinder(beta, cyl: Cylinder) -> bool:
+def is_full_cylinder(cyl: Cylinder) -> bool:
     """True iff T_beta^n maps the cylinder onto all of [0,1).
 
     Full is declared only when both image endpoints sit within
@@ -313,12 +315,31 @@ def _ball_arcs(a: float, r: float) -> list[tuple[float, float]]:
     return [(lo, hi)]
 
 
-def preimage_intervals(beta, n: int, a: float, r: float) -> np.ndarray:
-    """T_beta^{-n}(B(a, r)) as disjoint intervals, each inside one cylinder.
+def preimage_piece_bound(beta, n: int, a: float, r: float) -> float:
+    """Upper bound on the pieces of T_beta^{-n}(B(a, r)), |beta| > 1.
 
-    Returns an (m, 2) float64 array of (lo, hi) rows sorted by lo.  Each
-    piece lies inside a single order-n cylinder and has length at most
-    2 r |beta|^{-n}; pieces are never merged across cylinder boundaries.
+    Each arc of the ball leaves at most one piece in each order-n
+    cylinder: count_cylinders(beta, n) of them for beta > 1, at most
+    (floor|beta| + 1)^n for beta < -1.  Past ``MAX_EXPLICIT`` the bound is
+    inf, found from logs (there are at least beta^n cylinders) without
+    building the automaton.
+    """
+    arcs = len(_ball_arcs(a % 1.0, r))
+    b = beta_float(beta)
+    rate = math.log(b) if b > 1 else math.log(math.floor(-b) + 1)
+    if n * rate + math.log(arcs) > math.log(MAX_EXPLICIT):
+        return math.inf
+    return arcs * (count_cylinders(beta, n) if b > 1 else (math.floor(-b) + 1) ** n)
+
+
+def preimage_sweep(beta, n: int, a: float, r: float):
+    """Yield T_beta^{-k}(B(a, r)) for k = 0, 1, ..., n as (lo, hi) arrays.
+
+    Each lag costs one :func:`_pullback` of the one before.  The pieces
+    come out sorted by lo, each inside a single order-k cylinder and of
+    length at most 2 r |beta|^{-k}; pieces are never merged across
+    cylinder boundaries.  A sweep whose last lag could pass
+    ``MAX_EXPLICIT`` pieces raises PieceCapExceeded before it allocates.
     """
     if not (0 < r < 0.5 or n == 0):
         if not 0 < r:
@@ -328,24 +349,41 @@ def preimage_intervals(beta, n: int, a: float, r: float) -> np.ndarray:
     b = beta_float(beta)
     if abs(b) <= 1:
         raise ValueError("|beta| must be > 1")
+    if n > 0 and preimage_piece_bound(beta, n, a, r) > MAX_EXPLICIT:
+        raise PieceCapExceeded(
+            f"T^-{n} of the ball may have more than the {MAX_EXPLICIT} pieces "
+            "that can be materialized"
+        )
     arcs = _ball_arcs(a % 1.0, r)
     lo = np.array([p[0] for p in arcs])
     hi = np.array([p[1] for p in arcs])
+    yield lo, hi
     for _ in range(n):
         lo, hi = _pullback(b, lo, hi)
-    order = np.argsort(lo, kind="stable")
-    return np.column_stack((lo, hi))[order]
+        yield lo, hi
+
+
+def preimage_intervals(beta, n: int, a: float, r: float) -> np.ndarray:
+    """T_beta^{-n}(B(a, r)) as an (m, 2) float64 array of (lo, hi) rows:
+    the last lag of :func:`preimage_sweep`."""
+    for lo, hi in preimage_sweep(beta, n, a, r):
+        pass
+    return np.column_stack((lo, hi))
 
 
 def _pullback(b: float, lo: np.ndarray, hi: np.ndarray):
-    """One inverse branch expansion of a union of intervals in [0,1)."""
+    """One inverse branch expansion of a union of intervals in [0,1).
+
+    Sorted pieces stay sorted: the cells are joined in increasing j, each
+    inverse branch is monotone, and a block from a decreasing branch
+    (b < 0) is reversed.  On a full branch, (j + 1) / |b| <= 1, the
+    preimage of [0, 1] is the cell itself, so no clip is needed.
+    """
     absb = abs(b)
     num_cells = math.floor(absb) + 1
     outs_lo = []
     outs_hi = []
     for j in range(num_cells):
-        cell_lo = j / absb
-        cell_hi = min((j + 1) / absb, 1.0)
         if b > 0:
             # T(x) = b x - j on the cell
             cand_lo = (lo + j) / b
@@ -354,12 +392,14 @@ def _pullback(b: float, lo: np.ndarray, hi: np.ndarray):
             # T(x) = b x + j + 1 on the cell (b < 0 reverses orientation)
             cand_lo = (hi - (j + 1)) / b
             cand_hi = (lo - (j + 1)) / b
-        clip_lo = np.maximum(cand_lo, cell_lo)
-        clip_hi = np.minimum(cand_hi, cell_hi)
-        keep = clip_hi - clip_lo > 1e-16
-        if np.any(keep):
-            outs_lo.append(clip_lo[keep])
-            outs_hi.append(clip_hi[keep])
-    if not outs_lo:
-        return np.empty(0), np.empty(0)
+        if (j + 1) / absb > 1.0:
+            cand_lo = np.maximum(cand_lo, j / absb)
+            cand_hi = np.minimum(cand_hi, 1.0)
+        keep = cand_hi - cand_lo > 1e-16
+        if not keep.all():
+            cand_lo, cand_hi = cand_lo[keep], cand_hi[keep]
+        if b < 0:
+            cand_lo, cand_hi = cand_lo[::-1], cand_hi[::-1]
+        outs_lo.append(cand_lo)
+        outs_hi.append(cand_hi)
     return np.concatenate(outs_lo), np.concatenate(outs_hi)

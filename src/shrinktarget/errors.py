@@ -40,6 +40,10 @@ class SlopeTooSmall(ValueError):
     """Markov construction requires slope modulus strictly greater than 8."""
 
 
+class PieceCapExceeded(ValueError):
+    """An explicit list of cylinders or preimage pieces would pass MAX_EXPLICIT."""
+
+
 class DegenerateF(ValueError):
     """Conditioning set F has measure below the usable floor."""
 

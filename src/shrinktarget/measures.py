@@ -95,7 +95,7 @@ class ParryYrrapMeasure:
         self._truncated_exactly = len(orbit) < n_terms or orbit[-1] == 0.0
         self.truncation_order = len(orbit)
         powers = np.array([b ** -float(n) for n in range(len(orbit))])
-        self.edges = np.unique(np.concatenate(([0.0, 1.0], orbit)))
+        self.edges = _sorted_unique(np.concatenate(([0.0, 1.0], orbit)))
         at_edge = np.bincount(np.searchsorted(self.edges, orbit), weights=powers,
                               minlength=len(self.edges))
         # The density is non-negative; a negative suffix sum is truncation error.
@@ -138,17 +138,23 @@ class ParryYrrapMeasure:
 
         The periodic CDF is floor(x) * mass + cdf(x mod 1).  It is read cell
         by cell, so that a short interval inside one cell costs no
-        cancellation: its measure is the cell height times its length.
+        cancellation: its measure is the cell height times its length.  The
+        cross-cell sum is made only on the rows that need it.
         """
         fx, fy = np.floor(x), np.floor(y)
         x, y = x - fx, y - fy
-        last = len(self.edges) - 1
-        i = np.minimum(np.searchsorted(self.edges, x, "right"), last)
-        j = np.minimum(np.searchsorted(self.edges, y, "right"), last)
+        # the last edge is 1, so this is the cell index capped at the last cell
+        i = np.searchsorted(self.edges[:-1], x, "right")
+        j = np.searchsorted(self.edges[:-1], y, "right")
         h, e, m = self.heights, self.edges, self.masses
-        spread = (h[i] * (e[i] - x) + (m[j - 1] - m[i] + (fy - fx) * m[-1])
-                  + h[j] * (y - e[j - 1]))
-        return np.where((i == j) & (fx == fy), h[i] * (y - x), spread)
+        out = np.asarray(h[i] * (y - x))
+        cross = np.flatnonzero((i != j) | (fx != fy))
+        if len(cross):
+            i, j, x, y, fx, fy = (np.broadcast_to(v, out.shape).flat[cross]
+                                  for v in (i, j, x, y, fx, fy))
+            np.put(out, cross, h[i] * (e[i] - x) + (m[j - 1] - m[i] + (fy - fx) * m[-1])
+                   + h[j] * (y - e[j - 1]))
+        return out
 
     def envelope(self) -> float:
         """sup of the truncated density (step function, so a finite max)."""
@@ -188,6 +194,13 @@ class ParryYrrapMeasure:
         return np.interp(rng.random(size) * self.masses[-1], self.masses, self.edges)
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """np.unique of a float array with no NaN, without the lazy import of
+    numpy.ma that np.unique makes on its first call."""
+    values = np.sort(values)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
 def _float_or_array(values):
     """A 0-d result as a Python float; arrays pass through."""
     return float(values) if np.ndim(values) == 0 else values
@@ -197,7 +210,7 @@ def _distance_cdf(mu: ParryYrrapMeasure, a: float) -> tuple:
     """(breaks, slopes, intercepts) of u -> mu.arc(a, u) on [0, 1/2], linear between the
     breaks 0, 1/2 and the cell edges folded about a."""
     folded = np.abs(np.mod(mu.edges - a + 0.5, 1.0) - 0.5)
-    breaks = np.unique(np.concatenate(([0.0, 0.5], folded)))
+    breaks = _sorted_unique(np.concatenate(([0.0, 0.5], folded)))
     cdf = mu.arc(a, breaks)
     slopes = np.diff(cdf) / np.diff(breaks)
     return breaks, slopes, cdf[:-1] - slopes * breaks[:-1]

@@ -95,6 +95,27 @@ class TestValidate:
         msgs = validate(ExperimentConfig("markov", params))
         assert any(d.startswith("error:") and "pieces" in d for d in msgs) == refused
 
+    @pytest.mark.parametrize("params, refused", [
+        ({}, True),                                       # lags 1:25, 3^25 pieces
+        ({"lags": "1:13"}, False),                        # 3^13 < 2e6 < 3^14
+        ({"lags": "1:14"}, True),
+        ({"lags": "1:14", "method": "mc", "samples": 100}, False),
+        ({"lags": "1:30", "method": "auto", "samples": 100}, False),
+        ({"lags": "1:30", "method": "auto"}, True),
+        ({"beta": "g", "lags": "1:29"}, False),           # F_31 = 1346269 pieces
+        ({"beta": "g", "lags": "1:30"}, True),
+        ({"beta": "g", "lags": "0:29", "set_f": "0.9,1.05"}, True),  # wraps: two arcs
+        # auto on a dyadic E is exactly zero from lag 2: the sweep stops at lag 1
+        ({"beta": 2, "set_e": "0,0.25", "lags": "1:40", "method": "auto"}, False),
+        ({"beta": 2, "set_e": "0,0.3", "lags": "1:40", "method": "auto"}, True),
+        ({"beta": "0.5"}, False),                         # the measure refuses (exit 3)
+    ])
+    def test_exact_mixing_piece_cap(self, params, refused):
+        cfg = ExperimentConfig("mixing", {"beta": 3, "set_e": "0,0.5", "set_f": "0,0.25",
+                                          "seed": 1, **params})
+        msgs = validate(cfg)
+        assert any(d.startswith("error:") and "pieces" in d for d in msgs) == refused
+
     def test_superexponential_routed_to_unbounded(self):
         cfg = ExperimentConfig("dimension", {"method": "rect", "rate": "superexp",
                                              "t_points": "0.5,inf", "moduli": ["2", "3"]})
@@ -291,6 +312,24 @@ class TestMainExitCodes:
                      "--rate", "pow:0.5,0.25", "--steps", "10", "--seed", "1",
                      "--out", str(tmp_path)]) == 5
         assert "sample 0: 2 ambiguous hits" in capsys.readouterr().err
+
+    def test_exact_mixing_past_the_piece_cap_is_two(self, tmp_path, capsys):
+        # default lags 1:25 on beta = 3: refused before anything is allocated
+        assert main(["mixing", "--beta", "3", "--set-e", "0,0.5", "--set-f", "0,0.25",
+                     "--seed", "1", "--out", str(tmp_path)]) == 2
+        assert "preimage pieces" in capsys.readouterr().err
+        assert not (tmp_path / "mixing.csv").exists()
+
+    def test_orbit_on_a_matrix_with_a_unit_eigenvalue(self, tmp_path):
+        # the eigenvalue hypothesis is the counting law's, not the orbit tracer's
+        for spec in ("matrix:2,1;1,1", "matrix:1,1;0,1"):
+            assert main(["orbit", "--system", spec, "--x", "0.3,0.7", "--steps", "20",
+                         "--out", str(tmp_path)]) == 0
+            rows = (tmp_path / "orbit.csv").read_text().splitlines()
+            assert len(rows) == 1 + 21 * 2
+        assert any("eigenvalue moduli > 1" in d for d in validate(ExperimentConfig(
+            "count", {"system": "matrix:1,1;0,1", "seed": 1, "rate": "pow:0.5,0.25",
+                      "steps": 10})))
 
     def test_uncertified_eigenvalues_are_a_diagnostic(self, tmp_path, monkeypatch, capsys):
         def uncertified(system):

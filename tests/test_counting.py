@@ -31,8 +31,8 @@ from shrinktarget.counting import (
     window_hits,
 )
 from shrinktarget.errors import (
-    AmbiguityBudgetExceeded, BudgetTooLarge, DegenerateF, PrecisionExhausted,
-    StartLawUnsupported,
+    AmbiguityBudgetExceeded, BudgetTooLarge, DegenerateF, PieceCapExceeded,
+    PrecisionExhausted, StartLawUnsupported,
 )
 from shrinktarget.measures import ParryYrrapMeasure, ProductMeasure
 from shrinktarget.orbits import (
@@ -791,6 +791,38 @@ class TestCorrelation:
     def test_degenerate_f_rejected(self):
         with pytest.raises(DegenerateF):
             correlation_estimate(2, (0.0, 0.5), (0.3, 0.3 + 1e-9), 2)
+
+    @pytest.mark.parametrize("beta, e_set, f_set, lags", [
+        ("g", (0.0, 1 / G), (0.0, 1 / G), range(0, 19)),
+        ("g", (0.1, 0.45), (0.05, 0.8), [0, 3, 7, 8, 15]),
+        ("5/2", (0.2, 0.9), (0.0, 0.3), range(0, 11)),
+        (3, (0.0, 1 / 3), (0.5, 0.75), range(0, 9)),
+        (3, (0.1, 0.4), (0.2, 0.45), [0, 2, 5, 8]),
+        (2, (0.0, 0.25), (0.3, 0.4), range(0, 10)),   # auto: zero from lag 2
+        (-1.8, (0.05, 0.5), (0.3, 0.8), range(0, 13)),
+        (-1.8, (0.3, 0.95), (0.0, 0.35), [1, 4, 12]),
+    ])
+    @pytest.mark.parametrize("method", ["exact", "auto"])
+    def test_series_is_the_per_lag_estimate(self, beta, e_set, f_set, lags, method):
+        # one sweep serves every lag; each entry equals its own from-scratch estimate
+        series = correlation_series(beta, e_set, f_set, lags, method=method)
+        assert series.entries == tuple(
+            (n, *correlation_estimate(beta, e_set, f_set, n, method=method))
+            for n in sorted(lags))
+
+    def test_auto_with_samples_keeps_its_per_lag_streams(self):
+        lags = range(0, 6)
+        series = correlation_series(2, (0.0, 1 / 3), (0.1, 0.6), lags, method="auto",
+                                    num_samples=2000, seed=4)
+        assert series.entries == tuple(
+            (n, *correlation_estimate(2, (0.0, 1 / 3), (0.1, 0.6), n, method="auto",
+                                      num_samples=2000, seed=4))
+            for n in lags)
+
+    def test_exact_series_past_the_piece_cap_refuses(self):
+        # 3^25 pieces at lag 25: refused before the sweep allocates
+        with pytest.raises(PieceCapExceeded):
+            correlation_series(3, (0.0, 0.5), (0.0, 0.25), range(1, 26), method="exact")
 
     def test_integer_base_non_dyadic_set_decays(self):
         cs = correlation_series(2, (0.0, 1 / 3), (0.0, 1 / 3), range(1, 10),

@@ -13,9 +13,13 @@ from shrinktarget.cylinders import (
     full_cylinder_stats,
     is_full_cylinder,
     preimage_intervals,
+    preimage_piece_bound,
+    preimage_sweep,
     Cylinder,
+    MAX_EXPLICIT,
 )
-from shrinktarget.errors import Indeterminate
+from shrinktarget.errors import Indeterminate, PieceCapExceeded
+from shrinktarget.orbits import beta_float
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -83,12 +87,12 @@ class TestPartition:
 class TestFullness:
     def test_golden_words(self):
         cyls = cylinders_of_order("g", 1)
-        assert cyls[0].word == (0,) and is_full_cylinder(GOLDEN, cyls[0])
-        assert cyls[1].word == (1,) and not is_full_cylinder(GOLDEN, cyls[1])
+        assert cyls[0].word == (0,) and is_full_cylinder(cyls[0])
+        assert cyls[1].word == (1,) and not is_full_cylinder(cyls[1])
 
     def test_two_point_five_last_cell(self):
         cyls = cylinders_of_order(2.5, 1)
-        assert not is_full_cylinder(2.5, cyls[2])
+        assert not is_full_cylinder(cyls[2])
         assert cyls[2].image[1] - cyls[2].image[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_indeterminate_band(self):
@@ -96,7 +100,7 @@ class TestFullness:
         cyl = Cylinder(2.0, (0,), 0.0, 0.5, full=False,
                        image=(0.0, 1.0 - 0.9 * 2.0 ** -40), uncertainty=0.5 * 2.0 ** -40)
         with pytest.raises(Indeterminate):
-            is_full_cylinder(2.0, cyl)
+            is_full_cylinder(cyl)
 
 
 class TestFullCylinderGap:
@@ -182,6 +186,72 @@ class TestPreimages:
             preimage_intervals(2, 1, 0.5, -0.1)
 
 
+def _scratch_preimage(beta, n, arcs):
+    """T^-n of the arcs rebuilt from scratch, clipped to every cell and
+    argsorted at the end: the desk-scale oracle of the sweep."""
+    b = beta_float(beta)
+    absb = abs(b)
+    lo = np.array([p[0] for p in arcs])
+    hi = np.array([p[1] for p in arcs])
+    for _ in range(n):
+        outs_lo, outs_hi = [], []
+        for j in range(math.floor(absb) + 1):
+            if b > 0:
+                cand_lo, cand_hi = (lo + j) / b, (hi + j) / b
+            else:
+                cand_lo, cand_hi = (hi - (j + 1)) / b, (lo - (j + 1)) / b
+            clip_lo = np.maximum(cand_lo, j / absb)
+            clip_hi = np.minimum(cand_hi, min((j + 1) / absb, 1.0))
+            keep = clip_hi - clip_lo > 1e-16
+            outs_lo.append(clip_lo[keep])
+            outs_hi.append(clip_hi[keep])
+        lo, hi = np.concatenate(outs_lo), np.concatenate(outs_hi)
+    order = np.argsort(lo, kind="stable")
+    return np.column_stack((lo, hi))[order]
+
+
+class TestPreimageSweep:
+    # (a, r): F = [0.2, 0.7] does not wrap, B(0.9, 0.25) and B(0.05, 0.1) do
+    BALLS = [(0.45, 0.25), (0.9, 0.25), (0.05, 0.1)]
+
+    @pytest.mark.parametrize("beta, depth", [("g", 20), ("5/2", 11), (3, 9), (-1.8, 14)])
+    @pytest.mark.parametrize("a, r", BALLS)
+    def test_every_lag_is_the_scratch_pullback(self, beta, depth, a, r):
+        arcs = [tuple(p) for p in preimage_intervals(beta, 0, a, r)]
+        for k, (lo, hi) in enumerate(preimage_sweep(beta, depth, a, r)):
+            oracle = _scratch_preimage(beta, k, arcs)
+            assert np.array_equal(np.column_stack((lo, hi)), oracle)
+            assert np.all(np.diff(lo) > 0) and np.all(hi[:-1] <= lo[1:])
+        assert k == depth
+        assert np.array_equal(preimage_intervals(beta, depth, a, r), oracle)
+
+    def test_piece_bound(self):
+        assert preimage_piece_bound("g", 27, 0.3, 0.1) == count_cylinders("g", 27) == 514229
+        assert preimage_piece_bound("g", 27, 0.05, 0.1) == 2 * 514229  # two arcs
+        assert preimage_piece_bound(-1.8, 20, 0.3, 0.1) == 2 ** 20
+        # beta^n alone passes the cap: no automaton is built
+        assert preimage_piece_bound(3, 25, 0.3, 0.1) == math.inf
+        for beta, n, a, r in [("g", 5, 0.3, 0.1), (2.5, 4, 0.05, 0.1), (-1.8, 6, 0.9, 0.2)]:
+            assert len(preimage_intervals(beta, n, a, r)) <= preimage_piece_bound(beta, n, a, r)
+
+    @pytest.mark.parametrize("beta, n, a, r", [
+        (3, 25, 0.25, 0.25), (2, 21, 0.3, 0.1), ("g", 30, 0.3, 0.1),
+        ("g", 29, 0.05, 0.1), (-2.5, 16, 0.3, 0.1),
+    ])
+    def test_cap_refuses_before_allocating(self, beta, n, a, r):
+        # the first next() raises, before lag 0 is yielded
+        with pytest.raises(PieceCapExceeded):
+            next(preimage_sweep(beta, n, a, r))
+        with pytest.raises(ValueError):
+            preimage_intervals(beta, n, a, r)
+
+    def test_cap_admits_its_edge(self):
+        assert preimage_piece_bound("g", 29, 0.3, 0.1) <= MAX_EXPLICIT
+        assert preimage_piece_bound(2, 20, 0.3, 0.1) <= MAX_EXPLICIT
+        assert preimage_piece_bound(10, 6, 0.3, 0.1) <= MAX_EXPLICIT < \
+            preimage_piece_bound(10, 7, 0.3, 0.1)
+
+
 class TestAutomaton:
     def test_golden_orbit_terminates(self):
         auto = BetaAutomaton("g", 10)
@@ -194,3 +264,14 @@ class TestAutomaton:
         assert auto.orbit_length == 1
         assert auto.branch_counts == [3]
         assert auto.count(6) == 3 ** 6
+
+    def test_count_past_the_recursion_limit(self):
+        # golden counts are Fibonacci numbers, N_n = F_(n+2), at any depth
+        fib = [0, 1]
+        while len(fib) < 3003:
+            fib.append(fib[-1] + fib[-2])
+        assert count_cylinders("g", 3000) == fib[3002]
+        # a long orbit of 1: each count against the enumerated cylinders
+        for n in range(1, 9):
+            assert count_cylinders(1.3, n) == len(cylinders_of_order(1.3, n, engine="refine"))
+        assert count_cylinders(1.01, 1500) > 1.01 ** 1500

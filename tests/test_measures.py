@@ -166,6 +166,50 @@ class TestMeasureInterval:
             assert pulled == pytest.approx(direct, abs=1e-6)
 
 
+def _two_branch_between(mu: ParryYrrapMeasure, x, y):
+    """The periodic integral with both branches made on every row and the
+    one-cell rows picked by np.where: the oracle of the cross-cell fast path."""
+    fx, fy = np.floor(x), np.floor(y)
+    x, y = x - fx, y - fy
+    last = len(mu.edges) - 1
+    i = np.minimum(np.searchsorted(mu.edges, x, "right"), last)
+    j = np.minimum(np.searchsorted(mu.edges, y, "right"), last)
+    h, e, m = mu.heights, mu.edges, mu.masses
+    spread = (h[i] * (e[i] - x) + (m[j - 1] - m[i] + (fy - fx) * m[-1])
+              + h[j] * (y - e[j - 1]))
+    return np.where((i == j) & (fx == fy), h[i] * (y - x), spread)
+
+
+class TestBetweenFastPath:
+    @pytest.mark.parametrize("beta", ["g", 2.5, "e", -1.3, -1.8, 3])
+    def test_equals_the_two_branch_formula(self, beta):
+        mu = ParryYrrapMeasure(beta)
+        rng = np.random.default_rng(7)
+        n = 200_000
+        centers = rng.random(n)
+        # short arcs (mostly one cell), long ones (cross cells) and wrapped ones
+        radii = np.concatenate((rng.random(n // 2) * 1e-3, rng.random(n - n // 2) * 0.5))
+        x, y = centers - radii, centers + radii
+        assert np.any(x < 0) and np.any(y > 1)
+        assert np.array_equal(mu._between(x, y), _two_branch_between(mu, x, y))
+        lo, hi = np.minimum(centers, rng.random(n)), np.maximum(centers, rng.random(n))
+        assert np.array_equal(mu.measure_interval(lo, hi), _two_branch_between(mu, lo, hi))
+        r = radii[:1000]
+        assert np.array_equal(mu.arc(0.97, r),
+                              np.where(r >= 0.5, mu.masses[-1],
+                                       _two_branch_between(mu, 0.97 - r, 0.97 + r)))
+
+    def test_scalars_and_mixed_shapes(self):
+        mu = ParryYrrapMeasure("g")
+        for a, b in [(0.1, 0.2), (0.1, 0.9), (0.0, 1.0), (0.5, 0.5)]:
+            got = mu.measure_interval(a, b)
+            assert isinstance(got, float)
+            assert got == float(_two_branch_between(mu, np.float64(a), np.float64(b)))
+        ys = np.array([0.1, 0.7, 1.0])
+        assert np.array_equal(mu.measure_interval(0.05, ys),
+                              _two_branch_between(mu, np.float64(0.05), ys))
+
+
 class TestBounds:
     def test_constant_below_neg_golden(self):
         assert bound_constant(-2) == pytest.approx(4.0)
