@@ -47,7 +47,7 @@ from .dimension import (
     unbounded_bounds,
 )
 from .markov import build_markov, entropy_and_dim, is_primitive, power_map
-from .measures import ParryYrrapMeasure, ProductMeasure
+from .measures import ParryYrrapMeasure
 from .orbits import (
     DiagonalTorusSystem,
     IntegerMatrixSystem,
@@ -225,11 +225,11 @@ def _pair(value) -> tuple:
 
 
 def _lags(value) -> tuple:
-    """A range "lo:hi", a single lag "n", or a JSON array of lags."""
+    """A range "lo:hi", a single lag "n", or a JSON array of lags, each >= 0."""
     if not isinstance(value, str):
-        return _each(_int)(value)
+        return _each(_at_least(0))(value)
     lo, _, hi = value.partition(":")
-    lags = tuple(range(int(lo), int(hi or lo) + 1))
+    lags = tuple(range(_at_least(0)(lo), int(hi or lo) + 1))
     if not lags:
         raise ValueError("empty range")
     return lags
@@ -415,7 +415,7 @@ def _cmd_count(p: dict, out_dir: Path, jobs: int):
     summary = monte_carlo_counting(
         system, TargetSpec(shape, p["center"], rates), p["samples"], p["steps"], p["seed"],
         checkpoints=p["checkpoints"], epsilon=p["epsilon"], band_tol=p["band_tol"],
-        measure=ProductMeasure(system.betas) if p["measure"] == "parry" else None, jobs=jobs)
+        start="invariant" if p["measure"] == "parry" else "lebesgue", jobs=jobs)
     rows = [(res.sample_id, row.n, row.r_lo, row.r_hi, row.phi, row.e)
             for res in summary.results for row in res.checkpoints]
     path = out_dir / "count.csv"

@@ -7,8 +7,9 @@ ambiguous ones only in R_hi, and the normalized error
     e(N) = (R_mid - Phi(N)) / (Phi(N)^(1/2) (log Phi(N))^(3/2+eps))
 
 is reported at checkpoints (defined once Phi(N) > e).  Phi(N) = sum mu(E_n)
-is summed over the system's :func:`invariant_measure` whatever law the
-starts are drawn from.
+is summed over the system's :func:`invariant_measure` mu, and a random
+start is drawn from Lebesgue measure (``start="lebesgue"``) or from mu
+itself (``start="invariant"``).
 
 Engine dispatch: a diagonal system whose every beta is an integer
 2 <= b <= 128 or the golden ratio g runs on its digit streams, from a
@@ -24,8 +25,7 @@ those, and the rare steps still open are re-decided exactly from digit
 prefixes (exact integers for b, Z[g] brackets for g).  This is what makes
 N = 10^6 runs cheap.  Everything else (e, other reals, negative beta,
 integer bases above 128, given enclosures, given points on non-integer
-systems, a product measure other than the system's own, integer
-matrices) runs on the interval engine at desk scale.
+systems, integer matrices) runs on the interval engine at desk scale.
 
 Determinism: every sample derives its own generator from
 (seed, sample_id), so results are byte-identical for any worker count.
@@ -51,6 +51,7 @@ from .measures import GOLDEN_RATIO, ParryYrrapMeasure, ProductMeasure
 from .orbits import (
     DiagonalTorusSystem,
     IntegerMatrixSystem,
+    _scalar_bounds,
     as_fraction,
     beta_float,
     beta_step,  # not called here: perfbench/layertrace.py looks it up on this module
@@ -132,13 +133,11 @@ def _digit_window(base, bits: int = FINE_BITS) -> int:
     return math.ceil(bits / math.log2(base))
 
 
-def _digit_bases(system, measure=None) -> Optional[list]:
+def _digit_bases(system) -> Optional[list]:
     """Each beta as a digit-engine base, or None where the engine does not apply.
 
     A base is an int 2 <= b <= MAX_DIGIT_BASE or ``GOLDEN_RATIO`` for the
-    token "g".  None for any other beta, and for a ``measure`` that is not
-    the product of the system's own Parry measures (those the digits are
-    drawn from).
+    token "g"; None for any other beta.
     """
     if not isinstance(system, DiagonalTorusSystem) or system.degenerate:
         return None
@@ -150,14 +149,7 @@ def _digit_bases(system, measure=None) -> Optional[list]:
             bases.append(int(b))
         else:
             return None
-    if measure is not None and not _is_own_measure(system, measure):
-        return None
     return bases
-
-
-def _is_own_measure(system, measure) -> bool:
-    """Whether ``measure`` is the product of the system's own Parry/Yrrap measures."""
-    return [mu.beta for mu in measure.factors] == [beta_float(b) for b in system.betas]
 
 
 def invariant_measure(system) -> Optional[ProductMeasure]:
@@ -296,9 +288,9 @@ def _golden_prefix_enclosure(digits: np.ndarray) -> tuple:
 
     S = sum_j digits[j] g^-(j+1) is exact in Z[g] as (a + b g) g^-k, with
     g^-k = (-1)^k (F_k+1 - F_k g).  S and S + g^-k are bracketed with
-    g in [G, G + 1] / 2^p, G = floor(g 2^p) from isqrt(5 4^p) = floor(sqrt(5) 2^p),
-    for p large enough to swamp their g-coefficients, and then rounded
-    outward to a grid about 2^-64 of g^-k fine.
+    g in [g_lo, g_hi] / 2^p from :func:`orbits._scalar_bounds`, for p large
+    enough to swamp their g-coefficients, and then rounded outward to a
+    grid about 2^-64 of g^-k fine.
     """
     k = len(digits)
     fk, fk1 = _fib_pair(k)
@@ -308,9 +300,9 @@ def _golden_prefix_enclosure(digits: np.ndarray) -> tuple:
     hi = (lo[0] + step[0], lo[1] + step[1])
     grid = k * 7 // 10 + 64                       # 0.7 k > k log2(g) bits
     p = max(abs(lo[1]), abs(hi[1])).bit_length() + grid
-    g = ((1 << p) + math.isqrt(5 << (2 * p))) >> 1
-    lo_num = ((lo[0] << p) + lo[1] * (g + (lo[1] < 0))) >> (p - grid)
-    hi_num = -((-((hi[0] << p) + hi[1] * (g + (hi[1] >= 0)))) >> (p - grid))
+    g_lo, g_hi = _scalar_bounds("g", p)
+    lo_num = ((lo[0] << p) + lo[1] * (g_lo if lo[1] >= 0 else g_hi)) >> (p - grid)
+    hi_num = -((-((hi[0] << p) + hi[1] * (g_hi if hi[1] >= 0 else g_lo))) >> (p - grid))
     return Fraction(lo_num, 1 << grid), Fraction(hi_num - lo_num, 1 << grid)
 
 
@@ -442,7 +434,7 @@ def _digit_arrays_for_sample(bases: list, n_steps: int,
                              x: Optional[Sequence], measure=None) -> list[np.ndarray]:
     """2N digits and then some per coordinate, the exact stage's reserve,
     in the system's :func:`_digit_bases`; ``x`` (rational, integer bases
-    only) or else a draw from ``rng``."""
+    only) or else a draw from ``rng`` under ``measure`` (None: Lebesgue)."""
     arrays = []
     for i, base in enumerate(bases):
         total = 2 * n_steps + _digit_window(base) + 96
@@ -492,14 +484,20 @@ def _count_interval_engine(system, target, x, checkpoints, epsilon, phi) -> tupl
     return tuple(rows), r_hi - r_lo
 
 
-def _checkpoints_and_phi(system, target: TargetSpec, n_steps: int, checkpoints):
-    """The sorted checkpoints in 1..N, ending at N, and Phi at each.
+START_LAWS = ("lebesgue", "invariant")
 
-    Both are empty when N = 0.  Phi depends on the target, the system's
-    :func:`invariant_measure` and the checkpoints only, so an experiment
-    computes it once for all samples.  Every count passes through here, so
-    here a target whose dimension is not the system's is refused.
+
+def _experiment(system, target: TargetSpec, n_steps: int, checkpoints, start: str):
+    """(checkpoints, Phi, start measure): what all samples of a count share.
+
+    The checkpoints are sorted in 1..N and end at N; they and Phi are empty
+    when N = 0.  Phi sums the system's :func:`invariant_measure` mu, which
+    is the start measure of ``start="invariant"``; None means Lebesgue.
+    Every count passes through here, so here a start law other than
+    START_LAWS and a target whose dimension is not the system's are refused.
     """
+    if start not in START_LAWS:
+        raise ValueError(f"start must be 'lebesgue' or 'invariant', not {start!r}")
     if n_steps < 0:
         raise ValueError("N must be >= 0")
     if target.d != system.d:
@@ -510,31 +508,34 @@ def _checkpoints_and_phi(system, target: TargetSpec, n_steps: int, checkpoints):
     if cps[-1] > n_steps:
         raise ValueError(f"checkpoints must be <= N = {n_steps}")
     cps = [c for c in cps if c >= 1]
-    return cps, (phi_values(target, cps, measure=invariant_measure(system)) if cps else [])
+    if not cps:
+        return cps, [], None
+    mu = invariant_measure(system)
+    return cps, phi_values(target, cps, measure=mu), (mu if start == "invariant" else None)
 
 
 def count_hits(system, target: TargetSpec, x, n_steps: int,
                checkpoints: Optional[Sequence[int]] = None,
-               epsilon: float = DEFAULT_EPSILON, measure=None,
+               epsilon: float = DEFAULT_EPSILON, start: str = "lebesgue",
                sample_id: int = 0, rng: Optional[np.random.Generator] = None) -> CountingResult:
     """One orbit's hit counts against the target family.
 
     ``x`` may be a point (rationals/floats/enclosures) or None to draw a
-    fresh initial condition from ``rng`` (uniform under Lebesgue, or the
-    supplied product measure); ``measure`` is only this start law.  The
-    module docstring says which systems and starts run on the digit
-    engine; the rest run on the interval engine.
+    fresh initial condition from ``rng`` under the ``start`` law:
+    "lebesgue" or "invariant" (the measure Phi sums).  The module docstring
+    says which systems and starts run on the digit engine; the rest run on
+    the interval engine.
     """
-    cps, phi = _checkpoints_and_phi(system, target, n_steps, checkpoints)
+    cps, phi, measure = _experiment(system, target, n_steps, checkpoints, start)
     return _count_sample(system, target, x, cps, phi, epsilon, measure, sample_id, rng)
 
 
 def _count_sample(system, target, x, cps, phi, epsilon, measure, sample_id, rng) -> CountingResult:
-    """:func:`count_hits` on checkpoints and Phi from :func:`_checkpoints_and_phi`."""
+    """:func:`count_hits` on the checkpoints, Phi and start measure of :func:`_experiment`."""
     if not cps:
         return CountingResult(sample_id, (CheckpointRow(0, 0, 0, 0.0, None),), 0, epsilon)
     n_steps = cps[-1]
-    bases = _digit_bases(system, measure if x is None else None)
+    bases = _digit_bases(system)
     rational = x is not None and all(isinstance(v, (int, float, Fraction)) for v in x)
     if bases is not None and (x is None or rational and all(isinstance(b, int) for b in bases)):
         digit_arrays = _digit_arrays_for_sample(bases, n_steps, rng, x, measure)
@@ -563,14 +564,13 @@ def _draw_initial(system, measure, rng, n_steps):
 
     For beta in (-g, -1) the Yrrap measure lives on a finite union of
     intervals, and nothing here shows that orbits from elsewhere reach it,
-    so only the system's own measure may draw starts there.
+    so only the invariant measure itself may draw starts there.
     """
-    if (isinstance(system, DiagonalTorusSystem)
-            and any(-GOLDEN_RATIO < beta_float(b) < -1 for b in system.betas)
-            and (measure is None or not _is_own_measure(system, measure))):
+    if (measure is None and isinstance(system, DiagonalTorusSystem)
+            and any(-GOLDEN_RATIO < beta_float(b) < -1 for b in system.betas)):
         raise StartLawUnsupported(
-            "random starts on a beta in (-g, -1) must come from the system's "
-            "own Yrrap measure (--measure parry)")
+            "random starts on a beta in (-g, -1) must come from the invariant "
+            "Yrrap measure (start=\"invariant\", --measure parry)")
     bits = max(96, required_precision(system, n_steps))
     if measure is None:
         return [Fraction(_random_bits(rng, bits), 1 << bits) for _ in range(system.d)]
@@ -593,8 +593,8 @@ def monte_carlo_counting(system, target: TargetSpec, num_samples: int,
                          n_steps: int, seed: int,
                          checkpoints: Optional[Sequence[int]] = None,
                          epsilon: float = DEFAULT_EPSILON, band_tol: float = 0.2,
-                         measure=None, jobs: int = 1) -> CountingSummary:
-    """Seeded multi-sample counting experiment.
+                         start: str = "lebesgue", jobs: int = 1) -> CountingSummary:
+    """Seeded multi-sample counting experiment; ``start`` as in :func:`count_hits`.
 
     Sample i uses the generator derived from (seed, i); aggregation is in
     sample order, so output is identical for any ``jobs``.  The summary
@@ -605,7 +605,7 @@ def monte_carlo_counting(system, target: TargetSpec, num_samples: int,
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
-    cps, phi = _checkpoints_and_phi(system, target, n_steps, checkpoints)
+    cps, phi, measure = _experiment(system, target, n_steps, checkpoints, start)
     payloads = [
         (system, target, cps, phi, epsilon, measure, seed, i)
         for i in range(num_samples)
@@ -674,6 +674,8 @@ def correlation_estimate(beta, e_set: tuple, f_set: tuple, lag: int,
     error), or "auto" (exact-zero fast path for integer beta with
     beta-adic E of order <= lag, then exact for modest lags, else MC).
     """
+    if lag < 0:
+        raise ValueError("lags must be >= 0")
     mu = mu or ParryYrrapMeasure(beta)
     mu_e, mu_f = _set_masses(mu, e_set, f_set)
     if lag == 0:
@@ -778,8 +780,10 @@ def correlation_series(beta, e_set, f_set, lags: Sequence[int],
     kappa_hat sums phi-hat over lags 1..KAPPA_LAGS and completes the series
     with the fitted geometric tail C gamma^(KAPPA_LAGS+1) / (1 - gamma).
     """
-    mu = ParryYrrapMeasure(beta)
     lags = sorted(set(int(n) for n in lags))
+    if lags and lags[0] < 0:
+        raise ValueError("lags must be >= 0")
+    mu = ParryYrrapMeasure(beta)
     if method == "mc":
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
         entries = _mc_series(mu, e_set, f_set, lags, num_samples, rng)
@@ -862,32 +866,32 @@ class VarianceReport:
         return self.empirical_var / self.bound if self.bound > 0 else math.inf
 
 
-def window_hits(system, target: TargetSpec, a: int, b: int, num_samples: int,
-                seed: int, measure=None) -> np.ndarray:
-    """Z_{a,b}(x) = sum_{a<=n<=b} 1[T^n x in E_n] over seeded samples."""
+def _window(system, target, a: int, b: int, num_samples: int, seed: int,
+            start: str) -> tuple[np.ndarray, float]:
+    """(Z_{a,b} per sample, sum_{a<=n<=b} mu(E_n)), both read off the
+    checkpoints a - 1 and b of one :func:`monte_carlo_counting` run."""
     if not 1 <= a <= b:
         raise ValueError("need 1 <= a <= b")
-    zs = np.empty(num_samples, dtype=np.float64)
-    cps, phi = _checkpoints_and_phi(system, target, b, [a - 1, b] if a > 1 else [b])
-    for i in range(num_samples):
-        res = _count_sample(system, target, None, cps, phi, DEFAULT_EPSILON, measure,
-                            i, _sample_rng(seed, i))
-        if a > 1:
-            first = next(row for row in res.checkpoints if row.n == a - 1)
-            last = res.final
-            zs[i] = last.r_mid - first.r_mid
-        else:
-            zs[i] = res.final.r_mid
-    return zs
+    results = monte_carlo_counting(system, target, num_samples, b, seed,
+                                   checkpoints=[a - 1], start=start).results
+    if a == 1:  # there is no checkpoint 0: the sums are the totals at b
+        return np.array([res.final.r_mid for res in results]), results[0].final.phi
+    zs = np.array([res.final.r_mid - res.checkpoints[0].r_mid for res in results])
+    return zs, results[0].final.phi - results[0].checkpoints[0].phi
+
+
+def window_hits(system, target: TargetSpec, a: int, b: int, num_samples: int,
+                seed: int, start: str = "lebesgue") -> np.ndarray:
+    """Z_{a,b}(x) = sum_{a<=n<=b} 1[T^n x in E_n] over the samples of
+    :func:`monte_carlo_counting` (so under its ambiguity budget)."""
+    return _window(system, target, a, b, num_samples, seed, start)[0]
 
 
 def variance_check(system, target: TargetSpec, a: int, b: int,
                    num_samples: int, seed: int, kappa_hat: float = 0.0,
-                   measure=None) -> VarianceReport:
+                   start: str = "lebesgue") -> VarianceReport:
     """Empirical Var(Z_{a,b}) against the bound (2 kappa + 1) sum mu(E_n)."""
-    zs = window_hits(system, target, a, b, num_samples, seed, measure=measure)
-    phis = phi_values(target, [a - 1, b] if a > 1 else [b], measure=invariant_measure(system))
-    measure_sum = float(phis[-1] - (phis[0] if a > 1 else 0.0))
+    zs, measure_sum = _window(system, target, a, b, num_samples, seed, start)
     emp = float(np.var(zs, ddof=1)) if num_samples > 1 else 0.0
     bound = (2.0 * kappa_hat + 1.0) * measure_sum
     return VarianceReport(

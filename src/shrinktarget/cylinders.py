@@ -120,28 +120,20 @@ def count_cylinders(beta, n: int) -> int:
     return BetaAutomaton(beta, n).count(n)
 
 
-def cylinders_of_order(beta, n: int, engine: str = "auto") -> list[Cylinder]:
+def cylinders_of_order(beta, n: int) -> list[Cylinder]:
     """Ordered list of the order-n cylinders covering [0,1).
 
-    ``engine="automaton"`` (beta > 1 only) uses the orbit-of-1 structure;
-    ``engine="refine"`` refines intervals directly and also handles
-    beta < -1.  Counts above ~2e6 refuse to materialize; use the streaming
-    scan helpers instead.
+    beta > 1 walks the orbit-of-1 automaton; beta < -1 refines intervals
+    directly (a route that also handles beta > 1, so each engine is the
+    other's oracle).  Counts above ~2e6 refuse to materialize; use the
+    streaming scan helpers instead.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     b = beta_float(beta)
     if abs(b) <= 1:
         raise ValueError("|beta| must be > 1")
-    if engine == "auto":
-        engine = "automaton" if b > 1 else "refine"
-    if engine == "automaton":
-        if b <= 1:
-            raise ValueError("the automaton engine requires beta > 1")
-        return _cylinders_automaton(beta, n)
-    if engine == "refine":
-        return _cylinders_refine(beta, n)
-    raise ValueError(f"unknown engine {engine!r}")
+    return _cylinders_automaton(beta, n) if b > 1 else _cylinders_refine(beta, n)
 
 
 def _cylinders_automaton(beta, n: int) -> list[Cylinder]:
@@ -341,6 +333,8 @@ def preimage_sweep(beta, n: int, a: float, r: float):
     cylinder boundaries.  A sweep whose last lag could pass
     ``MAX_EXPLICIT`` pieces raises PieceCapExceeded before it allocates.
     """
+    if n < 0:
+        raise ValueError("the lag n must be >= 0")
     if not (0 < r < 0.5 or n == 0):
         if not 0 < r:
             raise ValueError("radius must be positive")

@@ -35,11 +35,11 @@ from .errors import (
 from .targets import AccumulationSet, RateFunction
 
 
-def _check_moduli(moduli, require_gt_one=True) -> list[float]:
+def _check_moduli(moduli) -> list[float]:
     mods = [float(m) for m in moduli]
     if any(b - a > 1e-15 for a, b in zip(mods[1:], mods)):
         raise ValueError("moduli must be sorted ascending")
-    if require_gt_one and any(m <= 1 for m in mods):
+    if any(m <= 1 for m in mods):
         raise ValueError("moduli must all exceed 1")
     return mods
 

@@ -438,10 +438,24 @@ class TestMainExitCodes:
         (["mixing", "--beta", "g", "--set-e", "0,nan", "--set-f", "0,0.25", "--seed", "1"],
          "--set-e"),
         (["measure", "--beta", "2", "--b", "inf"], "--b"),
+        # a negative lag has no preimage: refused, not read as lag 0
+        (["mixing", "--beta", "g", "--set-e", "0,0.5", "--set-f", "0.2,0.7", "--seed", "1",
+          "--lags=-3:1"], "--lags"),
+        (["mixing", "--beta", "g", "--set-e", "0,0.5", "--set-f", "0.2,0.7", "--seed", "1",
+          "--lags=-2"], "--lags"),
     ])
     def test_malformed_value_is_two(self, tmp_path, capsys, argv, flag):
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert flag in capsys.readouterr().err
+
+    def test_negative_lag_in_a_config_file_is_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"command": "mixing", "params": {
+            "beta": "g", "set_e": [0, 0.5], "set_f": [0.2, 0.7], "seed": 1,
+            "lags": [2, -1, 3]}}))
+        assert main(["mixing", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert "--lags" in capsys.readouterr().err
+        assert not (tmp_path / "mixing.csv").exists()
 
     def test_missing_config_file_is_two(self, tmp_path, capsys):
         code = main(["measure", "--beta", "2", "--config", str(tmp_path / "absent.json"),

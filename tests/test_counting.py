@@ -237,7 +237,7 @@ class TestCountHits:
         s = DiagonalTorusSystem(("g", 1.5))
         nu = ProductMeasure(s.betas)
         t = ball((0.2, 0.4), RateFunction.power(0.3, 0.4))
-        res = count_hits(s, t, None, 300, measure=nu, rng=np.random.default_rng(2))
+        res = count_hits(s, t, None, 300, start="invariant", rng=np.random.default_rng(2))
         assert res.final.phi == pytest.approx(
             sum(nu.ball(t.center, t.rates[0].psi(n)) for n in range(1, 301)), rel=1e-9)
         assert res.final.r_hi >= res.final.r_lo >= 0
@@ -615,7 +615,7 @@ class TestGoldenDigitEngine:
         t = ball((0.3, 0.3), RateFunction.power(0.5, 0.25))
         samples = 20
         summary = monte_carlo_counting(system, t, samples, 3000, seed=5,
-                                       measure=nu if parry else None)
+                                       start="invariant" if parry else "lebesgue")
         phi = float(phi_values(t, [3000], measure=nu)[0])
         mean = sum(res.final.r_mid for res in summary.results) / samples
         assert abs(mean - phi) <= 6 * math.sqrt(2 * phi / samples)
@@ -632,28 +632,52 @@ class TestEngineDispatch:
         monkeypatch.setattr(counting, "_count_interval_engine", _refused)
         system = DiagonalTorusSystem(betas)
         t = ball((0.0,) * system.d, RateFunction.power(0.5, 0.25))
-        for measure in (None, ProductMeasure(betas)):
-            res = count_hits(system, t, None, 500, measure=measure,
+        for start in counting.START_LAWS:
+            res = count_hits(system, t, None, 500, start=start,
                              rng=np.random.default_rng(1))
             assert res.final.r_hi >= res.final.r_lo > 0
 
-    @pytest.mark.parametrize("betas, x, measure", [
+    # start None is the default, Lebesgue
+    @pytest.mark.parametrize("betas, x, start", [
         (("e", "e"), None, None),
         (("g", 1.5), None, None),
         (("-g",), None, None),
         ((-2,), None, None),
         (("g",), (Fraction(1, 7),), None),
-        (("g", "g"), None, ("g", 1.5)),
-        ((2, 3), None, (3, 2)),
+        (("g", 1.5), None, "invariant"),
+        ((-2,), None, "invariant"),
         ((200,), None, None),  # int8 digits stop at base 128
     ])
-    def test_interval_engine(self, monkeypatch, betas, x, measure):
+    def test_interval_engine(self, monkeypatch, betas, x, start):
         monkeypatch.setattr(counting, "_count_digit_engine", _refused)
         system = DiagonalTorusSystem(betas)
         t = ball((0.0,) * system.d, RateFunction.power(0.5, 0.25))
         res = count_hits(system, t, x, 200, rng=np.random.default_rng(1),
-                         measure=measure and ProductMeasure(measure))
+                         start=start or "lebesgue")
         assert res.final.r_hi >= res.final.r_lo >= 0
+
+    @pytest.mark.parametrize("betas", [(-2,), (200,), (2, 3)])
+    def test_invariant_starts_on_integer_betas_are_lebesgue(self, betas):
+        # mu is Lebesgue there, so both start laws draw the same stream
+        system = DiagonalTorusSystem(betas)
+        t = ball((0.3,) * system.d, RateFunction.power(0.5, 0.25))
+        lebesgue, invariant = (
+            count_hits(system, t, None, 150, start=start, rng=np.random.default_rng(4))
+            for start in counting.START_LAWS)
+        assert lebesgue == invariant
+
+    def test_other_start_laws_are_refused(self):
+        system = DiagonalTorusSystem((2, 3))
+        t = ball((0.0, 0.0), RateFunction.power(0.5, 0.25))
+        for start in ("parry", None, ProductMeasure([2, 3])):
+            with pytest.raises(ValueError, match="start must be"):
+                count_hits(system, t, None, 50, start=start, rng=np.random.default_rng(1))
+            with pytest.raises(ValueError, match="start must be"):
+                monte_carlo_counting(system, t, 2, 50, seed=1, start=start)
+            with pytest.raises(ValueError, match="start must be"):
+                window_hits(system, t, 1, 50, 2, seed=1, start=start)
+            with pytest.raises(ValueError, match="start must be"):
+                variance_check(system, t, 1, 50, 2, seed=1, start=start)
 
     def test_enclosure_start_runs_on_the_interval_engine(self, monkeypatch):
         system = DiagonalTorusSystem((2, 3))
@@ -705,10 +729,7 @@ class TestInvariantPhi:
         t = ball((0.3,), RateFunction.power(0.5, 0.25))
         with pytest.raises(StartLawUnsupported):
             count_hits(system, t, None, 50, rng=np.random.default_rng(1))
-        with pytest.raises(StartLawUnsupported):
-            count_hits(system, t, None, 50, measure=ProductMeasure([-1.5]),
-                       rng=np.random.default_rng(1))
-        res = count_hits(system, t, None, 50, measure=ProductMeasure([-1.3]),
+        res = count_hits(system, t, None, 50, start="invariant",
                          rng=np.random.default_rng(1))
         assert res.final.phi == phi_values(t, [50], measure=ProductMeasure([-1.3]))[0]
         # a given point is the caller's own start
@@ -788,6 +809,16 @@ class TestCorrelation:
         assert cs.kappa_hat == pytest.approx(sum(
             vals[0] * (G ** -2) ** k for k in range(200)), rel=1e-3)
 
+    @pytest.mark.parametrize("method", ["exact", "mc", "auto"])
+    def test_negative_lags_are_refused(self, method):
+        # lag -1 is no pullback: it must not read as lag 0's estimate
+        with pytest.raises(ValueError, match=">= 0"):
+            correlation_series("g", (0.0, 0.5), (0.2, 0.7), [-1, 1], method=method,
+                               num_samples=100, seed=1)
+        with pytest.raises(ValueError, match=">= 0"):
+            correlation_estimate("g", (0.0, 0.5), (0.2, 0.7), -1, method=method,
+                                 num_samples=100, seed=1)
+
     def test_degenerate_f_rejected(self):
         with pytest.raises(DegenerateF):
             correlation_estimate(2, (0.0, 0.5), (0.3, 0.3 + 1e-9), 2)
@@ -862,6 +893,14 @@ class TestVariance:
         assert rep.empirical_var == pytest.approx(p * (1 - p), abs=0.03)
         assert rep.measure_sum == pytest.approx(p)
 
+    @pytest.mark.parametrize("a", [1, 3])
+    def test_measure_sum_is_the_counts_phi(self, a):
+        s = DiagonalTorusSystem(("g", 2))
+        t = ball((0.3, 0.0), RateFunction.power(0.5, 0.25))
+        rep = variance_check(s, t, a, 40, 3, seed=2, start="invariant")
+        phi = phi_values(t, [a - 1, 40] if a > 1 else [40], measure=invariant_measure(s))
+        assert rep.measure_sum == phi[-1] - (phi[0] if a > 1 else 0.0)
+
     def test_independent_window_within_bound(self):
         # dyadic targets under doubling are independent across steps
         s = DiagonalTorusSystem((2,))
@@ -917,9 +956,15 @@ class TestAmbiguityBudget:
             return counting.CountingResult(sample_id, (row,), 2, epsilon)
 
         monkeypatch.setattr(counting, "_count_sample", noisy)
+        system = DiagonalTorusSystem((2,))
+        t = ball((0.0,), RateFunction.power(0.3, 0.1))
         with pytest.raises(AmbiguityBudgetExceeded, match="sample 0: 2 ambiguous hits"):
-            monte_carlo_counting(DiagonalTorusSystem((2,)),
-                                 ball((0.0,), RateFunction.power(0.3, 0.1)), 2, 10, seed=1)
+            monte_carlo_counting(system, t, 2, 10, seed=1)
+        # the window sums run on the same samples, under the same budget
+        with pytest.raises(AmbiguityBudgetExceeded, match="sample 0: 2 ambiguous hits"):
+            window_hits(system, t, 3, 10, 2, seed=1)
+        with pytest.raises(AmbiguityBudgetExceeded, match="sample 0: 2 ambiguous hits"):
+            variance_check(system, t, 1, 10, 2, seed=1)
 
 
 class TestNuHyperboloidPhi:
@@ -930,7 +975,7 @@ class TestNuHyperboloidPhi:
         t = hyperboloid((0.0, 0.0), RateFunction.power(0.05, 0.2))
         want = phi_sum(t, 20)
         assert phi_values(t, [20], measure=nu)[0] == pytest.approx(want, rel=1e-12)
-        res = count_hits(DiagonalTorusSystem((2, 3)), t, None, 20, measure=nu,
+        res = count_hits(DiagonalTorusSystem((2, 3)), t, None, 20, start="invariant",
                          rng=np.random.default_rng(6))
         assert res.final.phi == pytest.approx(want, rel=1e-12)
 
@@ -939,7 +984,7 @@ class TestNuHyperboloidPhi:
         samples = 12
         summary = monte_carlo_counting(
             DiagonalTorusSystem(("g", "g")), hyperboloid(center, RateFunction.power(0.05, 0.2)),
-            samples, 3000, seed=2022, measure=ProductMeasure(["g", "g"]))
+            samples, 3000, seed=2022, start="invariant")
         phi = summary.phi_final
         mean = sum(res.final.r_mid for res in summary.results) / samples
         assert abs(mean - phi) <= 6 * math.sqrt(2 * phi / samples)

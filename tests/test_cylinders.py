@@ -7,6 +7,8 @@ import pytest
 
 from shrinktarget.cylinders import (
     BetaAutomaton,
+    _cylinders_automaton,
+    _cylinders_refine,
     count_cylinders,
     cylinders_of_order,
     full_cylinder_gap,
@@ -33,7 +35,7 @@ class TestCounts:
     def test_golden_fibonacci_count(self):
         # oracle: direct enumeration by interval refinement
         assert count_cylinders("g", 2) == 3
-        assert len(cylinders_of_order(GOLDEN, 2, engine="refine")) == 3
+        assert len(_cylinders_refine(GOLDEN, 2)) == 3
         # Fibonacci growth: counts follow c(n) = c(n-1) + c(n-2)
         counts = [count_cylinders("g", n) for n in range(1, 12)]
         for a, b, c in zip(counts, counts[1:], counts[2:]):
@@ -53,8 +55,8 @@ class TestCounts:
 
     def test_engines_agree(self):
         for beta, bf in [("g", GOLDEN), (1.8, 1.8), (2.5, 2.5)]:
-            a = cylinders_of_order(beta, 6, engine="automaton")
-            b = cylinders_of_order(bf, 6, engine="refine")
+            a = _cylinders_automaton(beta, 6)
+            b = _cylinders_refine(bf, 6)
             assert len(a) == len(b)
             assert np.allclose([c.left for c in a], [c.left for c in b], atol=1e-9)
             assert [c.full for c in a] == [c.full for c in b]
@@ -245,6 +247,14 @@ class TestPreimageSweep:
         with pytest.raises(ValueError):
             preimage_intervals(beta, n, a, r)
 
+    def test_negative_lags_are_refused(self):
+        # T^-n for n < 0 is no pullback; F's own arcs would pass for it
+        for n in (-1, -3):
+            with pytest.raises(ValueError, match=">= 0"):
+                next(preimage_sweep("g", n, 0.45, 0.25))
+            with pytest.raises(ValueError, match=">= 0"):
+                preimage_intervals("g", n, 0.45, 0.25)
+
     def test_cap_admits_its_edge(self):
         assert preimage_piece_bound("g", 29, 0.3, 0.1) <= MAX_EXPLICIT
         assert preimage_piece_bound(2, 20, 0.3, 0.1) <= MAX_EXPLICIT
@@ -273,5 +283,5 @@ class TestAutomaton:
         assert count_cylinders("g", 3000) == fib[3002]
         # a long orbit of 1: each count against the enumerated cylinders
         for n in range(1, 9):
-            assert count_cylinders(1.3, n) == len(cylinders_of_order(1.3, n, engine="refine"))
+            assert count_cylinders(1.3, n) == len(_cylinders_refine(1.3, n))
         assert count_cylinders(1.01, 1500) > 1.01 ** 1500
