@@ -46,6 +46,7 @@ import numpy as np
 from .errors import (
     AmbiguityBudgetExceeded, DegenerateF, PrecisionExhausted, StartLawUnsupported,
 )
+# preimage_intervals is not called here: perfbench/layertrace.py looks it up on this module
 from .cylinders import preimage_intervals, preimage_piece_bound, preimage_sweep
 from .measures import GOLDEN_RATIO, ParryYrrapMeasure, ProductMeasure
 from .orbits import (
@@ -121,12 +122,6 @@ def _error_term(r_mid: float, phi: float, epsilon: float) -> Optional[float]:
     if phi <= math.e:
         return None
     return (r_mid - phi) / (math.sqrt(phi) * math.log(phi) ** (1.5 + epsilon))
-
-
-def _checkpoint(n: int, r_lo: int, r_hi: int, phi, epsilon: float) -> CheckpointRow:
-    phi = float(phi)
-    return CheckpointRow(n=n, r_lo=r_lo, r_hi=r_hi, phi=phi,
-                         e=_error_term((r_lo + r_hi) / 2.0, phi, epsilon))
 
 
 def _digit_window(base, bits: int = FINE_BITS) -> int:
@@ -448,39 +443,30 @@ def _digit_arrays_for_sample(bases: list, n_steps: int,
     return arrays
 
 
-def _count_digit_engine(bases, target, digit_arrays, checkpoints, epsilon,
-                        phi) -> tuple:
-    hit_lo, hit_hi = _digit_membership(bases, target, digit_arrays, checkpoints[-1])
+def _interval_membership(system, target, x, hit_lo, hit_hi) -> None:
+    """Fill (hit_lo, hit_hi)[n-1] for n = 1..N along the interval engine's
+    orbit of the start ``x``, step by step, so a PrecisionExhausted at a
+    step leaves every step before it filled."""
+    orbit = orbit_enclosures(system, x, len(hit_lo))
+    next(orbit)  # step 0 is x itself
+    for n, ivs in orbit:
+        verdict = contains(target, n, ivs)
+        hit_lo[n - 1] = verdict == Containment.YES
+        hit_hi[n - 1] = verdict != Containment.NO
+
+
+def _tally(hit_lo, hit_hi, checkpoints, phi, epsilon) -> tuple:
+    """(checkpoint rows, R_hi - R_lo at the last one) from either engine's
+    (hit_lo, hit_hi) arrays for n = 1..N."""
     r_lo = r_hi = start = 0
     rows = []
     for n, phi_n in zip(checkpoints, phi):
         r_lo += int(np.count_nonzero(hit_lo[start:n]))
         r_hi += int(np.count_nonzero(hit_hi[start:n]))
         start = n
-        rows.append(_checkpoint(n, r_lo, r_hi, phi_n, epsilon))
-    return tuple(rows), r_hi - r_lo
-
-
-def _count_interval_engine(system, target, x, checkpoints, epsilon, phi) -> tuple:
-    phi_at = dict(zip(checkpoints, phi))
-    orbit = orbit_enclosures(system, x, checkpoints[-1])
-    next(orbit)  # step 0 is x itself
-    r_lo = 0
-    r_hi = 0
-    rows = []
-    try:
-        for n, ivs in orbit:
-            verdict = contains(target, n, ivs)
-            if verdict == Containment.YES:
-                r_lo += 1
-                r_hi += 1
-            elif verdict == Containment.AMBIGUOUS:
-                r_hi += 1
-            if n in phi_at:
-                rows.append(_checkpoint(n, r_lo, r_hi, phi_at[n], epsilon))
-    except PrecisionExhausted as exc:
-        exc.last_checkpoint = rows[-1] if rows else None
-        raise
+        phi_n = float(phi_n)
+        rows.append(CheckpointRow(n, r_lo, r_hi, phi_n,
+                                  _error_term((r_lo + r_hi) / 2.0, phi_n, epsilon)))
     return tuple(rows), r_hi - r_lo
 
 
@@ -539,13 +525,18 @@ def _count_sample(system, target, x, cps, phi, epsilon, measure, sample_id, rng)
     rational = x is not None and all(isinstance(v, (int, float, Fraction)) for v in x)
     if bases is not None and (x is None or rational and all(isinstance(b, int) for b in bases)):
         digit_arrays = _digit_arrays_for_sample(bases, n_steps, rng, x, measure)
-        rows, ambiguous = _count_digit_engine(
-            bases, target, digit_arrays, cps, epsilon, phi)
+        hit_lo, hit_hi = _digit_membership(bases, target, digit_arrays, n_steps)
     else:
         if x is None:
             x = _draw_initial(system, measure, rng, n_steps)
-        rows, ambiguous = _count_interval_engine(system, target, x, cps, epsilon, phi)
-    return CountingResult(sample_id, rows, ambiguous, epsilon)
+        hit_lo, hit_hi = np.zeros(n_steps, dtype=bool), np.zeros(n_steps, dtype=bool)
+        try:
+            _interval_membership(system, target, x, hit_lo, hit_hi)
+        except PrecisionExhausted as exc:
+            done, _ = _tally(hit_lo, hit_hi, [n for n in cps if n <= exc.step], phi, epsilon)
+            exc.last_checkpoint = done[-1] if done else None
+            raise
+    return CountingResult(sample_id, *_tally(hit_lo, hit_hi, cps, phi, epsilon), epsilon)
 
 
 def _random_bits(rng: np.random.Generator, bits: int) -> int:
@@ -665,32 +656,18 @@ def _beta_adic_order(value: Fraction, base: int) -> Optional[int]:
 
 def correlation_estimate(beta, e_set: tuple, f_set: tuple, lag: int,
                          num_samples: Optional[int] = None,
-                         seed: Optional[int] = None, method: str = "auto",
-                         mu: Optional[ParryYrrapMeasure] = None):
-    """Estimate |mu(E ∩ T^-n F)/mu(F) - mu(E)| for interval sets E, F.
+                         seed: Optional[int] = None, method: str = "auto"):
+    """Estimate |mu(E ∩ T^-n F)/mu(F) - mu(E)| for interval sets E, F at one lag.
 
     Methods: "mc" (Monte Carlo over mu-distributed samples, binomial
     standard error), "exact" (preimage decomposition of F, zero standard
     error), or "auto" (exact-zero fast path for integer beta with
-    beta-adic E of order <= lag, then exact for modest lags, else MC).
+    beta-adic E of order <= lag, then exact without ``num_samples``, else
+    MC).  It is the one entry of :func:`_estimates` for [lag], so it is
+    that lag's entry of any :func:`correlation_series`.
     """
-    if lag < 0:
-        raise ValueError("lags must be >= 0")
-    mu = mu or ParryYrrapMeasure(beta)
-    mu_e, mu_f = _set_masses(mu, e_set, f_set)
-    if lag == 0:
-        joint = mu.measure_interval(max(e_set[0], f_set[0]), min(e_set[1], f_set[1])) \
-            if min(e_set[1], f_set[1]) > max(e_set[0], f_set[0]) else 0.0
-        return abs(joint / mu_f - mu_e), 0.0
-    method = _lag_method(mu.beta, e_set, lag, method, num_samples)
-    if method == "zero":
-        return 0.0, 0.0
-    if method == "exact":
-        center, radius = _f_ball(f_set)
-        lo, hi = preimage_intervals(mu.beta, lag, center, radius).T
-        return abs(_exact_joint(mu, e_set, lo, hi) / mu_f - mu_e), 0.0
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(lag,)))
-    _, value, se = _mc_series(mu, e_set, f_set, [lag], num_samples, rng)[0]
+    (_, value, se), = _estimates(ParryYrrapMeasure(beta), e_set, f_set, [lag],
+                                 num_samples, seed, method)
     return value, se
 
 
@@ -727,15 +704,6 @@ def exact_piece_bound(beta, e_set, f_set, lags, method: str,
     if not exact:
         return 0, 0.0
     return exact[-1], preimage_piece_bound(beta, exact[-1], *_f_ball(f_set))
-
-
-def _set_masses(mu: ParryYrrapMeasure, e_set, f_set) -> tuple[float, float]:
-    """(mu(E), mu(F)); DegenerateF for mu(F) below MIN_MU_F, which the estimates divide by."""
-    mu_e = mu.measure_interval(*e_set)
-    mu_f = mu.measure_interval(*f_set)
-    if mu_f < MIN_MU_F:
-        raise DegenerateF(f"mu(F) = {mu_f:.2e} below the {MIN_MU_F:g} floor")
-    return mu_e, mu_f
 
 
 def _f_ball(f_set) -> tuple[float, float]:
@@ -780,22 +748,8 @@ def correlation_series(beta, e_set, f_set, lags: Sequence[int],
     kappa_hat sums phi-hat over lags 1..KAPPA_LAGS and completes the series
     with the fitted geometric tail C gamma^(KAPPA_LAGS+1) / (1 - gamma).
     """
-    lags = sorted(set(int(n) for n in lags))
-    if lags and lags[0] < 0:
-        raise ValueError("lags must be >= 0")
-    mu = ParryYrrapMeasure(beta)
-    if method == "mc":
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
-        entries = _mc_series(mu, e_set, f_set, lags, num_samples, rng)
-    else:
-        swept = _exact_series(mu, e_set, f_set,
-                              _exact_lags(beta, e_set, lags, method, num_samples))
-        entries = tuple(
-            (n, *swept[n]) if n in swept else
-            (n, *correlation_estimate(beta, e_set, f_set, n, method=method,
-                                      num_samples=num_samples, seed=seed, mu=mu))
-            for n in lags
-        )
+    entries = _estimates(ParryYrrapMeasure(beta), e_set, f_set, lags,
+                         num_samples, seed, method)
     ns = [n for n, _, _ in entries]
     vals = [v for _, v, _ in entries]
     ses = [s for _, _, s in entries]
@@ -809,43 +763,62 @@ def correlation_series(beta, e_set, f_set, lags: Sequence[int],
             kappa += c * gamma ** n
     if 0 < gamma < 1:
         kappa += c * gamma ** (KAPPA_LAGS + 1) / (1 - gamma)
-    return CorrelationSeries(entries=tuple(entries), kappa_hat=kappa,
+    return CorrelationSeries(entries=entries, kappa_hat=kappa,
                              fit_c=c, fit_gamma=gamma, fit_r2=r2)
 
 
-def _mc_series(mu, e_set, f_set, lags, num_samples, rng):
-    """One sweep of ``num_samples`` mu-distributed points from ``rng`` serving
-    every lag (shared orbit array), with binomial standard errors."""
+def _estimates(mu: ParryYrrapMeasure, e_set, f_set, lags, num_samples, seed,
+               method: str) -> tuple:
+    """(n, estimate, std_error) for each of the sorted ``lags``: the one
+    route of :func:`correlation_estimate` and :func:`correlation_series`.
+
+    Lag 0 is mu(E ∩ F), exact under every method.  A lag >= 1 runs what
+    :func:`_lag_method` says: a "zero" lag is 0, the exact lags read one
+    :func:`_exact_series` and the Monte Carlo lags one :func:`_mc_series`.
+    Neither sweep depends on the other lags asked for, so neither does an
+    entry.
+    """
+    lags = sorted(set(int(n) for n in lags))
+    if lags and lags[0] < 0:
+        raise ValueError("lags must be >= 0")
+    mu_e, mu_f = mu.measure_interval(*e_set), mu.measure_interval(*f_set)
+    if mu_f < MIN_MU_F:  # every estimate divides by it
+        raise DegenerateF(f"mu(F) = {mu_f:.2e} below the {MIN_MU_F:g} floor")
+    runs = {n: _lag_method(mu.beta, e_set, n, method, num_samples) for n in lags if n > 0}
+    joints = {0: (_exact_joint(mu, e_set, *f_set), 0.0)}  # n: (mu(E ∩ T^-n F), std error)
+    if exact := {n for n, run in runs.items() if run == "exact"}:
+        joints.update(_exact_series(mu, e_set, f_set, exact))
+    if mc := {n for n, run in runs.items() if run == "mc"}:
+        joints.update(_mc_series(mu, e_set, f_set, mc, num_samples, seed))
+    return tuple((n, abs(joints[n][0] / mu_f - mu_e), joints[n][1] / mu_f)
+                 if n in joints else (n, 0.0, 0.0) for n in lags)
+
+
+def _mc_series(mu, e_set, f_set, lags, num_samples, seed) -> dict:
+    """{lag: (joint, std error)} for the set of ``lags`` >= 1: the share of
+    ``num_samples`` mu-distributed points x in E with T^n x in F, and its
+    binomial standard error.  Every point is drawn from the generator of
+    (seed, 0) before any lag is stepped, and one orbit array serves every lag."""
     if num_samples is None:
         raise ValueError("Monte Carlo estimates need num_samples")
-    mu_e, mu_f = _set_masses(mu, e_set, f_set)
-    xs = mu.sample(rng, num_samples)
-    in_e = (xs >= e_set[0]) & (xs < e_set[1])
-    orbit = xs.copy()
-    entries = []
-    max_lag = max(lags)
-    want = set(lags)
-    for n in range(1, max_lag + 1):
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+    orbit = mu.sample(rng, num_samples)
+    in_e = (orbit >= e_set[0]) & (orbit < e_set[1])
+    out = {}
+    for n in range(1, max(lags) + 1):
         orbit = np.mod(mu.beta * orbit, 1.0)
-        if n in want:
+        if n in lags:
             joint = float(np.mean(in_e & (orbit >= f_set[0]) & (orbit < f_set[1])))
-            se = math.sqrt(max(joint * (1 - joint), 1e-300) / num_samples) / mu_f
-            entries.append((n, abs(joint / mu_f - mu_e), se))
-    return tuple(entries)
+            out[n] = joint, math.sqrt(max(joint * (1 - joint), 1e-300) / num_samples)
+    return out
 
 
 def _exact_series(mu, e_set, f_set, lags) -> dict:
-    """{lag: (estimate, 0.0)} for the sorted ``lags`` >= 1 from one preimage
-    sweep of F, the exact twin of :func:`_mc_series`."""
-    if not lags:
-        return {}
-    mu_e, mu_f = _set_masses(mu, e_set, f_set)
-    want = set(lags)
-    out = {}
-    for n, (lo, hi) in enumerate(preimage_sweep(mu.beta, lags[-1], *_f_ball(f_set))):
-        if n in want:
-            out[n] = (abs(_exact_joint(mu, e_set, lo, hi) / mu_f - mu_e), 0.0)
-    return out
+    """{lag: (mu(E ∩ T^-n F), 0.0)} for the set of ``lags`` >= 1 from one
+    preimage sweep of F, the exact twin of :func:`_mc_series`."""
+    return {n: (_exact_joint(mu, e_set, lo, hi), 0.0)
+            for n, (lo, hi) in enumerate(preimage_sweep(mu.beta, max(lags), *_f_ball(f_set)))
+            if n in lags}
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,7 @@ def _theta_sum(i, logb, t, w, k1_strict=True, k2_strict=False) -> float:
                                (w[k] * (logb[k] / thr) for k in k3)))
 
 
-def theta_rect(i, moduli, t, weights=None, k1_strict=True, k2_strict=False) -> float:
+def theta_rect(i, moduli, t, weights=None) -> float:
     """theta_i(t) by the partition sums; ``weights`` gives the delta-weighted
     variant (all weights 1 reproduces the plain value bit for bit)."""
     mods = _check_moduli(moduli)
@@ -106,7 +106,7 @@ def theta_rect(i, moduli, t, weights=None, k1_strict=True, k2_strict=False) -> f
             f"t[{i}] is infinite; route this instance through unbounded_bounds"
         )
     w = [1.0] * d if weights is None else [float(v) for v in weights]
-    return _theta_sum(i, [math.log(m) for m in mods], t, w, k1_strict, k2_strict)
+    return _theta_sum(i, [math.log(m) for m in mods], t, w)
 
 
 def theta_partition(i, moduli, t):

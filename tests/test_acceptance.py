@@ -16,6 +16,7 @@ from shrinktarget.counting import correlation_estimate, correlation_series, mont
 from shrinktarget.cylinders import count_cylinders, full_cylinder_stats, preimage_intervals
 from shrinktarget.dimension import (
     MtpInput,
+    _theta_sum,
     cover_cost_sequence,
     dim_ball,
     dim_mult,
@@ -194,8 +195,8 @@ def test_criterion_5_dimension_formula_cross_checks():
             base = theta_rect(i, mods, t)
             for s1 in (True, False):
                 for s2 in (True, False):
-                    assert abs(theta_rect(i, mods, t, k1_strict=s1, k2_strict=s2)
-                               - base) <= tol
+                    assert abs(_theta_sum(i, [math.log(m) for m in mods], t, [1.0] * d,
+                                          s1, s2) - base) <= tol
 
     for _ in range(50):
         d = int(rng.integers(1, 6))

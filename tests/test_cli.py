@@ -485,6 +485,17 @@ class TestMainExitCodes:
         lines = (tmp_path / "mixing.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["4"]
 
+    def test_mixing_mc_keeps_the_exact_lag_zero_row(self, tmp_path):
+        rows = {}
+        for method in ("mc", "exact"):
+            code = main(["mixing", "--beta", "g", "--set-e", "0,0.5", "--set-f", "0.2,0.7",
+                         "--method", method, "--lags", "0:3", "--samples", "2000",
+                         "--seed", "1", "--out", str(tmp_path / method)])
+            assert code == 0
+            rows[method] = (tmp_path / method / "mixing.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[0] for line in rows["mc"]] == ["0", "1", "2", "3"]
+        assert rows["mc"][0] == rows["exact"][0]
+
     def test_mixing_outputs(self, tmp_path):
         code = main(["mixing", "--beta", "2", "--set-e", "0,0.5", "--set-f", "0,0.25",
                      "--lags", "1:6", "--seed", "3", "--method", "auto",

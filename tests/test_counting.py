@@ -629,7 +629,7 @@ def _refused(*args, **kwargs):
 class TestEngineDispatch:
     @pytest.mark.parametrize("betas", [("g", "g"), (2, "g"), ("golden", 3), (128,)])
     def test_digit_engine(self, monkeypatch, betas):
-        monkeypatch.setattr(counting, "_count_interval_engine", _refused)
+        monkeypatch.setattr(counting, "_interval_membership", _refused)
         system = DiagonalTorusSystem(betas)
         t = ball((0.0,) * system.d, RateFunction.power(0.5, 0.25))
         for start in counting.START_LAWS:
@@ -649,7 +649,7 @@ class TestEngineDispatch:
         ((200,), None, None),  # int8 digits stop at base 128
     ])
     def test_interval_engine(self, monkeypatch, betas, x, start):
-        monkeypatch.setattr(counting, "_count_digit_engine", _refused)
+        monkeypatch.setattr(counting, "_digit_membership", _refused)
         system = DiagonalTorusSystem(betas)
         t = ball((0.0,) * system.d, RateFunction.power(0.5, 0.25))
         res = count_hits(system, t, x, 200, rng=np.random.default_rng(1),
@@ -683,7 +683,7 @@ class TestEngineDispatch:
         system = DiagonalTorusSystem((2, 3))
         t = ball((0.0, 0.0), RateFunction.power(0.5, 0.25))
         exact = count_hits(system, t, (Fraction(1, 3), Fraction(1, 5)), 50).final
-        monkeypatch.setattr(counting, "_count_digit_engine", _refused)
+        monkeypatch.setattr(counting, "_digit_membership", _refused)
         start = [UnitRealInterval.from_value(Fraction(1, 3), 128),
                  UnitRealInterval.from_value(Fraction(1, 5), 128)]
         res = count_hits(system, t, start, 50).final
@@ -713,7 +713,7 @@ class TestInvariantPhi:
         assert [mu.beta for mu in nu.factors] == [math.e, 2.0]
 
     def test_lebesgue_starts_on_the_interval_engine(self, monkeypatch):
-        monkeypatch.setattr(counting, "_count_digit_engine", _refused)
+        monkeypatch.setattr(counting, "_digit_membership", _refused)
         t = ball((0.3, 0.3), RateFunction.power(0.5, 0.25))
         samples = 8
         summary = monte_carlo_counting(DiagonalTorusSystem(("e", "g")), t, samples, 1500,
@@ -835,20 +835,16 @@ class TestCorrelation:
     ])
     @pytest.mark.parametrize("method", ["exact", "auto"])
     def test_series_is_the_per_lag_estimate(self, beta, e_set, f_set, lags, method):
-        # one sweep serves every lag; each entry equals its own from-scratch estimate
-        series = correlation_series(beta, e_set, f_set, lags, method=method)
-        assert series.entries == tuple(
-            (n, *correlation_estimate(beta, e_set, f_set, n, method=method))
-            for n in sorted(lags))
-
-    def test_auto_with_samples_keeps_its_per_lag_streams(self):
-        lags = range(0, 6)
-        series = correlation_series(2, (0.0, 1 / 3), (0.1, 0.6), lags, method="auto",
-                                    num_samples=2000, seed=4)
-        assert series.entries == tuple(
-            (n, *correlation_estimate(2, (0.0, 1 / 3), (0.1, 0.6), n, method="auto",
-                                      num_samples=2000, seed=4))
-            for n in lags)
+        # one sweep serves every lag; each entry equals its own from-scratch
+        # estimate, with samples too (where "mc" stands in for "exact")
+        sampled = {"exact": "mc", "auto": "auto"}[method]
+        for run, num_samples in ((method, None), (sampled, 500)):
+            series = correlation_series(beta, e_set, f_set, lags, method=run,
+                                        num_samples=num_samples, seed=3)
+            assert series.entries == tuple(
+                (n, *correlation_estimate(beta, e_set, f_set, n, method=run,
+                                          num_samples=num_samples, seed=3))
+                for n in sorted(lags))
 
     def test_exact_series_past_the_piece_cap_refuses(self):
         # 3^25 pieces at lag 25: refused before the sweep allocates

@@ -13,6 +13,7 @@ from shrinktarget.errors import (
 )
 from shrinktarget.dimension import (
     MtpInput,
+    _theta_sum,
     conjectured_dim_hat,
     conjectured_theta_hat,
     cover_cost_sequence,
@@ -136,10 +137,10 @@ class TestStrictnessInvariance:
         for t1 in (0.0, 0.4):
             t = [t0, t1]
             vals = {
-                (s1, s2): theta_rect(0, [2, 3], t, k1_strict=s1, k2_strict=s2)
+                (s1, s2): _theta_sum(0, logs, t, [1.0, 1.0], s1, s2)
                 for s1 in (True, False) for s2 in (True, False)
             }
-            base = vals[(True, False)]
+            base = theta_rect(0, [2, 3], t)
             for v in vals.values():
                 assert v == pytest.approx(base, abs=1e-12)
 
@@ -158,7 +159,8 @@ class TestStrictnessInvariance:
                 base = theta_rect(i, mods, t)
                 for s1 in (True, False):
                     for s2 in (True, False):
-                        assert theta_rect(i, mods, t, k1_strict=s1, k2_strict=s2) \
+                        assert _theta_sum(i, [math.log(m) for m in mods], t,
+                                          [1.0] * len(mods), s1, s2) \
                             == pytest.approx(base, abs=1e-12)
 
 
@@ -291,7 +293,7 @@ class TestMtp:
             w = [float(v) for v in rng.uniform(0.1, 1.0, d)]
             inp = MtpInput(w, logb, [a + b for a, b in zip(logb, t)])
             for i in range(d):
-                want = theta_rect(i, mods, t, weights=w, k1_strict=False)
+                want = _theta_sum(i, logb, t, w, k1_strict=False)
                 assert mtp_score(inp, i) == pytest.approx(want, abs=1e-12)
 
     def test_validation(self):
