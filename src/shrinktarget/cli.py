@@ -587,9 +587,9 @@ COMMANDS = {
         "set_e": (_pair, REQUIRED),
         "set_f": (_pair, REQUIRED),
         "lags": (_lags, tuple(range(1, 26))),
-        "samples": (_at_least(1), None),
-        "seed": (_at_least(0), REQUIRED),
         "method": (_choice("exact", "mc", "auto"), "exact"),
+        "samples": (_at_least(1), lambda p: REQUIRED if p["method"] == "mc" else None),
+        "seed": (_at_least(0), REQUIRED),
     }),
     "volume": Command("target volume tables", _cmd_volume, {
         "shape": (Shape, Shape.HYPERBOLOID),

@@ -19,10 +19,12 @@ its greedy digits from the two-state chain of the orbit of 1 (Renyi 1957,
 Parry 1960): from state 0 they are i.i.d. words "0" (probability 1/g) and
 "10" (1/g^2), and a Parry start first enters state 1, which emits a forced
 "0", with the weight the measure's table gives it.  The digits are read in a
-coarse-to-fine ladder with weights beta^-k: a ~10-bit window of every step
-decides all but a few hundred of 10^6 steps, a ~42-bit window re-decides
-those, and the rare steps still open are re-decided exactly from digit
-prefixes (exact integers for b, Z[g] brackets for g).  This is what makes
+coarse-to-fine ladder with weights beta^-k: a ~10-bit window, read in
+cache-sized chunks of steps one coordinate at a time (a ball or rectangle
+reads a coordinate only at the steps the earlier ones leave open), decides
+all but a few hundred of 10^6 steps, a ~42-bit window re-decides those,
+and the rare steps still open are re-decided exactly from digit prefixes
+(exact integers for b, Z[g] brackets for g).  This is what makes
 N = 10^6 runs cheap.  Everything else (e, other reals, negative beta,
 integer bases above 128, given enclosures, given points on non-integer
 systems, integer matrices) runs on the interval engine at desk scale.
@@ -61,7 +63,7 @@ from .orbits import (
     wrap_distance_bounds,
 )
 from .targets import (
-    MARGIN, Containment, TargetSpec, contains, exact_verdict, phi_values, verdict,
+    MARGIN, Containment, Shape, TargetSpec, contains, exact_verdict, phi_values, verdict,
 )
 
 DEFAULT_EPSILON = 0.5
@@ -74,6 +76,8 @@ KAPPA_LAGS = 30
 # fine window is read only at the steps the coarse one leaves open.
 COARSE_BITS = 10
 FINE_BITS = 42
+# Steps per coarse pass: its float temporaries stay in cache.
+COARSE_CHUNK = 1 << 15
 # Digits are int8, so the digit engine takes integer bases up to 128.
 MAX_DIGIT_BASE = 128
 
@@ -351,38 +355,56 @@ def _digit_membership(bases: list, target: TargetSpec,
 
     A float stage reads T^n x_i as a window value v of w digits, lying
     within base^-w below it, so ||T^n x_i - a_i|| is within that band (plus
-    MARGIN) of ||v - a_i||.  It runs on a COARSE_BITS window at every step,
-    then on a FINE_BITS window at the steps still open; the exact stage
-    takes what is left.  Each stage is sound, so the ladder decides exactly
-    what the exact stage alone would.  ``bases`` is the system's
+    MARGIN) of ||v - a_i||.  It runs on a COARSE_BITS window, COARSE_CHUNK
+    steps at a time: a ball or rectangle is an AND over coordinates, so
+    coordinate 0 is read at every step and each next one only where the
+    earlier ones leave the step open (a hyperboloid reads every coordinate).
+    Then a FINE_BITS window re-reads the steps still open, and the exact
+    stage takes what is left.  Each stage is sound, so the ladder decides
+    exactly what the exact stage alone would.  ``bases`` is the system's
     :func:`_digit_bases`.
     """
     centers = [float(a) for a in target.center]
     radii = _step_radii(target, n_steps)
+    every = (range(len(bases)), radii)  # the (coordinates, radii) verdict reads
+    groups = ([every] if target.shape == Shape.HYPERBOLOID
+              else [([i], radii[i:i + 1]) for i in every[0]])
 
-    def window_verdict(bits, idx=None):
-        dists = []
-        bands = []
-        for digits, base, a in zip(digit_arrays, bases, centers):
+    def window_verdict(group, bits, steps):
+        """verdict on ``group`` at ``steps``: a slice (read by convolution)
+        or an index array (read by :func:`_window_at`)."""
+        coords, rs = group
+        lows, highs = [], []
+        for i in coords:
+            digits, base = digit_arrays[i], bases[i]
             window = min(_digit_window(base, bits), len(digits) - n_steps - 1)
-            if idx is None:
-                dist = _window_values(digits, base, n_steps, window)
+            if isinstance(steps, slice):
+                dist = _window_values(digits[steps.start:], base,
+                                      steps.stop - steps.start, window)
             else:
-                dist = _window_at(digits, base, idx, window)
-            dist -= a
+                dist = _window_at(digits, base, steps, window)
+            dist -= centers[i]
             np.abs(dist, out=dist)
             np.minimum(dist, 1.0 - dist, out=dist)
-            dists.append(dist)
-            bands.append(float(base) ** -window + MARGIN)
-        return verdict(
-            target.shape,
-            (np.maximum(dist - band, 0.0) for dist, band in zip(dists, bands)),
-            (dist + band for dist, band in zip(dists, bands)),
-            radii if idx is None else [r[idx] for r in radii])
+            band = float(base) ** -window + MARGIN
+            lows.append(np.maximum(dist - band, 0.0))
+            highs.append(dist + band)
+        return verdict(target.shape, lows, highs, [r[steps] for r in rs])
 
-    hit_lo, hit_hi = window_verdict(COARSE_BITS)
+    hit_lo, hit_hi = np.empty((2, n_steps), dtype=bool)
+    for start in range(0, n_steps, COARSE_CHUNK):
+        steps = slice(start, min(start + COARSE_CHUNK, n_steps))
+        lo, hi = window_verdict(groups[0], COARSE_BITS, steps)
+        for group in groups[1:]:
+            idx = np.flatnonzero(hi)
+            if not len(idx):
+                break
+            lo_g, hi_g = window_verdict(group, COARSE_BITS, idx + start)
+            lo[idx] &= lo_g
+            hi[idx] &= hi_g
+        hit_lo[steps], hit_hi[steps] = lo, hi
     idx = np.flatnonzero(hit_hi & ~hit_lo)
-    hit_lo[idx], hit_hi[idx] = window_verdict(FINE_BITS, idx)
+    hit_lo[idx], hit_hi[idx] = window_verdict(every, FINE_BITS, idx)
     for i in np.flatnonzero(hit_hi & ~hit_lo):
         n = int(i) + 1
         for bounds in _exact_distances(digit_arrays, bases, n, target.center):

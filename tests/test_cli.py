@@ -457,6 +457,13 @@ class TestMainExitCodes:
         assert "--lags" in capsys.readouterr().err
         assert not (tmp_path / "mixing.csv").exists()
 
+    def test_monte_carlo_mixing_without_samples_is_two(self, tmp_path, capsys):
+        code = main(["mixing", "--beta", "g", "--set-e", "0,0.5", "--set-f", "0.2,0.7",
+                     "--lags", "0:3", "--method", "mc", "--seed", "1", "--out", str(tmp_path)])
+        assert code == 2
+        assert "--samples" in capsys.readouterr().err
+        assert not (tmp_path / "mixing.csv").exists()
+
     def test_missing_config_file_is_two(self, tmp_path, capsys):
         code = main(["measure", "--beta", "2", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path)])

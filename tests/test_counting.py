@@ -377,53 +377,67 @@ def full_tail_verdicts(target, digit_arrays, bases, n_steps):
     return out
 
 
-LADDER_TARGETS = {
-    "ball": ball((Fraction(1, 4), Fraction(0)), RateFunction.table([0.25], extend="hold")),
-    "rectangle": rectangle((Fraction(1, 4), Fraction(0)),
-                           (RateFunction.power(0.3, 0.0),
-                            RateFunction.table([0.25], extend="hold"))),
-    "hyperboloid": hyperboloid((Fraction(1, 4), Fraction(0)),
-                               RateFunction.table([1 / 16], extend="hold")),
-}
+def ladder_target(shape, d):
+    """The ladder's targets on d coordinates, centred at (1/4, 0, ..., 0)."""
+    center = (Fraction(1, 4),) + (Fraction(0),) * (d - 1)
+    quarter = RateFunction.table([0.25], extend="hold")
+    if shape == "ball":
+        return ball(center, quarter)
+    if shape == "rectangle":
+        return rectangle(center, (RateFunction.power(0.3, 0.0),) + (quarter,) * (d - 1))
+    return hyperboloid(center, RateFunction.table([4.0 ** -d], extend="hold"))
 
 
 class TestDigitLadder:
-    # (1/4, 1/4) under diag(2, 3): the first coordinate sits at 1/2, then 0,
-    # both exactly 1/4 from 1/4; the second alternates 3/4 and 1/4, exactly
-    # 1/4 from 0, and no digit prefix pins it down.  So every step is a
-    # boundary tie of all three targets (the rectangle's first side, 0.3,
-    # holds the first coordinate).
-    @pytest.mark.parametrize("start", ["random", "ties", "rational"])
-    @pytest.mark.parametrize("shape", sorted(LADDER_TARGETS))
-    def test_matches_full_tail_oracle(self, monkeypatch, shape, start):
-        target = LADDER_TARGETS[shape]
-        system = DiagonalTorusSystem((2, 3))
+    # (1/4, 1/4, 1/4) under diag(2, 3, 5): the first coordinate sits at 1/2,
+    # then 0, both exactly 1/4 from 1/4; the second alternates 3/4 and 1/4
+    # and the third stays at 1/4, each exactly 1/4 from 0, and no digit
+    # prefix pins them down.  So every step is a boundary tie of all three
+    # targets (the rectangle's first side, 0.3, holds the first coordinate).
+    # The d = 3 system reads its last coordinate only where the first two
+    # leave a step open.
+    @pytest.mark.parametrize("start, betas", [
+        pytest.param(start, betas, id=start + ("" if len(betas) == 2 else "-d3"))
+        for betas in [(2, 3), (2, 3, 5)] for start in ["random", "ties", "rational"]])
+    @pytest.mark.parametrize("shape", ["ball", "hyperboloid", "rectangle"])
+    def test_matches_full_tail_oracle(self, monkeypatch, shape, start, betas):
+        d = len(betas)
+        target = ladder_target(shape, d)
         n_steps = 200
-        x = {"random": None, "ties": (Fraction(1, 4), Fraction(1, 4)),
-             "rational": (Fraction(17, 97), Fraction(23, 89))}[start]
-        bases = counting._digit_bases(system)
+        x = {"random": None, "ties": (Fraction(1, 4),) * d,
+             "rational": (Fraction(17, 97), Fraction(23, 89), Fraction(31, 83))[:d]}[start]
+        bases = counting._digit_bases(DiagonalTorusSystem(betas))
         digit_arrays = counting._digit_arrays_for_sample(
             bases, n_steps, np.random.default_rng(5), x)
+        oracle = full_tail_verdicts(target, digit_arrays, bases, n_steps)
         # two-bit coarse windows leave most steps to the fine and exact stages
         monkeypatch.setattr(counting, "COARSE_BITS", 2)
-        stages = {"fine": 0, "exact": 0}
+        stages = {"coarse": 0, "fine": 0, "exact": 0}
 
-        def counted(name, fn):
-            def wrapper(*args):
-                stages[name] += 1
-                return fn(*args)
-            return wrapper
+        def window_at(digits, base, idx, window):
+            fine = min(counting._digit_window(base, counting.FINE_BITS),
+                       len(digits) - n_steps - 1)
+            stages["fine" if window == fine else "coarse"] += 1
+            return _window_at(digits, base, idx, window)
 
-        monkeypatch.setattr(counting, "_window_at", counted("fine", counting._window_at))
-        monkeypatch.setattr(counting, "_exact_distances",
-                            counted("exact", counting._exact_distances))
-        hit_lo, hit_hi = counting._digit_membership(bases, target, digit_arrays, n_steps)
-        oracle = full_tail_verdicts(target, digit_arrays, (2, 3), n_steps)
-        assert list(zip(hit_lo.tolist(), hit_hi.tolist())) == oracle
-        assert stages["fine"] > 0
-        if start == "ties":
-            assert stages["exact"] == n_steps
-            assert not hit_lo.any() and hit_hi.all()
+        def exact_distances(*args, exact=counting._exact_distances):
+            stages["exact"] += 1
+            return exact(*args)
+
+        monkeypatch.setattr(counting, "_window_at", window_at)
+        monkeypatch.setattr(counting, "_exact_distances", exact_distances)
+        # one partial chunk, then three full chunks and a partial one
+        for chunk in (counting.COARSE_CHUNK, 64):
+            monkeypatch.setattr(counting, "COARSE_CHUNK", chunk)
+            stages.update(coarse=0, fine=0, exact=0)
+            hit_lo, hit_hi = counting._digit_membership(bases, target, digit_arrays, n_steps)
+            assert list(zip(hit_lo.tolist(), hit_hi.tolist())) == oracle, chunk
+            assert stages["fine"] > 0
+            # a hyperboloid's coarse stage reads every coordinate by convolution
+            assert (stages["coarse"] > 0) == (shape != "hyperboloid")
+            if start == "ties":
+                assert stages["exact"] == n_steps
+                assert not hit_lo.any() and hit_hi.all()
 
     def test_step_radii_once_per_experiment(self, monkeypatch):
         calls = []
@@ -573,7 +587,7 @@ class TestGoldenDigitEngine:
                     assert lo_m <= value and value + g ** -k <= hi_m, k
                     assert hi_m - lo_m <= g ** -k * (1 + mpmath.mpf(2) ** -40), k
 
-    @pytest.mark.parametrize("betas", [("g", "g"), (2, "g")])
+    @pytest.mark.parametrize("betas", [("g", "g"), (2, "g"), ("g", 2)])
     @pytest.mark.parametrize("shape", sorted(GOLDEN_TARGETS))
     def test_agrees_with_interval_engine(self, monkeypatch, shape, betas):
         system = DiagonalTorusSystem(betas)
@@ -585,6 +599,7 @@ class TestGoldenDigitEngine:
         # narrow windows send many steps on to the fine and the exact stage
         monkeypatch.setattr(counting, "COARSE_BITS", 2)
         monkeypatch.setattr(counting, "FINE_BITS", 6)
+        monkeypatch.setattr(counting, "COARSE_CHUNK", 300)  # six full chunks, a partial one
         exact_calls = []
         exact = counting._exact_distances
         monkeypatch.setattr(counting, "_exact_distances",
