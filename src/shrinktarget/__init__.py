@@ -1,7 +1,7 @@
 """Shrinking-target experiments for matrix transformations of tori.
 
-Orbit engines (digit arrays for integer diagonal bases, dyadic interval
-arithmetic otherwise), Parry/Yrrap invariant measures, quantitative
+Orbit engines (digit arrays for integer and golden diagonal bases, dyadic
+interval arithmetic otherwise), Parry/Yrrap invariant measures, quantitative
 hit-counting experiments, closed-form Hausdorff-dimension calculators,
 and constructive Markov subsystems, with a reproducible experiment CLI.
 """

@@ -11,23 +11,21 @@ is summed over the system's :func:`invariant_measure` mu, and a random
 start is drawn from Lebesgue measure (``start="lebesgue"``) or from mu
 itself (``start="invariant"``).
 
-Engine dispatch: a diagonal system whose every beta is an integer
-2 <= b <= 128 or the golden ratio g runs on its digit streams, from a
+Engine dispatch: :func:`_digit_systems` gives each coordinate of a
+diagonal system whose every beta is an integer 2 <= b <= 128 or the golden
+ratio g its digit system, and the count runs on those digit streams, from a
 random start or (all-integer systems only) a given rational point.  An
-integer coordinate draws i.i.d. base-b digits.  A golden coordinate draws
-its greedy digits from the two-state chain of the orbit of 1 (Renyi 1957,
-Parry 1960): from state 0 they are i.i.d. words "0" (probability 1/g) and
-"10" (1/g^2), and a Parry start first enters state 1, which emits a forced
-"0", with the weight the measure's table gives it.  The digits are read in a
-coarse-to-fine ladder with weights beta^-k: a ~10-bit window, read in
-cache-sized chunks of steps one coordinate at a time (a ball or rectangle
-reads a coordinate only at the steps the earlier ones leave open), decides
-all but a few hundred of 10^6 steps, a ~42-bit window re-decides those,
-and the rare steps still open are re-decided exactly from digit prefixes
-(exact integers for b, Z[g] brackets for g).  This is what makes
-N = 10^6 runs cheap.  Everything else (e, other reals, negative beta,
-integer bases above 128, given enclosures, given points on non-integer
-systems, integer matrices) runs on the interval engine at desk scale.
+integer coordinate draws i.i.d. base-b digits, a golden one its greedy
+digits from the two-state chain of the orbit of 1 (Renyi 1957, Parry 1960).
+The digits are read in a coarse-to-fine ladder with weights beta^-k: a
+~10-bit window, read in cache-sized chunks of steps one coordinate at a
+time (a ball or rectangle reads a coordinate only at the steps the earlier
+ones leave open), decides all but a few hundred of 10^6 steps, a ~42-bit
+window re-decides those, and the rare steps still open are re-decided
+exactly from digit prefixes (exact integers for b, Z[g] brackets for g).
+This is what makes N = 10^6 runs cheap.  Everything else (e, other reals,
+negative beta, integer bases above 128, given enclosures, given points on
+non-integer systems, integer matrices) runs on the interval engine.
 
 Determinism: every sample derives its own generator from
 (seed, sample_id), so results are byte-identical for any worker count.
@@ -132,25 +130,6 @@ def _digit_window(base, bits: int = FINE_BITS) -> int:
     return math.ceil(bits / math.log2(base))
 
 
-def _digit_bases(system) -> Optional[list]:
-    """Each beta as a digit-engine base, or None where the engine does not apply.
-
-    A base is an int 2 <= b <= MAX_DIGIT_BASE or ``GOLDEN_RATIO`` for the
-    token "g"; None for any other beta.
-    """
-    if not isinstance(system, DiagonalTorusSystem) or system.degenerate:
-        return None
-    bases = []
-    for b in system.betas:
-        if b == "g":
-            bases.append(GOLDEN_RATIO)
-        elif isinstance(b, Fraction) and b.denominator == 1 and 2 <= b <= MAX_DIGIT_BASE:
-            bases.append(int(b))
-        else:
-            return None
-    return bases
-
-
 def invariant_measure(system) -> Optional[ProductMeasure]:
     """The T-invariant measure mu that Phi = sum mu(E_n) is summed over.
 
@@ -167,27 +146,6 @@ def invariant_measure(system) -> Optional[ProductMeasure]:
             "coordinates off with the degenerate reduction first"
         )
     return None if system.is_integer else ProductMeasure(system.betas)
-
-
-def _rational_digits(x: Fraction, base: int, count: int) -> np.ndarray:
-    """First ``count`` base-b digits of x in [0,1), vectorized in blocks."""
-    x = x % 1
-    p, q = x.numerator, x.denominator
-    block = max(1, int(62 // math.log2(base)))
-    scale = base ** block
-    blocks = []
-    remaining = count
-    while remaining > 0:
-        p *= scale
-        v, p = divmod(p, q)
-        blocks.append(v)
-        remaining -= block
-    arr = np.array(blocks, dtype=np.int64)
-    digits = np.empty((len(blocks), block), dtype=np.int8)
-    for k in range(block - 1, -1, -1):
-        digits[:, k] = arr % base
-        arr //= base
-    return digits.reshape(-1)[:count]
 
 
 def _window_values(digits: np.ndarray, base: int, n_steps: int, window: int) -> np.ndarray:
@@ -229,15 +187,6 @@ def _digits_to_int(digits: np.ndarray, base: int) -> int:
     powers = base ** np.arange(block - 1, -1, -1, dtype=np.int64)
     parts = [int(v) for v in padded.reshape(-1, block) @ powers]
     return _combine_pairwise(parts, base ** block, operator.mul, operator.add)
-
-
-def _prefix_enclosure(digits: np.ndarray, base) -> tuple:
-    """(lo, width), Fractions: the point whose leading digits are ``digits``
-    lies in [lo, lo + width] (the tail adds [0, base^-k) for k digits)."""
-    if isinstance(base, int):
-        scale = base ** len(digits)
-        return Fraction(_digits_to_int(digits, base), scale), Fraction(1, scale)
-    return _golden_prefix_enclosure(digits)
 
 
 def _zg_mul(x: tuple, y: tuple) -> tuple:
@@ -282,30 +231,116 @@ def _golden_int(digits: np.ndarray) -> tuple:
     return _combine_pairwise(parts, scale, _zg_mul, _zg_add)
 
 
-def _golden_prefix_enclosure(digits: np.ndarray) -> tuple:
-    """:func:`_prefix_enclosure` for base g.
+@dataclass(frozen=True)
+class IntegerDigits:
+    """Base-b digits, 2 <= b <= MAX_DIGIT_BASE: i.i.d. uniform for Lebesgue x."""
 
-    S = sum_j digits[j] g^-(j+1) is exact in Z[g] as (a + b g) g^-k, with
-    g^-k = (-1)^k (F_k+1 - F_k g).  S and S + g^-k are bracketed with
-    g in [g_lo, g_hi] / 2^p from :func:`orbits._scalar_bounds`, for p large
-    enough to swamp their g-coefficients, and then rounded outward to a
-    grid about 2^-64 of g^-k fine.
+    beta: int
+
+    def draw(self, rng: np.random.Generator, total: int) -> np.ndarray:
+        return rng.integers(0, self.beta, size=total, dtype=np.int8)
+
+    def bracket(self, digits: np.ndarray) -> tuple:
+        """(lo, width), Fractions: the point whose leading digits are ``digits``
+        lies in [lo, lo + width] (the tail adds [0, b^-k) for k digits)."""
+        scale = self.beta ** len(digits)
+        return Fraction(_digits_to_int(digits, self.beta), scale), Fraction(1, scale)
+
+    def expand(self, x: Fraction, total: int) -> np.ndarray:
+        """First ``total`` base-b digits of x in [0,1), vectorized in blocks."""
+        base = self.beta
+        p, q = (x % 1).as_integer_ratio()
+        block = max(1, int(62 // math.log2(base)))
+        scale = base ** block
+        blocks = []
+        for _ in range(-(-total // block)):
+            p *= scale
+            v, p = divmod(p, q)
+            blocks.append(v)
+        powers = base ** np.arange(block - 1, -1, -1, dtype=np.int64)
+        digits = np.array(blocks, dtype=np.int64)[:, None] // powers % base
+        return digits.astype(np.int8).reshape(-1)[:total]
+
+
+@dataclass(frozen=True)
+class GoldenDigits:
+    """Greedy g-digits, drawn from the two-state chain of the orbit of 1.
+
+    From state 0 (T^n x uniform on [0, 1)) the digits are i.i.d. words "0",
+    with probability 1/g, and "10", with probability 1/g^2: after a 1, T^n x
+    is uniform on [0, 1/g), state 1, whose next digit is a forced 0 that
+    returns to state 0.  A start in state 1, drawn with probability
+    ``state1_weight`` (none drawn when it is 0, a Lebesgue start), emits that
+    forced 0 first.  The Parry density is a mixture, over the orbit points t
+    of 1, of uniform laws on [0, t).  Every part but t = 1 (state 0) lies in
+    [0, 1/g) (state 1), so the density on [1/g, 1), read at its middle g/2,
+    is the weight of state 0, and ``state1_weight`` is 1 minus it:
+    g^-2 / (1 + g^-2) for the golden Parry measure.
     """
-    k = len(digits)
-    fk, fk1 = _fib_pair(k)
-    sign = -1 if k % 2 else 1
-    step = (sign * fk1, -sign * fk)               # g^-k
-    lo = _zg_mul(_golden_int(digits), step)
-    hi = (lo[0] + step[0], lo[1] + step[1])
-    grid = k * 7 // 10 + 64                       # 0.7 k > k log2(g) bits
-    p = max(abs(lo[1]), abs(hi[1])).bit_length() + grid
-    g_lo, g_hi = _scalar_bounds("g", p)
-    lo_num = ((lo[0] << p) + lo[1] * (g_lo if lo[1] >= 0 else g_hi)) >> (p - grid)
-    hi_num = -((-((hi[0] << p) + hi[1] * (g_hi if hi[1] >= 0 else g_lo))) >> (p - grid))
-    return Fraction(lo_num, 1 << grid), Fraction(hi_num - lo_num, 1 << grid)
+
+    state1_weight: float = 0.0
+    beta = GOLDEN_RATIO
+    expand = None
+
+    def draw(self, rng: np.random.Generator, total: int) -> np.ndarray:
+        """The first ``total`` greedy g-digits of a point drawn from the chain."""
+        lead = int(self.state1_weight > 0 and rng.random() < self.state1_weight)
+        # total words cover total digits; the j-th "10" word, word i, starts
+        # after i words of which j are two digits long
+        tens = np.flatnonzero(rng.random(total) < GOLDEN_RATIO ** -2)
+        ones = tens + np.arange(len(tens)) + lead
+        digits = np.zeros(total, dtype=np.int8)
+        digits[ones[ones < total]] = 1
+        return digits
+
+    def bracket(self, digits: np.ndarray) -> tuple:
+        """:meth:`IntegerDigits.bracket` for base g.
+
+        S = sum_j digits[j] g^-(j+1) is exact in Z[g] as (a + b g) g^-k, with
+        g^-k = (-1)^k (F_k+1 - F_k g).  S and S + g^-k are bracketed with g in
+        [g_lo, g_hi] / 2^p from :func:`orbits._scalar_bounds`, for p large
+        enough to swamp their g-coefficients, and then rounded outward to a
+        grid about 2^-64 of g^-k fine.
+        """
+        k = len(digits)
+        fk, fk1 = _fib_pair(k)
+        sign = -1 if k % 2 else 1
+        step = (sign * fk1, -sign * fk)               # g^-k
+        lo = _zg_mul(_golden_int(digits), step)
+        hi = (lo[0] + step[0], lo[1] + step[1])
+        grid = k * 7 // 10 + 64                       # 0.7 k > k log2(g) bits
+        p = max(abs(lo[1]), abs(hi[1])).bit_length() + grid
+        g_lo, g_hi = _scalar_bounds("g", p)
+        lo_num = ((lo[0] << p) + lo[1] * (g_lo if lo[1] >= 0 else g_hi)) >> (p - grid)
+        hi_num = -((-((hi[0] << p) + hi[1] * (g_hi if hi[1] >= 0 else g_lo))) >> (p - grid))
+        return Fraction(lo_num, 1 << grid), Fraction(hi_num - lo_num, 1 << grid)
 
 
-def _exact_distances(digit_arrays, bases, n: int, centers):
+def _digit_systems(system, measure) -> Optional[list]:
+    """Each coordinate's digit system for starts drawn from ``measure``
+    (None: Lebesgue), or None where the digit engine does not apply.
+
+    The one place that says which beta run on digits: an integer
+    2 <= b <= MAX_DIGIT_BASE and the token "g".  A system reads x as
+    sum_k d_k beta^-k, so T^n x is its stream from index n on.  It has a
+    ``beta``, a ``draw`` of a random start's first digits, the ``bracket``
+    of a prefix and the ``expand``-sion of a rational x (None for g).
+    """
+    if not isinstance(system, DiagonalTorusSystem) or system.degenerate:
+        return None
+    systems = []
+    for i, b in enumerate(system.betas):
+        if b == "g":
+            systems.append(GoldenDigits(
+                0.0 if measure is None else 1.0 - measure.factors[i].density(GOLDEN_RATIO / 2)))
+        elif b in range(2, MAX_DIGIT_BASE + 1):
+            systems.append(IntegerDigits(int(b)))
+        else:
+            return None
+    return systems
+
+
+def _exact_distances(digit_arrays, systems, n: int, centers):
     """Exact bounds on ||T^n x_i - a_i||, from ever longer digit prefixes.
 
     T^n(x_i) is coordinate i's stream read from digit index n onward; the
@@ -315,11 +350,8 @@ def _exact_distances(digit_arrays, bases, n: int, centers):
     """
     k = 16
     while True:
-        bounds = []
-        for digits, base, a in zip(digit_arrays, bases, centers):
-            lo, width = _prefix_enclosure(digits[n: n + k], base)
-            bounds.append(wrap_distance_bounds(lo, width, a))
-        yield bounds
+        yield [wrap_distance_bounds(*ds.bracket(digits[n: n + k]), a)
+               for digits, ds, a in zip(digit_arrays, systems, centers)]
         if all(k >= len(digits) - n for digits in digit_arrays):
             return
         k *= 4
@@ -349,7 +381,7 @@ def _step_radii(target: TargetSpec, n_steps: int) -> tuple:
     return radii
 
 
-def _digit_membership(bases: list, target: TargetSpec,
+def _digit_membership(systems: list, target: TargetSpec,
                       digit_arrays: list[np.ndarray], n_steps: int):
     """(hit_lo, hit_hi) boolean arrays for n = 1..N, decided coarse to fine.
 
@@ -361,12 +393,12 @@ def _digit_membership(bases: list, target: TargetSpec,
     earlier ones leave the step open (a hyperboloid reads every coordinate).
     Then a FINE_BITS window re-reads the steps still open, and the exact
     stage takes what is left.  Each stage is sound, so the ladder decides
-    exactly what the exact stage alone would.  ``bases`` is the system's
-    :func:`_digit_bases`.
+    exactly what the exact stage alone would.  ``systems`` are the
+    coordinates' :func:`_digit_systems`.
     """
     centers = [float(a) for a in target.center]
     radii = _step_radii(target, n_steps)
-    every = (range(len(bases)), radii)  # the (coordinates, radii) verdict reads
+    every = (range(len(systems)), radii)  # the (coordinates, radii) verdict reads
     groups = ([every] if target.shape == Shape.HYPERBOLOID
               else [([i], radii[i:i + 1]) for i in every[0]])
 
@@ -376,7 +408,7 @@ def _digit_membership(bases: list, target: TargetSpec,
         coords, rs = group
         lows, highs = [], []
         for i in coords:
-            digits, base = digit_arrays[i], bases[i]
+            digits, base = digit_arrays[i], systems[i].beta
             window = min(_digit_window(base, bits), len(digits) - n_steps - 1)
             if isinstance(steps, slice):
                 dist = _window_values(digits[steps.start:], base,
@@ -407,7 +439,7 @@ def _digit_membership(bases: list, target: TargetSpec,
     hit_lo[idx], hit_hi[idx] = window_verdict(every, FINE_BITS, idx)
     for i in np.flatnonzero(hit_hi & ~hit_lo):
         n = int(i) + 1
-        for bounds in _exact_distances(digit_arrays, bases, n, target.center):
+        for bounds in _exact_distances(digit_arrays, systems, n, target.center):
             surely, maybe = exact_verdict(target, n, bounds)
             if surely or not maybe:
                 hit_lo[i], hit_hi[i] = surely, maybe
@@ -415,54 +447,16 @@ def _digit_membership(bases: list, target: TargetSpec,
     return hit_lo, hit_hi
 
 
-def _golden_start_weight(mu: ParryYrrapMeasure) -> float:
-    """P(state 1) at the start of the golden chain, for x drawn from ``mu``.
-
-    The Parry density is a mixture, over the orbit points t of 1, of
-    uniform laws on [0, t).  Every part but t = 1 (state 0) lies in
-    [0, 1/g) (state 1), so the density on [1/g, 1), read at its middle
-    g/2, is the weight of state 0: 1 - g^-2 / (1 + g^-2) for the golden
-    Parry measure.
-    """
-    return 1.0 - mu.density(GOLDEN_RATIO / 2)
-
-
-def _golden_digits(rng: np.random.Generator, total: int, state1_weight: float) -> np.ndarray:
-    """The first ``total`` greedy g-digits of a point drawn from the golden chain.
-
-    From state 0 (T^n x uniform on [0, 1)) the digits are i.i.d. words "0",
-    with probability 1/g, and "10", with probability 1/g^2: after a 1, T^n x
-    is uniform on [0, 1/g), state 1, whose next digit is a forced 0 that
-    returns to state 0.  A start in state 1, drawn with probability
-    ``state1_weight`` (none drawn when it is 0), emits that forced 0 first.
-    """
-    lead = int(state1_weight > 0 and rng.random() < state1_weight)
-    # total words cover total digits; the j-th "10" word, word i, starts
-    # after i words of which j are two digits long
-    tens = np.flatnonzero(rng.random(total) < GOLDEN_RATIO ** -2)
-    ones = tens + np.arange(len(tens)) + lead
-    digits = np.zeros(total, dtype=np.int8)
-    digits[ones[ones < total]] = 1
-    return digits
-
-
-def _digit_arrays_for_sample(bases: list, n_steps: int,
+def _digit_arrays_for_sample(systems: list, n_steps: int,
                              rng: Optional[np.random.Generator],
-                             x: Optional[Sequence], measure=None) -> list[np.ndarray]:
+                             x: Optional[Sequence]) -> list[np.ndarray]:
     """2N digits and then some per coordinate, the exact stage's reserve,
-    in the system's :func:`_digit_bases`; ``x`` (rational, integer bases
-    only) or else a draw from ``rng`` under ``measure`` (None: Lebesgue)."""
-    arrays = []
-    for i, base in enumerate(bases):
-        total = 2 * n_steps + _digit_window(base) + 96
-        if not isinstance(base, int):
-            weight = 0.0 if measure is None else _golden_start_weight(measure.factors[i])
-            arrays.append(_golden_digits(rng, total, weight))
-        elif x is None:
-            arrays.append(rng.integers(0, base, size=total, dtype=np.int8))
-        else:
-            arrays.append(_rational_digits(as_fraction(x[i]), base, total))
-    return arrays
+    in the :func:`_digit_systems`: the expansion of ``x`` (rational) or
+    else a draw from ``rng``, coordinate by coordinate."""
+    totals = [2 * n_steps + _digit_window(ds.beta) + 96 for ds in systems]
+    if x is None:
+        return [ds.draw(rng, total) for ds, total in zip(systems, totals)]
+    return [ds.expand(as_fraction(v), total) for ds, v, total in zip(systems, x, totals)]
 
 
 def _interval_membership(system, target, x, hit_lo, hit_hi) -> None:
@@ -534,6 +528,10 @@ def count_hits(system, target: TargetSpec, x, n_steps: int,
     says which systems and starts run on the digit engine; the rest run on
     the interval engine.
     """
+    if x is None and rng is None:
+        raise ValueError("a random start (x=None) needs rng")
+    if x is not None and len(x) != system.d:
+        raise ValueError(f"point dimension {len(x)} != system dimension {system.d}")
     cps, phi, measure = _experiment(system, target, n_steps, checkpoints, start)
     return _count_sample(system, target, x, cps, phi, epsilon, measure, sample_id, rng)
 
@@ -543,11 +541,12 @@ def _count_sample(system, target, x, cps, phi, epsilon, measure, sample_id, rng)
     if not cps:
         return CountingResult(sample_id, (CheckpointRow(0, 0, 0, 0.0, None),), 0, epsilon)
     n_steps = cps[-1]
-    bases = _digit_bases(system)
-    rational = x is not None and all(isinstance(v, (int, float, Fraction)) for v in x)
-    if bases is not None and (x is None or rational and all(isinstance(b, int) for b in bases)):
-        digit_arrays = _digit_arrays_for_sample(bases, n_steps, rng, x, measure)
-        hit_lo, hit_hi = _digit_membership(bases, target, digit_arrays, n_steps)
+    systems = _digit_systems(system, measure)
+    if systems is not None and (x is None or all(
+            ds.expand is not None and isinstance(v, (int, float, Fraction))
+            for ds, v in zip(systems, x))):
+        digit_arrays = _digit_arrays_for_sample(systems, n_steps, rng, x)
+        hit_lo, hit_hi = _digit_membership(systems, target, digit_arrays, n_steps)
     else:
         if x is None:
             x = _draw_initial(system, measure, rng, n_steps)

@@ -3,8 +3,8 @@
 Orbits are tracked as enclosures with dyadic-rational endpoints
 (``num / 2**bits``) and directed rounding, for real multipliers and
 integer matrices alike; the one orbit stepper is :func:`orbit_enclosures`.
-(Integer diagonal systems are also counted from base-b digit arrays, in
-``counting``.)  The orbit of 1, which the invariant measures and the
+(Diagonal systems whose betas are integer bases or g are also counted
+from digit arrays, in ``counting``.)  The orbit of 1, which the invariant measures and the
 cylinder automaton are built from, is :func:`orbit_of_one`.
 
 Every scalar is read once by :func:`scalar`: a float is the dyadic

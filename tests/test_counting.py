@@ -11,11 +11,12 @@ import scipy.stats
 
 from shrinktarget import counting
 from shrinktarget.counting import (
+    GoldenDigits,
+    IntegerDigits,
     _digit_window,
     _digits_to_int,
     _exact_distances,
     _random_bits,
-    _rational_digits,
     _sample_rng,
     _step_radii,
     _window_at,
@@ -256,12 +257,19 @@ class TestDigitPrefix:
         top = np.full(3000, base - 1, dtype=np.int8)
         assert _digits_to_int(top, base) == base ** 3000 - 1
 
+    @pytest.mark.parametrize("base", [2, 3, 128])
+    def test_integer_draw_keeps_its_rng_stream(self, base):
+        system, = counting._digit_systems(DiagonalTorusSystem((base,)), None)
+        got = system.draw(np.random.default_rng(2022), 1000)
+        want = np.random.default_rng(2022).integers(0, base, size=1000, dtype=np.int8)
+        assert got.dtype == np.int8 and np.array_equal(got, want)
+
     def test_rational_digits(self):
-        assert list(_rational_digits(Fraction(1, 3), 2, 6)) == [0, 1, 0, 1, 0, 1]
+        assert list(IntegerDigits(2).expand(Fraction(1, 3), 6)) == [0, 1, 0, 1, 0, 1]
 
     def test_prefixes_bracket_the_exact_orbit(self):
         # oracle: exact rational orbit of 1/7 under x -> 3x mod 1
-        digits = _rational_digits(Fraction(1, 7), 3, 70)
+        digits = IntegerDigits(3).expand(Fraction(1, 7), 70)
         x = Fraction(1, 7)
         for n in range(1, 30):
             x = (3 * x) % 1
@@ -279,10 +287,10 @@ class TestDigitPrefix:
         (Fraction(1, 4), 0.25, 0.25, None),
     ], ids=["outside", "inside", "off-center", "antipodal", "on-boundary"])
     def test_exact_distances_are_three_valued(self, x, center, radius, want):
-        digits = _rational_digits(x, 2, 200)
+        digits = IntegerDigits(2).expand(x, 200)
         t = ball((center,), RateFunction.power(radius, 0.0))
         verdicts = [exact_verdict(t, 1, bounds)
-                    for bounds in _exact_distances([digits], [2], 1, t.center)]
+                    for bounds in _exact_distances([digits], [IntegerDigits(2)], 1, t.center)]
         if want is None:
             assert set(verdicts) == {(False, True)}
         else:
@@ -309,7 +317,7 @@ class TestWindowValues:
         window = _digit_window(base)
         random = rng.integers(0, base, size=n_steps + window + 1, dtype=np.int8)
         # a rational stream just long enough for 10 window digits at step N
-        short = _rational_digits(Fraction(5, 7), base, n_steps + 11)
+        short = IntegerDigits(base).expand(Fraction(5, 7), n_steps + 11)
         for digits, w in ((random, window), (short, len(short) - n_steps - 1)):
             got = _window_values(digits, base, n_steps, w)
             want = exact_windows(digits, base, n_steps, w)
@@ -406,10 +414,10 @@ class TestDigitLadder:
         n_steps = 200
         x = {"random": None, "ties": (Fraction(1, 4),) * d,
              "rational": (Fraction(17, 97), Fraction(23, 89), Fraction(31, 83))[:d]}[start]
-        bases = counting._digit_bases(DiagonalTorusSystem(betas))
+        systems = counting._digit_systems(DiagonalTorusSystem(betas), None)
         digit_arrays = counting._digit_arrays_for_sample(
-            bases, n_steps, np.random.default_rng(5), x)
-        oracle = full_tail_verdicts(target, digit_arrays, bases, n_steps)
+            systems, n_steps, np.random.default_rng(5), x)
+        oracle = full_tail_verdicts(target, digit_arrays, betas, n_steps)
         # two-bit coarse windows leave most steps to the fine and exact stages
         monkeypatch.setattr(counting, "COARSE_BITS", 2)
         stages = {"coarse": 0, "fine": 0, "exact": 0}
@@ -430,7 +438,7 @@ class TestDigitLadder:
         for chunk in (counting.COARSE_CHUNK, 64):
             monkeypatch.setattr(counting, "COARSE_CHUNK", chunk)
             stages.update(coarse=0, fine=0, exact=0)
-            hit_lo, hit_hi = counting._digit_membership(bases, target, digit_arrays, n_steps)
+            hit_lo, hit_hi = counting._digit_membership(systems, target, digit_arrays, n_steps)
             assert list(zip(hit_lo.tolist(), hit_hi.tolist())) == oracle, chunk
             assert stages["fine"] > 0
             # a hyperboloid's coarse stage reads every coordinate by convolution
@@ -551,19 +559,22 @@ GOLDEN_TARGETS = {
 
 class TestGoldenDigitEngine:
     def test_start_weight_reads_the_measure(self):
-        mu = ParryYrrapMeasure("g")
-        assert counting._golden_start_weight(mu) == pytest.approx(G ** -2 / (1 + G ** -2),
-                                                                 rel=1e-12)
+        nu = ProductMeasure([2, "g"])
+        systems = counting._digit_systems(DiagonalTorusSystem((2, "g")), nu)
+        assert systems[0] == IntegerDigits(2)
+        assert systems[1].state1_weight == pytest.approx(G ** -2 / (1 + G ** -2), rel=1e-12)
+        assert counting._digit_systems(DiagonalTorusSystem((2, "g")), None)[1] == GoldenDigits()
 
     @pytest.mark.parametrize("parry", [False, True])
     def test_drawn_points_follow_the_measure(self, parry):
         # x = sum_k d_k g^-k is Lebesgue-distributed from state 0 and
         # Parry-distributed from the stationary start
         mu = ParryYrrapMeasure("g")
-        weight = counting._golden_start_weight(mu) if parry else 0.0
+        system = counting._digit_systems(DiagonalTorusSystem(("g",)),
+                                         ProductMeasure(["g"]) if parry else None)[0]
         rng = np.random.default_rng(12)
         powers = G ** -np.arange(1.0, 81.0)
-        digits = [counting._golden_digits(rng, 80, weight) for _ in range(4000)]
+        digits = [system.draw(rng, 80) for _ in range(4000)]
         assert not any(np.any(d[1:] & d[:-1]) for d in digits)  # no "11"
         xs = np.array(digits, dtype=np.float64) @ powers
         cdf = mu.cdf if parry else (lambda x: x)
@@ -573,19 +584,33 @@ class TestGoldenDigitEngine:
 
     def test_prefix_enclosure_against_mpmath(self):
         rng = np.random.default_rng(13)
-        streams = [counting._golden_digits(rng, 2600, 0.3),
+        streams = [GoldenDigits(0.3).draw(rng, 2600),
                    np.tile(np.array([1, 0], dtype=np.int8), 1300),
                    np.zeros(2600, dtype=np.int8)]
         with mpmath.workprec(2000):
             g = (1 + mpmath.sqrt(5)) / 2
             for digits in streams:
                 for k in (1, 2, 17, 63, 64, 65, 129, 500, 1500, 2500):
-                    lo, width = counting._golden_prefix_enclosure(digits[:k])
+                    lo, width = GoldenDigits().bracket(digits[:k])
                     value = mpmath.fsum(g ** -(j + 1) for j in np.flatnonzero(digits[:k]))
                     lo_m = mpmath.mpf(lo.numerator) / lo.denominator
                     hi_m = lo_m + mpmath.mpf(width.numerator) / width.denominator
                     assert lo_m <= value and value + g ** -k <= hi_m, k
                     assert hi_m - lo_m <= g ** -k * (1 + mpmath.mpf(2) ** -40), k
+
+    @pytest.mark.parametrize("parry, draws", [
+        # two draws of 40 digits from default_rng(2022); a Parry start reads
+        # one more uniform (the start state) before each draw's words
+        (False, ["1010010001010000100101000000101000101010",
+                 "0100000010001010000100000100000000100101"]),
+        (True, ["0100100010100001001010000001010001010101",
+                "0000010001010000100000100000000100101010"]),
+    ])
+    def test_draw_keeps_its_rng_stream(self, parry, draws):
+        system = counting._digit_systems(DiagonalTorusSystem(("g",)),
+                                         ProductMeasure(["g"]) if parry else None)[0]
+        rng = np.random.default_rng(2022)
+        assert ["".join(map(str, system.draw(rng, 40).tolist())) for _ in draws] == draws
 
     @pytest.mark.parametrize("betas", [("g", "g"), (2, "g"), ("g", 2)])
     @pytest.mark.parametrize("shape", sorted(GOLDEN_TARGETS))
@@ -593,9 +618,9 @@ class TestGoldenDigitEngine:
         system = DiagonalTorusSystem(betas)
         target = GOLDEN_TARGETS[shape]
         n_steps = 2000
-        bases = counting._digit_bases(system)
+        systems = counting._digit_systems(system, None)
         digit_arrays = counting._digit_arrays_for_sample(
-            bases, n_steps, np.random.default_rng(8), None)
+            systems, n_steps, np.random.default_rng(8), None)
         # narrow windows send many steps on to the fine and the exact stage
         monkeypatch.setattr(counting, "COARSE_BITS", 2)
         monkeypatch.setattr(counting, "FINE_BITS", 6)
@@ -604,11 +629,11 @@ class TestGoldenDigitEngine:
         exact = counting._exact_distances
         monkeypatch.setattr(counting, "_exact_distances",
                             lambda *args: exact_calls.append(args[2]) or exact(*args))
-        hit_lo, hit_hi = counting._digit_membership(bases, target, digit_arrays, n_steps)
+        hit_lo, hit_hi = counting._digit_membership(systems, target, digit_arrays, n_steps)
         assert len(exact_calls) > 20
         assert np.array_equal(hit_lo, hit_hi)  # no ties on a random orbit
-        x = [digit_enclosure(d, b, 3200)
-             for d, b in zip(digit_arrays, bases)]
+        x = [digit_enclosure(d, ds.beta, 3200)
+             for d, ds in zip(digit_arrays, systems)]
         orbit = orbit_enclosures(system, x, n_steps)
         next(orbit)
         definite = 0
@@ -662,6 +687,7 @@ class TestEngineDispatch:
         (("g", 1.5), None, "invariant"),
         ((-2,), None, "invariant"),
         ((200,), None, None),  # int8 digits stop at base 128
+        ((2, "g"), (Fraction(1, 3), Fraction(1, 7)), None),  # g cannot expand a point
     ])
     def test_interval_engine(self, monkeypatch, betas, x, start):
         monkeypatch.setattr(counting, "_digit_membership", _refused)
@@ -703,6 +729,21 @@ class TestEngineDispatch:
                  UnitRealInterval.from_value(Fraction(1, 5), 128)]
         res = count_hits(system, t, start, 50).final
         assert (res.r_lo, res.r_hi) == (exact.r_lo, exact.r_hi)
+
+    @pytest.mark.parametrize("betas", [(2, 3), ("e", "g")])
+    @pytest.mark.parametrize("x", [(Fraction(1, 3),), (Fraction(1, 3),) * 3])
+    def test_point_of_another_dimension_is_refused(self, betas, x):
+        # on the digit engine a short point raised IndexError, a long one was cut
+        system = DiagonalTorusSystem(betas)
+        t = ball((0, 0), RateFunction.power(0.5, 0.25))
+        with pytest.raises(ValueError, match="point dimension"):
+            count_hits(system, t, x, 50)
+
+    @pytest.mark.parametrize("betas", [(2, 3), ("g", "g"), ("e", "g")])
+    def test_random_start_without_rng_is_refused(self, betas):
+        t = ball((0, 0), RateFunction.power(0.5, 0.25))
+        with pytest.raises(ValueError, match="rng"):
+            count_hits(DiagonalTorusSystem(betas), t, None, 50)
 
     @pytest.mark.parametrize("betas", [(2, 3), ("e", "g")])
     @pytest.mark.parametrize("center", [(0,), (0, 0, 0)])
