@@ -66,7 +66,6 @@ from .targets import (
     hyperboloid,
     hyperboloid_volume,
     lebesgue_volume,
-    phi_sum,
     phi_values,
     rectangle,
 )

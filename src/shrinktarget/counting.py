@@ -14,21 +14,31 @@ itself (``start="invariant"``).
 Engine dispatch: :func:`_digit_systems` gives each coordinate of a
 diagonal system whose every beta is an integer 2 <= b <= 128 or the golden
 ratio g its digit system, and the count runs on those digit streams, from a
-random start or (all-integer systems only) a given rational point.  An
-integer coordinate draws i.i.d. base-b digits, a golden one its greedy
-digits from the two-state chain of the orbit of 1 (Renyi 1957, Parry 1960).
+random start or (all-integer systems only) a given rational point.  Each
+coordinate's digits are one fixed :class:`DigitStream`, a function of
+(seed, sample, coordinate) alone: coordinate i of sample s draws from its
+own generator, spawned from (seed, s, i), and a run reads only the prefix
+it needs, so a longer run extends a shorter one.  An integer coordinate
+draws i.i.d. base-b digits from a byte table (with b^k <= 256 the largest
+such power, each raw byte below the largest multiple of b^k is k digits),
+a golden one its greedy digits from the two-state chain of the orbit of 1
+(Renyi 1957, Parry 1960), whose state carries from one draw to the next.
 The digits are read in a coarse-to-fine ladder with weights beta^-k: a
 ~10-bit window, read in cache-sized chunks of steps one coordinate at a
 time (a ball or rectangle reads a coordinate only at the steps the earlier
 ones leave open), decides all but a few hundred of 10^6 steps, a ~42-bit
 window re-decides those, and the rare steps still open are re-decided
 exactly from digit prefixes (exact integers for b, Z[g] brackets for g).
+The two windows read the N + W + 1 digits a stream draws up front; only
+the exact stage, when a step reaches it, draws on to its reserve of
+2N + W + 96 digits (a given point is expanded to the reserve at once).
 This is what makes N = 10^6 runs cheap.  Everything else (e, other reals,
 negative beta, integer bases above 128, given enclosures, given points on
 non-integer systems, integer matrices) runs on the interval engine.
 
 Determinism: every sample derives its own generator from
-(seed, sample_id), so results are byte-identical for any worker count.
+(seed, sample_id), and each digit coordinate i one from
+(seed, sample_id, i), so results are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -231,14 +241,47 @@ def _golden_int(digits: np.ndarray) -> tuple:
     return _combine_pairwise(parts, scale, _zg_mul, _zg_add)
 
 
+@lru_cache(maxsize=None)
+def _byte_digits(base: int) -> tuple[int, np.ndarray]:
+    """(limit, table) of the byte-table draw of base-b digits.
+
+    With b^k <= 256 the largest such power, a byte v below limit, the
+    largest multiple of b^k up to 256, stands for the k base-b digits of
+    v mod b^k, most significant first, in row v of the (256, k) ``table``
+    (rows from limit on are never read).  Each of the b^k digit words has
+    limit / b^k bytes, so a uniform byte below limit is k i.i.d. uniform
+    digits: 8 per byte for b = 2, 5 per kept byte for b = 3.
+    """
+    k = 1
+    while base ** (k + 1) <= 256:
+        k += 1
+    m = base ** k
+    words = np.arange(256)[:, None] % m
+    table = (words // base ** np.arange(k - 1, -1, -1) % base).astype(np.int8)
+    table.flags.writeable = False
+    return m * (256 // m), table
+
+
 @dataclass(frozen=True)
 class IntegerDigits:
     """Base-b digits, 2 <= b <= MAX_DIGIT_BASE: i.i.d. uniform for Lebesgue x."""
 
     beta: int
 
-    def draw(self, rng: np.random.Generator, total: int) -> np.ndarray:
-        return rng.integers(0, self.beta, size=total, dtype=np.int8)
+    def lead(self, rng: np.random.Generator) -> np.ndarray:
+        """The digits a stream starts with before its first batch: none."""
+        return np.empty(0, dtype=np.int8)
+
+    def batch(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """About ``count`` further digits, from the bytes below the limit of
+        :func:`_byte_digits`.  The bytes are read in whole 4-byte words, so
+        successive batches tile one byte stream."""
+        limit, table = _byte_digits(self.beta)
+        n_bytes = -(-count // table.shape[1]) * 256 / limit
+        # three standard deviations of the kept count to spare: one batch all but always does
+        raw = np.frombuffer(rng.bytes(4 * math.ceil((n_bytes + 3 * math.sqrt(n_bytes)) / 4)),
+                            dtype=np.uint8)
+        return np.take(table, raw[raw < limit].astype(np.intp), axis=0).reshape(-1)
 
     def bracket(self, digits: np.ndarray) -> tuple:
         """(lo, width), Fractions: the point whose leading digits are ``digits``
@@ -282,15 +325,19 @@ class GoldenDigits:
     beta = GOLDEN_RATIO
     expand = None
 
-    def draw(self, rng: np.random.Generator, total: int) -> np.ndarray:
-        """The first ``total`` greedy g-digits of a point drawn from the chain."""
-        lead = int(self.state1_weight > 0 and rng.random() < self.state1_weight)
-        # total words cover total digits; the j-th "10" word, word i, starts
-        # after i words of which j are two digits long
-        tens = np.flatnonzero(rng.random(total) < GOLDEN_RATIO ** -2)
-        ones = tens + np.arange(len(tens)) + lead
-        digits = np.zeros(total, dtype=np.int8)
-        digits[ones[ones < total]] = 1
+    def lead(self, rng: np.random.Generator) -> np.ndarray:
+        """The digits a stream starts with: a state-1 start's forced 0."""
+        return np.zeros(int(self.state1_weight > 0 and rng.random() < self.state1_weight),
+                        dtype=np.int8)
+
+    def batch(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """About ``count`` further digits, in whole words from state 0, one
+        uniform per word (a "10" word at the end of a batch ends it)."""
+        words = math.ceil(count / (1 + GOLDEN_RATIO ** -2) + math.sqrt(count))
+        tens = np.flatnonzero(rng.random(words) < GOLDEN_RATIO ** -2)
+        digits = np.zeros(words + len(tens), dtype=np.int8)
+        # the j-th "10" word, word i, starts after i words of which j are two digits long
+        digits[tens + np.arange(len(tens))] = 1
         return digits
 
     def bracket(self, digits: np.ndarray) -> tuple:
@@ -323,8 +370,9 @@ def _digit_systems(system, measure) -> Optional[list]:
     The one place that says which beta run on digits: an integer
     2 <= b <= MAX_DIGIT_BASE and the token "g".  A system reads x as
     sum_k d_k beta^-k, so T^n x is its stream from index n on.  It has a
-    ``beta``, a ``draw`` of a random start's first digits, the ``bracket``
-    of a prefix and the ``expand``-sion of a rational x (None for g).
+    ``beta``, the ``lead`` and ``batch``es that a random start's
+    :class:`DigitStream` draws, the ``bracket`` of a prefix and the
+    ``expand``-sion of a rational x (None for g).
     """
     if not isinstance(system, DiagonalTorusSystem) or system.degenerate:
         return None
@@ -338,6 +386,40 @@ def _digit_systems(system, measure) -> Optional[list]:
         else:
             return None
     return systems
+
+
+class DigitStream:
+    """One coordinate's digits: a fixed sequence, read as a growing prefix.
+
+    ``digits`` is the prefix read so far.  A random start draws from its own
+    generator: first the system's ``lead``, then ``batch``es of whole
+    words.  A batch's digits past a draw wait for the next one (so does the
+    0 of a golden "10" word that straddles the end of a draw), so draw(a)
+    then draw(b) is draw(a + b), and the digits do not depend on how the
+    stream is read.  A given point's stream is its expansion, read whole.
+    """
+
+    def __init__(self, system, rng: Optional[np.random.Generator] = None,
+                 digits: Optional[np.ndarray] = None):
+        self.system, self._rng = system, rng
+        self.digits = np.empty(0, dtype=np.int8) if digits is None else digits
+        self._left = None if rng is None else system.lead(rng)
+
+    def draw(self, count: int) -> np.ndarray:
+        """The next ``count`` digits after everything drawn before."""
+        out = self._left
+        while len(out) < count:
+            more = self.system.batch(self._rng, count - len(out))
+            out = np.concatenate([out, more]) if len(out) else more
+        self._left = out[count:].copy()
+        return out[:count]
+
+    def read(self, total: int) -> np.ndarray:
+        """The first ``total`` digits (a given point has only its expansion)."""
+        if self._rng is not None and total > len(self.digits):
+            more = self.draw(total - len(self.digits))
+            self.digits = np.concatenate([self.digits, more]) if len(self.digits) else more
+        return self.digits
 
 
 def _exact_distances(digit_arrays, systems, n: int, centers):
@@ -381,8 +463,7 @@ def _step_radii(target: TargetSpec, n_steps: int) -> tuple:
     return radii
 
 
-def _digit_membership(systems: list, target: TargetSpec,
-                      digit_arrays: list[np.ndarray], n_steps: int):
+def _digit_membership(streams: list, target: TargetSpec, n_steps: int):
     """(hit_lo, hit_hi) boolean arrays for n = 1..N, decided coarse to fine.
 
     A float stage reads T^n x_i as a window value v of w digits, lying
@@ -392,10 +473,13 @@ def _digit_membership(systems: list, target: TargetSpec,
     coordinate 0 is read at every step and each next one only where the
     earlier ones leave the step open (a hyperboloid reads every coordinate).
     Then a FINE_BITS window re-reads the steps still open, and the exact
-    stage takes what is left.  Each stage is sound, so the ladder decides
-    exactly what the exact stage alone would.  ``systems`` are the
-    coordinates' :func:`_digit_systems`.
+    stage takes what is left, on each stream read to its :func:`_reserve`
+    (drawn only then).  Each stage is sound, so the ladder decides exactly
+    what the exact stage alone would.  ``streams`` are the coordinates'
+    :class:`DigitStream`s, each read to at least N + W + 1 digits.
     """
+    systems = [s.system for s in streams]
+    digit_arrays = [s.digits for s in streams]
     centers = [float(a) for a in target.center]
     radii = _step_radii(target, n_steps)
     every = (range(len(systems)), radii)  # the (coordinates, radii) verdict reads
@@ -437,7 +521,10 @@ def _digit_membership(systems: list, target: TargetSpec,
         hit_lo[steps], hit_hi[steps] = lo, hi
     idx = np.flatnonzero(hit_hi & ~hit_lo)
     hit_lo[idx], hit_hi[idx] = window_verdict(every, FINE_BITS, idx)
-    for i in np.flatnonzero(hit_hi & ~hit_lo):
+    idx = np.flatnonzero(hit_hi & ~hit_lo)
+    if len(idx):
+        digit_arrays = [s.read(_reserve(s.system, n_steps)) for s in streams]
+    for i in idx:
         n = int(i) + 1
         for bounds in _exact_distances(digit_arrays, systems, n, target.center):
             surely, maybe = exact_verdict(target, n, bounds)
@@ -447,16 +534,31 @@ def _digit_membership(systems: list, target: TargetSpec,
     return hit_lo, hit_hi
 
 
+def _reserve(system, n_steps: int) -> int:
+    """2N + W + 96: the most digits of a coordinate that the exact stage reads."""
+    return 2 * n_steps + _digit_window(system.beta) + 96
+
+
 def _digit_arrays_for_sample(systems: list, n_steps: int,
                              rng: Optional[np.random.Generator],
-                             x: Optional[Sequence]) -> list[np.ndarray]:
-    """2N digits and then some per coordinate, the exact stage's reserve,
-    in the :func:`_digit_systems`: the expansion of ``x`` (rational) or
-    else a draw from ``rng``, coordinate by coordinate."""
-    totals = [2 * n_steps + _digit_window(ds.beta) + 96 for ds in systems]
+                             x: Optional[Sequence]) -> list[DigitStream]:
+    """Each coordinate's :class:`DigitStream` in the :func:`_digit_systems`.
+
+    A random start spawns one generator per coordinate from ``rng`` (for
+    sample s of a seeded run, the keys (s, 0), (s, 1), ...), so a
+    coordinate's digits are a function of (seed, sample, coordinate)
+    alone, and a longer run extends a shorter one.  Each stream draws the
+    N + W + 1 digits the coarse and fine stages read; the exact stage
+    draws on to the :func:`_reserve` only if a step reaches it.  A given
+    rational ``x`` is expanded to the whole reserve at once.
+    """
     if x is None:
-        return [ds.draw(rng, total) for ds, total in zip(systems, totals)]
-    return [ds.expand(as_fraction(v), total) for ds, v, total in zip(systems, x, totals)]
+        streams = [DigitStream(ds, child) for ds, child in zip(systems, rng.spawn(len(systems)))]
+        for s in streams:
+            s.read(n_steps + _digit_window(s.system.beta) + 1)
+        return streams
+    return [DigitStream(ds, digits=ds.expand(as_fraction(v), _reserve(ds, n_steps)))
+            for ds, v in zip(systems, x)]
 
 
 def _interval_membership(system, target, x, hit_lo, hit_hi) -> None:
@@ -545,8 +647,8 @@ def _count_sample(system, target, x, cps, phi, epsilon, measure, sample_id, rng)
     if systems is not None and (x is None or all(
             ds.expand is not None and isinstance(v, (int, float, Fraction))
             for ds, v in zip(systems, x))):
-        digit_arrays = _digit_arrays_for_sample(systems, n_steps, rng, x)
-        hit_lo, hit_hi = _digit_membership(systems, target, digit_arrays, n_steps)
+        streams = _digit_arrays_for_sample(systems, n_steps, rng, x)
+        hit_lo, hit_hi = _digit_membership(streams, target, n_steps)
     else:
         if x is None:
             x = _draw_initial(system, measure, rng, n_steps)

@@ -80,10 +80,6 @@ class BetaAutomaton:
         # orbit of 1 hit zero: the chain of states ended earlier
         return 0, True, 0.0
 
-    @property
-    def orbit_length(self) -> int:
-        return len(self.branch_counts)
-
     def count(self, n: int) -> int:
         """Exact number of order-n cylinders (paths of length n from state 0).
 

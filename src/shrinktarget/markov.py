@@ -251,9 +251,6 @@ class MarkovSubsystem:
     def size(self) -> int:
         return len(self.pieces)
 
-    def row_sums(self) -> list[int]:
-        return [hi - lo for lo, hi in self.rows]
-
     @cached_property
     def matrix(self) -> tuple:
         m = self.size

@@ -368,15 +368,6 @@ def phi_values(target: TargetSpec, checkpoints: Sequence[int], measure=None):
     return np.array([out[c] for c in cps])
 
 
-def phi_sum(target: TargetSpec, n_steps: int, measure=None) -> float:
-    """Phi(N) = sum_{n=1}^{N} measure(E_n)."""
-    if n_steps < 0:
-        raise ValueError("N must be >= 0")
-    if n_steps == 0:
-        return 0.0
-    return float(phi_values(target, [n_steps], measure=measure)[0])
-
-
 def _nu_volumes(target: TargetSpec, ns: np.ndarray, measure) -> np.ndarray:
     center = [float(a) for a in target.center]
     if target.shape == Shape.HYPERBOLOID:

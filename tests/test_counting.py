@@ -11,6 +11,7 @@ import scipy.stats
 
 from shrinktarget import counting
 from shrinktarget.counting import (
+    DigitStream,
     GoldenDigits,
     IntegerDigits,
     _digit_window,
@@ -244,6 +245,29 @@ class TestCountHits:
         assert res.final.r_hi >= res.final.r_lo >= 0
 
 
+def byte_table_digits(rng, base, count):
+    """Oracle: the byte-table draw, one byte at a time.  With b^k <= 256 the
+    largest such power, a byte v below the largest multiple of b^k up to 256
+    is the k base-b digits of v mod b^k; the other bytes are skipped."""
+    k = max(j for j in range(1, 9) if base ** j <= 256)
+    m = base ** k
+    out = []
+    while len(out) < count:
+        for v in rng.bytes(4):
+            if v < m * (256 // m):
+                out += [v % m // base ** j % base for j in range(k - 1, -1, -1)]
+    return np.array(out[:count], dtype=np.int8)
+
+
+def golden_chain_digits(rng, state1_weight, count):
+    """Oracle: the golden chain, one uniform at a time: the start state, then
+    one word per uniform, "10" below g^-2 and "0" above."""
+    out = [0] if state1_weight > 0 and rng.random() < state1_weight else []
+    while len(out) < count:
+        out += [1, 0] if rng.random() < G ** -2 else [0]
+    return out[:count]
+
+
 class TestDigitPrefix:
     @pytest.mark.parametrize("base", [2, 3, 10])
     def test_blocks_match_horner(self, base):
@@ -257,12 +281,21 @@ class TestDigitPrefix:
         top = np.full(3000, base - 1, dtype=np.int8)
         assert _digits_to_int(top, base) == base ** 3000 - 1
 
-    @pytest.mark.parametrize("base", [2, 3, 128])
+    @pytest.mark.parametrize("base", [2, 3, 100, 128])
     def test_integer_draw_keeps_its_rng_stream(self, base):
         system, = counting._digit_systems(DiagonalTorusSystem((base,)), None)
-        got = system.draw(np.random.default_rng(2022), 1000)
-        want = np.random.default_rng(2022).integers(0, base, size=1000, dtype=np.int8)
+        got = DigitStream(system, np.random.default_rng(2022)).draw(1000)
+        want = byte_table_digits(np.random.default_rng(2022), base, 1000)
         assert got.dtype == np.int8 and np.array_equal(got, want)
+
+    def test_each_coordinate_reads_its_own_generator(self):
+        # sample 3 of seed 7: coordinate i draws from the spawn key (3, i)
+        systems = counting._digit_systems(DiagonalTorusSystem((2, 3)), None)
+        streams = counting._digit_arrays_for_sample(systems, 500, _sample_rng(7, 3), None)
+        for i, (stream, base) in enumerate(zip(streams, (2, 3))):
+            rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(3, i)))
+            assert len(stream.digits) == 500 + _digit_window(base) + 1
+            assert np.array_equal(stream.digits, byte_table_digits(rng, base, len(stream.digits)))
 
     def test_rational_digits(self):
         assert list(IntegerDigits(2).expand(Fraction(1, 3), 6)) == [0, 1, 0, 1, 0, 1]
@@ -396,6 +429,11 @@ def ladder_target(shape, d):
     return hyperboloid(center, RateFunction.table([4.0 ** -d], extend="hold"))
 
 
+def reserves(streams, n_steps):
+    """Each stream read to the exact stage's reserve, 2N + W + 96 digits."""
+    return [s.read(2 * n_steps + _digit_window(s.system.beta) + 96) for s in streams]
+
+
 class TestDigitLadder:
     # (1/4, 1/4, 1/4) under diag(2, 3, 5): the first coordinate sits at 1/2,
     # then 0, both exactly 1/4 from 1/4; the second alternates 3/4 and 1/4
@@ -415,9 +453,13 @@ class TestDigitLadder:
         x = {"random": None, "ties": (Fraction(1, 4),) * d,
              "rational": (Fraction(17, 97), Fraction(23, 89), Fraction(31, 83))[:d]}[start]
         systems = counting._digit_systems(DiagonalTorusSystem(betas), None)
-        digit_arrays = counting._digit_arrays_for_sample(
-            systems, n_steps, np.random.default_rng(5), x)
-        oracle = full_tail_verdicts(target, digit_arrays, betas, n_steps)
+
+        def streams():
+            return counting._digit_arrays_for_sample(
+                systems, n_steps, np.random.default_rng(5), x)
+
+        # the oracle reads every digit the exact stage may read
+        oracle = full_tail_verdicts(target, reserves(streams(), n_steps), betas, n_steps)
         # two-bit coarse windows leave most steps to the fine and exact stages
         monkeypatch.setattr(counting, "COARSE_BITS", 2)
         stages = {"coarse": 0, "fine": 0, "exact": 0}
@@ -438,7 +480,7 @@ class TestDigitLadder:
         for chunk in (counting.COARSE_CHUNK, 64):
             monkeypatch.setattr(counting, "COARSE_CHUNK", chunk)
             stages.update(coarse=0, fine=0, exact=0)
-            hit_lo, hit_hi = counting._digit_membership(systems, target, digit_arrays, n_steps)
+            hit_lo, hit_hi = counting._digit_membership(streams(), target, n_steps)
             assert list(zip(hit_lo.tolist(), hit_hi.tolist())) == oracle, chunk
             assert stages["fine"] > 0
             # a hyperboloid's coarse stage reads every coordinate by convolution
@@ -446,6 +488,36 @@ class TestDigitLadder:
             if start == "ties":
                 assert stages["exact"] == n_steps
                 assert not hit_lo.any() and hit_hi.all()
+
+    @pytest.mark.parametrize("shape", ["ball", "hyperboloid", "rectangle"])
+    def test_exact_stage_draws_the_reserve(self, monkeypatch, shape):
+        # a random stream holds the N + W + 1 digits the float stages read;
+        # a step the fine stage leaves open draws it on to 2N + W + 96
+        betas, n_steps = (2, 3), 300
+        target = ladder_target(shape, 2)
+        systems = counting._digit_systems(DiagonalTorusSystem(betas), None)
+
+        def streams():
+            return counting._digit_arrays_for_sample(
+                systems, n_steps, np.random.default_rng(21), None)
+
+        ladder_read = [n_steps + _digit_window(b) + 1 for b in betas]
+        quiet = streams()
+        counting._digit_membership(quiet, target, n_steps)
+        assert [len(s.digits) for s in quiet] == ladder_read  # nothing reached the exact stage
+        oracle = full_tail_verdicts(target, reserves(streams(), n_steps), betas, n_steps)
+        monkeypatch.setattr(counting, "COARSE_BITS", 2)
+        monkeypatch.setattr(counting, "FINE_BITS", 3)
+        exact_calls = []
+        exact = counting._exact_distances
+        monkeypatch.setattr(counting, "_exact_distances",
+                            lambda *args: exact_calls.append(args[2]) or exact(*args))
+        loud = streams()
+        assert [len(s.digits) for s in loud] == ladder_read
+        hit_lo, hit_hi = counting._digit_membership(loud, target, n_steps)
+        assert len(exact_calls) > 10
+        assert [len(s.digits) for s in loud] == [len(d) for d in reserves(streams(), n_steps)]
+        assert list(zip(hit_lo.tolist(), hit_hi.tolist())) == oracle
 
     def test_step_radii_once_per_experiment(self, monkeypatch):
         calls = []
@@ -463,6 +535,69 @@ class TestDigitLadder:
         monte_carlo_counting(s, t, 3, 5000, seed=4, checkpoints=[1000, 5000])
         assert calls == [5000]
         assert not _step_radii(t, 5000)[0].flags.writeable
+
+
+def chi_square_pvalues(digits, base):
+    """p-values of chi-square tests of single digits and of the
+    non-overlapping pairs (d_2j, d_2j+1) and (d_2j+1, d_2j+2)."""
+    pvalues = [scipy.stats.chisquare(np.bincount(digits, minlength=base)).pvalue]
+    for offset in (0, 1):
+        pairs = digits[offset:][:(len(digits) - offset) // 2 * 2].reshape(-1, 2).astype(np.int64)
+        cells = np.bincount(pairs[:, 0] * base + pairs[:, 1], minlength=base * base)
+        pvalues.append(scipy.stats.chisquare(cells).pvalue)
+    return pvalues
+
+
+DRAW_SYSTEMS = {"2": IntegerDigits(2), "3": IntegerDigits(3), "100": IntegerDigits(100),
+                "g": GoldenDigits(), "g-parry": GoldenDigits(0.3)}
+
+
+class TestDigitStream:
+    @pytest.mark.parametrize("base", [2, 3, 5, 7, 17, 100, 128])
+    def test_digits_are_uniform(self, base):
+        digits = DigitStream(IntegerDigits(base), np.random.default_rng(base)).draw(
+            40 * base * base + 100_000)
+        assert min(chi_square_pvalues(digits, base)) > 1e-4
+
+    def test_uniformity_test_sees_every_byte_kept(self, monkeypatch):
+        # keeping the bytes 243..255 for b = 3 reads them as the words 0..12 again
+        byte_digits = counting._byte_digits
+        monkeypatch.setattr(counting, "_byte_digits", lambda base: (256, byte_digits(base)[1]))
+        digits = DigitStream(IntegerDigits(3), np.random.default_rng(3)).draw(100_360)
+        assert min(chi_square_pvalues(digits, 3)) < 1e-6
+
+    @pytest.mark.parametrize("system", DRAW_SYSTEMS.values(), ids=DRAW_SYSTEMS.keys())
+    def test_draws_tile_one_stream(self, system):
+        whole = DigitStream(system, np.random.default_rng(9)).draw(30_000)
+        for cuts in ([0, 1, 7, 1000, 30_000], [12_345, 30_000], [1, 2, 3, 29_999, 30_000]):
+            stream = DigitStream(system, np.random.default_rng(9))
+            parts = [stream.draw(b - a) for a, b in zip([0] + cuts[:-1], cuts)]
+            assert np.array_equal(np.concatenate(parts), whole), cuts
+        stream, have = DigitStream(system, np.random.default_rng(9)), 0
+        for total in (5000, 100, 5001, 30_000):
+            have = max(have, total)  # a read never gives digits back
+            assert np.array_equal(stream.read(total), whole[:have])
+
+    @pytest.mark.parametrize("state1_weight", [0.0, 1.0])
+    def test_golden_ten_straddles_a_draw(self, state1_weight):
+        system = GoldenDigits(state1_weight)
+        whole = DigitStream(system, np.random.default_rng(4)).draw(2000)
+        assert whole[0] == 0 or not state1_weight  # a state-1 start's forced 0
+        ends = np.flatnonzero(whole[:-1])[:25] + 1   # a draw that ends on the 1 of a "10"
+        for end in ends.tolist():
+            stream = DigitStream(system, np.random.default_rng(4))
+            head, tail = stream.draw(end), stream.draw(2000 - end)
+            assert head[-1] == 1 and tail[0] == 0
+            assert np.array_equal(np.concatenate([head, tail]), whole)
+
+    def test_given_point_reads_the_whole_reserve(self):
+        systems = counting._digit_systems(DiagonalTorusSystem((2, 3)), None)
+        x = (Fraction(17, 97), Fraction(23, 89))
+        streams = counting._digit_arrays_for_sample(systems, 1000, None, x)
+        for stream, v in zip(streams, x):
+            total = 2 * 1000 + _digit_window(stream.system.beta) + 96
+            assert np.array_equal(stream.digits, stream.system.expand(v, total))
+            assert stream.read(10 * total) is stream.digits
 
 
 class TestRandomBits:
@@ -574,7 +709,7 @@ class TestGoldenDigitEngine:
                                          ProductMeasure(["g"]) if parry else None)[0]
         rng = np.random.default_rng(12)
         powers = G ** -np.arange(1.0, 81.0)
-        digits = [system.draw(rng, 80) for _ in range(4000)]
+        digits = [DigitStream(system, rng).draw(80) for _ in range(4000)]
         assert not any(np.any(d[1:] & d[:-1]) for d in digits)  # no "11"
         xs = np.array(digits, dtype=np.float64) @ powers
         cdf = mu.cdf if parry else (lambda x: x)
@@ -584,7 +719,7 @@ class TestGoldenDigitEngine:
 
     def test_prefix_enclosure_against_mpmath(self):
         rng = np.random.default_rng(13)
-        streams = [GoldenDigits(0.3).draw(rng, 2600),
+        streams = [DigitStream(GoldenDigits(0.3), rng).draw(2600),
                    np.tile(np.array([1, 0], dtype=np.int8), 1300),
                    np.zeros(2600, dtype=np.int8)]
         with mpmath.workprec(2000):
@@ -599,18 +734,20 @@ class TestGoldenDigitEngine:
                     assert hi_m - lo_m <= g ** -k * (1 + mpmath.mpf(2) ** -40), k
 
     @pytest.mark.parametrize("parry, draws", [
-        # two draws of 40 digits from default_rng(2022); a Parry start reads
-        # one more uniform (the start state) before each draw's words
+        # two draws of 40 digits from one stream of default_rng(2022); a Parry
+        # start reads one more uniform (the start state) before the words
         (False, ["1010010001010000100101000000101000101010",
-                 "0100000010001010000100000100000000100101"]),
+                 "1010101010100101010100100100000010001010"]),
         (True, ["0100100010100001001010000001010001010101",
-                "0000010001010000100000100000000100101010"]),
+                "0101010101001010101001001000000100010100"]),
     ])
     def test_draw_keeps_its_rng_stream(self, parry, draws):
         system = counting._digit_systems(DiagonalTorusSystem(("g",)),
                                          ProductMeasure(["g"]) if parry else None)[0]
-        rng = np.random.default_rng(2022)
-        assert ["".join(map(str, system.draw(rng, 40).tolist())) for _ in draws] == draws
+        stream = DigitStream(system, np.random.default_rng(2022))
+        assert ["".join(map(str, stream.draw(40).tolist())) for _ in draws] == draws
+        want = golden_chain_digits(np.random.default_rng(2022), system.state1_weight, 80)
+        assert "".join(draws) == "".join(map(str, want))
 
     @pytest.mark.parametrize("betas", [("g", "g"), (2, "g"), ("g", 2)])
     @pytest.mark.parametrize("shape", sorted(GOLDEN_TARGETS))
@@ -619,7 +756,7 @@ class TestGoldenDigitEngine:
         target = GOLDEN_TARGETS[shape]
         n_steps = 2000
         systems = counting._digit_systems(system, None)
-        digit_arrays = counting._digit_arrays_for_sample(
+        streams = counting._digit_arrays_for_sample(
             systems, n_steps, np.random.default_rng(8), None)
         # narrow windows send many steps on to the fine and the exact stage
         monkeypatch.setattr(counting, "COARSE_BITS", 2)
@@ -629,11 +766,12 @@ class TestGoldenDigitEngine:
         exact = counting._exact_distances
         monkeypatch.setattr(counting, "_exact_distances",
                             lambda *args: exact_calls.append(args[2]) or exact(*args))
-        hit_lo, hit_hi = counting._digit_membership(systems, target, digit_arrays, n_steps)
+        hit_lo, hit_hi = counting._digit_membership(streams, target, n_steps)
         assert len(exact_calls) > 20
         assert np.array_equal(hit_lo, hit_hi)  # no ties on a random orbit
+        # the exact stage read each stream on to its reserve
         x = [digit_enclosure(d, ds.beta, 3200)
-             for d, ds in zip(digit_arrays, systems)]
+             for d, ds in zip(reserves(streams, n_steps), systems)]
         orbit = orbit_enclosures(system, x, n_steps)
         next(orbit)
         definite = 0
@@ -801,6 +939,19 @@ class TestMonteCarloCounting:
                                    jobs=2)
         assert one.results == two.results
         assert one.fraction_in_band == two.fraction_in_band
+
+    @pytest.mark.parametrize("betas", [(2, 3), ("g", "g")])
+    @pytest.mark.parametrize("start", counting.START_LAWS)
+    def test_a_longer_run_extends_a_shorter_one(self, betas, start):
+        # N = 20000 is one partial coarse chunk; 4N is two full ones and more
+        s = DiagonalTorusSystem(betas)
+        t = ball((0.0, 0.0), RateFunction.power(0.5, 0.25))
+        n = 20_000
+        short = monte_carlo_counting(s, t, 3, n, seed=3, checkpoints=[n // 10], start=start)
+        long = monte_carlo_counting(s, t, 3, 4 * n, seed=3, checkpoints=[n // 10, n],
+                                    start=start)
+        assert [res.checkpoints for res in short.results] == [
+            res.checkpoints[:2] for res in long.results]
 
     def test_seed_changes_results(self):
         s = DiagonalTorusSystem((2, 3))
@@ -1021,11 +1172,11 @@ class TestAmbiguityBudget:
 
 class TestNuHyperboloidPhi:
     def test_phi_is_exact_under_product_measure(self):
-        from shrinktarget.targets import phi_sum, phi_values
+        from shrinktarget.targets import phi_values
 
         nu = ProductMeasure([2, 3])  # Lebesgue factors: nu-volumes are the closed form
         t = hyperboloid((0.0, 0.0), RateFunction.power(0.05, 0.2))
-        want = phi_sum(t, 20)
+        want = phi_values(t, [20])[0]
         assert phi_values(t, [20], measure=nu)[0] == pytest.approx(want, rel=1e-12)
         res = count_hits(DiagonalTorusSystem((2, 3)), t, None, 20, start="invariant",
                          rng=np.random.default_rng(6))

@@ -266,12 +266,12 @@ class TestAutomaton:
     def test_golden_orbit_terminates(self):
         auto = BetaAutomaton("g", 10)
         # expansion of 1 under the golden map is finite: 1 -> g-1 -> 0
-        assert auto.orbit_length == 2
+        assert len(auto.branch_counts) == 2
         assert auto.terminal[-1]
 
     def test_integer_base_is_full_shift(self):
         auto = BetaAutomaton(3, 6)
-        assert auto.orbit_length == 1
+        assert len(auto.branch_counts) == 1
         assert auto.branch_counts == [3]
         assert auto.count(6) == 3 ** 6
 

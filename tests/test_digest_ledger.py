@@ -1,0 +1,118 @@
+"""The digest ledger: the sha256 of every data file of a dozen desk-scale runs.
+
+Each config runs in-process through ``cli.run`` (the given rational point,
+which the CLI does not take, through ``count_hits``), and its data files'
+sha256s must equal those recorded in ``digest_ledger.json``.  A change that
+moves a digest on purpose rewrites the ledger with
+
+    PYTHONPATH=src python tests/test_digest_ledger.py --update
+
+and says in CHANGES.md which digests changed, and why.  The configs write
+the same bytes whichever SIMD extensions numpy dispatches to (checked with
+NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR"); a ball on
+diag:e,g centred off 0 does not, as its Phi moves in the last digit.
+"""
+
+import hashlib
+import json
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from shrinktarget.cli import ExperimentConfig, parse_system, run
+from shrinktarget.counting import count_hits
+from shrinktarget.targets import RateFunction, ball
+
+LEDGER = Path(__file__).with_name("digest_ledger.json")
+
+HEADLINE = {"system": "diag:2,3", "center": [0, 0], "samples": 4, "steps": 100000,
+            "checkpoints": [1000, 25000], "seed": 1}
+
+# name -> (command, params, jobs)
+CONFIGS = {
+    **{f"count_{shape}_2_3_jobs{jobs}": ("count", dict(HEADLINE, shape=shape, **rates), jobs)
+       for shape, rates in (("ball", {"rate": "pow:0.5,0.25"}),
+                            ("rectangle", {"rates": ["pow:0.4,0.2", "pow:0.3,0.1"]}),
+                            ("hyperboloid", {"rate": "pow:0.05,0.2"}))
+       for jobs in (1, 2)},
+    "count_g_g_parry": ("count", {"system": "diag:g,g", "center": [0, 0], "rate": "pow:0.5,0.25",
+                                  "measure": "parry", "samples": 4, "steps": 50000,
+                                  "checkpoints": [1000], "seed": 1}, 1),
+    "count_e_g_interval": ("count", {"system": "diag:e,g", "center": [0, 0],
+                                     "rate": "pow:0.5,0.25", "measure": "parry",
+                                     "samples": 2, "steps": 400, "seed": 1}, 1),
+    "count_matrix": ("count", {"system": "matrix:3,1;1,2", "center": [0, 0],
+                               "rate": "pow:0.25,0.5", "samples": 2, "steps": 300,
+                               "seed": 7}, 1),
+    "mixing_exact": ("mixing", {"beta": "g", "set_e": [0, 0.5], "set_f": [0.2, 0.7],
+                                "method": "exact", "lags": "1:12", "seed": 1}, 1),
+    "mixing_mc": ("mixing", {"beta": "g", "set_e": [0, 0.5], "set_f": [0.2, 0.7],
+                             "method": "mc", "lags": "0:6", "samples": 2000, "seed": 1}, 1),
+    "mixing_auto": ("mixing", {"beta": 2, "set_e": [0, 0.25], "set_f": [0.2, 0.7],
+                               "method": "auto", "lags": "1:6", "seed": 1}, 1),
+    "markov": ("markov", {"beta": 3, "power": 2}, 1),
+    "orbit": ("orbit", {"system": "diag:2.7,g", "x": ["1/3", 0.1], "steps": 60,
+                        "stride": 5}, 1),
+    "dimension": ("dimension", {"method": "ball", "moduli": [2, 3], "lam": 0.5}, 1),
+}
+
+# a given rational point on the digit engine: count_hits, not the CLI
+RATIONAL_POINT = ("diag:2,3", (Fraction(17, 97), Fraction(23, 89)), 3000, [100, 3000])
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def config_digests(name: str, out_dir: Path) -> dict:
+    """{data file: sha256} of one ledger config, run into ``out_dir``."""
+    command, params, jobs = CONFIGS[name]
+    manifest = run(ExperimentConfig(command, params), out_dir, jobs=jobs)
+    assert manifest.outputs == {path.name: _sha256(path.read_bytes())
+                                for path in out_dir.iterdir() if "manifest" not in path.name}
+    return dict(sorted(manifest.outputs.items()))
+
+
+def rational_point_digests() -> dict:
+    system, x, n_steps, checkpoints = RATIONAL_POINT
+    target = ball((0, 0), RateFunction.power(0.5, 0.25))
+    res = count_hits(parse_system(system), target, x, n_steps, checkpoints=checkpoints)
+    rows = "".join(f"{r.n},{r.r_lo},{r.r_hi},{r.phi!r},{r.e!r}\n" for r in res.checkpoints)
+    return {"rows": _sha256(rows.encode())}
+
+
+def all_digests(tmp: Path) -> dict:
+    out = {name: config_digests(name, tmp / name) for name in CONFIGS}
+    out["count_rational_point"] = rational_point_digests()
+    return out
+
+
+def test_ledger_names_the_configs():
+    assert sorted(json.loads(LEDGER.read_text())) == sorted([*CONFIGS, "count_rational_point"])
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_config_matches_the_ledger(tmp_path, name):
+    assert config_digests(name, tmp_path) == json.loads(LEDGER.read_text())[name]
+
+
+def test_rational_point_matches_the_ledger():
+    assert rational_point_digests() == json.loads(LEDGER.read_text())["count_rational_point"]
+
+
+def test_jobs_do_not_change_the_counts():
+    ledger = json.loads(LEDGER.read_text())
+    for shape in ("ball", "rectangle", "hyperboloid"):
+        assert ledger[f"count_{shape}_2_3_jobs1"] == ledger[f"count_{shape}_2_3_jobs2"]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    if sys.argv[1:] != ["--update"]:
+        sys.exit("usage: python tests/test_digest_ledger.py --update")
+    with tempfile.TemporaryDirectory() as tmp:
+        LEDGER.write_text(json.dumps(all_digests(Path(tmp)), indent=2, sort_keys=True) + "\n")
+    print(f"wrote {LEDGER}")

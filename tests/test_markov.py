@@ -113,14 +113,14 @@ class TestBuildMarkov:
         assert ms.size >= 1
         assert all(b > a for a, b in ms.pieces), "non-empty trimmed pieces"
         needed = math.floor(beta / 2) - 2
-        assert min(ms.row_sums()) >= max(needed, 1)
+        assert min(hi - lo for lo, hi in ms.rows) >= max(needed, 1)
         assert ms.certificates["dim_lb"] == pytest.approx(1 - math.log(8) / math.log(beta))
         problems = verify_markov(ms.pieces, normalize_partition(beta_map(beta)))
         assert problems == []
 
     def test_beta_ten_specifics(self):
         ms = build_markov(beta_map(10))
-        assert min(ms.row_sums()) >= 2
+        assert min(hi - lo for lo, hi in ms.rows) >= 2
         assert ms.certificates["dim_lb"] == pytest.approx(0.0969, abs=1e-4)
 
     def test_beta_hundred_full_matrix(self):
@@ -132,7 +132,7 @@ class TestBuildMarkov:
         # golden map to the fifth power: slope g^5 ~ 11.09 > 8
         pl = power_map("-g", 5)
         ms = build_markov(pl)
-        assert min(ms.row_sums()) >= 1
+        assert min(hi - lo for lo, hi in ms.rows) >= 1
         problems = verify_markov(ms.pieces, normalize_partition(pl))
         assert problems == []
 
@@ -191,13 +191,13 @@ class TestMarkovRuns:
         assert [list(range(lo, hi)) for lo, hi in ms.rows] == expected
         for row, dense in zip(expected, ms.matrix):
             assert [k for k, v in enumerate(dense) if v] == row
-        assert ms.row_sums() == [len(row) for row in expected]
+        assert [hi - lo for lo, hi in ms.rows] == [len(row) for row in expected]
         assert ms.certificates["row_min"] == min(len(row) for row in expected)
 
     def test_thousand_pieces(self):
         ms = build_markov(power_map(10, 3))
         assert ms.size == 1000
-        assert min(ms.row_sums()) >= 3
+        assert min(hi - lo for lo, hi in ms.rows) >= 3
 
 
 class TestWordCount:
