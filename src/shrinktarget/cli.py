@@ -77,6 +77,12 @@ TOLERANCES = {
 }
 
 
+def _compact_json(obj) -> str:
+    """The one JSON form of configs, data files and manifests: sorted keys,
+    no whitespace, one line; a value JSON lacks is written as its str."""
+    return json.dumps(obj, sort_keys=True, default=str, separators=(",", ":"))
+
+
 @dataclass
 class ExperimentConfig:
     """One experiment: a command plus its parameter mapping.
@@ -100,7 +106,7 @@ class ExperimentConfig:
         return cls(command=data["command"], params=dict(data.get("params", {})))
 
     def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return _compact_json(self.to_dict())
 
     @property
     def config_hash(self) -> str:
@@ -357,7 +363,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
+    path.write_text(_compact_json(payload) + "\n")
 
 
 def _digest(path: Path) -> str:

@@ -41,7 +41,9 @@ class SlopeTooSmall(ValueError):
 
 
 class PieceCapExceeded(ValueError):
-    """An explicit list of cylinders or preimage pieces would pass MAX_EXPLICIT."""
+    """An explicit list of pieces would pass its cap: cylinders and preimage
+    pieces cylinders.MAX_EXPLICIT, a Markov partition's m^2 transition
+    entries markov.MAX_DENSE_ENTRIES."""
 
 
 class DegenerateF(ValueError):

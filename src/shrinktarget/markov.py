@@ -19,11 +19,12 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import SlopeTooSmall
+from .errors import PieceCapExceeded, SlopeTooSmall
 from .measures import SupportSet
 from .orbits import _scalar_bounds, scalar
 
@@ -31,6 +32,7 @@ CONTAINMENT_SLACK = 2.0 ** -40
 PERRON_TOL = 1e-12  # power iteration stops once Rayleigh quotients agree this closely
 _PERRON_MAX_ITER = 100_000
 COVER_TOL = 1e-9  # slack of the eventually-onto covering test
+MAX_DENSE_ENTRIES = 2 ** 25  # m^2 cap of the dense transition matrix: m <= 5792 pieces
 
 
 @dataclass(frozen=True)
@@ -144,10 +146,17 @@ def beta_map(beta) -> PiecewiseLinearMap:
 
 def power_map(beta, k: int) -> PiecewiseLinearMap:
     """T_beta^k as one piecewise linear map: slope modulus |beta|^k,
-    at most (floor|beta|+1)^k pieces."""
+    at most (floor|beta|+1)^k pieces.
+
+    For an integer b, T_b^k = T_{b^k}, so that map is built directly; it
+    equals the composed one field for field.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    base = beta_map(beta)
+    b = scalar(beta)
+    if isinstance(b, Fraction) and b.denominator == 1:
+        return beta_map(b ** k)
+    base = beta_map(b)
     current = base
     for _ in range(k - 1):
         current = _compose(base, current)
@@ -207,20 +216,31 @@ def normalize_partition(pl: PiecewiseLinearMap) -> PiecewiseLinearMap:
     """Refine so every piece length lies in [kappa, 2 kappa].
 
     A piece longer than 2 kappa (kappa = shortest length) splits into 2^l
-    equal parts, with 2^l kappa < length <= 2^(l+1) kappa.
+    equal parts, with 2^l kappa < length <= 2^(l+1) kappa.  Every split
+    is counted before any piece is built: past ``MAX_DENSE_ENTRIES``
+    transition entries (m^2) it raises PieceCapExceeded.
     """
     lengths = pl.piece_lengths()
     kappa = min(lengths)
-    bps = [pl.breakpoints[0]]
-    slopes = []
-    intercepts = []
-    for j, length in enumerate(lengths):
+    splits = []
+    for length in lengths:
         pieces = 1
         if length > 2 * kappa:
             l = 1
             while not ((2 ** l) * kappa < length <= (2 ** (l + 1)) * kappa):
                 l += 1
             pieces = 2 ** l
+        splits.append(pieces)
+    m = sum(splits)
+    if m * m > MAX_DENSE_ENTRIES:
+        raise PieceCapExceeded(
+            f"the normalized partition has {m} pieces: its {m}^2 transition entries "
+            f"pass the cap of {MAX_DENSE_ENTRIES} "
+            f"(at most {math.isqrt(MAX_DENSE_ENTRIES)} pieces)")
+    bps = [pl.breakpoints[0]]
+    slopes = []
+    intercepts = []
+    for j, (length, pieces) in enumerate(zip(lengths, splits)):
         a = pl.breakpoints[j]
         step = length / pieces
         for p in range(pieces):
@@ -238,7 +258,7 @@ class MarkovSubsystem:
     the transitions: row j is the half-open run ``(lo, hi)`` of the k with
     P(k) inside closure(T(P(j))), and ``certificates`` the proof-grade
     bounds extracted from the build.  ``matrix`` is the dense 0/1 view
-    A[j][k] = [lo_j <= k < hi_j].
+    A[j][k] = [lo_j <= k < hi_j], a read-only int8 array.
     """
 
     pieces: tuple
@@ -252,9 +272,12 @@ class MarkovSubsystem:
         return len(self.pieces)
 
     @cached_property
-    def matrix(self) -> tuple:
-        m = self.size
-        return tuple((0,) * lo + (1,) * (hi - lo) + (0,) * (m - hi) for lo, hi in self.rows)
+    def matrix(self) -> np.ndarray:
+        runs = np.array(self.rows, dtype=np.int64).reshape(-1, 2)
+        k = np.arange(self.size)
+        dense = ((runs[:, :1] <= k) & (k < runs[:, 1:])).view(np.int8)
+        dense.flags.writeable = False
+        return dense
 
 
 def build_markov(pl: PiecewiseLinearMap) -> MarkovSubsystem:
@@ -372,14 +395,20 @@ def verify_markov(pieces: Sequence[tuple], pl: PiecewiseLinearMap) -> list[str]:
     return problems
 
 
-def word_count(matrix, n: int) -> int:
-    """Exact number of admissible words of length n (big-integer DP)."""
+def word_count(rows, n: int) -> int:
+    """Exact number of admissible words of length n for the transition
+    runs ``rows`` (row j allows the k with lo_j <= k < hi_j).
+
+    Big-integer DP: the words of length i + 1 starting at j number the
+    sum of those of length i starting in row j's run, one difference of
+    prefix sums, so each step is O(m).
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    m = len(matrix)
-    vec = [1] * m
+    vec = [1] * len(rows)
     for _ in range(n - 1):
-        vec = [sum(matrix[j][k] * vec[k] for k in range(m)) for j in range(m)]
+        prefix = list(accumulate(vec, initial=0))
+        vec = [prefix[hi] - prefix[lo] for lo, hi in rows]
     return sum(vec)
 
 
@@ -418,9 +447,10 @@ def is_primitive(matrix) -> tuple[bool, Optional[int]]:
     return True, k + 1
 
 
-def perron_bounds(matrix) -> tuple[float, float]:
-    """Rigorous row-sum sandwich for the spectral radius."""
-    sums = [sum(row) for row in matrix]
+def perron_bounds(rows) -> tuple[float, float]:
+    """Rigorous row-sum sandwich for the spectral radius of the
+    transition runs ``rows``."""
+    sums = [hi - lo for lo, hi in rows]
     return float(min(sums)), float(max(sums))
 
 

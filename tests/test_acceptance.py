@@ -298,7 +298,7 @@ def test_criterion_8_markov_construction():
         assert problems == [], f"beta={beta}: {problems}"
         m = ms.size
         for n in range(1, 13):
-            assert word_count(ms.matrix, n) >= m * (beta / 2 - 3) ** (n - 1)
+            assert word_count(ms.rows, n) >= m * (beta / 2 - 3) ** (n - 1)
         _, dim = entropy_and_dim(ms.matrix, beta)
         floor = 1 - math.log(8) / math.log(beta)
         assert dim >= floor - 1e-9

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -319,6 +320,21 @@ class TestMainExitCodes:
                      "--seed", "1", "--out", str(tmp_path)]) == 2
         assert "preimage pieces" in capsys.readouterr().err
         assert not (tmp_path / "mixing.csv").exists()
+
+    @pytest.mark.parametrize("argv, pieces", [
+        (["--beta", "8.0001"], 65537),           # 8 long pieces split 8192 ways each
+        (["--beta", "g", "--power", "18"], 6765),
+    ])
+    def test_markov_build_past_the_dense_cap_is_three(self, tmp_path, capsys, argv, pieces):
+        # both pass validate; the normalized partition is counted before it is built
+        params = {flag[2:]: value for flag, value in zip(argv[::2], argv[1::2])}
+        diagnostics = validate(ExperimentConfig("markov", params))
+        assert not any(d.startswith("error:") for d in diagnostics)
+        start = time.monotonic()
+        assert main(["markov", *argv, "--out", str(tmp_path)]) == 3
+        assert time.monotonic() - start < 5
+        assert f"{pieces} pieces" in capsys.readouterr().err
+        assert not (tmp_path / "markov.json").exists()
 
     def test_orbit_on_a_matrix_with_a_unit_eigenvalue(self, tmp_path):
         # the eigenvalue hypothesis is the counting law's, not the orbit tracer's

@@ -1,4 +1,4 @@
-"""The digest ledger: the sha256 of every data file of a dozen desk-scale runs.
+"""The digest ledger: the sha256 of every data file of about twenty desk-scale runs.
 
 Each config runs in-process through ``cli.run`` (the given rational point,
 which the CLI does not take, through ``count_hits``), and its data files'
@@ -53,6 +53,11 @@ CONFIGS = {
     "mixing_auto": ("mixing", {"beta": 2, "set_e": [0, 0.25], "set_f": [0.2, 0.7],
                                "method": "auto", "lags": "1:6", "seed": 1}, 1),
     "markov": ("markov", {"beta": 3, "power": 2}, 1),
+    # the benchmark's build (m = 343), a rational whose normalization splits
+    # 20 pieces into 33, and the float path on a subsystem that is not primitive
+    "markov_7_power_3": ("markov", {"beta": 7, "power": 3}, 1),
+    "markov_5over2_power_3": ("markov", {"beta": "5/2", "power": 3}, 1),
+    "markov_minus_g_power_5": ("markov", {"beta": "-g", "power": 5}, 1),
     "orbit": ("orbit", {"system": "diag:2.7,g", "x": ["1/3", 0.1], "steps": 60,
                         "stride": 5}, 1),
     "dimension": ("dimension", {"method": "ball", "moduli": [2, 3], "lam": 0.5}, 1),

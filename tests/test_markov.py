@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from shrinktarget.cli import main
-from shrinktarget.errors import SlopeTooSmall
+from shrinktarget.errors import PieceCapExceeded, SlopeTooSmall
 from shrinktarget.markov import (
     CONTAINMENT_SLACK,
+    MAX_DENSE_ENTRIES,
     PiecewiseLinearMap,
+    _compose,
     beta_map,
     build_markov,
     entropy_and_dim,
@@ -72,6 +74,21 @@ class TestPowerMap:
         assert pl.num_pieces == 9
         assert pl.slope_modulus == 9.0
 
+    @pytest.mark.parametrize("b, k", [
+        (b, k) for b in (2, 3, 7, 10, -2, -3) for k in range(1, 13) if abs(b) ** k <= 5000])
+    def test_integer_power_is_the_composed_map(self, b, k):
+        # T_b^k = T_{b^k} for an integer b: the direct map equals the
+        # explicit chain of compositions, field for field and exactly
+        base = beta_map(b)
+        chain = base
+        for _ in range(k - 1):
+            chain = _compose(base, chain)
+        pl = power_map(b, k)
+        assert (pl.breakpoints, pl.slopes, pl.intercepts) == \
+            (chain.breakpoints, chain.slopes, chain.intercepts)
+        assert all(isinstance(v, Fraction)
+                   for v in (*pl.breakpoints, *pl.slopes, *pl.intercepts))
+
     @pytest.mark.parametrize("k, fib", [(5, 13), (7, 34), (10, 144)])
     def test_golden_powers_have_no_slivers(self, k, fib):
         # T_g^k has F(k+2) pieces; float crossings that duplicate a
@@ -103,6 +120,25 @@ class TestNormalizePartition:
 
 
 class TestBuildMarkov:
+    @pytest.mark.parametrize("pl", [beta_map(10), power_map(3, 2), power_map("-g", 5)],
+                             ids=["10", "3^2", "-g^5"])
+    def test_matrix_is_the_dense_view_of_the_runs(self, pl):
+        ms = build_markov(pl)
+        m = ms.size
+        dense = tuple((0,) * lo + (1,) * (hi - lo) + (0,) * (m - hi) for lo, hi in ms.rows)
+        assert ms.matrix.shape == (m, m) and ms.matrix.dtype == np.int8
+        assert ms.matrix.tolist() == [list(row) for row in dense]
+        assert not ms.matrix.flags.writeable
+
+    def test_normalization_past_the_dense_cap_is_refused(self):
+        # 8 pieces of length 1/8.0001 against one of 0.0001/8.0001: 65537 pieces
+        with pytest.raises(PieceCapExceeded, match="65537 pieces"):
+            normalize_partition(beta_map(Fraction(80001, 10000)))
+        assert 5792 ** 2 <= MAX_DENSE_ENTRIES < 5793 ** 2
+        assert normalize_partition(power_map("g", 17)).num_pieces == 4181
+        with pytest.raises(PieceCapExceeded, match="6765 pieces"):
+            normalize_partition(power_map("g", 18))
+
     def test_slope_boundary(self):
         with pytest.raises(SlopeTooSmall):
             build_markov(beta_map(8))
@@ -200,22 +236,60 @@ class TestMarkovRuns:
         assert min(hi - lo for lo, hi in ms.rows) >= 3
 
 
+def _dense_word_count(rows, n):
+    """Admissible words of length n: big-integer DP over the dense 0/1 matrix."""
+    m = len(rows)
+    matrix = [[int(lo <= k < hi) for k in range(m)] for lo, hi in rows]
+    vec = [1] * m
+    for _ in range(n - 1):
+        vec = [sum(matrix[j][k] * vec[k] for k in range(m)) for j in range(m)]
+    return sum(vec)
+
+
 class TestWordCount:
+    # transition runs (lo, hi): row j allows the k with lo <= k < hi
     def test_full_shift(self):
-        assert word_count(((1, 1), (1, 1)), 5) == 32
+        assert word_count(((0, 2), (0, 2)), 5) == 32
 
     def test_identity(self):
-        assert word_count(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 4) == 3
+        assert word_count(((0, 1), (1, 2), (2, 3)), 4) == 3
 
     def test_single_letter(self):
-        assert word_count(((1, 1), (1, 1)), 1) == 2
+        assert word_count(((0, 2), (0, 2)), 1) == 2
 
     @pytest.mark.parametrize("beta", [9, 10, 16])
     def test_growth_bound(self, beta):
         ms = build_markov(beta_map(beta))
         m = ms.size
         for n in range(1, 13):
-            assert word_count(ms.matrix, n) >= m * (beta / 2 - 3) ** (n - 1)
+            assert word_count(ms.rows, n) >= m * (beta / 2 - 3) ** (n - 1)
+
+    @pytest.mark.parametrize("pl", [
+        beta_map(10), power_map(3, 2), power_map("g", 5), power_map("-g", 5),
+    ], ids=["10", "3^2", "g^5", "-g^5"])
+    def test_matches_the_dense_dp(self, pl):
+        rows = build_markov(pl).rows
+        for n in range(1, 7):
+            assert word_count(rows, n) == _dense_word_count(rows, n)
+
+    @pytest.mark.parametrize("beta", ["g", "-g"])
+    def test_dense_dp_catches_a_widened_row(self, beta):
+        # every row of T_10 and T_3^2 is full; the golden powers' are not
+        rows = build_markov(power_map(beta, 5)).rows
+        m = len(rows)
+        for j, (lo, hi) in enumerate(rows):
+            if hi - lo < m:
+                wide = (lo, hi + 1) if hi < m else (lo - 1, hi)
+                widened = rows[:j] + (wide,) + rows[j + 1:]
+                assert all(word_count(widened, n) != _dense_word_count(rows, n)
+                           for n in range(2, 7))
+
+    @pytest.mark.parametrize("pl", [beta_map(10), power_map(3, 2), power_map("-g", 5)],
+                             ids=["10", "3^2", "-g^5"])
+    def test_perron_bounds_are_the_row_sums(self, pl):
+        ms = build_markov(pl)
+        sums = ms.matrix.sum(axis=1)
+        assert perron_bounds(ms.rows) == (float(sums.min()), float(sums.max()))
 
 
 def _primitive_stepwise(matrix):
@@ -289,7 +363,7 @@ class TestEntropyAndDim:
     def test_sandwich_and_certificates(self, beta):
         ms = build_markov(beta_map(beta))
         h, dim = entropy_and_dim(ms.matrix, beta)
-        lo, hi = perron_bounds(ms.matrix)
+        lo, hi = perron_bounds(ms.rows)
         assert math.log(lo) - 1e-9 <= h <= math.log(hi) + 1e-9
         assert h >= math.log(beta / 2 - 3) - 1e-9
         assert dim >= ms.certificates["dim_lb"] - 1e-9
