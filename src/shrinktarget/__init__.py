@@ -41,7 +41,6 @@ from .cylinders import (
     Cylinder,
     count_cylinders,
     cylinders_of_order,
-    full_cylinder_gap,
     full_cylinder_stats,
     is_full_cylinder,
     preimage_intervals,

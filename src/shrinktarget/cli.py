@@ -521,8 +521,8 @@ def _cmd_dimension(p: dict, out_dir: Path, jobs: int):
 
 def _cmd_markov(p: dict, out_dir: Path, jobs: int):
     subsystem = build_markov(power_map(p["beta"], p["power"]))
-    primitive, witness = is_primitive(subsystem.matrix)
-    h_top, dim_est = entropy_and_dim(subsystem.matrix, subsystem.slope_modulus)
+    primitive, witness = is_primitive(subsystem.rows)
+    h_top, dim_est = entropy_and_dim(subsystem.rows, subsystem.slope_modulus)
     path = out_dir / "markov.json"
     _write_json(path, {
         "pieces": [list(piece) for piece in subsystem.pieces],

@@ -138,7 +138,7 @@ def _cylinders_automaton(beta, n: int) -> list[Cylinder]:
     if total > MAX_EXPLICIT:
         raise PieceCapExceeded(
             f"{total} cylinders at order {n}: too many to materialize; "
-            "use full_cylinder_gap / count_cylinders for streaming statistics"
+            "use full_cylinder_stats / count_cylinders for streaming statistics"
         )
     b = auto.beta
     out: list[Cylinder] = []
@@ -226,7 +226,9 @@ def full_cylinder_stats(beta, n: int) -> dict:
 
     Returns the exact cylinder count, number of full cylinders, the longest
     run of consecutive non-full cylinders (anywhere, including the ends),
-    and the maximum distance between consecutive full cylinders.
+    and the maximum distance between consecutive full cylinders.  That
+    gap is always < (n+1) * beta^-n: every n+1 consecutive cylinders
+    contain a full one and each non-full cylinder is shorter than beta^-n.
     """
     auto = BetaAutomaton(beta, n)
     b = auto.beta
@@ -280,15 +282,6 @@ def full_cylinder_stats(beta, n: int) -> dict:
         "max_nonfull_run": max_run,
         "max_gap": max_gap_w * scale,
     }
-
-
-def full_cylinder_gap(beta, n: int) -> float:
-    """Max distance between consecutive full order-n cylinders (beta > 1).
-
-    Always < (n+1) * beta^-n: every n+1 consecutive cylinders contain a
-    full one and each non-full cylinder is shorter than beta^-n.
-    """
-    return full_cylinder_stats(beta, n)["max_gap"]
 
 
 def _ball_arcs(a: float, r: float) -> list[tuple[float, float]]:

@@ -55,14 +55,13 @@ class DimensionReport:
     partition: Optional[tuple] = None  # ((K1, K2, K3) per i) at attained_t
     error_bound: float = 0.0
     conjectural: bool = False
-    bounds: Optional[tuple] = None
 
     def __post_init__(self):
         if not (-1e-12 <= self.value):
             raise ValueError("dimension must be non-negative")
 
 
-def _partition_sets(i, logb, t, k1_strict=True, k2_strict=False):
+def _partition_sets(i, logb, t, k1_strict=True):
     d = len(logb)
     thr = logb[i] + t[i]
     k1 = []
@@ -73,19 +72,18 @@ def _partition_sets(i, logb, t, k1_strict=True, k2_strict=False):
         if in_k1:
             k1.append(k)
             continue
-        lhs = logb[k] + t[k]
-        in_k2 = lhs < thr if k2_strict else lhs <= thr
-        (k2 if in_k2 else k3).append(k)
+        # a tie log b_k + t_k = thr joins K2, where 1 - t_k/thr = log b_k/thr
+        (k2 if logb[k] + t[k] <= thr else k3).append(k)
     return tuple(k1), tuple(k2), tuple(k3)
 
 
-def _theta_sum(i, logb, t, w, k1_strict=True, k2_strict=False) -> float:
+def _theta_sum(i, logb, t, w, k1_strict=True) -> float:
     """The one partition sum behind every theta: sum_{K1} w_k
     + sum_{K2} w_k (1 - t_k/thr) + sum_{K3} w_k log b_k/thr, thr = log b_i + t_i.
 
     An infinite t_k never joins K2, so weight 0 drops a coordinate."""
     thr = logb[i] + t[i]
-    k1, k2, k3 = _partition_sets(i, logb, t, k1_strict, k2_strict)
+    k1, k2, k3 = _partition_sets(i, logb, t, k1_strict)
     return sum(itertools.chain((w[k] for k in k1),
                                (w[k] * (1.0 - t[k] / thr) for k in k2),
                                (w[k] * (logb[k] / thr) for k in k3)))

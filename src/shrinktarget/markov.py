@@ -18,8 +18,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -32,7 +30,7 @@ CONTAINMENT_SLACK = 2.0 ** -40
 PERRON_TOL = 1e-12  # power iteration stops once Rayleigh quotients agree this closely
 _PERRON_MAX_ITER = 100_000
 COVER_TOL = 1e-9  # slack of the eventually-onto covering test
-MAX_DENSE_ENTRIES = 2 ** 25  # m^2 cap of the dense transition matrix: m <= 5792 pieces
+MAX_DENSE_ENTRIES = 2 ** 25  # m^2 cap on the support of A^k and the JSON rows: m <= 5792
 
 
 @dataclass(frozen=True)
@@ -257,8 +255,9 @@ class MarkovSubsystem:
     ``pieces`` are the trimmed intervals P(i) (closed, sorted), ``rows``
     the transitions: row j is the half-open run ``(lo, hi)`` of the k with
     P(k) inside closure(T(P(j))), and ``certificates`` the proof-grade
-    bounds extracted from the build.  ``matrix`` is the dense 0/1 view
-    A[j][k] = [lo_j <= k < hi_j], a read-only int8 array.
+    bounds extracted from the build.  The runs are the only form of the
+    0/1 transition matrix A[j][k] = [lo_j <= k < hi_j]: :func:`word_count`,
+    :func:`is_primitive` and :func:`entropy_and_dim` read them.
     """
 
     pieces: tuple
@@ -270,14 +269,6 @@ class MarkovSubsystem:
     @property
     def size(self) -> int:
         return len(self.pieces)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        runs = np.array(self.rows, dtype=np.int64).reshape(-1, 2)
-        k = np.arange(self.size)
-        dense = ((runs[:, :1] <= k) & (k < runs[:, 1:])).view(np.int8)
-        dense.flags.writeable = False
-        return dense
 
 
 def build_markov(pl: PiecewiseLinearMap) -> MarkovSubsystem:
@@ -395,56 +386,65 @@ def verify_markov(pieces: Sequence[tuple], pl: PiecewiseLinearMap) -> list[str]:
     return problems
 
 
+def _runs(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The runs ``rows`` as ``lo`` and ``hi`` arrays, checked 0 <= lo <= hi <= m."""
+    runs = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    lo, hi = runs[:, 0], runs[:, 1]
+    if np.any((lo < 0) | (lo > hi) | (hi > len(runs))):
+        raise ValueError("rows must be runs (lo, hi) with 0 <= lo <= hi <= m")
+    return lo, hi
+
+
+def _run_product(lo: np.ndarray, hi: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for the runs: row j sums x over lo_j <= k < hi_j, one difference
+    of prefix sums along axis 0.  Exact for object (big-integer) and
+    integer x; x may have columns."""
+    prefix = np.zeros((len(x) + 1, *x.shape[1:]), dtype=x.dtype)
+    np.cumsum(x, axis=0, out=prefix[1:])
+    out = prefix[hi]
+    out -= prefix[lo]
+    return out
+
+
 def word_count(rows, n: int) -> int:
     """Exact number of admissible words of length n for the transition
     runs ``rows`` (row j allows the k with lo_j <= k < hi_j).
 
     Big-integer DP: the words of length i + 1 starting at j number the
-    sum of those of length i starting in row j's run, one difference of
-    prefix sums, so each step is O(m).
+    sum of those of length i starting in row j's run, so each step is one
+    O(m) run product.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    vec = [1] * len(rows)
+    lo, hi = _runs(rows)
+    vec = np.ones(len(lo), dtype=object)
     for _ in range(n - 1):
-        prefix = list(accumulate(vec, initial=0))
-        vec = [prefix[hi] - prefix[lo] for lo, hi in rows]
-    return sum(vec)
+        vec = _run_product(lo, hi, vec)
+    return int(vec.sum())
 
 
-def is_primitive(matrix) -> tuple[bool, Optional[int]]:
-    """Primitivity of a 0/1 matrix with the least witness power
-    k <= (m-1)^2 + 1 (Wielandt) such that A^k > 0.
+def is_primitive(rows) -> tuple[bool, Optional[int]]:
+    """Primitivity of the transition runs ``rows`` with the least witness
+    power k <= (m-1)^2 + 1 (Wielandt) such that A^k > 0.
 
-    A zero row stays zero in every power, so a positive power means A has
-    none, and then A^k > 0 implies A^(k+1) = A A^k > 0: positivity is
-    monotone in k.  Square up to the Wielandt bound, then binary-search
-    the least k below the first positive square.  Boolean products run as
-    float matmuls, exact for 0/1 entries.
+    Steps the 0/1 support of A^k one power at a time, each step one run
+    product over the support's columns, so the first positive power is
+    the least witness.  The supports follow a fixed map, so once one
+    repeats no later power is positive: each support is compared with
+    the one saved at the last power of two (Brent's cycle test).
     """
-    a = np.asarray(matrix, dtype=np.int64)
-    m = len(a)
-    if np.any((a != 0) & (a != 1)):
-        raise ValueError("matrix must be 0/1")
-    if np.all(a > 0):
-        return True, 1
-    limit = (m - 1) ** 2 + 1
-    squares = [a.astype(np.float64)]  # squares[i] = A^(2^i) as 0/1
-    while not np.all(squares[-1] > 0):
-        if 2 ** (len(squares) - 1) >= limit:
+    lo, hi = _runs(rows)
+    support = saved = np.eye(len(lo), dtype=np.int32)  # A^0
+    for k in range(1, (len(lo) - 1) ** 2 + 2):
+        support = _run_product(lo, hi, support)
+        np.minimum(support, 1, out=support)
+        if support.all():
+            return True, k
+        if np.array_equal(support, saved):
             return False, None
-        sq = squares[-1]
-        squares.append((sq @ sq > 0).astype(np.float64))
-    # A^(2^top) is positive and A^k, k = 2^(top-1), is not: raise k bit by
-    # bit while A^k stays non-positive, so k + 1 is the least witness
-    top = len(squares) - 1
-    k = 2 ** (top - 1)
-    power = squares[top - 1]
-    for i in range(top - 2, -1, -1):
-        cand = (power @ squares[i] > 0).astype(np.float64)
-        if not np.all(cand > 0):
-            power, k = cand, k + 2 ** i
-    return True, k + 1
+        if k & (k - 1) == 0:
+            saved = support
+    return False, None
 
 
 def perron_bounds(rows) -> tuple[float, float]:
@@ -454,26 +454,27 @@ def perron_bounds(rows) -> tuple[float, float]:
     return float(min(sums)), float(max(sums))
 
 
-def entropy_and_dim(matrix, beta_modulus: float) -> tuple[float, float]:
-    """(h_top, dim) from the Perron root of the transition matrix.
+def entropy_and_dim(rows, beta_modulus: float) -> tuple[float, float]:
+    """(h_top, dim) from the Perron root of the transition runs ``rows``.
 
-    Power iteration until successive Rayleigh quotients differ by < PERRON_TOL;
-    the row-sum sandwich stays the rigorous bound (use perron_bounds).
-    dim = h_top / log(beta_modulus).
+    Power iteration, one run product per step, until successive Rayleigh
+    quotients differ by < PERRON_TOL; the row-sum sandwich stays the
+    rigorous bound (use perron_bounds).  dim = h_top / log(beta_modulus).
     """
-    a = np.asarray(matrix, dtype=np.float64)
-    m = len(a)
+    lo, hi = _runs(rows)
+    m = len(lo)
     if m == 0:
-        raise ValueError("empty matrix")
+        raise ValueError("no transition rows")
     v = np.ones(m) / math.sqrt(m)
+    w = _run_product(lo, hi, v)
     prev = 0.0
     for _ in range(_PERRON_MAX_ITER):
-        w = a @ v
         norm = np.linalg.norm(w)
         if norm == 0:
             return -math.inf, 0.0
         v = w / norm
-        rho = float(v @ (a @ v))
+        w = _run_product(lo, hi, v)
+        rho = float(v @ w)
         if abs(rho - prev) < PERRON_TOL:
             break
         prev = rho

@@ -194,9 +194,8 @@ def test_criterion_5_dimension_formula_cross_checks():
         for i in range(d):
             base = theta_rect(i, mods, t)
             for s1 in (True, False):
-                for s2 in (True, False):
-                    assert abs(_theta_sum(i, [math.log(m) for m in mods], t, [1.0] * d,
-                                          s1, s2) - base) <= tol
+                assert abs(_theta_sum(i, [math.log(m) for m in mods], t, [1.0] * d,
+                                      s1) - base) <= tol
 
     for _ in range(50):
         d = int(rng.integers(1, 6))
@@ -299,7 +298,7 @@ def test_criterion_8_markov_construction():
         m = ms.size
         for n in range(1, 13):
             assert word_count(ms.rows, n) >= m * (beta / 2 - 3) ** (n - 1)
-        _, dim = entropy_and_dim(ms.matrix, beta)
+        _, dim = entropy_and_dim(ms.rows, beta)
         floor = 1 - math.log(8) / math.log(beta)
         assert dim >= floor - 1e-9
         assert ms.certificates["dim_lb"] == pytest.approx(floor)

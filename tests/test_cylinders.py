@@ -11,7 +11,6 @@ from shrinktarget.cylinders import (
     _cylinders_refine,
     count_cylinders,
     cylinders_of_order,
-    full_cylinder_gap,
     full_cylinder_stats,
     is_full_cylinder,
     preimage_intervals,
@@ -107,7 +106,7 @@ class TestFullness:
 
 class TestFullCylinderGap:
     def test_dyadic_all_full(self):
-        assert full_cylinder_gap(2, 5) == 0.0
+        assert full_cylinder_stats(2, 5)["max_gap"] == 0.0
 
     @pytest.mark.parametrize("beta,bf,n", [("g", GOLDEN, 10), (1.8, 1.8, 8)])
     def test_gap_vs_enumeration_oracle(self, beta, bf, n):

@@ -58,6 +58,10 @@ CONFIGS = {
     "markov_7_power_3": ("markov", {"beta": 7, "power": 3}, 1),
     "markov_5over2_power_3": ("markov", {"beta": "5/2", "power": 3}, 1),
     "markov_minus_g_power_5": ("markov", {"beta": "-g", "power": 5}, 1),
+    # both exits of the primitivity stepper at m = 610 and 377: a repeated
+    # support (not primitive) and the least witness power 2
+    "markov_minus_g_power_12": ("markov", {"beta": "-g", "power": 12}, 1),
+    "markov_g_power_12": ("markov", {"beta": "g", "power": 12}, 1),
     "orbit": ("orbit", {"system": "diag:2.7,g", "x": ["1/3", 0.1], "steps": 60,
                         "stride": 5}, 1),
     "dimension": ("dimension", {"method": "ball", "moduli": [2, 3], "lam": 0.5}, 1),

@@ -130,19 +130,24 @@ def _force_tie(logb_i, logb_k):
     raise AssertionError("could not force a floating tie")
 
 
+def _assert_k2_ties_immaterial(i, logb, t):
+    """A tie log b_k + t_k = thr joins K2; its K3 term would be the same."""
+    thr = logb[i] + t[i]
+    for k in range(len(logb)):
+        if logb[k] + t[k] == thr:
+            assert 1.0 - t[k] / thr == pytest.approx(logb[k] / thr, abs=1e-12)
+
+
 class TestStrictnessInvariance:
     def test_engineered_boundary_ties(self):
         logs = [math.log(2), math.log(3)]
         t0 = _force_tie(logs[0], logs[1])
         for t1 in (0.0, 0.4):
             t = [t0, t1]
-            vals = {
-                (s1, s2): _theta_sum(0, logs, t, [1.0, 1.0], s1, s2)
-                for s1 in (True, False) for s2 in (True, False)
-            }
             base = theta_rect(0, [2, 3], t)
-            for v in vals.values():
-                assert v == pytest.approx(base, abs=1e-12)
+            for s1 in (True, False):
+                assert _theta_sum(0, logs, t, [1.0, 1.0], s1) == pytest.approx(base, abs=1e-12)
+            _assert_k2_ties_immaterial(0, logs, t)
 
     def test_random_instances(self):
         rng = np.random.default_rng(22)
@@ -155,13 +160,13 @@ class TestStrictnessInvariance:
                 cand = math.log(mods[i]) + t[i] - math.log(mods[k])
                 if cand > 0:
                     t[k] = cand
+            logs = [math.log(m) for m in mods]
             for i in range(len(mods)):
                 base = theta_rect(i, mods, t)
                 for s1 in (True, False):
-                    for s2 in (True, False):
-                        assert _theta_sum(i, [math.log(m) for m in mods], t,
-                                          [1.0] * len(mods), s1, s2) \
-                            == pytest.approx(base, abs=1e-12)
+                    assert _theta_sum(i, logs, t, [1.0] * len(mods), s1) \
+                        == pytest.approx(base, abs=1e-12)
+                _assert_k2_ties_immaterial(i, logs, t)
 
 
 class TestDimBall:

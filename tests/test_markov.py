@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from shrinktarget import markov
 from shrinktarget.cli import main
 from shrinktarget.errors import PieceCapExceeded, SlopeTooSmall
 from shrinktarget.markov import (
@@ -120,16 +121,6 @@ class TestNormalizePartition:
 
 
 class TestBuildMarkov:
-    @pytest.mark.parametrize("pl", [beta_map(10), power_map(3, 2), power_map("-g", 5)],
-                             ids=["10", "3^2", "-g^5"])
-    def test_matrix_is_the_dense_view_of_the_runs(self, pl):
-        ms = build_markov(pl)
-        m = ms.size
-        dense = tuple((0,) * lo + (1,) * (hi - lo) + (0,) * (m - hi) for lo, hi in ms.rows)
-        assert ms.matrix.shape == (m, m) and ms.matrix.dtype == np.int8
-        assert ms.matrix.tolist() == [list(row) for row in dense]
-        assert not ms.matrix.flags.writeable
-
     def test_normalization_past_the_dense_cap_is_refused(self):
         # 8 pieces of length 1/8.0001 against one of 0.0001/8.0001: 65537 pieces
         with pytest.raises(PieceCapExceeded, match="65537 pieces"):
@@ -161,7 +152,7 @@ class TestBuildMarkov:
 
     def test_beta_hundred_full_matrix(self):
         ms = build_markov(beta_map(100))
-        assert all(all(v == 1 for v in row) for row in ms.matrix)
+        assert ms.rows == ((0, ms.size),) * ms.size
         assert ms.certificates["dim_lb"] == pytest.approx(0.5485, abs=1e-4)
 
     def test_irrational_slope_power_map(self):
@@ -225,8 +216,6 @@ class TestMarkovRuns:
         ms = build_markov(pl)
         expected = _pairwise_rows(ms, normalize_partition(pl), slack)
         assert [list(range(lo, hi)) for lo, hi in ms.rows] == expected
-        for row, dense in zip(expected, ms.matrix):
-            assert [k for k, v in enumerate(dense) if v] == row
         assert [hi - lo for lo, hi in ms.rows] == [len(row) for row in expected]
         assert ms.certificates["row_min"] == min(len(row) for row in expected)
 
@@ -236,10 +225,16 @@ class TestMarkovRuns:
         assert min(hi - lo for lo, hi in ms.rows) >= 3
 
 
+def _dense(rows):
+    """The 0/1 transition matrix A[j][k] = [lo_j <= k < hi_j] of the runs."""
+    k = np.arange(len(rows))
+    return np.array([(lo <= k) & (k < hi) for lo, hi in rows], dtype=np.int64)
+
+
 def _dense_word_count(rows, n):
     """Admissible words of length n: big-integer DP over the dense 0/1 matrix."""
     m = len(rows)
-    matrix = [[int(lo <= k < hi) for k in range(m)] for lo, hi in rows]
+    matrix = _dense(rows).tolist()
     vec = [1] * m
     for _ in range(n - 1):
         vec = [sum(matrix[j][k] * vec[k] for k in range(m)) for j in range(m)]
@@ -288,7 +283,7 @@ class TestWordCount:
                              ids=["10", "3^2", "-g^5"])
     def test_perron_bounds_are_the_row_sums(self, pl):
         ms = build_markov(pl)
-        sums = ms.matrix.sum(axis=1)
+        sums = _dense(ms.rows).sum(axis=1)
         assert perron_bounds(ms.rows) == (float(sums.min()), float(sums.max()))
 
 
@@ -303,70 +298,124 @@ def _primitive_stepwise(matrix):
     return False, None
 
 
+def _dense_entropy(matrix, beta_modulus):
+    """Power iteration on the dense matrix, stopped as entropy_and_dim stops."""
+    a = np.asarray(matrix, dtype=np.float64)
+    v = np.ones(len(a)) / math.sqrt(len(a))
+    prev = 0.0
+    for _ in range(markov._PERRON_MAX_ITER):
+        w = a @ v
+        v = w / np.linalg.norm(w)
+        rho = float(v @ (a @ v))
+        if abs(rho - prev) < markov.PERRON_TOL:
+            h = math.log(rho)
+            return h, h / math.log(abs(beta_modulus))
+        prev = rho
+    raise AssertionError("the dense power iteration did not converge")
+
+
 def _wielandt(m):
-    a = np.zeros((m, m), dtype=np.int64)
-    for i in range(m - 1):
-        a[i, i + 1] = 1
-    a[m - 1, 0] = a[m - 1, 1] = 1
-    return a
+    """Runs of Wielandt's matrix: j -> j + 1, and the last row -> {0, 1}."""
+    return tuple((j + 1, j + 2) for j in range(m - 1)) + ((0, 2),)
+
+
+# built subsystems by least witness power: 1, 2, 3 and none
+_BUILT = {
+    "10": (10, 1), "7^3": (7, 3), "-5/2^3": (Fraction(-5, 2), 3), "g^12": ("g", 12),
+    "5/2^3": (Fraction(5, 2), 3), "-g^5": ("-g", 5), "-e^3": ("-e", 3),
+}
 
 
 class TestPrimitivity:
     @pytest.mark.parametrize("m", [4, 5, 6])
     def test_wielandt_exponent(self, m):
-        a = _wielandt(m)
-        assert is_primitive(a) == _primitive_stepwise(a) == (True, (m - 1) ** 2 + 1)
+        rows = _wielandt(m)
+        assert is_primitive(rows) == _primitive_stepwise(_dense(rows)) == (True, (m - 1) ** 2 + 1)
 
+    # each matrix as its runs
     @pytest.mark.parametrize("matrix", [
-        np.roll(np.eye(5, dtype=np.int64), 1, axis=1),  # cyclic permutation
-        ((1, 1, 0), (1, 1, 0), (0, 1, 1)),  # reducible: only 2 reaches 2
-        ((1, 1, 0), (1, 0, 0), (1, 1, 0)),  # zero column
-        ((1, 1, 1), (0, 0, 0), (1, 1, 1)),  # zero row
-        ((1, 1, 0), (0, 1, 1), (1, 0, 0)),  # primitive
-        ((0,),), ((1,),),
+        ((1, 2), (2, 3), (3, 4), (4, 5), (0, 1)),  # cyclic permutation
+        ((0, 2), (0, 2), (1, 3)),  # reducible: only 2 reaches 2
+        ((0, 2), (0, 1), (0, 2)),  # zero column
+        ((0, 3), (0, 0), (0, 3)),  # zero row
+        ((0, 2), (1, 3), (0, 1)),  # primitive
+        ((0, 0),), ((0, 1),),
     ])
     def test_matches_stepwise(self, matrix):
-        assert is_primitive(matrix) == _primitive_stepwise(matrix)
+        assert is_primitive(matrix) == _primitive_stepwise(_dense(matrix))
 
     def test_built_subsystem_matches_stepwise(self):
-        matrix = build_markov(beta_map(10)).matrix
-        assert is_primitive(matrix) == _primitive_stepwise(matrix)
+        for beta, k in _BUILT.values():
+            rows = build_markov(power_map(beta, k)).rows
+            assert is_primitive(rows) == _primitive_stepwise(_dense(rows)), (beta, k)
+
+    def test_built_subsystems_cover_every_exit(self):
+        witnesses = {name: is_primitive(build_markov(power_map(*bk)).rows)[1]
+                     for name, bk in _BUILT.items()}
+        assert witnesses == {"10": 1, "7^3": 1, "-5/2^3": 2, "g^12": 2,
+                             "5/2^3": 3, "-g^5": None, "-e^3": None}
+
+    def test_repeated_support_exits_early(self, monkeypatch):
+        # m = 610: Wielandt allows 609^2 + 1 powers, but A^3 has the support of A^2
+        rows = build_markov(power_map("-g", 12)).rows
+        product = markov._run_product
+        calls = []
+
+        def counted(lo, hi, x):
+            calls.append(x.shape)
+            return product(lo, hi, x)
+
+        monkeypatch.setattr(markov, "_run_product", counted)
+        assert is_primitive(rows) == (False, None)
+        assert calls == [(610, 610)] * 3
+
+    def test_malformed_runs_are_refused(self):
+        for rows in (((0, 3), (0, 2)), ((1, 0), (0, 2)), ((-1, 1), (0, 2))):
+            with pytest.raises(ValueError, match="runs"):
+                is_primitive(rows)
 
     def test_all_ones(self):
-        assert is_primitive(((1, 1), (1, 1))) == (True, 1)
+        assert is_primitive(((0, 2), (0, 2))) == (True, 1)
 
     def test_permutation_cycle(self):
-        assert is_primitive(((0, 1), (1, 0))) == (False, None)
+        assert is_primitive(((1, 2), (0, 1))) == (False, None)
 
     def test_fibonacci(self):
-        ok, k = is_primitive(((1, 1), (1, 0)))
+        ok, k = is_primitive(((0, 2), (0, 1)))
         assert ok and k == 2
 
     def test_built_subsystem(self):
         ms = build_markov(beta_map(10))
-        ok, k = is_primitive(ms.matrix)
+        ok, k = is_primitive(ms.rows)
         assert ok and k <= 2
 
 
 class TestEntropyAndDim:
     def test_full_shift(self):
-        h, dim = entropy_and_dim(((1, 1), (1, 1)), 2)
+        h, dim = entropy_and_dim(((0, 2), (0, 2)), 2)
         assert h == pytest.approx(math.log(2), abs=1e-12)
         assert dim == pytest.approx(1.0, abs=1e-12)
 
     def test_fibonacci_golden(self):
-        h, dim = entropy_and_dim(((1, 1), (1, 0)), G)
+        h, dim = entropy_and_dim(((0, 2), (0, 1)), G)
         assert h == pytest.approx(math.log(G), abs=1e-10)
         assert dim == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("beta", [9, 10, 16, 100])
     def test_sandwich_and_certificates(self, beta):
         ms = build_markov(beta_map(beta))
-        h, dim = entropy_and_dim(ms.matrix, beta)
+        h, dim = entropy_and_dim(ms.rows, beta)
         lo, hi = perron_bounds(ms.rows)
         assert math.log(lo) - 1e-9 <= h <= math.log(hi) + 1e-9
         assert h >= math.log(beta / 2 - 3) - 1e-9
         assert dim >= ms.certificates["dim_lb"] - 1e-9
+
+    @pytest.mark.parametrize("name", list(_BUILT))
+    def test_matches_the_dense_iteration(self, name):
+        ms = build_markov(power_map(*_BUILT[name]))
+        got = entropy_and_dim(ms.rows, ms.slope_modulus)
+        want = _dense_entropy(_dense(ms.rows), ms.slope_modulus)
+        assert got == pytest.approx(want, rel=0, abs=1e-12)
 
 
 class TestEventuallyOnto:
