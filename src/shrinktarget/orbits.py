@@ -166,11 +166,14 @@ class ScaledScalar:
 
     def at(self, bits: int) -> tuple[int, int]:
         """Outward bounds rescaled to ``bits`` bits."""
-        if bits >= self.bits:
-            shift = bits - self.bits
-            return self.lo << shift, self.hi << shift
-        shift = self.bits - bits
-        return self.lo >> shift, -((-self.hi) >> shift)
+        return _outward(self.lo, self.hi, self.bits - bits)
+
+
+def _outward(lo: int, hi: int, shift: int) -> tuple[int, int]:
+    """(lo, hi) / 2**shift with lo rounded down and hi up; exact for shift <= 0."""
+    if shift <= 0:
+        return lo << -shift, hi << -shift
+    return lo >> shift, -((-hi) >> shift)
 
 
 class UnitRealInterval:
@@ -272,12 +275,7 @@ class UnitRealInterval:
         """Outward-rounded copy at ``bits`` bits of precision."""
         if bits == self.precision_bits:
             return self
-        if bits > self.precision_bits:
-            shift = bits - self.precision_bits
-            return UnitRealInterval(self._start << shift, self._width << shift, bits)
-        shift = self.precision_bits - bits
-        start = self._start >> shift
-        end = -((-(self._start + self._width)) >> shift)
+        start, end = _outward(self._start, self._start + self._width, self.precision_bits - bits)
         return UnitRealInterval(start, end - start, bits)
 
     def __repr__(self):
@@ -328,13 +326,7 @@ def beta_step(beta: Number, x: UnitRealInterval,
         out_bits = p
     floor_lo = m_lo >> total_bits
     rem = m_lo - (floor_lo << total_bits)
-    shift = total_bits - out_bits
-    if shift >= 0:
-        start = rem >> shift
-        end = -((-(rem + (m_hi - m_lo))) >> shift)
-    else:
-        start = rem << -shift
-        end = (rem + (m_hi - m_lo)) << -shift
+    start, end = _outward(rem, rem + (m_hi - m_lo), total_bits - out_bits)
     width = end - start
     if width >= (1 << out_bits) or width > (1 << max(out_bits - WIDTH_TOLERANCE_BITS, 0)):
         raise PrecisionExhausted(
@@ -382,10 +374,6 @@ class DiagonalTorusSystem:
         return tuple(float(self.modulus_of(b)) for b in self.betas)
 
     @property
-    def max_modulus(self) -> float:
-        return max(self.moduli)
-
-    @property
     def is_integer(self) -> bool:
         return all(isinstance(b, Fraction) and b.denominator == 1 for b in self.betas)
 
@@ -400,9 +388,11 @@ class IntegerMatrixSystem:
         rows = tuple(tuple(int(v) for v in row) for row in self.matrix)
         object.__setattr__(self, "matrix", rows)
         d = len(rows)
+        if not d:
+            raise ValueError("empty matrix")
         if any(len(row) != d for row in rows):
             raise ValueError("matrix must be square")
-        if _int_det(rows) == 0:
+        if char_poly_int(rows)[-1] == 0:  # +-det
             raise SingularMatrix("matrix determinant is zero")
 
     @property
@@ -414,47 +404,13 @@ class IntegerMatrixSystem:
         return max(sum(abs(v) for v in row) for row in self.matrix)
 
 
-def _int_det(rows) -> int:
-    """Exact determinant by fraction-free Gaussian elimination (Bareiss)."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
-
 def required_precision(system, n_steps: int) -> int:
-    """Bits needed so that ``iterate`` never exhausts precision in n steps.
-
-    ceil(n * log2(max expansion factor)) + 64 guard bits.  For integer
-    matrices the expansion factor is the infinity norm (a sound bound on
-    how fast enclosures can grow under Mx mod 1).
-    """
+    """Bits needed so that ``iterate`` never exhausts precision in n steps:
+    the start of :func:`orbit_enclosures`' schedule at the fastest
+    coordinate, refused past ``precision_cap()``."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    if isinstance(system, IntegerMatrixSystem):
-        growth = float(system.infinity_norm)
-    else:
-        growth = float(system.max_modulus)
-    if growth <= 1:
-        bits = GUARD_BITS
-    else:
-        bits = math.ceil(n_steps * math.log2(growth)) + GUARD_BITS
-    return _within_cap(bits, n_steps)
+    return _within_cap(_schedule_bits(max(_growth(system)), n_steps), n_steps)
 
 
 def _within_cap(bits: int, n_steps: int) -> int:
@@ -473,30 +429,42 @@ def _schedule_bits(modulus: float, remaining: int) -> int:
     return math.ceil(remaining * math.log2(modulus)) + GUARD_BITS
 
 
+def _growth(system) -> tuple:
+    """Each coordinate's expansion per step: |beta_i| on a diagonal, and on
+    every coordinate of a matrix its infinity norm, which bounds how fast
+    any coordinate's enclosure can widen under Mx mod 1."""
+    if isinstance(system, IntegerMatrixSystem):
+        return (float(system.infinity_norm),) * system.d
+    return system.moduli
+
+
 def orbit_enclosures(system, x: Sequence, n: int, precision_bits: Optional[int] = None):
     """Coordinatewise enclosures of the orbit x, T(x), ..., T^n(x).
 
     Yields ``(step, enclosures)`` for step = 0..n, step 0 being x itself.
-    DiagonalTorusSystem: each coordinate starts at ``precision_bits`` or
-    at the bits its n steps need plus guard (refused past
-    ``precision_cap()``), and after step j keeps only the bits the n-j
-    steps still to come need.  IntegerMatrixSystem: fixed bits,
-    ``precision_bits`` or ``required_precision``.  PrecisionExhausted
-    carries the last completed step in ``step``.
+    Each coordinate, of a diagonal or a matrix system alike, starts at
+    ``precision_bits`` or at the bits its n steps need plus guard (refused
+    past ``precision_cap()``), and after step j keeps only the bits the
+    n-j steps still to come need, so the enclosures end at GUARD_BITS.  A
+    matrix's coordinates share its one growth and so one precision.
+    PrecisionExhausted carries the last completed step in ``step``.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if len(x) != system.d:
         raise ValueError("point dimension mismatch")
-    matrix = isinstance(system, IntegerMatrixSystem)
-    if matrix:
-        start = [precision_bits or required_precision(system, max(n, 1))] * system.d
+    growth = _growth(system)
+    start = [precision_bits or _schedule_bits(g, n) for g in growth]
+    if precision_bits is None:
+        _within_cap(max(start), n)
+    if isinstance(system, IntegerMatrixSystem):
+        def advance(ivs, bits):
+            return _matrix_step(system.matrix, ivs, bits[0])
     else:
-        moduli = system.moduli
-        start = [precision_bits or _schedule_bits(m, n) for m in moduli]
-        if precision_bits is None:
-            _within_cap(max(start), n)
         betas = [ScaledScalar.build(b, bits + 8) for b, bits in zip(system.betas, start)]
+
+        def advance(ivs, bits):
+            return tuple(beta_step(b, iv, out_bits=o) for b, iv, o in zip(betas, ivs, bits))
     ivs = tuple(
         c.rescaled(bits) if isinstance(c, UnitRealInterval)
         else UnitRealInterval.from_value(c, bits)
@@ -504,25 +472,20 @@ def orbit_enclosures(system, x: Sequence, n: int, precision_bits: Optional[int] 
     )
     yield 0, ivs
     for step in range(1, n + 1):
+        bits = [min(iv.precision_bits, _schedule_bits(g, n - step)) for iv, g in zip(ivs, growth)]
         try:
-            if matrix:
-                ivs = _matrix_step(system.matrix, ivs)
-            else:
-                out = []
-                for b, iv, m in zip(betas, ivs, moduli):
-                    out_bits = min(iv.precision_bits, _schedule_bits(m, n - step))
-                    out.append(beta_step(b, iv, out_bits=out_bits))
-                ivs = tuple(out)
+            ivs = advance(ivs, bits)
         except PrecisionExhausted as exc:
             exc.step = step - 1
             raise
         yield step, ivs
 
 
-def _matrix_step(matrix, ivs) -> tuple:
-    """One step of x -> Mx mod 1 on enclosures sharing one precision."""
-    bits = ivs[0].precision_bits
-    tol_width = 1 << max(bits - WIDTH_TOLERANCE_BITS, 0)
+def _matrix_step(matrix, ivs, out_bits: int) -> tuple:
+    """One step of x -> Mx mod 1 on enclosures sharing one precision, each
+    row's sums rounded outward to ``out_bits``."""
+    shift = ivs[0].precision_bits - out_bits
+    tol_width = 1 << max(out_bits - WIDTH_TOLERANCE_BITS, 0)
     out = []
     for i, row in enumerate(matrix):
         lo = 0
@@ -535,9 +498,10 @@ def _matrix_step(matrix, ivs) -> tuple:
             else:
                 lo += m * end
                 hi += m * iv._start
+        lo, hi = _outward(lo, hi, shift)
         if hi - lo > tol_width:
             raise PrecisionExhausted(f"coordinate {i} enclosure too wide")
-        out.append(UnitRealInterval(lo, hi - lo, bits))
+        out.append(UnitRealInterval(lo, hi - lo, out_bits))
     return tuple(out)
 
 
@@ -621,14 +585,12 @@ def eigenvalue_moduli(system) -> list[float]:
 
     Exact integer characteristic polynomial, then high-precision root
     finding with an error estimate; precision is raised until the
-    estimate clears EIGENVALUE_TOL.
+    estimate clears EIGENVALUE_TOL.  Rows that are not an
+    :class:`IntegerMatrixSystem` are refused as its constructor refuses them.
     """
-    matrix = system.matrix if isinstance(system, IntegerMatrixSystem) else tuple(
-        tuple(int(v) for v in row) for row in system
-    )
-    if _int_det(matrix) == 0:
-        raise SingularMatrix("matrix determinant is zero")
-    coeffs = char_poly_int(matrix)
+    if not isinstance(system, IntegerMatrixSystem):
+        system = IntegerMatrixSystem(system)
+    coeffs = char_poly_int(system.matrix)
     extraprec = 120
     for _ in range(6):
         with mpmath.workprec(53 + extraprec):

@@ -347,6 +347,15 @@ class TestMainExitCodes:
             "count", {"system": "matrix:1,1;0,1", "seed": 1, "rate": "pow:0.5,0.25",
                       "steps": 10})))
 
+    @pytest.mark.parametrize("spec", ["matrix:", "matrix:;"])
+    @pytest.mark.parametrize("argv", [
+        ["count", "--rate", "pow:0.5,0.25", "--steps", "10", "--seed", "1"],
+        ["orbit", "--x", "0.3", "--steps", "10"],
+    ])
+    def test_empty_matrix_is_two(self, tmp_path, capsys, spec, argv):
+        assert main([*argv, "--system", spec, "--out", str(tmp_path)]) == 2
+        assert "empty matrix" in capsys.readouterr().err
+
     def test_uncertified_eigenvalues_are_a_diagnostic(self, tmp_path, monkeypatch, capsys):
         def uncertified(system):
             raise ArithmeticError("root isolation did not reach the requested accuracy")

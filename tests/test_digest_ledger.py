@@ -46,6 +46,16 @@ CONFIGS = {
     "count_matrix": ("count", {"system": "matrix:3,1;1,2", "center": [0, 0],
                                "rate": "pow:0.25,0.5", "samples": 2, "steps": 300,
                                "seed": 7}, 1),
+    # the shrinking schedule on a matrix, deeper than count_matrix
+    "count_matrix_2000": ("count", {"system": "matrix:3,1;1,2", "center": [0, 0],
+                                    "rate": "pow:0.5,0.25", "samples": 2, "steps": 2000,
+                                    "seed": 1}, 1),
+    # an integer base above 128 has no int8 digit stream: the interval engine
+    "count_base_200": ("count", {"system": "diag:200", "center": [0], "rate": "pow:0.5,0.25",
+                                 "samples": 2, "steps": 1000, "seed": 1}, 1),
+    # a beta in (-g, -1): starts drawn from the Yrrap measure
+    "count_yrrap": ("count", {"system": "diag:-1.3", "center": ["0.3"], "rate": "pow:0.3,0.05",
+                              "measure": "parry", "samples": 2, "steps": 400, "seed": 1}, 1),
     "mixing_exact": ("mixing", {"beta": "g", "set_e": [0, 0.5], "set_f": [0.2, 0.7],
                                 "method": "exact", "lags": "1:12", "seed": 1}, 1),
     "mixing_mc": ("mixing", {"beta": "g", "set_e": [0, 0.5], "set_f": [0.2, 0.7],
@@ -64,6 +74,11 @@ CONFIGS = {
     "markov_g_power_12": ("markov", {"beta": "g", "power": 12}, 1),
     "orbit": ("orbit", {"system": "diag:2.7,g", "x": ["1/3", 0.1], "steps": 60,
                         "stride": 5}, 1),
+    "orbit_matrix": ("orbit", {"system": "matrix:2,1;1,1", "x": ["0.3", "0.7"], "steps": 200}, 1),
+    "volume_hyperboloid_3": ("volume", {"shape": "hyperboloid", "d": 3,
+                                        "rate": "pow:0.05,1"}, 1),
+    "support_minus_1_3": ("support", {"beta": "-1.3"}, 1),
+    "measure_minus_g": ("measure", {"beta": "-g", "a": 0, "b": 0.5}, 1),
     "dimension": ("dimension", {"method": "ball", "moduli": [2, 3], "lam": 0.5}, 1),
 }
 

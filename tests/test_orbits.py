@@ -10,10 +10,12 @@ import pytest
 from shrinktarget.counting import invariant_measure
 from shrinktarget.errors import BudgetTooLarge, PrecisionExhausted, SingularMatrix
 from shrinktarget.orbits import (
+    GUARD_BITS,
     DiagonalTorusSystem,
     IntegerMatrixSystem,
     ScaledScalar,
     UnitRealInterval,
+    _outward,
     _scalar_bounds,
     _schedule_bits,
     as_fraction,
@@ -175,13 +177,39 @@ class TestOrbitEnclosures:
         assert all(a >= b for row, nxt in zip(bits, bits[1:]) for a, b in zip(row, nxt))
 
     def test_matrix_enclosures_hold_the_exact_orbit(self):
-        # oracle: the exact rational orbit, one matrix application at a time
+        # oracle: the exact rational orbit, one matrix application at a time;
+        # the precision follows the schedule of the infinity norm 3 down to guard
         m = IntegerMatrixSystem(((2, 1), (1, 1)))
         pt = [Fraction(0.3), Fraction(0.7)]
         for n, ivs in orbit_enclosures(m, (0.3, 0.7), 30):
             assert all(iv.contains_value(v) for iv, v in zip(ivs, pt))
-            assert {iv.precision_bits for iv in ivs} == {required_precision(m, 30)}
+            assert {iv.precision_bits for iv in ivs} == {_schedule_bits(3, 30 - n)}
             pt = [(2 * pt[0] + pt[1]) % 1, (pt[0] + pt[1]) % 1]
+        assert _schedule_bits(3, 0) == GUARD_BITS == 64
+
+    @pytest.mark.parametrize("rows", [((3, 1), (1, 2)), ((2, 1), (1, -2))])
+    def test_shrinking_matrix_schedule_is_sound(self, rows):
+        # oracle: the exact rational orbit at every step up to n = 300
+        rng = np.random.default_rng(5)
+        n = 300
+        m = IntegerMatrixSystem(rows)
+        for _ in range(3):
+            pt = [Fraction(int(rng.integers(0, q)), q)
+                  for q in (int(v) for v in rng.integers(3, 10 ** 6, size=2))]
+            for step, ivs in orbit_enclosures(m, pt, n):
+                assert all(iv.contains_value(v) for iv, v in zip(ivs, pt)), step
+                pt = [sum(a * c for a, c in zip(row, pt)) % 1 for row in rows]
+            assert {iv.precision_bits for iv in ivs} == {GUARD_BITS}
+
+
+def test_outward_rounds_lo_down_and_hi_up():
+    # oracle: floor and ceil of the exact quotient, which a left shift keeps exact
+    rng = np.random.default_rng(3)
+    for shift in range(-70, 71):
+        for _ in range(20):
+            lo, hi = (int(a) * int(b) for a, b in rng.integers(-2 ** 62, 2 ** 62, size=(2, 2)))
+            scale = Fraction(2) ** shift
+            assert _outward(lo, hi, shift) == (math.floor(lo / scale), math.ceil(hi / scale))
 
 
 class TestIterate:
@@ -284,6 +312,58 @@ def test_digit_and_interval_engines_agree_deep(base):
         assert np.all(dev <= tol), f"seed {seed}: engines disagree"
 
 
+def _bareiss_det(rows) -> int:
+    """Exact determinant by fraction-free Gaussian elimination (Bareiss 1968)."""
+    n = len(rows)
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def test_char_poly_constant_term_is_the_determinant():
+    # oracle: Bareiss elimination, on random matrices and on singular ones
+    # with a repeated row or a zero column
+    rng = np.random.default_rng(17)
+    cases = []
+    for d in range(1, 6):
+        for _ in range(30):
+            cases.append(rng.integers(-4, 5, size=(d, d)).tolist())
+        repeated = rng.integers(-4, 5, size=(d, d)).tolist()
+        repeated[-1] = repeated[0]
+        zero_col = rng.integers(-4, 5, size=(d, d)).tolist()
+        for row in zero_col:
+            row[d // 2] = 0
+        cases += [zero_col] if d == 1 else [repeated, zero_col]
+    singular = 0
+    for rows in cases:
+        det = _bareiss_det(rows)
+        assert (-1) ** len(rows) * char_poly_int(rows)[-1] == det, rows
+        if det == 0:
+            singular += 1
+            with pytest.raises(SingularMatrix):
+                IntegerMatrixSystem(rows)
+            with pytest.raises(SingularMatrix):
+                eigenvalue_moduli(rows)
+        else:
+            IntegerMatrixSystem(rows)
+    assert singular >= 9
+
+
 class TestEigenvalueModuli:
     def test_diagonal(self):
         assert eigenvalue_moduli(((2, 0), (0, 3))) == pytest.approx([2.0, 3.0], abs=1e-12)
@@ -300,6 +380,13 @@ class TestEigenvalueModuli:
             eigenvalue_moduli(((1, 1), (1, 1)))
         with pytest.raises(SingularMatrix):
             IntegerMatrixSystem(((1, 2), (2, 4)))
+
+    @pytest.mark.parametrize("build", [IntegerMatrixSystem, eigenvalue_moduli])
+    @pytest.mark.parametrize("rows, message", [((), "empty matrix"), ([], "empty matrix"),
+                                               (((1, 2),), "matrix must be square")])
+    def test_malformed_rows_refused(self, build, rows, message):
+        with pytest.raises(ValueError, match=message):
+            build(rows)
 
     def test_char_poly_exact(self):
         # x^2 - x - 1 for the Fibonacci matrix
