@@ -208,12 +208,12 @@ def _int(value) -> int:
     return int(value) if isinstance(value, str) else operator.index(value)
 
 
-def _at_least(low: int):
-    def parse(value) -> int:
-        n = _int(value)
-        if n < low:
+def _at_least(low, number=_int):
+    def parse(value):
+        x = number(value)
+        if x < low:
             raise ValueError(f"must be >= {low}")
-        return n
+        return x
     return parse
 
 
@@ -600,7 +600,7 @@ COMMANDS = {
     "volume": Command("target volume tables", _cmd_volume, {
         "shape": (Shape, Shape.HYPERBOLOID),
         "d": (_at_least(1), REQUIRED),
-        "delta": (_finite, None),
+        "delta": (_at_least(0, _finite), None),
         "rate": (parse_rate, lambda p: REQUIRED if p["delta"] is None else None),
         "steps": (_at_least(0), 100),
     }),
@@ -620,7 +620,7 @@ COMMANDS = {
     }),
     "support": Command("support of the invariant measure", _cmd_support, {
         "beta": (_scalar, REQUIRED),
-        "tol": (_finite, measures.SUPPORT_TOL),
+        "tol": (_at_least(0, _finite), measures.SUPPORT_TOL),
     }),
     "measure": Command("invariant measure of an interval", _cmd_measure, {
         "beta": (_scalar, REQUIRED),

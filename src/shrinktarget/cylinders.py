@@ -3,10 +3,10 @@
 For beta > 1 the order-n cylinders are driven by the orbit of 1: a cylinder
 whose n-step image is [0, y) splits into floor(beta*y) full children (image
 all of [0,1)) followed by one partial child of image [0, frac(beta*y)).
-That automaton gives exact counts, full/not-full flags, and streaming
-left-to-right scans without materializing the tree.  A direct
-interval-refinement engine covers negative beta (and doubles as an
-independent oracle for the automaton).
+That automaton gives exact counts, full/not-full flags, and left-to-right
+scans from one summary per subtree (state, depth), without materializing
+the tree.  A direct interval-refinement engine covers negative beta (and
+doubles as an independent oracle for the automaton).
 
 Boundary convention: cylinders are half-open [a, b); results at points that
 sit exactly on a boundary are convention-dependent.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,18 +99,6 @@ class BetaAutomaton:
             counts.append(sum(w * c for w, c in zip(weights, reversed(counts))) + alive)
         return counts[n]
 
-    def leaf_states(self, j: int, k: int) -> np.ndarray:
-        """Depth-k leaf state indices below state j, in left-to-right order."""
-        if k == 0:
-            return np.array([j], dtype=np.int32)
-        m, term, _ = self.state(j)
-        parts = [self.leaf_states(0, k - 1)] * m
-        if not term:
-            parts.append(self.leaf_states(j + 1, k - 1))
-        if not parts:
-            return np.empty(0, dtype=np.int32)
-        return np.concatenate(parts)
-
 
 def count_cylinders(beta, n: int) -> int:
     """Exact count N_n of order-n cylinders of T_beta, beta > 1."""
@@ -121,8 +110,8 @@ def cylinders_of_order(beta, n: int) -> list[Cylinder]:
 
     beta > 1 walks the orbit-of-1 automaton; beta < -1 refines intervals
     directly (a route that also handles beta > 1, so each engine is the
-    other's oracle).  Counts above ~2e6 refuse to materialize; use the
-    streaming scan helpers instead.
+    other's oracle).  Counts above ~2e6 refuse to materialize; use
+    full_cylinder_stats / count_cylinders instead.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -138,7 +127,7 @@ def _cylinders_automaton(beta, n: int) -> list[Cylinder]:
     if total > MAX_EXPLICIT:
         raise PieceCapExceeded(
             f"{total} cylinders at order {n}: too many to materialize; "
-            "use full_cylinder_stats / count_cylinders for streaming statistics"
+            "full_cylinder_stats / count_cylinders give their statistics without listing them"
         )
     b = auto.beta
     out: list[Cylinder] = []
@@ -221,66 +210,75 @@ def is_full_cylinder(cyl: Cylinder) -> bool:
     )
 
 
+class _Scan(NamedTuple):
+    """Left-to-right summary of consecutive order-n cylinders, widths in
+    units of beta^-n: the non-full runs (count, width) before the first and
+    after the last full cylinder (each the whole span when it has none), and
+    the longest non-full run and widest gap between two full cylinders."""
+
+    count: int
+    fulls: int
+    head_run: int
+    head_w: float
+    tail_run: int
+    tail_w: float
+    inner_run: int
+    inner_w: float
+
+
+_EMPTY_SCAN = _Scan(0, 0, 0, 0.0, 0, 0.0, 0, 0.0)
+
+
+def _join(a: _Scan, b: _Scan) -> _Scan:
+    """``a`` followed by ``b``: an associative join with unit ``_EMPTY_SCAN``."""
+    inner_run, inner_w = max(a.inner_run, b.inner_run), max(a.inner_w, b.inner_w)
+    if a.fulls and b.fulls:  # the run across the seam lies between two full cylinders
+        inner_run = max(inner_run, a.tail_run + b.head_run)
+        inner_w = max(inner_w, a.tail_w + b.head_w)
+    head = (a.head_run, a.head_w) if a.fulls else (a.head_run + b.head_run, a.head_w + b.head_w)
+    tail = (b.tail_run, b.tail_w) if b.fulls else (a.tail_run + b.tail_run, a.tail_w + b.tail_w)
+    return _Scan(a.count + b.count, a.fulls + b.fulls, *head, *tail, inner_run, inner_w)
+
+
+def _repeat(scan: _Scan, m: int) -> _Scan:
+    """``m`` copies of ``scan`` side by side, by doubling."""
+    out = _EMPTY_SCAN
+    while m:
+        if m & 1:
+            out = _join(out, scan)
+        scan, m = _join(scan, scan), m >> 1
+    return out
+
+
 def full_cylinder_stats(beta, n: int) -> dict:
-    """Streaming left-to-right scan of the order-n cylinders (beta > 1).
+    """Left-to-right scan of the order-n cylinders (beta > 1).
 
     Returns the exact cylinder count, number of full cylinders, the longest
     run of consecutive non-full cylinders (anywhere, including the ends),
     and the maximum distance between consecutive full cylinders.  That
     gap is always < (n+1) * beta^-n: every n+1 consecutive cylinders
     contain a full one and each non-full cylinder is shorter than beta^-n.
+    Subtree (state j, depth k) is m_j copies of (0, k-1) followed by
+    (j+1, k-1) unless j is terminal, summarised bottom-up over k: O(n^2) joins.
     """
     auto = BetaAutomaton(beta, n)
-    b = auto.beta
     if n < 1:
         raise ValueError("n must be >= 1")
-    h = min(n // 2, 12)
-    top = auto.leaf_states(0, n - h)
-    widths = np.array([auto.state(j)[2] for j in range(n + 2)], dtype=np.float64)
-    chunks = {int(s): auto.leaf_states(int(s), h) for s in np.unique(top)}
-
-    max_run = 0
-    max_gap_w = 0.0
-    carry_run = 0
-    carry_w = 0.0
-    seen_full = False
-    total = 0
-    fulls = 0
-    for s in top:
-        chunk = chunks[int(s)]
-        total += len(chunk)
-        w = widths[chunk]
-        positions = np.flatnonzero(chunk == 0)
-        if len(positions) == 0:
-            carry_run += len(chunk)
-            carry_w += float(w.sum())
-            continue
-        fulls += len(positions)
-        cums = np.cumsum(w)
-        first = int(positions[0])
-        head_run = carry_run + first
-        head_w = carry_w + (float(cums[first - 1]) if first > 0 else 0.0)
-        max_run = max(max_run, head_run)
-        if seen_full:
-            max_gap_w = max(max_gap_w, head_w)
-        if len(positions) > 1:
-            runs = np.diff(positions) - 1
-            max_run = max(max_run, int(runs.max()))
-            seg_w = cums[positions[1:] - 1] - cums[positions[:-1]]
-            max_gap_w = max(max_gap_w, float(seg_w.max()))
-        last = int(positions[-1])
-        carry_run = len(chunk) - 1 - last
-        carry_w = float(cums[-1]) - float(cums[last])
-        seen_full = True
-    max_run = max(max_run, carry_run)
-    if not seen_full:
+    # depth-0 subtrees of states 0..n: a leaf is full iff its state is 0, and y_j wide
+    level = [_Scan(1, 1, 0, 0.0, 0, 0.0, 0, 0.0)]
+    level += [_Scan(1, 0, 1, y, 1, y, 0, 0.0) for _, _, y in map(auto.state, range(1, n + 1))]
+    for k in range(1, n + 1):
+        copies = {m: _repeat(level[0], m) for m in {*auto.branch_counts, 0}}
+        level = [copies[m] if term else _join(copies[m], level[j + 1])
+                 for j, (m, term, _) in enumerate(map(auto.state, range(n - k + 1)))]
+    scan = level[0]
+    if not scan.fulls:
         raise PrecisionExhausted("no full cylinder found in the scan")
-    scale = b ** -n
     return {
-        "count": total,
-        "full_count": fulls,
-        "max_nonfull_run": max_run,
-        "max_gap": max_gap_w * scale,
+        "count": scan.count,
+        "full_count": scan.fulls,
+        "max_nonfull_run": max(scan.head_run, scan.inner_run, scan.tail_run),
+        "max_gap": scan.inner_w * auto.beta ** -n,
     }
 
 

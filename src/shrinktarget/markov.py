@@ -276,9 +276,9 @@ def build_markov(pl: PiecewiseLinearMap) -> MarkovSubsystem:
 
     Normalizes the partition, trims each piece to the preimage of the
     union of pieces its image fully contains, and certifies row sums,
-    entropy and dimension.  Pieces are disjoint and sorted, so both the
-    contained pieces and each transition row are a contiguous run found
-    by bisection: the build is O(m log m).
+    entropy and dimension.  Pieces are disjoint and sorted, so the pieces
+    an image contains are a contiguous run found by bisection, and that
+    run is the transition row: the build is O(m log m).
     """
     b = pl.slope_modulus
     if b <= 8:
@@ -315,21 +315,14 @@ def build_markov(pl: PiecewiseLinearMap) -> MarkovSubsystem:
             raise AssertionError("empty trimmed piece despite slope > 8")
         pieces.append((plo, phi))
 
-    # row j: the k with los[k] >= img_lo - slack and his[k] <= img_hi + slack;
-    # both endpoint lists increase strictly, so that set is one run
-    los = [a for a, _ in pieces]
-    his = [bb for _, bb in pieces]
-    if any(x >= y for x, y in zip(los, los[1:])) or any(x >= y for x, y in zip(his, his[1:])):
+    if any(p[0] >= q[0] or p[1] >= q[1] for p, q in zip(pieces, pieces[1:])):
         raise AssertionError("trimmed pieces are not strictly increasing")
-    rows = []
-    for j in range(m):
-        s, t = norm.slopes[j], norm.intercepts[j]
-        y1 = s * pieces[j][0] + t
-        y2 = s * pieces[j][1] + t
-        img_lo, img_hi = (y1, y2) if y1 <= y2 else (y2, y1)
-        lo = bisect_left(los, img_lo - slack)
-        rows.append((lo, max(lo, bisect_right(his, img_hi + slack))))
-
+    # The rows are the contained runs: the trim makes T(P(j)) exactly
+    # [bps[lo_j], bps[hi_j]] and each P(k) is a non-empty part of piece k, so
+    # P(k) lies in closure T(P(j)) iff lo_j <= k < hi_j.  On the float path each
+    # P(j) maps onto a whole piece, so it is >= kappa/b >= kappa^2 >= 1/(4m^2) >
+    # 7.5e-9 long (m <= 5792): CONTAINMENT_SLACK = 2^-40 admits no neighbour.
+    rows = contained
     row_min = min(hi - lo for lo, hi in rows)
     needed = math.floor(b / 2) - 2
     if row_min < max(needed, 1):
@@ -397,10 +390,11 @@ def _runs(rows) -> tuple[np.ndarray, np.ndarray]:
 
 def _run_product(lo: np.ndarray, hi: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A x for the runs: row j sums x over lo_j <= k < hi_j, one difference
-    of prefix sums along axis 0.  Exact for object (big-integer) and
-    integer x; x may have columns."""
+    of prefix sums along axis 0, accumulated in x's dtype.  Exact for
+    object (big-integer) x, and for integer x whose column sums fit its
+    dtype; x may have columns."""
     prefix = np.zeros((len(x) + 1, *x.shape[1:]), dtype=x.dtype)
-    np.cumsum(x, axis=0, out=prefix[1:])
+    np.cumsum(x, axis=0, dtype=x.dtype, out=prefix[1:])
     out = prefix[hi]
     out -= prefix[lo]
     return out
@@ -434,7 +428,9 @@ def is_primitive(rows) -> tuple[bool, Optional[int]]:
     the one saved at the last power of two (Brent's cycle test).
     """
     lo, hi = _runs(rows)
-    support = saved = np.eye(len(lo), dtype=np.int32)  # A^0
+    # a 0/1 column sums to at most m: int16 is exact below 2^15 (builds cap m at 5792)
+    dtype = np.int16 if len(lo) < 2 ** 15 else np.int32
+    support = saved = np.eye(len(lo), dtype=dtype)  # A^0
     for k in range(1, (len(lo) - 1) ** 2 + 2):
         support = _run_product(lo, hi, support)
         np.minimum(support, 1, out=support)

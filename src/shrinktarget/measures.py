@@ -167,7 +167,10 @@ class ParryYrrapMeasure:
         intervals; it is approximated here as the closure of the truncated
         density's positivity set (threshold ``tol``), merging spurious gaps
         shorter than ``SUPPORT_MERGE_GAP``.  No certified gap count is claimed.
+        A negative ``tol`` would count the zero density as positive: refused.
         """
+        if not tol >= 0:
+            raise ValueError(f"support threshold {tol} must be >= 0")
         b = self.beta
         if b > 1 or b <= -GOLDEN_RATIO + 1e-15:
             return SupportSet(((0.0, 1.0),))

@@ -468,6 +468,10 @@ class TestMainExitCodes:
           "--lags=-3:1"], "--lags"),
         (["mixing", "--beta", "g", "--set-e", "0,0.5", "--set-f", "0.2,0.7", "--seed", "1",
           "--lags=-2"], "--lags"),
+        # a negative delta has no target: refused for every shape
+        (["volume", "--shape", "ball", "--d", "2", "--delta", "-0.1"], "--delta"),
+        (["volume", "--shape", "rectangle", "--d", "3", "--delta", "-0.1"], "--delta"),
+        (["volume", "--shape", "hyperboloid", "--d", "2", "--delta", "-0.1"], "--delta"),
     ])
     def test_malformed_value_is_two(self, tmp_path, capsys, argv, flag):
         assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -549,6 +553,12 @@ class TestMainExitCodes:
         assert code == 0
         payload = json.loads((tmp_path / "support.json").read_text())
         assert len(payload["intervals"]) >= 2
+
+    def test_negative_support_tolerance_is_two(self, tmp_path, capsys):
+        code = main(["support", "--beta=-1.3", "--tol=-1", "--out", str(tmp_path)])
+        assert code == 2
+        assert "--tol" in capsys.readouterr().err
+        assert not (tmp_path / "support.json").exists()
 
     def test_orbit_trace_keeps_precision(self, tmp_path):
         code = main(["orbit", "--system", "diag:2,3", "--x", "0.3,0.7",

@@ -7,7 +7,11 @@ import pytest
 
 from shrinktarget.cylinders import (
     BetaAutomaton,
+    _EMPTY_SCAN,
+    _Scan,
     _cylinders_automaton,
+    _join,
+    _repeat,
     _cylinders_refine,
     count_cylinders,
     cylinders_of_order,
@@ -108,23 +112,76 @@ class TestFullCylinderGap:
     def test_dyadic_all_full(self):
         assert full_cylinder_stats(2, 5)["max_gap"] == 0.0
 
-    @pytest.mark.parametrize("beta,bf,n", [("g", GOLDEN, 10), (1.8, 1.8, 8)])
+    @pytest.mark.parametrize("beta,bf,n", [
+        ("g", GOLDEN, 10), (1.8, 1.8, 8), ("e", math.e, 7), (2.5, 2.5, 7), ("5/2", 2.5, 7),
+        (1.05, 1.05, 25), (2, 2.0, 6), (7.5, 7.5, 4),
+    ])
     def test_gap_vs_enumeration_oracle(self, beta, bf, n):
-        # oracle: explicit ordered list, fullness flags, direct gap scan
-        cyls = cylinders_of_order(beta, n)
-        gaps = []
-        run_start = None
-        for c in cyls:
-            if c.full:
-                if run_start is not None:
-                    gaps.append(c.left - run_start)
-                run_start = c.right
-        oracle_gap = max(gaps) if gaps else 0.0
+        # oracle: explicit ordered list, fullness flags, direct run and gap scan
+        for order in range(1, n + 1):
+            cyls = cylinders_of_order(beta, order)
+            gaps, runs = [], [0]
+            run_start = None
+            for c in cyls:
+                if c.full:
+                    if run_start is not None:
+                        gaps.append(c.left - run_start)
+                    run_start = c.right
+                    runs.append(0)
+                else:
+                    runs[-1] += 1
+            stats = full_cylinder_stats(beta, order)
+            assert stats["count"] == len(cyls)
+            assert stats["full_count"] == sum(c.full for c in cyls)
+            assert stats["max_nonfull_run"] == max(runs)
+            assert stats["max_gap"] == pytest.approx(max(gaps, default=0.0), rel=1e-9, abs=1e-15)
+            assert stats["max_gap"] < (order + 1) * bf ** -order
+
+    def test_join_is_the_direct_scan(self):
+        # oracle: random rows of full (width 1) and non-full cylinders, scanned
+        # directly, against a random bracketing of their leaf joins
+        rng = np.random.default_rng(5)
+
+        def leaf(full, w):
+            return _Scan(1, 1, 0, 0.0, 0, 0.0, 0, 0.0) if full else _Scan(1, 0, 1, w, 1, w, 0, 0.0)
+
+        def fold(scans):
+            if len(scans) <= 1:
+                return scans[0] if scans else _EMPTY_SCAN
+            cut = int(rng.integers(0, len(scans) + 1))
+            return _join(fold(scans[:cut]), fold(scans[cut:]))
+
+        for _ in range(300):
+            size = int(rng.integers(0, 25))
+            fulls = rng.random(size) < rng.random()
+            widths = rng.integers(1, 8, size) / 8.0
+            runs, gaps, run, w, seen = [0], [], 0, 0.0, False
+            for full, width in zip(fulls, widths):
+                if full:
+                    runs.append(run)
+                    if seen:
+                        gaps.append(w)
+                    run, w, seen = 0, 0.0, True
+                else:
+                    run, w = run + 1, w + width
+            runs.append(run)
+            scan = fold([leaf(f, x) for f, x in zip(fulls, widths)])
+            assert (scan.count, scan.fulls) == (size, int(fulls.sum()))
+            assert max(scan.head_run, scan.inner_run, scan.tail_run) == max(runs)
+            assert scan.inner_w == max(gaps, default=0.0)
+            if scan.fulls:
+                assert (scan.head_run, scan.tail_run) == (runs[1], runs[-1])
+            assert _repeat(scan, 3) == _join(scan, _join(scan, scan))
+
+    @pytest.mark.parametrize("beta,bf", [("g", GOLDEN), ("e", math.e), (1.8, 1.8), (1.05, 1.05)])
+    def test_deep_scan(self, beta, bf):
+        # n = 300 is far past any enumeration: the subtree summaries keep it polynomial
+        n = 300
         stats = full_cylinder_stats(beta, n)
-        assert stats["count"] == len(cyls)
-        assert stats["full_count"] == sum(c.full for c in cyls)
-        assert stats["max_gap"] == pytest.approx(oracle_gap, rel=1e-9, abs=1e-15)
-        assert stats["max_gap"] < (n + 1) * bf ** -n
+        assert stats["count"] == count_cylinders(beta, n)
+        assert 0 < stats["full_count"] < stats["count"]
+        assert stats["max_nonfull_run"] <= n
+        assert 0 < stats["max_gap"] < (n + 1) * bf ** -n
 
     @pytest.mark.parametrize("beta", ["g", 1.8, "e", 2.5])
     def test_window_property_module_scale(self, beta):

@@ -263,6 +263,12 @@ class TestSupport:
         with pytest.raises(ValueError):
             SupportSet(((0.0, 0.5), (0.4, 1.0)))
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-12, float("nan")])
+    def test_negative_threshold_refused(self, tol):
+        # a negative threshold counts the zero density of a gap as positive
+        with pytest.raises(ValueError):
+            ParryYrrapMeasure(-1.3).support(tol=tol)
+
 
 class TestSampling:
     def test_uniform_for_integer_base(self):
