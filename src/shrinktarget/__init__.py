@@ -33,8 +33,8 @@ from .orbits import (
     eigenvalue_moduli,
     iterate,
     orbit_enclosures,
-    orbit_of_one,
     required_precision,
+    snapped_orbit,
 )
 from .cylinders import (
     BetaAutomaton,

@@ -34,7 +34,7 @@ from .errors import (
     PrecisionExhausted,
     TolUnreachable,
 )
-from .counting import correlation_series, exact_piece_bound, monte_carlo_counting
+from .counting import correlation_series, exact_cost, monte_carlo_counting
 from .dimension import (
     MtpInput,
     conjectured_dim_hat,
@@ -225,8 +225,11 @@ def _choice(*options):
     return parse
 
 
-def _pair(value) -> tuple:
+def _unit_interval(value) -> tuple:
+    """An interval [a, b] inside [0, 1]: "a,b" or a JSON pair."""
     a, b = _each(_finite)(value)
+    if not 0 <= a <= b <= 1:
+        raise ValueError(f"need 0 <= a <= b <= 1, not [{a}, {b}]")
     return a, b
 
 
@@ -318,11 +321,10 @@ def _diagnostics(command: str, p: dict) -> list[str]:
                 "construction requires modulus > 8 (raise --power)"
             )
     if command == "mixing" and abs(beta_float(p["beta"])) > 1:
-        lag, pieces = exact_piece_bound(p["beta"], p["set_e"], p["set_f"], p["lags"],
-                                        p["method"], p["samples"])
-        if pieces > cylinders.MAX_EXPLICIT:
-            out.append(f"error: the exact method at lag {lag} may need more than the "
-                       f"{cylinders.MAX_EXPLICIT} preimage pieces it can hold "
+        lag, cost = exact_cost(p["beta"], p["set_e"], p["lags"], p["method"], p["samples"])
+        if cost > cylinders.MAX_EXPLICIT:
+            out.append(f"error: the exact method to lag {lag} may read {cost:.4g} cell "
+                       f"values, past the {cylinders.MAX_EXPLICIT} it can take "
                        "(lower --lags or use --method mc)")
     if command == "dimension" and p["method"] == "rect" and not p["t_points"].bounded:
         out.append(
@@ -590,8 +592,8 @@ COMMANDS = {
     }),
     "mixing": Command("correlation decay estimation", _cmd_mixing, {
         "beta": (_scalar, REQUIRED),
-        "set_e": (_pair, REQUIRED),
-        "set_f": (_pair, REQUIRED),
+        "set_e": (_unit_interval, REQUIRED),
+        "set_f": (_unit_interval, REQUIRED),
         "lags": (_lags, tuple(range(1, 26))),
         "method": (_choice("exact", "mc", "auto"), "exact"),
         "samples": (_at_least(1), lambda p: REQUIRED if p["method"] == "mc" else None),

@@ -54,11 +54,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
-    AmbiguityBudgetExceeded, DegenerateF, PrecisionExhausted, StartLawUnsupported,
+    AmbiguityBudgetExceeded, DegenerateF, PieceCapExceeded, PrecisionExhausted,
+    StartLawUnsupported,
 )
 # preimage_intervals is not called here: perfbench/layertrace.py looks it up on this module
-from .cylinders import preimage_intervals, preimage_piece_bound, preimage_sweep
-from .measures import GOLDEN_RATIO, ParryYrrapMeasure, ProductMeasure
+from .cylinders import MAX_EXPLICIT, preimage_intervals
+from .measures import (
+    GOLDEN_RATIO, ParryYrrapMeasure, ProductMeasure, _sorted_unique, series_terms,
+)
 from .orbits import (
     DiagonalTorusSystem,
     IntegerMatrixSystem,
@@ -68,6 +71,7 @@ from .orbits import (
     beta_step,  # not called here: perfbench/layertrace.py looks it up on this module
     orbit_enclosures,
     required_precision,
+    snapped_orbit,
     wrap_distance_bounds,
 )
 from .targets import (
@@ -783,14 +787,14 @@ def correlation_estimate(beta, e_set: tuple, f_set: tuple, lag: int,
     """Estimate |mu(E ∩ T^-n F)/mu(F) - mu(E)| for interval sets E, F at one lag.
 
     Methods: "mc" (Monte Carlo over mu-distributed samples, binomial
-    standard error), "exact" (preimage decomposition of F, zero standard
-    error), or "auto" (exact-zero fast path for integer beta with
-    beta-adic E of order <= lag, then exact without ``num_samples``, else
-    MC).  It is the one entry of :func:`_estimates` for [lag], so it is
-    that lag's entry of any :func:`correlation_series`.
+    standard error), "exact" (the transfer operator pushed n times over
+    the density on E, zero standard error), or "auto" (exact-zero fast
+    path for integer beta with beta-adic E of order <= lag, then exact
+    without ``num_samples``, else MC).  It is the one entry of
+    :func:`_estimates` for [lag], so it is that lag's entry of any
+    :func:`correlation_series`.
     """
-    (_, value, se), = _estimates(ParryYrrapMeasure(beta), e_set, f_set, [lag],
-                                 num_samples, seed, method)
+    (_, value, se), = _estimates(beta, e_set, f_set, [lag], num_samples, seed, method)
     return value, se
 
 
@@ -819,25 +823,25 @@ def _exact_lags(beta, e_set, lags, method: str, num_samples) -> list:
                   and _lag_method(beta, e_set, n, method, num_samples) == "exact")
 
 
-def exact_piece_bound(beta, e_set, f_set, lags, method: str,
-                      num_samples: Optional[int]) -> tuple[int, float]:
-    """(n, bound): the last lag a series' preimage sweep reaches and
-    :func:`cylinders.preimage_piece_bound` there; (0, 0.0) when no lag runs exact."""
+def exact_cost(beta, e_set, lags, method: str,
+               num_samples: Optional[int]) -> tuple[int, float]:
+    """(n, cost): the last lag the exact series reaches and
+    :func:`_transfer_cost` there; (0, 0.0) when no lag runs exact."""
     exact = _exact_lags(beta, e_set, lags, method, num_samples)
     if not exact:
         return 0, 0.0
-    return exact[-1], preimage_piece_bound(beta, exact[-1], *_f_ball(f_set))
+    return exact[-1], _transfer_cost(beta, exact[-1])
 
 
-def _f_ball(f_set) -> tuple[float, float]:
-    """F = [f0, f1] as the ball (center, radius) that the preimages pull back."""
-    return (f_set[0] + f_set[1]) / 2.0, (f_set[1] - f_set[0]) / 2.0
-
-
-def _exact_joint(mu: ParryYrrapMeasure, e_set, lo: np.ndarray, hi: np.ndarray) -> float:
-    """mu(E ∩ union of the pieces [lo, hi]), summed over the pieces in order."""
-    lo, hi = np.clip(lo, *e_set), np.clip(hi, *e_set)
-    return float(np.sum(mu.measure_interval(lo, hi)))
+def _transfer_cost(beta, n: int) -> float:
+    """Bound on the cell values :func:`_exact_series` reads to lag n:
+    sum over k = 1..n of cells(k) (floor|beta| + 2).  Lag k's partition
+    holds the measure's edges (at most ``series_terms`` + 1 points) and
+    k steps of three orbits, so cells(k) <= series_terms + 3k + 2; each
+    cell reads at most floor|beta| + 1 preimages of its midpoint (the + 2
+    counts the cell itself)."""
+    absb = abs(beta_float(beta))
+    return (n * (series_terms(absb) + 2) + 3 * n * (n + 1) // 2) * (absb // 1 + 2)
 
 
 def fit_exponential(ns, values, std_errors=None) -> tuple[float, float, float]:
@@ -871,8 +875,7 @@ def correlation_series(beta, e_set, f_set, lags: Sequence[int],
     kappa_hat sums phi-hat over lags 1..KAPPA_LAGS and completes the series
     with the fitted geometric tail C gamma^(KAPPA_LAGS+1) / (1 - gamma).
     """
-    entries = _estimates(ParryYrrapMeasure(beta), e_set, f_set, lags,
-                         num_samples, seed, method)
+    entries = _estimates(beta, e_set, f_set, lags, num_samples, seed, method)
     ns = [n for n, _, _ in entries]
     vals = [v for _, v, _ in entries]
     ses = [s for _, _, s in entries]
@@ -890,27 +893,27 @@ def correlation_series(beta, e_set, f_set, lags: Sequence[int],
                              fit_c=c, fit_gamma=gamma, fit_r2=r2)
 
 
-def _estimates(mu: ParryYrrapMeasure, e_set, f_set, lags, num_samples, seed,
-               method: str) -> tuple:
+def _estimates(beta, e_set, f_set, lags, num_samples, seed, method: str) -> tuple:
     """(n, estimate, std_error) for each of the sorted ``lags``: the one
     route of :func:`correlation_estimate` and :func:`correlation_series`.
 
     Lag 0 is mu(E ∩ F), exact under every method.  A lag >= 1 runs what
-    :func:`_lag_method` says: a "zero" lag is 0, the exact lags read one
-    :func:`_exact_series` and the Monte Carlo lags one :func:`_mc_series`.
-    Neither sweep depends on the other lags asked for, so neither does an
-    entry.
+    :func:`_lag_method` says: a "zero" lag is 0, lag 0 and the exact lags
+    read one :func:`_exact_series` and the Monte Carlo lags one
+    :func:`_mc_series`.  Neither series depends on the other lags asked
+    for, so neither does an entry.
     """
     lags = sorted(set(int(n) for n in lags))
     if lags and lags[0] < 0:
         raise ValueError("lags must be >= 0")
+    mu = ParryYrrapMeasure(beta)
     mu_e, mu_f = mu.measure_interval(*e_set), mu.measure_interval(*f_set)
     if mu_f < MIN_MU_F:  # every estimate divides by it
         raise DegenerateF(f"mu(F) = {mu_f:.2e} below the {MIN_MU_F:g} floor")
-    runs = {n: _lag_method(mu.beta, e_set, n, method, num_samples) for n in lags if n > 0}
-    joints = {0: (_exact_joint(mu, e_set, *f_set), 0.0)}  # n: (mu(E ∩ T^-n F), std error)
-    if exact := {n for n, run in runs.items() if run == "exact"}:
-        joints.update(_exact_series(mu, e_set, f_set, exact))
+    runs = {n: _lag_method(beta, e_set, n, method, num_samples) for n in lags if n > 0}
+    # n: (mu(E ∩ T^-n F), std error)
+    joints = _exact_series(beta, mu, e_set, f_set,
+                           {0} | {n for n, run in runs.items() if run == "exact"})
     if mc := {n for n, run in runs.items() if run == "mc"}:
         joints.update(_mc_series(mu, e_set, f_set, mc, num_samples, seed))
     return tuple((n, abs(joints[n][0] / mu_f - mu_e), joints[n][1] / mu_f)
@@ -936,12 +939,52 @@ def _mc_series(mu, e_set, f_set, lags, num_samples, seed) -> dict:
     return out
 
 
-def _exact_series(mu, e_set, f_set, lags) -> dict:
-    """{lag: (mu(E ∩ T^-n F), 0.0)} for the set of ``lags`` >= 1 from one
-    preimage sweep of F, the exact twin of :func:`_mc_series`."""
-    return {n: (_exact_joint(mu, e_set, lo, hi), 0.0)
-            for n, (lo, hi) in enumerate(preimage_sweep(mu.beta, max(lags), *_f_ball(f_set)))
-            if n in lags}
+def _exact_series(beta, mu, e_set, f_set, lags) -> dict:
+    """{lag: (mu(E ∩ T^-n F), 0.0)} for the set of ``lags`` >= 0, the
+    exact twin of :func:`_mc_series`.
+
+    mu(E ∩ T^-n F) is the integral over F of L^n g, where g = 1_E h is
+    mu's density h cut to E and L is the transfer operator of T,
+    (Lg)(y) = |beta|^-1 sum_m g((y + m) / beta) over the integers m with
+    (y + m) / beta in [0, 1) (Lasota and Yorke 1973; Hofbauer and Keller
+    1982).  L g steps only at T's images of the points where g steps and
+    at the branch ends' images 0 and T(1).  g steps at ``mu.edges`` (0, 1
+    and T^j(1) for j < N, the truncation order) and at e0 and e1, so L^k g
+    is constant between the edges and T^i(e0), T^i(e1) and T^(N-1+i)(1)
+    for i <= k: three orbits read to step k.  An orbit that snaps to 0 or
+    1 goes on as the orbit of 0 or of 1, which the partition already
+    holds.  Lag k reads lag k - 1's values at the preimages of its cell
+    midpoints; F is never pulled back.  A series whose :func:`_transfer_cost`
+    passes ``MAX_EXPLICIT`` is refused before it starts.
+    """
+    n = max(lags)
+    if (cost := _transfer_cost(beta, n)) > MAX_EXPLICIT:
+        raise PieceCapExceeded(
+            f"the exact series to lag {n} may read {cost:.4g} cell values, "
+            f"past the {MAX_EXPLICIT} it can take")
+    b = mu.beta
+    branches = np.arange(math.floor(min(b, 0.0)), math.ceil(max(b, 0.0)), dtype=np.float64)
+    tail = mu.truncation_order - 1  # the orbit of 1 goes on from the last edge
+    orbits = [snapped_orbit(beta, n, e)[0] for e in e_set]
+    orbits.append(snapped_orbit(beta, tail + n)[0][tail:])
+    orbits = [[float(y) for y in orbit] for orbit in orbits]
+    points = _sorted_unique(np.concatenate((mu.edges, [orbit[0] for orbit in orbits])))
+    mids = (points[:-1] + points[1:]) / 2
+    values = mu.density(mids) * ((mids >= e_set[0]) & (mids <= e_set[1]))  # g = 1_E h
+    out = {}
+    for k in range(n + 1):
+        if k:  # L^k g = L(L^(k-1) g) at the midpoints of lag k's cells
+            prev, prev_values = points, values
+            points = _sorted_unique(np.concatenate(
+                (prev, [orbit[k] for orbit in orbits if k < len(orbit)])))
+            mids = (points[:-1] + points[1:]) / 2
+            x = (mids[:, None] + branches) / b
+            at = np.clip(np.searchsorted(prev, x, "right") - 1, 0, len(prev_values) - 1)
+            values = np.sum(np.where((x >= 0) & (x < 1), prev_values[at], 0.0), axis=1) / abs(b)
+        if k in lags:
+            in_f = np.minimum(points[1:], f_set[1]) - np.maximum(points[:-1], f_set[0])
+            out[k] = float(np.sum(values * np.maximum(in_f, 0.0))), 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import Indeterminate, PieceCapExceeded, PrecisionExhausted
-from .orbits import beta_float, orbit_of_one
+from .orbits import beta_float, snapped_orbit
 
 FULL_DECISION_TOL = 2.0 ** -40
 MAX_EXPLICIT = 2_000_000
@@ -59,7 +59,7 @@ class BetaAutomaton:
     State j holds y_j = T_beta^j(1) (y_0 = 1); from state j there are
     m_j = floor(beta*y_j) full children (state 0) and, unless beta*y_j is
     an exact integer, one partial child (state j+1).  The states are
-    :func:`orbits.orbit_of_one`, whose exact snap honours algebraic
+    :func:`orbits.snapped_orbit`, whose exact snap honours algebraic
     coincidences (e.g. the golden ratio's finite expansion of 1).
     """
 
@@ -69,7 +69,7 @@ class BetaAutomaton:
             raise ValueError("automaton requires beta > 1")
         self.beta = b_float
         self.depth = depth
-        points, self.branch_counts, _ = orbit_of_one(beta, depth + 1)
+        points, self.branch_counts, _ = snapped_orbit(beta, depth + 1)
         self.y_values = [float(y) for y in points]
         # only the last state can be terminal: the orbit of 1 stops at 0
         self.terminal = [False] * (len(points) - 2) + [points[-1] == 0]

@@ -41,9 +41,9 @@ class SlopeTooSmall(ValueError):
 
 
 class PieceCapExceeded(ValueError):
-    """An explicit list of pieces would pass its cap: cylinders and preimage
-    pieces cylinders.MAX_EXPLICIT, a Markov partition's m^2 transition
-    entries markov.MAX_DENSE_ENTRIES."""
+    """An explicit list of pieces would pass its cap: cylinders, preimage
+    pieces and the exact mixing series' cell values cylinders.MAX_EXPLICIT,
+    a Markov partition's m^2 transition entries markov.MAX_DENSE_ENTRIES."""
 
 
 class DegenerateF(ValueError):

@@ -5,7 +5,7 @@ The density is a step function built from the orbit of 1:
     h_beta(x) = F(beta)^-1 * sum over { n >= 0 : orbit condition at x } of beta^-n
 
 with condition x < T^n(1) for beta > 1 and T^n(1) >= x for beta < -1, and
-F(beta) the normalizing integral.  The orbit is ``orbits.orbit_of_one``,
+F(beta) the normalizing integral.  The orbit is ``orbits.snapped_orbit``,
 worked at high precision (the map is expanding, so float64 iteration of
 the orbit of 1 would drift uselessly), and F(beta) is summed at that
 precision too.  The orbit is truncated once the geometric tail
@@ -24,7 +24,7 @@ import mpmath
 import numpy as np
 
 from .errors import TolUnreachable
-from .orbits import beta_float, mp_value, orbit_of_one
+from .orbits import beta_float, mp_value, snapped_orbit
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -62,6 +62,14 @@ class SupportSet:
         return any(a - tol <= x <= b + tol for a, b in self.intervals)
 
 
+def series_terms(modulus: float) -> int:
+    """Terms N of the density series for |beta| = ``modulus`` > 1: the least
+    N >= 2 whose dropped tail, the sum over n >= N of |beta|^-n, which is
+    |beta|^-(N-1) / (|beta|-1), clears ``TRUNCATION_TOL``."""
+    return max(2, math.ceil(
+        math.log(1.0 / (TRUNCATION_TOL * (modulus - 1))) / math.log(modulus)) + 1)
+
+
 class ParryYrrapMeasure:
     """The absolutely continuous T_beta-invariant probability measure.
 
@@ -81,13 +89,12 @@ class ParryYrrapMeasure:
             raise ValueError("|beta| must be > 1")
         self.beta = b
         absb = abs(b)
-        n_terms = max(2, math.ceil(
-            math.log(1.0 / (TRUNCATION_TOL * (absb - 1))) / math.log(absb)) + 1)
+        n_terms = series_terms(absb)
         if n_terms > _MAX_TERMS:
             raise TolUnreachable(
                 f"tolerance {TRUNCATION_TOL} needs {n_terms} series terms (cap {_MAX_TERMS})"
             )
-        points, _, bits = orbit_of_one(beta, n_terms - 1)
+        points, _, bits = snapped_orbit(beta, n_terms - 1)
         b_mp = mp_value(beta, bits)
         with mpmath.workprec(bits):
             self.normalizer = float(mpmath.fsum(b_mp ** -n * y for n, y in enumerate(points)))

@@ -4,8 +4,10 @@ Orbits are tracked as enclosures with dyadic-rational endpoints
 (``num / 2**bits``) and directed rounding, for real multipliers and
 integer matrices alike; the one orbit stepper is :func:`orbit_enclosures`.
 (Diagonal systems whose betas are integer bases or g are also counted
-from digit arrays, in ``counting``.)  The orbit of 1, which the invariant measures and the
-cylinder automaton are built from, is :func:`orbit_of_one`.
+from digit arrays, in ``counting``.)  The high-precision orbits of single
+points, the orbit of 1 that the invariant measures and the cylinder
+automaton are built from and the orbits of the exact mixing series, are
+:func:`snapped_orbit`.
 
 Every scalar is read once by :func:`scalar`: a float is the dyadic
 rational it stores, a decimal string the rational it spells, and the
@@ -96,22 +98,22 @@ def beta_float(x: Number) -> float:
     return float(x) if isinstance(x, Fraction) else float(mp_value(x, 53))
 
 
-def orbit_of_one(beta: Number, steps: int) -> tuple[list, list, int]:
-    """(points, digits, bits): the orbit of 1 under x -> beta*x mod 1.
+def snapped_orbit(beta: Number, steps: int, start: Number = 1) -> tuple[list, list, int]:
+    """(points, digits, bits): the orbit of ``start`` under x -> beta*x mod 1.
 
-    points[j] = T^j(1) as mpf values (points[0] = 1) and digits[j] =
-    floor(beta * points[j]), for up to ``steps`` steps, worked at
-    bits = max(320, 2 (ceil(steps log2|beta|) + 80)).  A fractional part
-    within 2^-(bits/2) of 0 or 1 snaps to 0 (the digit rounding up in the
-    second case), so algebraic coincidences such as the golden ratio's
-    1 = 1/g + 1/g^2 end the orbit exactly.  The orbit stops at its first
-    0, so len(points) = len(digits) + 1.
+    points[j] = T^j(start) as mpf values (points[0] = start, 1 by default:
+    the orbit of 1) and digits[j] = floor(beta * points[j]), for up to
+    ``steps`` steps, worked at bits = max(320, 2 (ceil(steps log2|beta|) + 80)).
+    A fractional part within 2^-(bits/2) of 0 or 1 snaps to 0 (the digit
+    rounding up in the second case), so algebraic coincidences such as the
+    golden ratio's 1 = 1/g + 1/g^2 end the orbit exactly.  The orbit stops
+    at its first 0, so len(points) = len(digits) + 1.
     """
     bits = max(320, 2 * (math.ceil(steps * math.log2(abs(beta_float(beta)))) + 80))
     b = mp_value(beta, bits)
     with mpmath.workprec(bits):
         snap = mpmath.mpf(2) ** (-(bits // 2))
-        points, digits = [mpmath.mpf(1)], []
+        points, digits = [mp_value(start, bits)], []
         while len(digits) < steps and points[-1] != 0:
             z = b * points[-1]
             k = int(mpmath.floor(z))
@@ -300,7 +302,10 @@ def beta_step(beta: Number, x: UnitRealInterval,
 
     frac(y) = y - floor(y) maps into [0,1) for either sign of beta.  A
     result that straddles an integer boundary comes back as a wrapped
-    (two-piece) interval with ``wraps=True``.
+    (two-piece) interval with ``wraps=True``.  Only an integer beta is
+    continuous across the 0/1 seam: under any other a wrapped enclosure
+    has an image in two pieces, near 0 and near frac(beta), so it raises
+    PrecisionExhausted.
     """
     p = x.precision_bits
     scaled = ScaledScalar.build(beta, p + 8)
@@ -308,6 +313,9 @@ def beta_step(beta: Number, x: UnitRealInterval,
     b_lo, b_hi = scaled.at(q)
     if max(abs(b_lo), abs(b_hi)) <= (1 << q):
         raise ValueError("|beta| must be > 1")
+    if x.wraps and not (b_lo == b_hi and b_lo % (1 << q) == 0):
+        raise PrecisionExhausted(
+            "an enclosure across the 0/1 seam has a two-piece image under a non-integer beta")
     a0 = x._start
     if b_lo == b_hi:
         if x._width == 0:
@@ -477,6 +485,7 @@ def orbit_enclosures(system, x: Sequence, n: int, precision_bits: Optional[int] 
             ivs = advance(ivs, bits)
         except PrecisionExhausted as exc:
             exc.step = step - 1
+            exc.args = (f"step {step}: {exc}",)
             raise
         yield step, ivs
 

@@ -96,26 +96,35 @@ class TestValidate:
         msgs = validate(ExperimentConfig("markov", params))
         assert any(d.startswith("error:") and "pieces" in d for d in msgs) == refused
 
+    # The exact series to lag n reads at most sum_{k=1..n} (N + 3k + 2) (floor|beta| + 2)
+    # cell values, N = series_terms(|beta|): 26 for 3, 60 for g, 3 for 10000.5.
     @pytest.mark.parametrize("params, refused", [
-        ({}, True),                                       # lags 1:25, 3^25 pieces
-        ({"lags": "1:13"}, False),                        # 3^13 < 2e6 < 3^14
-        ({"lags": "1:14"}, True),
-        ({"lags": "1:14", "method": "mc", "samples": 100}, False),
-        ({"lags": "1:30", "method": "auto", "samples": 100}, False),
-        ({"lags": "1:30", "method": "auto"}, True),
-        ({"beta": "g", "lags": "1:29"}, False),           # F_31 = 1346269 pieces
-        ({"beta": "g", "lags": "1:30"}, True),
-        ({"beta": "g", "lags": "0:29", "set_f": "0.9,1.05"}, True),  # wraps: two arcs
-        # auto on a dyadic E is exactly zero from lag 2: the sweep stops at lag 1
-        ({"beta": 2, "set_e": "0,0.25", "lags": "1:40", "method": "auto"}, False),
-        ({"beta": 2, "set_e": "0,0.3", "lags": "1:40", "method": "auto"}, True),
+        ({"beta": "10000.5"}, True),                      # lags 1:25: 1.1e7
+        ({"lags": "1:506"}, False),                       # 1994905
+        ({"lags": "1:507"}, True),                        # 2002650
+        ({"lags": "1:507", "method": "mc", "samples": 100}, False),
+        ({"lags": "1:600", "method": "auto", "samples": 100}, False),
+        ({"lags": "1:600", "method": "auto"}, True),
+        ({"beta": "g", "lags": "1:645"}, False),          # 1994985
+        ({"beta": "g", "lags": "1:646"}, True),           # 2000985
+        ({"beta": "10000.5", "lags": "1:10"}, True),      # 2150430
+        # auto on a dyadic E is exactly zero from lag 2: the series stops at lag 1
+        ({"beta": 2, "set_e": "0,0.25", "lags": "1:1000", "method": "auto"}, False),
+        # ... but the float 0.3 is not 3-adic: every lag runs exact
+        ({"beta": 3, "set_e": "0,0.3", "lags": "1:1000", "method": "auto"}, True),
         ({"beta": "0.5"}, False),                         # the measure refuses (exit 3)
+        ({}, False),                                      # lags 1:25: 8375
+        ({"beta": "10000.5", "lags": "1:9"}, False),      # 1800360
+        ({"beta": "1e7", "lags": "1"}, True),             # 7 (10^7 + 2)
+        ({"beta": "1e7", "lags": "0"}, False),            # lag 0 alone reads no preimages
+        # the float 0.3 is 2-adic of order 54: auto runs exact to lag 53 only
+        ({"beta": 2, "set_e": "0,0.3", "lags": "1:1000", "method": "auto"}, False),
     ])
     def test_exact_mixing_piece_cap(self, params, refused):
         cfg = ExperimentConfig("mixing", {"beta": 3, "set_e": "0,0.5", "set_f": "0,0.25",
                                           "seed": 1, **params})
         msgs = validate(cfg)
-        assert any(d.startswith("error:") and "pieces" in d for d in msgs) == refused
+        assert any(d.startswith("error:") and "cell values" in d for d in msgs) == refused
 
     def test_superexponential_routed_to_unbounded(self):
         cfg = ExperimentConfig("dimension", {"method": "rect", "rate": "superexp",
@@ -315,11 +324,30 @@ class TestMainExitCodes:
         assert "sample 0: 2 ambiguous hits" in capsys.readouterr().err
 
     def test_exact_mixing_past_the_piece_cap_is_two(self, tmp_path, capsys):
-        # default lags 1:25 on beta = 3: refused before anything is allocated
-        assert main(["mixing", "--beta", "3", "--set-e", "0,0.5", "--set-f", "0,0.25",
+        # default lags 1:25 on beta = 10000.5 (the cap admits lag 9): refused before it starts
+        assert main(["mixing", "--beta", "10000.5", "--set-e", "0,0.5", "--set-f", "0,0.25",
                      "--seed", "1", "--out", str(tmp_path)]) == 2
-        assert "preimage pieces" in capsys.readouterr().err
+        assert "to lag 25 may read" in capsys.readouterr().err
         assert not (tmp_path / "mixing.csv").exists()
+
+    def test_exact_mixing_default_lags_on_base_three(self, tmp_path):
+        # |[0, 1/2) ∩ T_3^-n [0, 1/4)| = (3^n + 1) / (8 3^n), so phi_hat(n) = 1 / (2 3^n)
+        assert main(["mixing", "--beta", "3", "--set-e", "0,0.5", "--set-f", "0,0.25",
+                     "--seed", "1", "--out", str(tmp_path)]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "mixing.csv").read_text().splitlines()[1:]]
+        assert [int(n) for n, _, _ in rows] == list(range(1, 26))
+        for n, phi, se in rows:
+            assert float(phi) == pytest.approx(0.5 / 3 ** int(n), rel=0, abs=2 ** -52)
+            assert float(se) == 0.0
+
+    def test_orbit_through_a_discontinuity_is_four(self, tmp_path, capsys):
+        # T(2/5) = 1 under 5/2: the enclosure of T(2/5) straddles the seam, and T
+        # is discontinuous there, so step 2 has no one-piece enclosure
+        assert main(["orbit", "--system", "diag:5/2", "--x", "2/5", "--steps", "4",
+                     "--out", str(tmp_path)]) == 4
+        assert "step 2:" in capsys.readouterr().err
+        assert not (tmp_path / "orbit.csv").exists()
 
     @pytest.mark.parametrize("argv, pieces", [
         (["--beta", "8.0001"], 65537),           # 8 long pieces split 8192 ways each
@@ -472,6 +500,11 @@ class TestMainExitCodes:
         (["volume", "--shape", "ball", "--d", "2", "--delta", "-0.1"], "--delta"),
         (["volume", "--shape", "rectangle", "--d", "3", "--delta", "-0.1"], "--delta"),
         (["volume", "--shape", "hyperboloid", "--d", "2", "--delta", "-0.1"], "--delta"),
+        # the mixing sets are intervals inside [0, 1]: a wrap past 1 or a reversed pair is refused
+        (["mixing", "--beta", "g", "--set-e", "0,0.5", "--set-f", "0.9,1.05", "--seed", "1"],
+         "--set-f"),
+        (["mixing", "--beta", "g", "--set-e", "0.5,0.2", "--set-f", "0,0.25", "--seed", "1"],
+         "--set-e"),
     ])
     def test_malformed_value_is_two(self, tmp_path, capsys, argv, flag):
         assert main(argv + ["--out", str(tmp_path)]) == 2

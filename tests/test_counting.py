@@ -36,6 +36,7 @@ from shrinktarget.errors import (
     AmbiguityBudgetExceeded, BudgetTooLarge, DegenerateF, PieceCapExceeded,
     PrecisionExhausted, StartLawUnsupported,
 )
+from shrinktarget.cylinders import preimage_sweep
 from shrinktarget.measures import ParryYrrapMeasure, ProductMeasure
 from shrinktarget.orbits import (
     DiagonalTorusSystem, IntegerMatrixSystem, UnitRealInterval, as_fraction, iterate,
@@ -988,6 +989,29 @@ class TestMonteCarloCounting:
         assert summary.max_abs_e < 3.0
 
 
+def pullback_estimates(beta, e_set, f_set, n: int) -> list:
+    """Oracle: phi-hat at lags 0..n from F pulled back into the pieces of
+    cylinders.preimage_sweep, each piece's part in E measured by measure_interval."""
+    mu = ParryYrrapMeasure(beta)
+    mu_e, mu_f = mu.measure_interval(*e_set), mu.measure_interval(*f_set)
+    center, radius = (f_set[0] + f_set[1]) / 2, (f_set[1] - f_set[0]) / 2
+    return [abs(np.sum(mu.measure_interval(np.clip(lo, *e_set), np.clip(hi, *e_set))) / mu_f
+                - mu_e)
+            for lo, hi in preimage_sweep(beta, n, center, radius)]
+
+
+SERIES_CONFIGS = [
+    ("g", (0.0, 1 / G), (0.0, 1 / G), range(0, 19)),
+    ("g", (0.1, 0.45), (0.05, 0.8), [0, 3, 7, 8, 15]),
+    ("5/2", (0.2, 0.9), (0.0, 0.3), range(0, 11)),
+    (3, (0.0, 1 / 3), (0.5, 0.75), range(0, 9)),
+    (3, (0.1, 0.4), (0.2, 0.45), [0, 2, 5, 8]),
+    (2, (0.0, 0.25), (0.3, 0.4), range(0, 10)),   # auto: zero from lag 2
+    (-1.8, (0.05, 0.5), (0.3, 0.8), range(0, 13)),
+    (-1.8, (0.3, 0.95), (0.0, 0.35), [1, 4, 12]),
+]
+
+
 class TestCorrelation:
     def test_dyadic_exact_zero(self):
         assert correlation_estimate(2, (0.0, 0.5), (0.0, 0.25), 3) == (0.0, 0.0)
@@ -1030,19 +1054,10 @@ class TestCorrelation:
         with pytest.raises(DegenerateF):
             correlation_estimate(2, (0.0, 0.5), (0.3, 0.3 + 1e-9), 2)
 
-    @pytest.mark.parametrize("beta, e_set, f_set, lags", [
-        ("g", (0.0, 1 / G), (0.0, 1 / G), range(0, 19)),
-        ("g", (0.1, 0.45), (0.05, 0.8), [0, 3, 7, 8, 15]),
-        ("5/2", (0.2, 0.9), (0.0, 0.3), range(0, 11)),
-        (3, (0.0, 1 / 3), (0.5, 0.75), range(0, 9)),
-        (3, (0.1, 0.4), (0.2, 0.45), [0, 2, 5, 8]),
-        (2, (0.0, 0.25), (0.3, 0.4), range(0, 10)),   # auto: zero from lag 2
-        (-1.8, (0.05, 0.5), (0.3, 0.8), range(0, 13)),
-        (-1.8, (0.3, 0.95), (0.0, 0.35), [1, 4, 12]),
-    ])
+    @pytest.mark.parametrize("beta, e_set, f_set, lags", SERIES_CONFIGS)
     @pytest.mark.parametrize("method", ["exact", "auto"])
     def test_series_is_the_per_lag_estimate(self, beta, e_set, f_set, lags, method):
-        # one sweep serves every lag; each entry equals its own from-scratch
+        # one series serves every lag; each entry equals its own from-scratch
         # estimate, with samples too (where "mc" stands in for "exact")
         sampled = {"exact": "mc", "auto": "auto"}[method]
         for run, num_samples in ((method, None), (sampled, 500)):
@@ -1053,10 +1068,45 @@ class TestCorrelation:
                                           num_samples=num_samples, seed=3))
                 for n in sorted(lags))
 
+    @pytest.mark.parametrize("beta, e_set, f_set, lags", SERIES_CONFIGS + [
+        ("e", (0.1, 0.6), (0.3, 0.8), range(0, 12)),
+        ("-g", (0.2, 0.7), (0.1, 0.5), range(0, 19)),
+        (-1.3, (0.05, 0.8), (0.6, 0.95), range(0, 16)),   # F inside the Yrrap support
+    ])
+    def test_exact_series_is_the_pullback(self, beta, e_set, f_set, lags):
+        want = pullback_estimates(beta, e_set, f_set, max(lags))
+        series = correlation_series(beta, e_set, f_set, lags, method="exact")
+        for n, value, se in series.entries:
+            assert abs(value - want[n]) <= 1e-13 and se == 0.0
+
+    def test_exact_series_on_base_three_is_the_fraction(self):
+        # |[0, 1/2) ∩ T_3^-n [0, 1/4)|: floor(3^n / 2) whole branches of [0, 1/4)
+        # and a part min(frac(3^n / 2), 1/4) of one more, each 3^-n long
+        mu = ParryYrrapMeasure(3)
+        joints = counting._exact_series(3, mu, (0.0, 0.5), (0.0, 0.25), set(range(26)))
+        for n in range(26):
+            scaled = Fraction(3 ** n, 2)
+            whole = math.floor(scaled)
+            want = (whole * Fraction(1, 4) + min(scaled - whole, Fraction(1, 4))) / 3 ** n
+            assert abs(Fraction(joints[n][0]) - want) <= Fraction(1, 2 ** 54)
+
+    def test_golden_cylinder_to_lag_200(self):
+        # E = F = [0, 1/g), the golden-mean cylinder of first digit 0:
+        # phi_hat(n) = (5 - sqrt 5) / 10 g^-2n
+        e_set = (0.0, 0.618033988749895)
+        series = correlation_series("g", e_set, e_set, range(1, 201))
+        for n, value, _ in series.entries:
+            assert abs(value - (5 - math.sqrt(5)) / 10 * G ** (-2 * n)) <= 1e-14
+
     def test_exact_series_past_the_piece_cap_refuses(self):
-        # 3^25 pieces at lag 25: refused before the sweep allocates
-        with pytest.raises(PieceCapExceeded):
-            correlation_series(3, (0.0, 0.5), (0.0, 0.25), range(1, 26), method="exact")
+        # beta = 10000.5 to lag 25 may read 1.1e7 cell values: refused before it
+        # starts; lag 9 (1.8e6) runs
+        with pytest.raises(PieceCapExceeded, match="to lag 25"):
+            correlation_series("10000.5", (0.0, 0.5), (0.0, 0.25), range(1, 26),
+                               method="exact")
+        series = correlation_series("10000.5", (0.0, 0.5), (0.0, 0.25), range(1, 10))
+        assert series.entries[0][1] == pytest.approx(
+            pullback_estimates("10000.5", (0.0, 0.5), (0.0, 0.25), 1)[1], rel=0, abs=1e-13)
 
     def test_integer_base_non_dyadic_set_decays(self):
         cs = correlation_series(2, (0.0, 1 / 3), (0.0, 1 / 3), range(1, 10),

@@ -62,6 +62,11 @@ CONFIGS = {
                              "method": "mc", "lags": "0:6", "samples": 2000, "seed": 1}, 1),
     "mixing_auto": ("mixing", {"beta": 2, "set_e": [0, 0.25], "set_f": [0.2, 0.7],
                                "method": "auto", "lags": "1:6", "seed": 1}, 1),
+    # past the cap of F's pullback (3^25 and e^40 pieces): the transfer operator's reach
+    "mixing_3_lags_25": ("mixing", {"beta": 3, "set_e": [0, 0.5], "set_f": [0, 0.25],
+                                    "lags": "1:25", "seed": 1}, 1),
+    "mixing_e_lags_40": ("mixing", {"beta": "e", "set_e": [0.1, 0.6], "set_f": [0.3, 0.8],
+                                    "lags": "0:40", "seed": 1}, 1),
     "markov": ("markov", {"beta": 3, "power": 2}, 1),
     # the benchmark's build (m = 343), a rational whose normalization splits
     # 20 pieces into 33, and the float path on a subsystem that is not primitive

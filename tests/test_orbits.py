@@ -27,6 +27,7 @@ from shrinktarget.orbits import (
     required_precision,
     mp_value,
     scalar,
+    snapped_orbit,
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -78,8 +79,30 @@ class TestBetaStep:
             Fraction(1, 2) - Fraction(1, 2 ** 66), Fraction(1, 2) + Fraction(1, 2 ** 66), 128)
         out = beta_step(2, iv)
         assert out.wraps
-        assert out.contains_value(Fraction(1, 2 ** 60)) is False or True  # wrap piece sane
-        assert out.contains_value(0)
+        # the image is [1 - 2^-65, 1 + 2^-65] mod 1: both sides of the seam, and no more
+        for inside in (0, Fraction(1, 2 ** 65), 1 - Fraction(1, 2 ** 65)):
+            assert out.contains_value(inside)
+        for outside in (Fraction(1, 2 ** 60), 1 - Fraction(1, 2 ** 60), Fraction(1, 2)):
+            assert not out.contains_value(outside)
+
+    @pytest.mark.parametrize("beta", ["g", "-g", "e", "5/2", -1.8, "-5/2"])
+    def test_wrapped_enclosure_under_a_non_integer_beta_refuses(self, beta):
+        # [1 - 2^-68, 1 + 2^-67) mod 1 maps to pieces near frac(beta) and near 0
+        iv = UnitRealInterval((1 << 128) - (1 << 60), 1 << 61, 128)
+        assert iv.wraps
+        with pytest.raises(PrecisionExhausted, match="0/1 seam"):
+            beta_step(beta, iv)
+
+    @pytest.mark.parametrize("beta", [2, 3, -2, -3, 200])
+    def test_wrapped_enclosure_under_an_integer_beta_steps(self, beta):
+        # x -> bx mod 1 is continuous on the circle: the image is one arc about 0
+        iv = UnitRealInterval((1 << 128) - (1 << 60), 1 << 61, 128)
+        out = beta_step(beta, iv)
+        side = Fraction(abs(beta), 2 ** 68)
+        assert out.wraps
+        for inside in (0, side, 1 - side):
+            assert out.contains_value(inside)
+        assert out.width <= 3 * side + Fraction(1, 2 ** 120)
 
     def test_width_growth_bounded(self):
         iv = UnitRealInterval.from_bounds(0, Fraction(1, 2 ** 80), 128)
@@ -96,6 +119,29 @@ class TestBetaStep:
         iv = UnitRealInterval.from_value(0.3, 128)
         with pytest.raises(ValueError):
             beta_step(0.5, iv)
+
+
+class TestSnappedOrbit:
+    def test_orbit_of_one_is_the_default_start(self):
+        points, digits, _ = snapped_orbit("g", 10)
+        assert [float(p) for p in points] == pytest.approx([1.0, 1 / ((1 + 5 ** 0.5) / 2), 0.0])
+        assert digits == [1, 1] and points[-1] == 0
+        assert snapped_orbit("e", 20, 1) == snapped_orbit("e", 20)
+
+    @pytest.mark.parametrize("beta, start", [("5/2", "1/7"), (3, 0.1), ("-7/3", "2/9")])
+    def test_rational_orbit_matches_fractions(self, beta, start):
+        # oracle: the exact orbit in Fractions
+        points, digits, _ = snapped_orbit(beta, 30, start)
+        b, x = as_fraction(beta), as_fraction(start)
+        for p, d in zip(points, digits):
+            assert float(p) == float(x)
+            assert d == math.floor(b * x)
+            x = b * x - math.floor(b * x)
+
+    def test_landing_on_a_discontinuity_snaps_and_ends(self):
+        # 5/2 * 2/5 = 1: T(2/5) is 0, and the orbit stops there
+        points, digits, _ = snapped_orbit("5/2", 10, "2/5")
+        assert points[1] == 0 and len(points) == 2 and digits == [1]
 
 
 class TestRequiredPrecision:
