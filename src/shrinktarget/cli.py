@@ -375,6 +375,8 @@ def _digest(path: Path) -> str:
 def run(config: ExperimentConfig, out_dir: Path, jobs: int = 1,
         manifest_only: bool = False) -> RunManifest:
     """Execute a config; outputs land in out_dir next to the manifest."""
+    if jobs < 1:
+        raise ConfigInvalid(f"bad --jobs {jobs}: need at least 1", field="jobs")
     params = parse_params(config)
     diagnostics = _diagnostics(config.command, params)
     errors = [d for d in diagnostics if d.startswith("error:")]

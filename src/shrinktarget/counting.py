@@ -11,30 +11,31 @@ is summed over the system's :func:`invariant_measure` mu, and a random
 start is drawn from Lebesgue measure (``start="lebesgue"``) or from mu
 itself (``start="invariant"``).
 
-Engine dispatch: :func:`_digit_systems` gives each coordinate of a
-diagonal system whose every beta is an integer 2 <= b <= 128 or the golden
-ratio g its digit system, and the count runs on those digit streams, from a
-random start or (all-integer systems only) a given rational point.  Each
-coordinate's digits are one fixed :class:`DigitStream`, a function of
-(seed, sample, coordinate) alone: coordinate i of sample s draws from its
-own generator, spawned from (seed, s, i), and a run reads only the prefix
-it needs, so a longer run extends a shorter one.  An integer coordinate
-draws i.i.d. base-b digits from a byte table (with b^k <= 256 the largest
-such power, each raw byte below the largest multiple of b^k is k digits),
-a golden one its greedy digits from the two-state chain of the orbit of 1
-(Renyi 1957, Parry 1960), whose state carries from one draw to the next.
-The digits are read in a coarse-to-fine ladder with weights beta^-k: a
-~10-bit window, read in cache-sized chunks of steps one coordinate at a
-time (a ball or rectangle reads a coordinate only at the steps the earlier
-ones leave open), decides all but a few hundred of 10^6 steps, a ~42-bit
-window re-decides those, and the rare steps still open are re-decided
-exactly from digit prefixes (exact integers for b, Z[g] brackets for g).
-The two windows read the N + W + 1 digits a stream draws up front; only
-the exact stage, when a step reaches it, draws on to its reserve of
-2N + W + 96 digits (a given point is expanded to the reserve at once).
-This is what makes N = 10^6 runs cheap.  Everything else (e, other reals,
-negative beta, integer bases above 128, given enclosures, given points on
-non-integer systems, integer matrices) runs on the interval engine.
+Engine dispatch: :func:`_digit_systems` is the one place that says which
+counts run on digits: a diagonal system whose every beta is an integer
+2 <= b <= 128 or the golden ratio g, from a random start or (all-integer
+systems only) a given rational point.  A sample's digits are one
+:class:`DigitSource`, a function of (seed, sample, coordinate) alone:
+coordinate i of sample s draws from its own generator, spawned from
+(seed, s, i), and a run reads only the prefix it needs, so a longer run
+extends a shorter one.  An integer coordinate draws i.i.d. base-b digits
+from a byte table (with b^k <= 256 the largest such power, each raw byte
+below the largest multiple of b^k is k digits), a golden one its greedy
+digits from the two-state chain of the orbit of 1 (Renyi 1957, Parry
+1960), whose state carries from one read to the next.  The ladder makes
+three reads of the source and never sees a base: ``window`` values with
+their band, a ~10-bit window read in cache-sized chunks of steps one
+coordinate at a time (a ball or rectangle reads a coordinate only at the
+steps the earlier ones leave open), which decides all but a few hundred
+of 10^6 steps, then a ~42-bit window for those; and for the rare steps
+still open, the ``reserve`` and exact ``brackets`` from digit prefixes
+(exact integers for b, Z[g] for g).  The windows read the N + W + 1
+digits a stream draws up front; only the reserve, when a step reaches
+the exact stage, draws on to 2N + W + 96 digits (a given point is
+expanded to the reserve at once).  This is what makes N = 10^6 runs
+cheap.  Everything else (e, other reals, negative beta, integer bases
+above 128, given enclosures, given points on non-integer systems,
+integer matrices) runs on the interval engine.
 
 Determinism: every sample derives its own generator from
 (seed, sample_id), and each digit coordinate i one from
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -327,7 +329,6 @@ class GoldenDigits:
 
     state1_weight: float = 0.0
     beta = GOLDEN_RATIO
-    expand = None
 
     def lead(self, rng: np.random.Generator) -> np.ndarray:
         """The digits a stream starts with: a state-1 start's forced 0."""
@@ -367,22 +368,25 @@ class GoldenDigits:
         return Fraction(lo_num, 1 << grid), Fraction(hi_num - lo_num, 1 << grid)
 
 
-def _digit_systems(system, measure) -> Optional[list]:
-    """Each coordinate's digit system for starts drawn from ``measure``
-    (None: Lebesgue), or None where the digit engine does not apply.
+def _digit_systems(system, measure, x) -> Optional[list]:
+    """Each coordinate's digit system for the start ``x`` (None: drawn from
+    ``measure``, None for Lebesgue), or None where the digit engine does
+    not apply.
 
-    The one place that says which beta run on digits: an integer
-    2 <= b <= MAX_DIGIT_BASE and the token "g".  A system reads x as
-    sum_k d_k beta^-k, so T^n x is its stream from index n on.  It has a
-    ``beta``, the ``lead`` and ``batch``es that a random start's
-    :class:`DigitStream` draws, the ``bracket`` of a prefix and the
-    ``expand``-sion of a rational x (None for g).
+    The one place that says which counts run on digits: every beta an
+    integer 2 <= b <= MAX_DIGIT_BASE or the token "g", from a random start
+    or, on an all-integer system, a given rational point.  A system reads
+    x as sum_k d_k beta^-k, so T^n x is its stream from index n on.  It
+    has a ``beta``, the ``lead`` and ``batch``es a random start draws, the
+    ``bracket`` of a prefix and (integers only) the ``expand``-sion of x.
     """
     if not isinstance(system, DiagonalTorusSystem) or system.degenerate:
         return None
+    if x is not None and not all(isinstance(v, (int, float, Fraction)) for v in x):
+        return None
     systems = []
     for i, b in enumerate(system.betas):
-        if b == "g":
+        if b == "g" and x is None:
             systems.append(GoldenDigits(
                 0.0 if measure is None else 1.0 - measure.factors[i].density(GOLDEN_RATIO / 2)))
         elif b in range(2, MAX_DIGIT_BASE + 1):
@@ -390,57 +394,6 @@ def _digit_systems(system, measure) -> Optional[list]:
         else:
             return None
     return systems
-
-
-class DigitStream:
-    """One coordinate's digits: a fixed sequence, read as a growing prefix.
-
-    ``digits`` is the prefix read so far.  A random start draws from its own
-    generator: first the system's ``lead``, then ``batch``es of whole
-    words.  A batch's digits past a draw wait for the next one (so does the
-    0 of a golden "10" word that straddles the end of a draw), so draw(a)
-    then draw(b) is draw(a + b), and the digits do not depend on how the
-    stream is read.  A given point's stream is its expansion, read whole.
-    """
-
-    def __init__(self, system, rng: Optional[np.random.Generator] = None,
-                 digits: Optional[np.ndarray] = None):
-        self.system, self._rng = system, rng
-        self.digits = np.empty(0, dtype=np.int8) if digits is None else digits
-        self._left = None if rng is None else system.lead(rng)
-
-    def draw(self, count: int) -> np.ndarray:
-        """The next ``count`` digits after everything drawn before."""
-        out = self._left
-        while len(out) < count:
-            more = self.system.batch(self._rng, count - len(out))
-            out = np.concatenate([out, more]) if len(out) else more
-        self._left = out[count:].copy()
-        return out[:count]
-
-    def read(self, total: int) -> np.ndarray:
-        """The first ``total`` digits (a given point has only its expansion)."""
-        if self._rng is not None and total > len(self.digits):
-            more = self.draw(total - len(self.digits))
-            self.digits = np.concatenate([self.digits, more]) if len(self.digits) else more
-        return self.digits
-
-
-def _exact_distances(digit_arrays, systems, n: int, centers):
-    """Exact bounds on ||T^n x_i - a_i||, from ever longer digit prefixes.
-
-    T^n(x_i) is coordinate i's stream read from digit index n onward; the
-    centers are exact, as :class:`TargetSpec` keeps them.  Yields a list
-    of (d_lo, d_hi) pairs from 16 digits, then from four times as many
-    each time, the last from every stored digit.
-    """
-    k = 16
-    while True:
-        yield [wrap_distance_bounds(*ds.bracket(digits[n: n + k]), a)
-               for digits, ds, a in zip(digit_arrays, systems, centers)]
-        if all(k >= len(digits) - n for digits in digit_arrays):
-            return
-        k *= 4
 
 
 def _window_at(digits: np.ndarray, base: int, idx: np.ndarray, window: int) -> np.ndarray:
@@ -458,6 +411,79 @@ def _window_at(digits: np.ndarray, base: int, idx: np.ndarray, window: int) -> n
     return vals
 
 
+class DigitSource:
+    """One sample's digits, every coordinate a fixed sequence read as a
+    growing prefix: all the digit engine's ladder reads.
+
+    ``digits[i]`` is coordinate i's prefix read so far.  A random start
+    reads coordinate i from its own generator ``rngs[i]`` (for sample s of
+    a seeded run, spawned from (seed, s, i)): first the system's ``lead``,
+    then ``batch``es of whole words.  A batch's digits past a read wait
+    for the next one (so does the 0 of a golden "10" word that straddles
+    it), so the digits do not depend on how they are read, and a longer
+    run extends a shorter one.  Each stream holds the N + W + 1 digits the
+    float windows read from the start.  A given rational ``x`` is expanded
+    to the whole reserve at once.
+    """
+
+    def __init__(self, systems: list, n_steps: int, rngs: Optional[list] = None,
+                 x: Optional[Sequence] = None):
+        self.systems, self.n_steps, self._rngs = systems, n_steps, rngs
+        # 2N + W + 96: the most digits of a coordinate the exact stage reads
+        self._reserves = [2 * n_steps + _digit_window(ds.beta) + 96 for ds in systems]
+        if x is not None:
+            self.digits = [ds.expand(as_fraction(v), total)
+                           for ds, v, total in zip(systems, x, self._reserves)]
+            return
+        self.digits = [np.empty(0, dtype=np.int8) for _ in systems]
+        self._left = [ds.lead(rng) for ds, rng in zip(systems, rngs)]
+        for i, ds in enumerate(systems):
+            self.read(i, n_steps + _digit_window(ds.beta) + 1)
+
+    def read(self, i: int, total: int) -> np.ndarray:
+        """Coordinate i's first ``total`` digits or more (a given point has
+        only its expansion)."""
+        have = self.digits[i]
+        if self._rngs is None or total <= len(have):
+            return have
+        count = total - len(have)
+        out = self._left[i]
+        while len(out) < count:
+            more = self.systems[i].batch(self._rngs[i], count - len(out))
+            out = np.concatenate([out, more]) if len(out) else more
+        self._left[i] = out[count:].copy()
+        self.digits[i] = np.concatenate([have, out[:count]]) if len(have) else out[:count]
+        return self.digits[i]
+
+    def window(self, i: int, bits: int, steps) -> tuple:
+        """(values, band) of a window of about ``bits`` bits at the ``steps``
+        n - 1, a slice (:func:`_window_values`) or an index array
+        (:func:`_window_at`): T^n x_i in [v, v + band] up to rounding."""
+        digits, base = self.digits[i], self.systems[i].beta
+        window = min(_digit_window(base, bits), len(digits) - self.n_steps - 1)
+        if isinstance(steps, slice):
+            values = _window_values(digits[steps.start:], base, steps.stop - steps.start, window)
+        else:
+            values = _window_at(digits, base, steps, window)
+        return values, float(base) ** -window
+
+    def reserve(self) -> None:
+        """Draw every stream on to its reserve, 2N + W + 96 digits."""
+        for i, total in enumerate(self._reserves):
+            self.read(i, total)
+
+    def brackets(self, n: int):
+        """Each coordinate's exact (lo, width), T^n x_i in [lo, lo + width],
+        from its digits past index n: from 16 digits, then four times as
+        many each time, the last from every stored digit."""
+        k = 16
+        while True:
+            yield [ds.bracket(digits[n: n + k]) for digits, ds in zip(self.digits, self.systems)]
+            if all(k >= len(digits) - n for digits in self.digits):
+                return
+            k *= 4
+
+
 @lru_cache(maxsize=1)
 def _step_radii(target: TargetSpec, n_steps: int) -> tuple:
     """``target.radii`` at n = 1..N, read-only; computed once per process and experiment."""
@@ -467,46 +493,38 @@ def _step_radii(target: TargetSpec, n_steps: int) -> tuple:
     return radii
 
 
-def _digit_membership(streams: list, target: TargetSpec, n_steps: int):
+def _digit_membership(source: DigitSource, target: TargetSpec, n_steps: int):
     """(hit_lo, hit_hi) boolean arrays for n = 1..N, decided coarse to fine.
 
-    A float stage reads T^n x_i as a window value v of w digits, lying
-    within base^-w below it, so ||T^n x_i - a_i|| is within that band (plus
-    MARGIN) of ||v - a_i||.  It runs on a COARSE_BITS window, COARSE_CHUNK
-    steps at a time: a ball or rectangle is an AND over coordinates, so
-    coordinate 0 is read at every step and each next one only where the
-    earlier ones leave the step open (a hyperboloid reads every coordinate).
-    Then a FINE_BITS window re-reads the steps still open, and the exact
-    stage takes what is left, on each stream read to its :func:`_reserve`
-    (drawn only then).  Each stage is sound, so the ladder decides exactly
-    what the exact stage alone would.  ``streams`` are the coordinates'
-    :class:`DigitStream`s, each read to at least N + W + 1 digits.
+    Every stage reads the :class:`DigitSource` alone.  A float stage reads
+    T^n x_i as a ``window`` value v with T^n x_i in [v, v + band] (up to
+    rounding), so ||T^n x_i - a_i|| is within that band plus MARGIN of
+    ||v - a_i||.  It
+    runs on a COARSE_BITS window, COARSE_CHUNK steps at a time: a ball or
+    rectangle is an AND over coordinates, so coordinate 0 is read at every
+    step and each next one only where the earlier ones leave the step open
+    (a hyperboloid reads every coordinate).  Then a FINE_BITS window
+    re-reads the steps still open, and the exact stage takes what is left
+    from the source's ``brackets``, after its ``reserve`` (drawn only
+    then).  Each stage is sound, so the ladder decides exactly what the
+    exact stage alone would.
     """
-    systems = [s.system for s in streams]
-    digit_arrays = [s.digits for s in streams]
     centers = [float(a) for a in target.center]
     radii = _step_radii(target, n_steps)
-    every = (range(len(systems)), radii)  # the (coordinates, radii) verdict reads
+    every = (range(target.d), radii)  # the (coordinates, radii) verdict reads
     groups = ([every] if target.shape == Shape.HYPERBOLOID
               else [([i], radii[i:i + 1]) for i in every[0]])
 
     def window_verdict(group, bits, steps):
-        """verdict on ``group`` at ``steps``: a slice (read by convolution)
-        or an index array (read by :func:`_window_at`)."""
+        """verdict on ``group`` at ``steps``, a slice or an index array"""
         coords, rs = group
         lows, highs = [], []
         for i in coords:
-            digits, base = digit_arrays[i], systems[i].beta
-            window = min(_digit_window(base, bits), len(digits) - n_steps - 1)
-            if isinstance(steps, slice):
-                dist = _window_values(digits[steps.start:], base,
-                                      steps.stop - steps.start, window)
-            else:
-                dist = _window_at(digits, base, steps, window)
+            dist, band = source.window(i, bits, steps)
             dist -= centers[i]
             np.abs(dist, out=dist)
             np.minimum(dist, 1.0 - dist, out=dist)
-            band = float(base) ** -window + MARGIN
+            band += MARGIN
             lows.append(np.maximum(dist - band, 0.0))
             highs.append(dist + band)
         return verdict(target.shape, lows, highs, [r[steps] for r in rs])
@@ -527,42 +545,17 @@ def _digit_membership(streams: list, target: TargetSpec, n_steps: int):
     hit_lo[idx], hit_hi[idx] = window_verdict(every, FINE_BITS, idx)
     idx = np.flatnonzero(hit_hi & ~hit_lo)
     if len(idx):
-        digit_arrays = [s.read(_reserve(s.system, n_steps)) for s in streams]
+        source.reserve()
     for i in idx:
         n = int(i) + 1
-        for bounds in _exact_distances(digit_arrays, systems, n, target.center):
+        for brackets in source.brackets(n):
+            bounds = [wrap_distance_bounds(lo, width, a)
+                      for (lo, width), a in zip(brackets, target.center)]
             surely, maybe = exact_verdict(target, n, bounds)
             if surely or not maybe:
                 hit_lo[i], hit_hi[i] = surely, maybe
                 break
     return hit_lo, hit_hi
-
-
-def _reserve(system, n_steps: int) -> int:
-    """2N + W + 96: the most digits of a coordinate that the exact stage reads."""
-    return 2 * n_steps + _digit_window(system.beta) + 96
-
-
-def _digit_arrays_for_sample(systems: list, n_steps: int,
-                             rng: Optional[np.random.Generator],
-                             x: Optional[Sequence]) -> list[DigitStream]:
-    """Each coordinate's :class:`DigitStream` in the :func:`_digit_systems`.
-
-    A random start spawns one generator per coordinate from ``rng`` (for
-    sample s of a seeded run, the keys (s, 0), (s, 1), ...), so a
-    coordinate's digits are a function of (seed, sample, coordinate)
-    alone, and a longer run extends a shorter one.  Each stream draws the
-    N + W + 1 digits the coarse and fine stages read; the exact stage
-    draws on to the :func:`_reserve` only if a step reaches it.  A given
-    rational ``x`` is expanded to the whole reserve at once.
-    """
-    if x is None:
-        streams = [DigitStream(ds, child) for ds, child in zip(systems, rng.spawn(len(systems)))]
-        for s in streams:
-            s.read(n_steps + _digit_window(s.system.beta) + 1)
-        return streams
-    return [DigitStream(ds, digits=ds.expand(as_fraction(v), _reserve(ds, n_steps)))
-            for ds, v in zip(systems, x)]
 
 
 def _interval_membership(system, target, x, hit_lo, hit_hi) -> None:
@@ -647,12 +640,11 @@ def _count_sample(system, target, x, cps, phi, epsilon, measure, sample_id, rng)
     if not cps:
         return CountingResult(sample_id, (CheckpointRow(0, 0, 0, 0.0, None),), 0, epsilon)
     n_steps = cps[-1]
-    systems = _digit_systems(system, measure)
-    if systems is not None and (x is None or all(
-            ds.expand is not None and isinstance(v, (int, float, Fraction))
-            for ds, v in zip(systems, x))):
-        streams = _digit_arrays_for_sample(systems, n_steps, rng, x)
-        hit_lo, hit_hi = _digit_membership(streams, target, n_steps)
+    systems = _digit_systems(system, measure, x)
+    if systems is not None:
+        rngs = rng.spawn(len(systems)) if x is None else None
+        hit_lo, hit_hi = _digit_membership(DigitSource(systems, n_steps, rngs, x),
+                                           target, n_steps)
     else:
         if x is None:
             x = _draw_initial(system, measure, rng, n_steps)
@@ -715,11 +707,12 @@ def monte_carlo_counting(system, target: TargetSpec, num_samples: int,
     """Seeded multi-sample counting experiment; ``start`` as in :func:`count_hits`.
 
     Sample i uses the generator derived from (seed, i); aggregation is in
-    sample order, so output is identical for any ``jobs``.  The summary
-    reports the fraction of samples with |R/Phi - 1| <= band_tol at the
-    final checkpoint and the largest |e(N)| seen.  A sample whose ambiguous
-    hits exceed ``AMBIGUITY_BUDGET`` of its R_hi raises
-    AmbiguityBudgetExceeded.
+    sample order, so output is identical for any ``jobs``; the samples run
+    on min(jobs, samples, CPUs) worker processes, as a pool forks all its
+    workers at once.  The summary reports the fraction of samples with
+    |R/Phi - 1| <= band_tol at the final checkpoint and the largest |e(N)|
+    seen.  A sample whose ambiguous hits exceed ``AMBIGUITY_BUDGET`` of its
+    R_hi raises AmbiguityBudgetExceeded.
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
@@ -728,9 +721,10 @@ def monte_carlo_counting(system, target: TargetSpec, num_samples: int,
         (system, target, cps, phi, epsilon, measure, seed, i)
         for i in range(num_samples)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_sample, payloads, chunksize=max(1, num_samples // (4 * jobs))))
+    workers = min(jobs, num_samples, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_sample, payloads, chunksize=max(1, num_samples // (4 * workers))))
     else:
         results = [_run_sample(p) for p in payloads]
     results.sort(key=lambda r: r.sample_id)

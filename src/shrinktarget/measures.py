@@ -112,11 +112,13 @@ class ParryYrrapMeasure:
 
     @property
     def tail_bound(self) -> float:
-        """Geometric bound on the dropped series tail (0 for finite orbits)."""
+        """Geometric bound on the dropped series tail (0 for finite orbits):
+        the terms n >= N = ``truncation_order`` sum to at most
+        |beta|^-(N-1) / (|beta|-1), as in :func:`series_terms`."""
         if self._truncated_exactly:
             return 0.0
         absb = abs(self.beta)
-        return absb ** -self.truncation_order / (absb - 1.0)
+        return absb ** (1 - self.truncation_order) / (absb - 1.0)
 
     def density(self, x):
         """h_beta(x), off by at most 2 ``tail_bound`` / ``normalizer``."""

@@ -323,6 +323,16 @@ class TestMainExitCodes:
                      "--out", str(tmp_path)]) == 5
         assert "sample 0: 2 ambiguous hits" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_two(self, tmp_path, monkeypatch, capsys, jobs):
+        # refused before any sample runs, not run serially without a word
+        monkeypatch.setattr(cli, "monte_carlo_counting", lambda *a, **k: pytest.fail("ran"))
+        assert main(["count", "--system", "diag:2,3", "--center", "0,0",
+                     "--rate", "pow:0.5,0.25", "--steps", "10", "--seed", "1",
+                     "--jobs", jobs, "--out", str(tmp_path)]) == 2
+        assert f"--jobs {jobs}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_exact_mixing_past_the_piece_cap_is_two(self, tmp_path, capsys):
         # default lags 1:25 on beta = 10000.5 (the cap admits lag 9): refused before it starts
         assert main(["mixing", "--beta", "10000.5", "--set-e", "0,0.5", "--set-f", "0,0.25",

@@ -11,12 +11,11 @@ import scipy.stats
 
 from shrinktarget import counting
 from shrinktarget.counting import (
-    DigitStream,
+    DigitSource,
     GoldenDigits,
     IntegerDigits,
     _digit_window,
     _digits_to_int,
-    _exact_distances,
     _random_bits,
     _sample_rng,
     _step_radii,
@@ -269,6 +268,20 @@ def golden_chain_digits(rng, state1_weight, count):
     return out[:count]
 
 
+def drawn(system, rng, total):
+    """One draw of ``total`` digits from ``rng``: what a one-coordinate
+    source whose float windows read ``total`` digits draws up front."""
+    return DigitSource([system], total - _digit_window(system.beta) - 1, [rng]).digits[0]
+
+
+def capture_source(monkeypatch):
+    """The sources count_hits hands the digit ladder, in a list, as it runs."""
+    sources, ladder = [], counting._digit_membership
+    monkeypatch.setattr(counting, "_digit_membership",
+                        lambda source, *args: sources.append(source) or ladder(source, *args))
+    return sources
+
+
 class TestDigitPrefix:
     @pytest.mark.parametrize("base", [2, 3, 10])
     def test_blocks_match_horner(self, base):
@@ -284,19 +297,21 @@ class TestDigitPrefix:
 
     @pytest.mark.parametrize("base", [2, 3, 100, 128])
     def test_integer_draw_keeps_its_rng_stream(self, base):
-        system, = counting._digit_systems(DiagonalTorusSystem((base,)), None)
-        got = DigitStream(system, np.random.default_rng(2022)).draw(1000)
+        system, = counting._digit_systems(DiagonalTorusSystem((base,)), None, None)
+        got = drawn(system, np.random.default_rng(2022), 1000)
         want = byte_table_digits(np.random.default_rng(2022), base, 1000)
         assert got.dtype == np.int8 and np.array_equal(got, want)
 
-    def test_each_coordinate_reads_its_own_generator(self):
+    def test_each_coordinate_reads_its_own_generator(self, monkeypatch):
         # sample 3 of seed 7: coordinate i draws from the spawn key (3, i)
-        systems = counting._digit_systems(DiagonalTorusSystem((2, 3)), None)
-        streams = counting._digit_arrays_for_sample(systems, 500, _sample_rng(7, 3), None)
-        for i, (stream, base) in enumerate(zip(streams, (2, 3))):
+        sources = capture_source(monkeypatch)
+        target = ball((0.0, 0.0), RateFunction.power(0.5, 0.25))
+        count_hits(DiagonalTorusSystem((2, 3)), target, None, 500, rng=_sample_rng(7, 3))
+        source, = sources
+        for i, (digits, base) in enumerate(zip(source.digits, (2, 3))):
             rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(3, i)))
-            assert len(stream.digits) == 500 + _digit_window(base) + 1
-            assert np.array_equal(stream.digits, byte_table_digits(rng, base, len(stream.digits)))
+            assert len(digits) == 500 + _digit_window(base) + 1
+            assert np.array_equal(digits, byte_table_digits(rng, base, len(digits)))
 
     def test_rational_digits(self):
         assert list(IntegerDigits(2).expand(Fraction(1, 3), 6)) == [0, 1, 0, 1, 0, 1]
@@ -321,10 +336,12 @@ class TestDigitPrefix:
         (Fraction(1, 4), 0.25, 0.25, None),
     ], ids=["outside", "inside", "off-center", "antipodal", "on-boundary"])
     def test_exact_distances_are_three_valued(self, x, center, radius, want):
-        digits = IntegerDigits(2).expand(x, 200)
+        # a given point is expanded to the reserve, 2N + W + 96 = 200 digits at N = 31
+        source = DigitSource([IntegerDigits(2)], 31, x=(x,))
+        assert len(source.digits[0]) == 200
         t = ball((center,), RateFunction.power(radius, 0.0))
-        verdicts = [exact_verdict(t, 1, bounds)
-                    for bounds in _exact_distances([digits], [IntegerDigits(2)], 1, t.center)]
+        verdicts = [exact_verdict(t, 1, [wrap_distance_bounds(*bracket, t.center[0])])
+                    for bracket, in source.brackets(1)]
         if want is None:
             assert set(verdicts) == {(False, True)}
         else:
@@ -430,9 +447,66 @@ def ladder_target(shape, d):
     return hyperboloid(center, RateFunction.table([4.0 ** -d], extend="hold"))
 
 
-def reserves(streams, n_steps):
-    """Each stream read to the exact stage's reserve, 2N + W + 96 digits."""
-    return [s.read(2 * n_steps + _digit_window(s.system.beta) + 96) for s in streams]
+class TestDigitSourceWindows:
+    @pytest.mark.parametrize("read", ["slice", "index"])
+    @pytest.mark.parametrize("bits", [counting.COARSE_BITS, counting.FINE_BITS])
+    @pytest.mark.parametrize("base", [2, 3, 10, 128, "g"])
+    def test_every_window_read_is_sound(self, base, bits, read):
+        # oracle: T^n x_i in [P_n, P_n + beta^-(L-n)], P_n the L stored digits
+        # from index n on (a golden 1 is followed by a 0), in mpmath; the
+        # window's float sum is off by rounding alone, at most (2w + 1) 2^-53,
+        # far below the ladder's MARGIN
+        n_steps = 1500
+        systems = counting._digit_systems(DiagonalTorusSystem((base, 3)), None, None)
+        source = DigitSource(systems, n_steps, np.random.default_rng(31).spawn(2))
+        rng = np.random.default_rng(32)
+        steps = ([slice(0, n_steps), slice(700, 1300)] if read == "slice" else
+                 [np.sort(rng.choice(n_steps, size=300, replace=False)), np.arange(5)])
+        for i, ds in enumerate(systems):
+            digits = source.digits[i]
+            golden = isinstance(ds, GoldenDigits)
+            if golden and digits[-1]:
+                digits = np.append(digits, 0)
+            w = _digit_window(ds.beta, bits)
+            tol = Fraction(2 * w + 1, 2 ** 53)
+            assert tol < Fraction(MARGIN) / 4
+            with mpmath.workprec(200):
+                b = (1 + mpmath.sqrt(5)) / 2 if golden else mpmath.mpf(ds.beta)
+                prefix = [mpmath.mpf(0)] * (len(digits) + 1)   # prefix[n] = P_n
+                for n in range(len(digits) - 1, -1, -1):
+                    prefix[n] = (int(digits[n]) + prefix[n + 1]) / b
+                for at in steps:
+                    values, band = source.window(i, bits, at)
+                    ns = (np.arange(at.start, at.stop) if read == "slice" else at) + 1
+                    assert len(values) == len(ns) and band <= 2.0 ** -bits
+                    for v, n in zip(values.tolist(), ns.tolist()):
+                        lo, hi = prefix[n], prefix[n] + b ** -(len(digits) - n)
+                        assert v - tol <= lo and hi <= v + band + tol, (n, v, band)
+
+
+def reserves(source, n_steps):
+    """Each coordinate read to the exact stage's reserve, 2N + W + 96 digits."""
+    return [source.read(i, 2 * n_steps + _digit_window(ds.beta) + 96)
+            for i, ds in enumerate(source.systems)]
+
+
+def count_stages(monkeypatch, stages):
+    """Count the ladder's reads in ``stages``: index windows at the coarse
+    and the fine bits, and the steps that read ``brackets``; ``stages["exact"]``
+    lists those steps."""
+    window, brackets = DigitSource.window, DigitSource.brackets
+
+    def counted_window(self, i, bits, steps):
+        if not isinstance(steps, slice):
+            stages["fine" if bits == counting.FINE_BITS else "coarse"] += 1
+        return window(self, i, bits, steps)
+
+    def counted_brackets(self, n):
+        stages["exact"].append(n)
+        return brackets(self, n)
+
+    monkeypatch.setattr(DigitSource, "window", counted_window)
+    monkeypatch.setattr(DigitSource, "brackets", counted_brackets)
 
 
 class TestDigitLadder:
@@ -453,41 +527,29 @@ class TestDigitLadder:
         n_steps = 200
         x = {"random": None, "ties": (Fraction(1, 4),) * d,
              "rational": (Fraction(17, 97), Fraction(23, 89), Fraction(31, 83))[:d]}[start]
-        systems = counting._digit_systems(DiagonalTorusSystem(betas), None)
+        systems = counting._digit_systems(DiagonalTorusSystem(betas), None, x)
 
-        def streams():
-            return counting._digit_arrays_for_sample(
-                systems, n_steps, np.random.default_rng(5), x)
+        def source():
+            rngs = None if x else np.random.default_rng(5).spawn(d)
+            return DigitSource(systems, n_steps, rngs, x)
 
         # the oracle reads every digit the exact stage may read
-        oracle = full_tail_verdicts(target, reserves(streams(), n_steps), betas, n_steps)
+        oracle = full_tail_verdicts(target, reserves(source(), n_steps), betas, n_steps)
         # two-bit coarse windows leave most steps to the fine and exact stages
         monkeypatch.setattr(counting, "COARSE_BITS", 2)
-        stages = {"coarse": 0, "fine": 0, "exact": 0}
-
-        def window_at(digits, base, idx, window):
-            fine = min(counting._digit_window(base, counting.FINE_BITS),
-                       len(digits) - n_steps - 1)
-            stages["fine" if window == fine else "coarse"] += 1
-            return _window_at(digits, base, idx, window)
-
-        def exact_distances(*args, exact=counting._exact_distances):
-            stages["exact"] += 1
-            return exact(*args)
-
-        monkeypatch.setattr(counting, "_window_at", window_at)
-        monkeypatch.setattr(counting, "_exact_distances", exact_distances)
+        stages = {"coarse": 0, "fine": 0, "exact": []}
+        count_stages(monkeypatch, stages)
         # one partial chunk, then three full chunks and a partial one
         for chunk in (counting.COARSE_CHUNK, 64):
             monkeypatch.setattr(counting, "COARSE_CHUNK", chunk)
-            stages.update(coarse=0, fine=0, exact=0)
-            hit_lo, hit_hi = counting._digit_membership(streams(), target, n_steps)
+            stages.update(coarse=0, fine=0, exact=[])
+            hit_lo, hit_hi = counting._digit_membership(source(), target, n_steps)
             assert list(zip(hit_lo.tolist(), hit_hi.tolist())) == oracle, chunk
             assert stages["fine"] > 0
             # a hyperboloid's coarse stage reads every coordinate by convolution
             assert (stages["coarse"] > 0) == (shape != "hyperboloid")
             if start == "ties":
-                assert stages["exact"] == n_steps
+                assert len(stages["exact"]) == n_steps
                 assert not hit_lo.any() and hit_hi.all()
 
     @pytest.mark.parametrize("shape", ["ball", "hyperboloid", "rectangle"])
@@ -496,28 +558,25 @@ class TestDigitLadder:
         # a step the fine stage leaves open draws it on to 2N + W + 96
         betas, n_steps = (2, 3), 300
         target = ladder_target(shape, 2)
-        systems = counting._digit_systems(DiagonalTorusSystem(betas), None)
+        systems = counting._digit_systems(DiagonalTorusSystem(betas), None, None)
 
-        def streams():
-            return counting._digit_arrays_for_sample(
-                systems, n_steps, np.random.default_rng(21), None)
+        def source():
+            return DigitSource(systems, n_steps, np.random.default_rng(21).spawn(2))
 
         ladder_read = [n_steps + _digit_window(b) + 1 for b in betas]
-        quiet = streams()
+        quiet = source()
         counting._digit_membership(quiet, target, n_steps)
-        assert [len(s.digits) for s in quiet] == ladder_read  # nothing reached the exact stage
-        oracle = full_tail_verdicts(target, reserves(streams(), n_steps), betas, n_steps)
+        assert [len(d) for d in quiet.digits] == ladder_read  # nothing reached the exact stage
+        oracle = full_tail_verdicts(target, reserves(source(), n_steps), betas, n_steps)
         monkeypatch.setattr(counting, "COARSE_BITS", 2)
         monkeypatch.setattr(counting, "FINE_BITS", 3)
-        exact_calls = []
-        exact = counting._exact_distances
-        monkeypatch.setattr(counting, "_exact_distances",
-                            lambda *args: exact_calls.append(args[2]) or exact(*args))
-        loud = streams()
-        assert [len(s.digits) for s in loud] == ladder_read
+        stages = {"coarse": 0, "fine": 0, "exact": []}
+        count_stages(monkeypatch, stages)
+        loud = source()
+        assert [len(d) for d in loud.digits] == ladder_read
         hit_lo, hit_hi = counting._digit_membership(loud, target, n_steps)
-        assert len(exact_calls) > 10
-        assert [len(s.digits) for s in loud] == [len(d) for d in reserves(streams(), n_steps)]
+        assert len(stages["exact"]) > 10
+        assert [len(d) for d in loud.digits] == [len(d) for d in reserves(source(), n_steps)]
         assert list(zip(hit_lo.tolist(), hit_hi.tolist())) == oracle
 
     def test_step_radii_once_per_experiment(self, monkeypatch):
@@ -556,49 +615,52 @@ DRAW_SYSTEMS = {"2": IntegerDigits(2), "3": IntegerDigits(3), "100": IntegerDigi
 class TestDigitStream:
     @pytest.mark.parametrize("base", [2, 3, 5, 7, 17, 100, 128])
     def test_digits_are_uniform(self, base):
-        digits = DigitStream(IntegerDigits(base), np.random.default_rng(base)).draw(
-            40 * base * base + 100_000)
+        digits = drawn(IntegerDigits(base), np.random.default_rng(base),
+                       40 * base * base + 100_000)
         assert min(chi_square_pvalues(digits, base)) > 1e-4
 
     def test_uniformity_test_sees_every_byte_kept(self, monkeypatch):
         # keeping the bytes 243..255 for b = 3 reads them as the words 0..12 again
         byte_digits = counting._byte_digits
         monkeypatch.setattr(counting, "_byte_digits", lambda base: (256, byte_digits(base)[1]))
-        digits = DigitStream(IntegerDigits(3), np.random.default_rng(3)).draw(100_360)
+        digits = drawn(IntegerDigits(3), np.random.default_rng(3), 100_360)
         assert min(chi_square_pvalues(digits, 3)) < 1e-6
 
     @pytest.mark.parametrize("system", DRAW_SYSTEMS.values(), ids=DRAW_SYSTEMS.keys())
     def test_draws_tile_one_stream(self, system):
-        whole = DigitStream(system, np.random.default_rng(9)).draw(30_000)
-        for cuts in ([0, 1, 7, 1000, 30_000], [12_345, 30_000], [1, 2, 3, 29_999, 30_000]):
-            stream = DigitStream(system, np.random.default_rng(9))
-            parts = [stream.draw(b - a) for a, b in zip([0] + cuts[:-1], cuts)]
-            assert np.array_equal(np.concatenate(parts), whole), cuts
-        stream, have = DigitStream(system, np.random.default_rng(9)), 0
+        whole = drawn(system, np.random.default_rng(9), 30_000)
+        head = _digit_window(system.beta) + 1  # what a source with N = 0 draws up front
+        for cuts in ([0, 1, 7, 1000, 30_000], [12_345, 30_000], [1, 2, 3, 29_999, 30_000],
+                     [head + 1, head + 7, 1000, 30_000]):
+            source, have = DigitSource([system], 0, [np.random.default_rng(9)]), head
+            for total in cuts:
+                have = max(have, total)  # a read never gives digits back
+                assert np.array_equal(source.read(0, total), whole[:have]), cuts
+        source, have = DigitSource([system], 0, [np.random.default_rng(9)]), head
         for total in (5000, 100, 5001, 30_000):
-            have = max(have, total)  # a read never gives digits back
-            assert np.array_equal(stream.read(total), whole[:have])
+            have = max(have, total)
+            assert np.array_equal(source.read(0, total), whole[:have])
 
     @pytest.mark.parametrize("state1_weight", [0.0, 1.0])
     def test_golden_ten_straddles_a_draw(self, state1_weight):
         system = GoldenDigits(state1_weight)
-        whole = DigitStream(system, np.random.default_rng(4)).draw(2000)
+        whole = drawn(system, np.random.default_rng(4), 2000)
         assert whole[0] == 0 or not state1_weight  # a state-1 start's forced 0
-        ends = np.flatnonzero(whole[:-1])[:25] + 1   # a draw that ends on the 1 of a "10"
-        for end in ends.tolist():
-            stream = DigitStream(system, np.random.default_rng(4))
-            head, tail = stream.draw(end), stream.draw(2000 - end)
-            assert head[-1] == 1 and tail[0] == 0
-            assert np.array_equal(np.concatenate([head, tail]), whole)
+        ends = np.flatnonzero(whole[:-1]) + 1   # a read that ends on the 1 of a "10"
+        for end in ends[ends > _digit_window(system.beta) + 1][:25].tolist():
+            source = DigitSource([system], 0, [np.random.default_rng(4)])
+            head = source.read(0, end).copy()
+            assert len(head) == end and head[-1] == 1
+            assert np.array_equal(source.read(0, 2000), whole) and whole[end] == 0
 
     def test_given_point_reads_the_whole_reserve(self):
-        systems = counting._digit_systems(DiagonalTorusSystem((2, 3)), None)
         x = (Fraction(17, 97), Fraction(23, 89))
-        streams = counting._digit_arrays_for_sample(systems, 1000, None, x)
-        for stream, v in zip(streams, x):
-            total = 2 * 1000 + _digit_window(stream.system.beta) + 96
-            assert np.array_equal(stream.digits, stream.system.expand(v, total))
-            assert stream.read(10 * total) is stream.digits
+        systems = counting._digit_systems(DiagonalTorusSystem((2, 3)), None, x)
+        source = DigitSource(systems, 1000, x=x)
+        for i, (ds, v) in enumerate(zip(systems, x)):
+            total = 2 * 1000 + _digit_window(ds.beta) + 96
+            assert np.array_equal(source.digits[i], ds.expand(v, total))
+            assert source.read(i, 10 * total) is source.digits[i]
 
 
 class TestRandomBits:
@@ -696,10 +758,11 @@ GOLDEN_TARGETS = {
 class TestGoldenDigitEngine:
     def test_start_weight_reads_the_measure(self):
         nu = ProductMeasure([2, "g"])
-        systems = counting._digit_systems(DiagonalTorusSystem((2, "g")), nu)
+        systems = counting._digit_systems(DiagonalTorusSystem((2, "g")), nu, None)
         assert systems[0] == IntegerDigits(2)
         assert systems[1].state1_weight == pytest.approx(G ** -2 / (1 + G ** -2), rel=1e-12)
-        assert counting._digit_systems(DiagonalTorusSystem((2, "g")), None)[1] == GoldenDigits()
+        assert counting._digit_systems(DiagonalTorusSystem((2, "g")), None,
+                                       None)[1] == GoldenDigits()
 
     @pytest.mark.parametrize("parry", [False, True])
     def test_drawn_points_follow_the_measure(self, parry):
@@ -707,10 +770,10 @@ class TestGoldenDigitEngine:
         # Parry-distributed from the stationary start
         mu = ParryYrrapMeasure("g")
         system = counting._digit_systems(DiagonalTorusSystem(("g",)),
-                                         ProductMeasure(["g"]) if parry else None)[0]
+                                         ProductMeasure(["g"]) if parry else None, None)[0]
         rng = np.random.default_rng(12)
         powers = G ** -np.arange(1.0, 81.0)
-        digits = [DigitStream(system, rng).draw(80) for _ in range(4000)]
+        digits = [drawn(system, rng, 80) for _ in range(4000)]
         assert not any(np.any(d[1:] & d[:-1]) for d in digits)  # no "11"
         xs = np.array(digits, dtype=np.float64) @ powers
         cdf = mu.cdf if parry else (lambda x: x)
@@ -720,7 +783,7 @@ class TestGoldenDigitEngine:
 
     def test_prefix_enclosure_against_mpmath(self):
         rng = np.random.default_rng(13)
-        streams = [DigitStream(GoldenDigits(0.3), rng).draw(2600),
+        streams = [drawn(GoldenDigits(0.3), rng, 2600),
                    np.tile(np.array([1, 0], dtype=np.int8), 1300),
                    np.zeros(2600, dtype=np.int8)]
         with mpmath.workprec(2000):
@@ -744,9 +807,11 @@ class TestGoldenDigitEngine:
     ])
     def test_draw_keeps_its_rng_stream(self, parry, draws):
         system = counting._digit_systems(DiagonalTorusSystem(("g",)),
-                                         ProductMeasure(["g"]) if parry else None)[0]
-        stream = DigitStream(system, np.random.default_rng(2022))
-        assert ["".join(map(str, stream.draw(40).tolist())) for _ in draws] == draws
+                                         ProductMeasure(["g"]) if parry else None, None)[0]
+        source = DigitSource([system], 0, [np.random.default_rng(2022)])
+        read = source.read(0, 40 * len(draws))
+        assert ["".join(map(str, read[40 * j:40 * j + 40].tolist()))
+                for j in range(len(draws))] == draws
         want = golden_chain_digits(np.random.default_rng(2022), system.state1_weight, 80)
         assert "".join(draws) == "".join(map(str, want))
 
@@ -756,23 +821,20 @@ class TestGoldenDigitEngine:
         system = DiagonalTorusSystem(betas)
         target = GOLDEN_TARGETS[shape]
         n_steps = 2000
-        systems = counting._digit_systems(system, None)
-        streams = counting._digit_arrays_for_sample(
-            systems, n_steps, np.random.default_rng(8), None)
+        systems = counting._digit_systems(system, None, None)
+        source = DigitSource(systems, n_steps, np.random.default_rng(8).spawn(2))
         # narrow windows send many steps on to the fine and the exact stage
         monkeypatch.setattr(counting, "COARSE_BITS", 2)
         monkeypatch.setattr(counting, "FINE_BITS", 6)
         monkeypatch.setattr(counting, "COARSE_CHUNK", 300)  # six full chunks, a partial one
-        exact_calls = []
-        exact = counting._exact_distances
-        monkeypatch.setattr(counting, "_exact_distances",
-                            lambda *args: exact_calls.append(args[2]) or exact(*args))
-        hit_lo, hit_hi = counting._digit_membership(streams, target, n_steps)
-        assert len(exact_calls) > 20
+        stages = {"coarse": 0, "fine": 0, "exact": []}
+        count_stages(monkeypatch, stages)
+        hit_lo, hit_hi = counting._digit_membership(source, target, n_steps)
+        assert len(stages["exact"]) > 20
         assert np.array_equal(hit_lo, hit_hi)  # no ties on a random orbit
         # the exact stage read each stream on to its reserve
         x = [digit_enclosure(d, ds.beta, 3200)
-             for d, ds in zip(reserves(streams, n_steps), systems)]
+             for d, ds in zip(reserves(source, n_steps), systems)]
         orbit = orbit_enclosures(system, x, n_steps)
         next(orbit)
         definite = 0
@@ -940,6 +1002,34 @@ class TestMonteCarloCounting:
                                    jobs=2)
         assert one.results == two.results
         assert one.fraction_in_band == two.fraction_in_band
+
+    @pytest.mark.parametrize("jobs, samples, cpus, workers", [
+        (500, 1, 2, None), (500, 3, 2, 2), (500, 3, 8, 3), (2, 6, 8, 2), (4, 6, None, None),
+    ])
+    def test_pool_is_capped_by_samples_and_cpus(self, monkeypatch, jobs, samples, cpus, workers):
+        # a fake pool records its size and runs the samples in this process
+        opened = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(counting, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(counting.os, "cpu_count", lambda: cpus)
+        s = DiagonalTorusSystem((2, 3))
+        t = ball((0.0, 0.0), RateFunction.power(0.5, 0.25))
+        got = monte_carlo_counting(s, t, samples, 2000, seed=7, jobs=jobs)
+        assert opened == ([] if workers is None else [workers])
+        assert got.results == monte_carlo_counting(s, t, samples, 2000, seed=7).results
 
     @pytest.mark.parametrize("betas", [(2, 3), ("g", "g")])
     @pytest.mark.parametrize("start", counting.START_LAWS)

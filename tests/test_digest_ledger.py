@@ -1,4 +1,4 @@
-"""The digest ledger: the sha256 of every data file of about twenty desk-scale runs.
+"""The digest ledger: the sha256 of every data file of about forty desk-scale runs.
 
 Each config runs in-process through ``cli.run`` (the given rational point,
 which the CLI does not take, through ``count_hits``), and its data files'
@@ -10,10 +10,13 @@ moves a digest on purpose rewrites the ledger with
 and says in CHANGES.md which digests changed, and why.  The configs write
 the same bytes whichever SIMD extensions numpy dispatches to (checked with
 NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR"); a ball on
-diag:e,g centred off 0 does not, as its Phi moves in the last digit.
+diag:e,g centred off 0 does not, as its Phi moves in the last digit, nor
+do a diag:2,g rectangle centred at (0, 3/10) or a pow:0.5,0.25 ball on
+diag:5/2.
 """
 
 import hashlib
+import importlib.util
 import json
 import sys
 from fractions import Fraction
@@ -30,6 +33,10 @@ LEDGER = Path(__file__).with_name("digest_ledger.json")
 HEADLINE = {"system": "diag:2,3", "center": [0, 0], "samples": 4, "steps": 100000,
             "checkpoints": [1000, 25000], "seed": 1}
 
+GOLDEN_PARRY = {"system": "diag:g,g", "center": [0, 0], "rate": "pow:0.5,0.25",
+                "measure": "parry", "samples": 4, "steps": 50000, "checkpoints": [1000],
+                "seed": 1}
+
 # name -> (command, params, jobs)
 CONFIGS = {
     **{f"count_{shape}_2_3_jobs{jobs}": ("count", dict(HEADLINE, shape=shape, **rates), jobs)
@@ -37,9 +44,21 @@ CONFIGS = {
                             ("rectangle", {"rates": ["pow:0.4,0.2", "pow:0.3,0.1"]}),
                             ("hyperboloid", {"rate": "pow:0.05,0.2"}))
        for jobs in (1, 2)},
-    "count_g_g_parry": ("count", {"system": "diag:g,g", "center": [0, 0], "rate": "pow:0.5,0.25",
-                                  "measure": "parry", "samples": 4, "steps": 50000,
-                                  "checkpoints": [1000], "seed": 1}, 1),
+    **{f"count_g_g_parry{suffix}": ("count", GOLDEN_PARRY, jobs)
+       for suffix, jobs in (("", 1), ("_jobs2", 2))},
+    # integer and golden coordinates in one digit source, from invariant starts
+    "count_rectangle_2_g_parry": ("count", {"system": "diag:2,g", "shape": "rectangle",
+                                            "center": [0, 0],
+                                            "rates": ["pow:0.4,0.2", "pow:0.3,0.1"],
+                                            "measure": "parry", "samples": 4, "steps": 50000,
+                                            "seed": 1}, 1),
+    # d = 3: coordinates past 0 are read only at the steps the earlier ones leave open
+    "count_ball_2_3_5": ("count", {"system": "diag:2,3,5", "center": [0, 0, 0],
+                                   "rate": "pow:0.5,0.1", "samples": 4, "steps": 50000,
+                                   "seed": 1}, 1),
+    # a rational beta that is not an integer: the interval engine
+    "count_5over2": ("count", {"system": "diag:5/2", "center": [0], "rate": "pow:0.5,1",
+                               "samples": 2, "steps": 400, "seed": 1}, 1),
     "count_e_g_interval": ("count", {"system": "diag:e,g", "center": [0, 0],
                                      "rate": "pow:0.5,0.25", "measure": "parry",
                                      "samples": 2, "steps": 400, "seed": 1}, 1),
@@ -85,6 +104,30 @@ CONFIGS = {
     "support_minus_1_3": ("support", {"beta": "-1.3"}, 1),
     "measure_minus_g": ("measure", {"beta": "-g", "a": 0, "b": 0.5}, 1),
     "dimension": ("dimension", {"method": "ball", "moduli": [2, 3], "lam": 0.5}, 1),
+    **{f"dimension_{params['method']}": ("dimension", params, 1) for params in (
+        {"method": "rect", "moduli": [2, 3], "t_points": "0.5,1.2;1,0.3"},
+        {"method": "onedim", "beta_modulus": 2.5, "lam": 0.5},
+        {"method": "mult", "moduli": [2, 3, 5], "lam": 0.5},
+        {"method": "mtp", "deltas": [1, 1], "u": [0.3, 0.4], "v": [0.5, 0.9]},
+        {"method": "markov", "beta_modulus": 10, "lam": 0.5},
+        {"method": "unbounded", "moduli": [2, 3], "t_points": "1,inf;0.5,1.2"},
+        {"method": "hat", "moduli": [2, 3], "t_points": "0.5,1.2;1,0.3", "deltas": [1, 1]},
+    )},
+    # perfbench's workloads at seed 1 (markov_build is markov_7_power_3)
+    **{f"bench_{name}": (command, dict(params, seed=1), jobs)
+       for name, command, params, jobs in (
+           ("count_digit", "count", {
+               "system": "diag:2,3", "shape": "ball", "center": [0, 0],
+               "rate": "pow:0.5,0.25", "steps": 1_000_000,
+               "checkpoints": [1000, 10_000, 100_000, 1_000_000], "samples": 8}, 2),
+           ("count_parry_golden", "count", {
+               "system": "diag:g,g", "shape": "ball", "center": [0, 0],
+               "rate": "pow:0.5,0.25", "measure": "parry", "steps": 3000,
+               "checkpoints": [300, 1000, 3000], "samples": 4}, 1),
+           ("mixing_exact", "mixing", {
+               "beta": "g", "set_e": [0, 0.618033988749895],
+               "set_f": [0, 0.618033988749895], "method": "exact", "lags": "1:27"}, 1),
+       )},
 }
 
 # a given rational point on the digit engine: count_hits, not the CLI
@@ -135,6 +178,20 @@ def test_jobs_do_not_change_the_counts():
     ledger = json.loads(LEDGER.read_text())
     for shape in ("ball", "rectangle", "hyperboloid"):
         assert ledger[f"count_{shape}_2_3_jobs1"] == ledger[f"count_{shape}_2_3_jobs2"]
+    assert ledger["count_g_g_parry"] == ledger["count_g_g_parry_jobs2"]
+
+
+def test_benchmark_workloads_are_ledger_configs(monkeypatch):
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up there
+    spec.loader.exec_module(workloads)
+    for name, w in workloads.WORKLOADS.items():
+        ledger_name = "markov_7_power_3" if name == "markov_build" else f"bench_{name}"
+        command, params, jobs = CONFIGS[ledger_name]
+        assert (command, jobs) == (w.command, w.jobs), name
+        assert params == (w.params if command == "markov" else dict(w.params, seed=1)), name
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from shrinktarget.measures import (
     SupportSet,
     bound_constant,
 )
+from shrinktarget.orbits import mp_value, snapped_orbit
 from shrinktarget.targets import (
     RateFunction,
     ball,
@@ -120,6 +121,19 @@ class TestDensity:
         f = 1 + G ** -2
         assert mu.density(0.3) == pytest.approx((1 + 1 / G) / f, abs=1e-12)
         assert mu.density(0.8) == pytest.approx(1 / f, abs=1e-12)
+
+    @pytest.mark.parametrize("beta", [10000.5, "e", 1.5, -1.3, "-g"])
+    def test_tail_bound_covers_the_dropped_terms(self, beta):
+        # the terms n >= N of sum |beta|^-n T^n(1), to n = N + 200, plus a
+        # geometric bound past that: at least the whole dropped tail
+        mu = ParryYrrapMeasure(beta)
+        n = mu.truncation_order
+        points, _, bits = snapped_orbit(beta, n + 200)
+        with mpmath.workprec(bits):
+            b = abs(mp_value(beta, bits))
+            dropped = mpmath.fsum(b ** -k * y for k, y in enumerate(points) if k >= n)
+            dropped += b ** -(n + 200) / (b - 1)
+            assert mu.tail_bound >= dropped, (mu.tail_bound, dropped)
 
     def test_tol_unreachable(self):
         # 1e-12 of tail needs about 368434 terms at beta = 1.0001, past the 200000 cap
