@@ -613,7 +613,7 @@ COMMANDS = {
         "moduli": (_each(_modulus), _method_needs("moduli")),
         "lam": (_finite, _method_needs("lam")),
         "t_points": (parse_t_points, _method_needs("t_points")),
-        "beta_modulus": (_finite, _method_needs("beta_modulus")),
+        "beta_modulus": (_modulus, _method_needs("beta_modulus")),
         "deltas": (_each(_finite), _method_needs("deltas")),
         "u": (_each(_finite), _method_needs("u")),
         "v": (_each(_finite), _method_needs("v")),

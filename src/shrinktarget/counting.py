@@ -23,19 +23,22 @@ from a byte table (with b^k <= 256 the largest such power, each raw byte
 below the largest multiple of b^k is k digits), a golden one its greedy
 digits from the two-state chain of the orbit of 1 (Renyi 1957, Parry
 1960), whose state carries from one read to the next.  The ladder makes
-three reads of the source and never sees a base: ``window`` values with
+two reads of the source and never sees a base: ``window`` values with
 their band, a ~10-bit window read in cache-sized chunks of steps one
 coordinate at a time (a ball or rectangle reads a coordinate only at the
 steps the earlier ones leave open), which decides all but a few hundred
 of 10^6 steps, then a ~42-bit window for those; and for the rare steps
-still open, the ``reserve`` and exact ``brackets`` from digit prefixes
-(exact integers for b, Z[g] for g).  The windows read the N + W + 1
-digits a stream draws up front; only the reserve, when a step reaches
-the exact stage, draws on to 2N + W + 96 digits (a given point is
-expanded to the reserve at once).  This is what makes N = 10^6 runs
-cheap.  Everything else (e, other reals, negative beta, integer bases
-above 128, given enclosures, given points on non-integer systems,
-integer matrices) runs on the interval engine.
+still open, exact ``brackets`` from digit prefixes (exact integers for
+b, Z[g] for g), which read on into the stream as deep as they go, up to
+a reserve of 2N + W + 96 digits.  This is what makes N = 10^6 runs
+cheap.  A count walks the steps in blocks of BLOCK_CHUNKS coarse chunks,
+all the samples of a worker's batch together: the radii of a block are
+evaluated once for the batch, and a sample's source holds that block's
+digits and W digits of lookahead alone (a given point is expanded to
+the reserve at once), so memory does not grow with N.  Everything else
+(e, other reals, negative beta, integer bases above 128, given
+enclosures, given points on non-integer systems, integer matrices) runs
+on the interval engine.
 
 Determinism: every sample derives its own generator from
 (seed, sample_id), and each digit coordinate i one from
@@ -92,6 +95,11 @@ COARSE_BITS = 10
 FINE_BITS = 42
 # Steps per coarse pass: its float temporaries stay in cache.
 COARSE_CHUNK = 1 << 15
+# Coarse chunks per block: a worker walks its samples through the steps a
+# block at a time, so it holds one block's radii, digits and hits for any N
+# (2^19 steps: a few MB, while the fine stage's fixed cost per block stays
+# small against a sample).
+BLOCK_CHUNKS = 16
 # Digits are int8, so the digit engine takes integer bases up to 128.
 MAX_DIGIT_BASE = 128
 
@@ -413,22 +421,25 @@ def _window_at(digits: np.ndarray, base: int, idx: np.ndarray, window: int) -> n
 
 class DigitSource:
     """One sample's digits, every coordinate a fixed sequence read as a
-    growing prefix: all the digit engine's ladder reads.
+    sliding window: all the digit engine's ladder reads.
 
-    ``digits[i]`` is coordinate i's prefix read so far.  A random start
-    reads coordinate i from its own generator ``rngs[i]`` (for sample s of
-    a seeded run, spawned from (seed, s, i)): first the system's ``lead``,
-    then ``batch``es of whole words.  A batch's digits past a read wait
-    for the next one (so does the 0 of a golden "10" word that straddles
-    it), so the digits do not depend on how they are read, and a longer
-    run extends a shorter one.  Each stream holds the N + W + 1 digits the
-    float windows read from the start.  A given rational ``x`` is expanded
-    to the whole reserve at once.
+    ``digits[i]`` holds coordinate i's digits from index ``offset`` on, as
+    far as they have been read.  A random start reads coordinate i from
+    its own generator ``rngs[i]`` (for sample s of a seeded run, spawned
+    from (seed, s, i)): first the system's ``lead``, then ``batch``es of
+    whole words, drawn only when a read reaches them.  A batch's digits
+    past a read wait for the next one (so does the 0 of a golden "10" word
+    that straddles it), so the digits do not depend on how they are read,
+    and a longer run extends a shorter one.  ``hold`` draws one block of
+    steps' digits and their W digits of lookahead, and ``forget`` drops
+    the block once the ladder is done with it, so a source holds at most
+    a block of digits whatever N.  A given rational ``x`` is expanded to
+    the whole reserve, 2N + W + 96 digits, at once.
     """
 
     def __init__(self, systems: list, n_steps: int, rngs: Optional[list] = None,
                  x: Optional[Sequence] = None):
-        self.systems, self.n_steps, self._rngs = systems, n_steps, rngs
+        self.systems, self._rngs, self.offset = systems, rngs, 0
         # 2N + W + 96: the most digits of a coordinate the exact stage reads
         self._reserves = [2 * n_steps + _digit_window(ds.beta) + 96 for ds in systems]
         if x is not None:
@@ -437,16 +448,14 @@ class DigitSource:
             return
         self.digits = [np.empty(0, dtype=np.int8) for _ in systems]
         self._left = [ds.lead(rng) for ds, rng in zip(systems, rngs)]
-        for i, ds in enumerate(systems):
-            self.read(i, n_steps + _digit_window(ds.beta) + 1)
 
     def read(self, i: int, total: int) -> np.ndarray:
-        """Coordinate i's first ``total`` digits or more (a given point has
-        only its expansion)."""
+        """Coordinate i's digits from index ``offset`` up to index ``total``
+        or further (a given point has only its expansion)."""
         have = self.digits[i]
-        if self._rngs is None or total <= len(have):
+        count = total - self.offset - len(have)
+        if self._rngs is None or count <= 0:
             return have
-        count = total - len(have)
         out = self._left[i]
         while len(out) < count:
             more = self.systems[i].batch(self._rngs[i], count - len(out))
@@ -455,84 +464,91 @@ class DigitSource:
         self.digits[i] = np.concatenate([have, out[:count]]) if len(have) else out[:count]
         return self.digits[i]
 
+    def forget(self, start: int) -> None:
+        """Drop every coordinate's digits before index ``start``, drawing
+        them first where no read reached them (a stream skips no digit)."""
+        cut = start - self.offset
+        self.digits = [self.read(i, start)[cut:].copy() for i in range(len(self.systems))]
+        self.offset = start
+
+    def hold(self, stop: int) -> None:
+        """Draw every coordinate on to index stop + W, past the FINE_BITS
+        window of step ``stop``: a block's windows then find their digits
+        drawn, in one batch per block rather than one per chunk."""
+        for i, ds in enumerate(self.systems):
+            self.read(i, stop + _digit_window(ds.beta))
+
     def window(self, i: int, bits: int, steps) -> tuple:
         """(values, band) of a window of about ``bits`` bits at the ``steps``
-        n - 1, a slice (:func:`_window_values`) or an index array
-        (:func:`_window_at`): T^n x_i in [v, v + band] up to rounding."""
-        digits, base = self.digits[i], self.systems[i].beta
-        window = min(_digit_window(base, bits), len(digits) - self.n_steps - 1)
+        n - 1, a slice (:func:`_window_values`) or a sorted non-empty index
+        array (:func:`_window_at`): T^n x_i in [v, v + band] up to rounding."""
+        base = self.systems[i].beta
+        window = _digit_window(base, bits)
+        last = steps.stop if isinstance(steps, slice) else int(steps[-1]) + 1
+        digits = self.read(i, last + window)
         if isinstance(steps, slice):
-            values = _window_values(digits[steps.start:], base, steps.stop - steps.start, window)
+            values = _window_values(digits[steps.start - self.offset:], base,
+                                    steps.stop - steps.start, window)
         else:
-            values = _window_at(digits, base, steps, window)
+            values = _window_at(digits, base, steps - self.offset, window)
         return values, float(base) ** -window
-
-    def reserve(self) -> None:
-        """Draw every stream on to its reserve, 2N + W + 96 digits."""
-        for i, total in enumerate(self._reserves):
-            self.read(i, total)
 
     def brackets(self, n: int):
         """Each coordinate's exact (lo, width), T^n x_i in [lo, lo + width],
         from its digits past index n: from 16 digits, then four times as
-        many each time, the last from every stored digit."""
-        k = 16
+        many each time, each drawn when first read, the last from every
+        digit up to the reserve."""
+        k, at = 16, n - self.offset
         while True:
-            yield [ds.bracket(digits[n: n + k]) for digits, ds in zip(self.digits, self.systems)]
-            if all(k >= len(digits) - n for digits in self.digits):
+            yield [ds.bracket(self.read(i, min(n + k, total))[at:at + k])
+                   for i, (ds, total) in enumerate(zip(self.systems, self._reserves))]
+            if all(k >= total - n for total in self._reserves):
                 return
             k *= 4
 
 
-@lru_cache(maxsize=1)
-def _step_radii(target: TargetSpec, n_steps: int) -> tuple:
-    """``target.radii`` at n = 1..N, read-only; computed once per process and experiment."""
-    radii = tuple(target.radii(np.arange(1, n_steps + 1)))
-    for r in radii:
-        r.flags.writeable = False
-    return radii
-
-
-def _digit_membership(source: DigitSource, target: TargetSpec, n_steps: int):
-    """(hit_lo, hit_hi) boolean arrays for n = 1..N, decided coarse to fine.
+def _digit_membership(source: DigitSource, target: TargetSpec, steps: slice, radii):
+    """(hit_lo, hit_hi) boolean arrays for the block of steps n - 1 in
+    ``steps``, decided coarse to fine; ``radii`` are ``target.radii`` there.
 
     Every stage reads the :class:`DigitSource` alone.  A float stage reads
     T^n x_i as a ``window`` value v with T^n x_i in [v, v + band] (up to
     rounding), so ||T^n x_i - a_i|| is within that band plus MARGIN of
-    ||v - a_i||.  It
-    runs on a COARSE_BITS window, COARSE_CHUNK steps at a time: a ball or
-    rectangle is an AND over coordinates, so coordinate 0 is read at every
-    step and each next one only where the earlier ones leave the step open
-    (a hyperboloid reads every coordinate).  Then a FINE_BITS window
-    re-reads the steps still open, and the exact stage takes what is left
-    from the source's ``brackets``, after its ``reserve`` (drawn only
-    then).  Each stage is sound, so the ladder decides exactly what the
-    exact stage alone would.
+    ||v - a_i||.  It runs on a COARSE_BITS window, COARSE_CHUNK steps at
+    a time: a ball or rectangle is an AND over coordinates, so coordinate
+    0 is read at every step and each next one only where the earlier ones
+    leave the step open (a hyperboloid reads every coordinate).  Then a
+    FINE_BITS window re-reads the block's steps still open, and the exact
+    stage takes what is left from the source's ``brackets``, which read
+    on into later digits of the same streams.  Each stage is sound, so the
+    ladder decides exactly what the exact stage alone would.
     """
+    first, size = steps.start, steps.stop - steps.start
     centers = [float(a) for a in target.center]
-    radii = _step_radii(target, n_steps)
     every = (range(target.d), radii)  # the (coordinates, radii) verdict reads
     groups = ([every] if target.shape == Shape.HYPERBOLOID
               else [([i], radii[i:i + 1]) for i in every[0]])
 
-    def window_verdict(group, bits, steps):
-        """verdict on ``group`` at ``steps``, a slice or an index array"""
+    def window_verdict(group, bits, at):
+        """verdict on ``group`` at the block's steps ``at``, a slice or an
+        index array counted from the block's first step"""
         coords, rs = group
         lows, highs = [], []
         for i in coords:
-            dist, band = source.window(i, bits, steps)
+            dist, band = source.window(i, bits, slice(first + at.start, first + at.stop)
+                                       if isinstance(at, slice) else first + at)
             dist -= centers[i]
             np.abs(dist, out=dist)
             np.minimum(dist, 1.0 - dist, out=dist)
             band += MARGIN
             lows.append(np.maximum(dist - band, 0.0))
             highs.append(dist + band)
-        return verdict(target.shape, lows, highs, [r[steps] for r in rs])
+        return verdict(target.shape, lows, highs, [r[at] for r in rs])
 
-    hit_lo, hit_hi = np.empty((2, n_steps), dtype=bool)
-    for start in range(0, n_steps, COARSE_CHUNK):
-        steps = slice(start, min(start + COARSE_CHUNK, n_steps))
-        lo, hi = window_verdict(groups[0], COARSE_BITS, steps)
+    hit_lo, hit_hi = np.empty((2, size), dtype=bool)
+    for start in range(0, size, COARSE_CHUNK):
+        at = slice(start, min(start + COARSE_CHUNK, size))
+        lo, hi = window_verdict(groups[0], COARSE_BITS, at)
         for group in groups[1:]:
             idx = np.flatnonzero(hi)
             if not len(idx):
@@ -540,14 +556,12 @@ def _digit_membership(source: DigitSource, target: TargetSpec, n_steps: int):
             lo_g, hi_g = window_verdict(group, COARSE_BITS, idx + start)
             lo[idx] &= lo_g
             hi[idx] &= hi_g
-        hit_lo[steps], hit_hi[steps] = lo, hi
-    idx = np.flatnonzero(hit_hi & ~hit_lo)
-    hit_lo[idx], hit_hi[idx] = window_verdict(every, FINE_BITS, idx)
+        hit_lo[at], hit_hi[at] = lo, hi
     idx = np.flatnonzero(hit_hi & ~hit_lo)
     if len(idx):
-        source.reserve()
-    for i in idx:
-        n = int(i) + 1
+        hit_lo[idx], hit_hi[idx] = window_verdict(every, FINE_BITS, idx)
+    for i in np.flatnonzero(hit_hi & ~hit_lo):
+        n = first + int(i) + 1
         for brackets in source.brackets(n):
             bounds = [wrap_distance_bounds(lo, width, a)
                       for (lo, width), a in zip(brackets, target.center)]
@@ -570,19 +584,33 @@ def _interval_membership(system, target, x, hit_lo, hit_hi) -> None:
         hit_hi[n - 1] = verdict != Containment.NO
 
 
-def _tally(hit_lo, hit_hi, checkpoints, phi, epsilon) -> tuple:
-    """(checkpoint rows, R_hi - R_lo at the last one) from either engine's
-    (hit_lo, hit_hi) arrays for n = 1..N."""
-    r_lo = r_hi = start = 0
-    rows = []
-    for n, phi_n in zip(checkpoints, phi):
-        r_lo += int(np.count_nonzero(hit_lo[start:n]))
-        r_hi += int(np.count_nonzero(hit_hi[start:n]))
-        start = n
-        phi_n = float(phi_n)
-        rows.append(CheckpointRow(n, r_lo, r_hi, phi_n,
-                                  _error_term((r_lo + r_hi) / 2.0, phi_n, epsilon)))
-    return tuple(rows), r_hi - r_lo
+class _Tally:
+    """One sample's checkpoint rows, from its (hit_lo, hit_hi) arrays for
+    n = 1..N fed in step order, whole (the interval engine) or block by
+    block (the digit engine)."""
+
+    def __init__(self, checkpoints, phi, epsilon: float):
+        self._marks = [(n, float(phi_n)) for n, phi_n in zip(checkpoints, phi)]
+        self.epsilon = epsilon
+        self.rows, self.steps, self.r_lo, self.r_hi = [], 0, 0, 0
+
+    def _count(self, hit_lo, hit_hi) -> None:
+        self.r_lo += int(np.count_nonzero(hit_lo))
+        self.r_hi += int(np.count_nonzero(hit_hi))
+
+    def add(self, hit_lo, hit_hi) -> None:
+        """Count the next len(hit_lo) steps, writing the row of every
+        checkpoint among them."""
+        start, at = self.steps, 0
+        self.steps += len(hit_lo)
+        for n, phi_n in self._marks[len(self.rows):]:
+            if n > self.steps:
+                break
+            self._count(hit_lo[at:n - start], hit_hi[at:n - start])
+            at = n - start
+            self.rows.append(CheckpointRow(n, self.r_lo, self.r_hi, phi_n, _error_term(
+                (self.r_lo + self.r_hi) / 2.0, phi_n, self.epsilon)))
+        self._count(hit_lo[at:], hit_hi[at:])
 
 
 START_LAWS = ("lebesgue", "invariant")
@@ -632,30 +660,67 @@ def count_hits(system, target: TargetSpec, x, n_steps: int,
     if x is not None and len(x) != system.d:
         raise ValueError(f"point dimension {len(x)} != system dimension {system.d}")
     cps, phi, measure = _experiment(system, target, n_steps, checkpoints, start)
-    return _count_sample(system, target, x, cps, phi, epsilon, measure, sample_id, rng)
+    return _count_samples(system, target, x, cps, phi, epsilon, measure, [(sample_id, rng)])[0]
 
 
-def _count_sample(system, target, x, cps, phi, epsilon, measure, sample_id, rng) -> CountingResult:
-    """:func:`count_hits` on the checkpoints, Phi and start measure of :func:`_experiment`."""
+def _count_samples(system, target, x, cps, phi, epsilon, measure, samples) -> list:
+    """:func:`count_hits` from ``x`` for each (sample_id, rng) of ``samples``,
+    on the checkpoints, Phi and start measure of :func:`_experiment`: the
+    digit engine's :func:`_digit_blocks` for all of them at once, or the
+    interval engine one sample at a time."""
     if not cps:
-        return CountingResult(sample_id, (CheckpointRow(0, 0, 0, 0.0, None),), 0, epsilon)
+        return [CountingResult(i, (CheckpointRow(0, 0, 0, 0.0, None),), 0, epsilon)
+                for i, _ in samples]
     n_steps = cps[-1]
+    tallies = [_Tally(cps, phi, epsilon) for _ in samples]
     systems = _digit_systems(system, measure, x)
-    if systems is not None:
-        rngs = rng.spawn(len(systems)) if x is None else None
-        hit_lo, hit_hi = _digit_membership(DigitSource(systems, n_steps, rngs, x),
-                                           target, n_steps)
+    if systems is None:
+        for (_, rng), tally in zip(samples, tallies):
+            _interval_count(system, target, x, measure, rng, tally, n_steps)
     else:
-        if x is None:
-            x = _draw_initial(system, measure, rng, n_steps)
-        hit_lo, hit_hi = np.zeros(n_steps, dtype=bool), np.zeros(n_steps, dtype=bool)
-        try:
-            _interval_membership(system, target, x, hit_lo, hit_hi)
-        except PrecisionExhausted as exc:
-            done, _ = _tally(hit_lo, hit_hi, [n for n in cps if n <= exc.step], phi, epsilon)
-            exc.last_checkpoint = done[-1] if done else None
-            raise
-    return CountingResult(sample_id, *_tally(hit_lo, hit_hi, cps, phi, epsilon), epsilon)
+        sources = [DigitSource(systems, n_steps, None if x is not None
+                               else rng.spawn(len(systems)), x) for _, rng in samples]
+        for k, hit_lo, hit_hi in _digit_blocks(sources, target, n_steps):
+            tallies[k].add(hit_lo, hit_hi)
+    return [CountingResult(i, tuple(tally.rows), tally.r_hi - tally.r_lo, epsilon)
+            for (i, _), tally in zip(samples, tallies)]
+
+
+def _digit_blocks(sources: list, target: TargetSpec, n_steps: int):
+    """(k, hit_lo, hit_hi) of source k for each block of BLOCK_CHUNKS
+    coarse chunks of the steps n = 1..N in turn.
+
+    Every source walks the steps together: a block's radii are evaluated
+    once and read by each source's :func:`_digit_membership`, and a source
+    holds the block's digits only while its ladder runs, so memory grows
+    neither with N nor with the number of sources.
+    """
+    block = BLOCK_CHUNKS * COARSE_CHUNK
+    for start in range(0, n_steps, block):
+        steps = slice(start, min(start + block, n_steps))
+        # float steps: psi reads them as floats, so no int copy is made
+        radii = target.radii(np.arange(steps.start + 1, steps.stop + 1, dtype=np.float64))
+        for k, source in enumerate(sources):
+            source.hold(steps.stop)
+            yield (k, *_digit_membership(source, target, steps, radii))
+            source.forget(steps.stop)
+        del radii  # freed before the next block's are evaluated
+
+
+def _interval_count(system, target, x, measure, rng, tally, n_steps) -> None:
+    """One sample's steps on the interval engine, from ``x`` or a start drawn
+    from ``rng``, into its ``tally``.  A PrecisionExhausted carries the last
+    checkpoint row reached."""
+    if x is None:
+        x = _draw_initial(system, measure, rng, n_steps)
+    hit_lo, hit_hi = np.zeros(n_steps, dtype=bool), np.zeros(n_steps, dtype=bool)
+    try:
+        _interval_membership(system, target, x, hit_lo, hit_hi)
+    except PrecisionExhausted as exc:
+        tally.add(hit_lo[:exc.step], hit_hi[:exc.step])
+        exc.last_checkpoint = tally.rows[-1] if tally.rows else None
+        raise
+    tally.add(hit_lo, hit_hi)
 
 
 def _random_bits(rng: np.random.Generator, bits: int) -> int:
@@ -693,10 +758,10 @@ def _sample_rng(seed: int, sample_id: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(sample_id,)))
 
 
-def _run_sample(args) -> CountingResult:
-    (system, target, checkpoints, phi, epsilon, measure, seed, sample_id) = args
-    return _count_sample(system, target, None, checkpoints, phi, epsilon, measure,
-                         sample_id, _sample_rng(seed, sample_id))
+def _run_batch(args) -> list:
+    (system, target, checkpoints, phi, epsilon, measure, seed, sample_ids) = args
+    return _count_samples(system, target, None, checkpoints, phi, epsilon, measure,
+                          [(i, _sample_rng(seed, i)) for i in sample_ids])
 
 
 def monte_carlo_counting(system, target: TargetSpec, num_samples: int,
@@ -707,27 +772,26 @@ def monte_carlo_counting(system, target: TargetSpec, num_samples: int,
     """Seeded multi-sample counting experiment; ``start`` as in :func:`count_hits`.
 
     Sample i uses the generator derived from (seed, i); aggregation is in
-    sample order, so output is identical for any ``jobs``; the samples run
-    on min(jobs, samples, CPUs) worker processes, as a pool forks all its
-    workers at once.  The summary reports the fraction of samples with
-    |R/Phi - 1| <= band_tol at the final checkpoint and the largest |e(N)|
-    seen.  A sample whose ambiguous hits exceed ``AMBIGUITY_BUDGET`` of its
+    sample order, so output is identical for any ``jobs``.  The samples
+    run on min(jobs, samples, CPUs) worker processes, as a pool forks all
+    its workers at once, each taking one batch of consecutive samples (so
+    the digit engine evaluates the radii once per worker).  The summary
+    reports the fraction of samples with |R/Phi - 1| <= band_tol at the
+    final checkpoint and the largest |e(N)| seen.  A sample whose ambiguous hits exceed ``AMBIGUITY_BUDGET`` of its
     R_hi raises AmbiguityBudgetExceeded.
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
     cps, phi, measure = _experiment(system, target, n_steps, checkpoints, start)
-    payloads = [
-        (system, target, cps, phi, epsilon, measure, seed, i)
-        for i in range(num_samples)
-    ]
     workers = min(jobs, num_samples, os.cpu_count() or 1)
+    payloads = [(system, target, cps, phi, epsilon, measure, seed,
+                 range(j * num_samples // workers, (j + 1) * num_samples // workers))
+                for j in range(workers)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_sample, payloads, chunksize=max(1, num_samples // (4 * workers))))
+            results = [res for batch in pool.map(_run_batch, payloads) for res in batch]
     else:
-        results = [_run_sample(p) for p in payloads]
-    results.sort(key=lambda r: r.sample_id)
+        results = _run_batch(payloads[0])
     phi_final = results[0].final.phi
     in_band = 0
     max_abs_e = 0.0

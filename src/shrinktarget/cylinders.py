@@ -241,13 +241,14 @@ def _join(a: _Scan, b: _Scan) -> _Scan:
 
 
 def _repeat(scan: _Scan, m: int) -> _Scan:
-    """``m`` copies of ``scan`` side by side, by doubling."""
-    out = _EMPTY_SCAN
-    while m:
-        if m & 1:
-            out = _join(out, scan)
-        scan, m = _join(scan, scan), m >> 1
-    return out
+    """``m`` copies of ``scan``, which holds a full cylinder, side by side:
+    the head of the first copy, the tail of the last, and between two
+    copies a run of one tail and one head (the seams of repeated joins)."""
+    if not m:
+        return _EMPTY_SCAN
+    inner = scan[-2:] if m == 1 else (max(scan.inner_run, scan.tail_run + scan.head_run),
+                                      max(scan.inner_w, scan.tail_w + scan.head_w))
+    return _Scan(m * scan.count, m * scan.fulls, *scan[2:6], *inner)
 
 
 def full_cylinder_stats(beta, n: int) -> dict:
@@ -259,7 +260,9 @@ def full_cylinder_stats(beta, n: int) -> dict:
     gap is always < (n+1) * beta^-n: every n+1 consecutive cylinders
     contain a full one and each non-full cylinder is shorter than beta^-n.
     Subtree (state j, depth k) is m_j copies of (0, k-1) followed by
-    (j+1, k-1) unless j is terminal, summarised bottom-up over k: O(n^2) joins.
+    (j+1, k-1) unless j is terminal, summarised bottom-up over k; (0, k-1)
+    holds a full cylinder, so its copies are a closed form, and the scan
+    takes O(n^2) joins whatever beta is.
     """
     auto = BetaAutomaton(beta, n)
     if n < 1:

@@ -25,8 +25,9 @@ from .orbits import UnitRealInterval, as_fraction, wrap_distance_bounds
 # by this much is a proof; anything closer goes to the exact stage.
 MARGIN = 1e-13
 
-# Steps per array call when phi_values sums target measures.
-PHI_CHUNK = 1 << 20
+# Steps per array call when phi_values sums target measures: a chunk's
+# float temporaries stay in cache, and Phi(N) holds no N-length array.
+PHI_CHUNK = 1 << 15
 
 
 class Shape(enum.Enum):
@@ -85,7 +86,8 @@ class RateFunction:
         if self.kind == "exponential":
             out = np.exp(-arr * self.t)
         elif self.kind == "power":
-            out = self.c * arr ** -self.kappa
+            out = arr ** -self.kappa
+            out *= self.c  # in place: one temporary of len(n), not two
         elif self.kind == "superexponential":
             out = np.exp(-(arr ** 2))
         elif self.kind == "table":
@@ -340,7 +342,9 @@ def phi_values(target: TargetSpec, checkpoints: Sequence[int], measure=None):
     ``measure=None`` uses the Lebesgue closed forms; a ProductMeasure gives
     exact nu-volumes for every shape (balls and rectangles per factor,
     hyperboloids by :meth:`ProductMeasure.hyperboloid`, for d <= 2).  Both
-    are evaluated in chunks of PHI_CHUNK steps, so N = 10^6 costs one pass.
+    are evaluated in chunks of PHI_CHUNK steps, and the running total is
+    carried into each chunk's first term, so Phi is the one left-to-right
+    sum that a single ``cumsum`` over 1..N would give.
     """
     cps = sorted(int(c) for c in checkpoints)
     if not cps or cps[0] < 0:
@@ -360,7 +364,8 @@ def phi_values(target: TargetSpec, checkpoints: Sequence[int], measure=None):
             vols = np.asarray(lebesgue_volume(target, ns), dtype=np.float64)
         else:
             vols = _nu_volumes(target, ns, measure)
-        csum = np.cumsum(vols) + total
+        vols[0] += total
+        csum = np.cumsum(vols)
         total = float(csum[-1])
         while next_idx < len(cps) and cps[next_idx] <= stop:
             out[cps[next_idx]] = float(csum[cps[next_idx] - start])

@@ -243,6 +243,22 @@ class TestMainExitCodes:
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert f"needs {flag}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method, modulus, same", [
+        ("onedim", "5/2", "2.5"), ("onedim", "-5/2", "2.5"), ("markov", "21/2", "10.5"),
+        ("markov", "-21/2", "10.5")])
+    def test_beta_modulus_reads_what_moduli_reads(self, tmp_path, method, modulus, same):
+        # an exact rational, or a negative beta read as its modulus, as --moduli reads them
+        payloads = []
+        for i, value in enumerate((modulus, same)):
+            assert main(["dimension", "--method", method, f"--beta-modulus={value}",
+                         "--lam", "0.5", "--out", str(tmp_path / str(i))]) == 0
+            payloads.append(json.loads((tmp_path / str(i) / "dimension.json").read_text()))
+        assert payloads[0] == payloads[1]
+        assert cli.parse_params(ExperimentConfig("dimension", {
+            "method": method, "beta_modulus": modulus, "lam": 0.5}))["beta_modulus"] == \
+            cli.parse_params(ExperimentConfig("dimension", {
+                "method": "ball", "moduli": [modulus], "lam": 0.5}))["moduli"][0]
+
     def test_parry_measure_on_matrix_system_is_two(self, tmp_path, capsys):
         code = main(["count", "--system", "matrix:3,1;1,2", "--center", "0,0",
                      "--rate", "pow:0.25,0.5", "--steps", "50", "--seed", "7",
@@ -313,11 +329,11 @@ class TestMainExitCodes:
         # 2 ambiguous hits of R_hi = 1000 is past the manifest's 1e-3 budget
         from shrinktarget import counting
 
-        def noisy(system, target, x, cps, phi, epsilon, *args, **kwargs):
+        def noisy(system, target, x, cps, phi, epsilon, measure, samples):
             row = counting.CheckpointRow(cps[-1], 998, 1000, float(phi[-1]), None)
-            return counting.CountingResult(args[1], (row,), 2, epsilon)
+            return [counting.CountingResult(i, (row,), 2, epsilon) for i, _ in samples]
 
-        monkeypatch.setattr(counting, "_count_sample", noisy)
+        monkeypatch.setattr(counting, "_count_samples", noisy)
         assert main(["count", "--system", "diag:2,3", "--center", "0,0",
                      "--rate", "pow:0.5,0.25", "--steps", "10", "--seed", "1",
                      "--out", str(tmp_path)]) == 5

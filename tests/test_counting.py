@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from shrinktarget import counting
+from shrinktarget import counting, targets
 from shrinktarget.counting import (
     DigitSource,
     GoldenDigits,
@@ -18,7 +18,6 @@ from shrinktarget.counting import (
     _digits_to_int,
     _random_bits,
     _sample_rng,
-    _step_radii,
     _window_at,
     _window_values,
     correlation_estimate,
@@ -269,17 +268,27 @@ def golden_chain_digits(rng, state1_weight, count):
 
 
 def drawn(system, rng, total):
-    """One draw of ``total`` digits from ``rng``: what a one-coordinate
-    source whose float windows read ``total`` digits draws up front."""
-    return DigitSource([system], total - _digit_window(system.beta) - 1, [rng]).digits[0]
+    """One read of ``total`` digits from ``rng`` by a one-coordinate source."""
+    return DigitSource([system], 0, [rng]).read(0, total)
 
 
 def capture_source(monkeypatch):
     """The sources count_hits hands the digit ladder, in a list, as it runs."""
     sources, ladder = [], counting._digit_membership
-    monkeypatch.setattr(counting, "_digit_membership",
-                        lambda source, *args: sources.append(source) or ladder(source, *args))
+
+    def captured(source, *args):
+        if all(source is not seen for seen in sources):
+            sources.append(source)
+        return ladder(source, *args)
+
+    monkeypatch.setattr(counting, "_digit_membership", captured)
     return sources
+
+
+def ladder(source, target, n_steps):
+    """(hit_lo, hit_hi) for n = 1..N: the blocks of one source's count, joined."""
+    blocks = [hits for _, *hits in counting._digit_blocks([source], target, n_steps)]
+    return tuple(np.concatenate(hits) for hits in zip(*blocks))
 
 
 class TestDigitPrefix:
@@ -303,15 +312,20 @@ class TestDigitPrefix:
         assert got.dtype == np.int8 and np.array_equal(got, want)
 
     def test_each_coordinate_reads_its_own_generator(self, monkeypatch):
-        # sample 3 of seed 7: coordinate i draws from the spawn key (3, i)
+        # sample 3 of seed 7: coordinate i draws from the spawn key (3, i),
+        # block by block (four blocks of 128 steps)
+        monkeypatch.setattr(counting, "COARSE_CHUNK", 16)
+        monkeypatch.setattr(counting, "BLOCK_CHUNKS", 8)
         sources = capture_source(monkeypatch)
         target = ball((0.0, 0.0), RateFunction.power(0.5, 0.25))
         count_hits(DiagonalTorusSystem((2, 3)), target, None, 500, rng=_sample_rng(7, 3))
         source, = sources
+        assert source.offset == 500  # every block forgotten: the last window's lookahead is left
         for i, (digits, base) in enumerate(zip(source.digits, (2, 3))):
             rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(3, i)))
-            assert len(digits) == 500 + _digit_window(base) + 1
-            assert np.array_equal(digits, byte_table_digits(rng, base, len(digits)))
+            end = 500 + _digit_window(base)
+            assert source.offset + len(digits) == end
+            assert np.array_equal(digits, byte_table_digits(rng, base, end)[500:])
 
     def test_rational_digits(self):
         assert list(IntegerDigits(2).expand(Fraction(1, 3), 6)) == [0, 1, 0, 1, 0, 1]
@@ -463,7 +477,8 @@ class TestDigitSourceWindows:
         steps = ([slice(0, n_steps), slice(700, 1300)] if read == "slice" else
                  [np.sort(rng.choice(n_steps, size=300, replace=False)), np.arange(5)])
         for i, ds in enumerate(systems):
-            digits = source.digits[i]
+            # every digit the windows read: the steps' last one reads up to index N + W
+            digits = source.read(i, n_steps + _digit_window(ds.beta) + 1)
             golden = isinstance(ds, GoldenDigits)
             if golden and digits[-1]:
                 digits = np.append(digits, 0)
@@ -539,11 +554,12 @@ class TestDigitLadder:
         monkeypatch.setattr(counting, "COARSE_BITS", 2)
         stages = {"coarse": 0, "fine": 0, "exact": []}
         count_stages(monkeypatch, stages)
-        # one partial chunk, then three full chunks and a partial one
-        for chunk in (counting.COARSE_CHUNK, 64):
+        # one partial chunk; then two blocks of eight 16-step chunks, the last partial
+        monkeypatch.setattr(counting, "BLOCK_CHUNKS", 8)
+        for chunk in (counting.COARSE_CHUNK, 16):
             monkeypatch.setattr(counting, "COARSE_CHUNK", chunk)
             stages.update(coarse=0, fine=0, exact=[])
-            hit_lo, hit_hi = counting._digit_membership(source(), target, n_steps)
+            hit_lo, hit_hi = ladder(source(), target, n_steps)
             assert list(zip(hit_lo.tolist(), hit_hi.tolist())) == oracle, chunk
             assert stages["fine"] > 0
             # a hyperboloid's coarse stage reads every coordinate by convolution
@@ -553,9 +569,10 @@ class TestDigitLadder:
                 assert not hit_lo.any() and hit_hi.all()
 
     @pytest.mark.parametrize("shape", ["ball", "hyperboloid", "rectangle"])
-    def test_exact_stage_draws_the_reserve(self, monkeypatch, shape):
-        # a random stream holds the N + W + 1 digits the float stages read;
-        # a step the fine stage leaves open draws it on to 2N + W + 96
+    def test_exact_stage_reads_on_demand(self, monkeypatch, shape):
+        # the float stages read a stream to index N + W at most; a step the
+        # fine stage leaves open reads on into the same stream, as deep as
+        # its brackets go and never to the whole 2N + W + 96 reserve
         betas, n_steps = (2, 3), 300
         target = ladder_target(shape, 2)
         systems = counting._digit_systems(DiagonalTorusSystem(betas), None, None)
@@ -563,38 +580,61 @@ class TestDigitLadder:
         def source():
             return DigitSource(systems, n_steps, np.random.default_rng(21).spawn(2))
 
-        ladder_read = [n_steps + _digit_window(b) + 1 for b in betas]
+        def ends(src):
+            return [src.offset + len(d) for d in src.digits]
+
         quiet = source()
-        counting._digit_membership(quiet, target, n_steps)
-        assert [len(d) for d in quiet.digits] == ladder_read  # nothing reached the exact stage
+        ladder(quiet, target, n_steps)
+        # the float windows' digits alone: nothing reached the exact stage
+        assert ends(quiet) == [n_steps + _digit_window(b) for b in betas]
         oracle = full_tail_verdicts(target, reserves(source(), n_steps), betas, n_steps)
         monkeypatch.setattr(counting, "COARSE_BITS", 2)
         monkeypatch.setattr(counting, "FINE_BITS", 3)
         stages = {"coarse": 0, "fine": 0, "exact": []}
         count_stages(monkeypatch, stages)
         loud = source()
-        assert [len(d) for d in loud.digits] == ladder_read
-        hit_lo, hit_hi = counting._digit_membership(loud, target, n_steps)
+        hit_lo, hit_hi = ladder(loud, target, n_steps)
         assert len(stages["exact"]) > 10
-        assert [len(d) for d in loud.digits] == [len(d) for d in reserves(source(), n_steps)]
+        assert all(end < 2 * n_steps + _digit_window(b) + 96 for end, b in zip(ends(loud), betas))
         assert list(zip(hit_lo.tolist(), hit_hi.tolist())) == oracle
 
-    def test_step_radii_once_per_experiment(self, monkeypatch):
+    @pytest.mark.parametrize("start", ["random", "rational"])
+    def test_brackets_keep_their_depths_and_cap(self, start):
+        # 16, 64 and 256 digits past n, then every digit up to the reserve,
+        # 2N + W + 96 = 338 at N = 100, all of them the stream's own digits
+        n_steps, n = 100, 5
+        x = (Fraction(17, 97),) if start == "rational" else None
+
+        def source():
+            return DigitSource([IntegerDigits(2)], n_steps,
+                               None if x else [np.random.default_rng(12)], x)
+
+        stream = source().read(0, 338)
+        got = [bracket for bracket, in source().brackets(n)]
+        assert [width for _, width in got] == [Fraction(1, 2 ** k) for k in (16, 64, 256, 333)]
+        for (lo, width), k in zip(got, (16, 64, 256, 333)):
+            assert lo == Fraction(_digits_to_int(stream[n:n + k], 2), 2 ** k)
+
+    @pytest.mark.parametrize("chunk", [counting.COARSE_CHUNK, 64])
+    def test_radii_once_per_step_per_batch(self, monkeypatch, chunk):
+        # --jobs 1 is one batch of the three samples: psi at each step once,
+        # block by block (at 64-step chunks, five blocks of 1024 steps)
         calls = []
         radii = TargetSpec.radii
 
         def counted(self, n):
             if np.ndim(n):
-                calls.append(len(n))
+                calls.append(np.array(n))
             return radii(self, n)
 
         monkeypatch.setattr(TargetSpec, "radii", counted)
-        _step_radii.cache_clear()
+        monkeypatch.setattr(counting, "COARSE_CHUNK", chunk)
         s = DiagonalTorusSystem((2, 3))
         t = ball((0.0, 0.0), RateFunction.power(0.5, 0.25))
         monte_carlo_counting(s, t, 3, 5000, seed=4, checkpoints=[1000, 5000])
-        assert calls == [5000]
-        assert not _step_radii(t, 5000)[0].flags.writeable
+        block = counting.BLOCK_CHUNKS * chunk
+        assert [len(c) for c in calls] == [min(block, 5000 - k) for k in range(0, 5000, block)]
+        assert np.array_equal(np.concatenate(calls), np.arange(1, 5001))
 
 
 def chi_square_pvalues(digits, base):
@@ -629,14 +669,24 @@ class TestDigitStream:
     @pytest.mark.parametrize("system", DRAW_SYSTEMS.values(), ids=DRAW_SYSTEMS.keys())
     def test_draws_tile_one_stream(self, system):
         whole = drawn(system, np.random.default_rng(9), 30_000)
-        head = _digit_window(system.beta) + 1  # what a source with N = 0 draws up front
+        head = _digit_window(system.beta) + 1
         for cuts in ([0, 1, 7, 1000, 30_000], [12_345, 30_000], [1, 2, 3, 29_999, 30_000],
                      [head + 1, head + 7, 1000, 30_000]):
-            source, have = DigitSource([system], 0, [np.random.default_rng(9)]), head
+            source, have = DigitSource([system], 0, [np.random.default_rng(9)]), 0
             for total in cuts:
                 have = max(have, total)  # a read never gives digits back
                 assert np.array_equal(source.read(0, total), whole[:have]), cuts
-        source, have = DigitSource([system], 0, [np.random.default_rng(9)]), head
+        # forgetting a prefix, read or not, keeps the rest of the stream in
+        # place, and holding a block draws it on past the block's last window
+        window = _digit_window(system.beta)
+        for cuts in ([100, 5000, 29_000], [0, 20_000, 29_000], [7, 7, 12_345, 29_000]):
+            source = DigitSource([system], 0, [np.random.default_rng(9)])
+            for at, stop in zip(cuts, cuts[1:]):
+                source.forget(at)
+                source.hold(stop)
+                assert source.offset == at
+                assert np.array_equal(source.digits[0], whole[at:stop + window]), cuts
+        source, have = DigitSource([system], 0, [np.random.default_rng(9)]), 0
         for total in (5000, 100, 5001, 30_000):
             have = max(have, total)
             assert np.array_equal(source.read(0, total), whole[:have])
@@ -826,15 +876,17 @@ class TestGoldenDigitEngine:
         # narrow windows send many steps on to the fine and the exact stage
         monkeypatch.setattr(counting, "COARSE_BITS", 2)
         monkeypatch.setattr(counting, "FINE_BITS", 6)
-        monkeypatch.setattr(counting, "COARSE_CHUNK", 300)  # six full chunks, a partial one
+        monkeypatch.setattr(counting, "COARSE_CHUNK", 100)
+        monkeypatch.setattr(counting, "BLOCK_CHUNKS", 8)  # two blocks of 800, a partial one
         stages = {"coarse": 0, "fine": 0, "exact": []}
         count_stages(monkeypatch, stages)
-        hit_lo, hit_hi = counting._digit_membership(source, target, n_steps)
+        hit_lo, hit_hi = ladder(source, target, n_steps)
         assert len(stages["exact"]) > 20
         assert np.array_equal(hit_lo, hit_hi)  # no ties on a random orbit
-        # the exact stage read each stream on to its reserve
+        # the point is the same streams read to the exact stage's reserve, plus the tail box
+        again = DigitSource(systems, n_steps, np.random.default_rng(8).spawn(2))
         x = [digit_enclosure(d, ds.beta, 3200)
-             for d, ds in zip(reserves(source, n_steps), systems)]
+             for d, ds in zip(reserves(again, n_steps), systems)]
         orbit = orbit_enclosures(system, x, n_steps)
         next(orbit)
         definite = 0
@@ -991,6 +1043,87 @@ class TestInvariantPhi:
         assert res.final.phi == phi_values(t, [50], measure=ProductMeasure([-1.3]))[0]
         # a given point is the caller's own start
         assert count_hits(system, t, (Fraction(1, 3),), 50).final.n == 50
+
+
+# R at the checkpoints of TestStreamedCounts, as the array ladder counted
+# them in one pass over all N steps (no step is ambiguous, so R_lo = R_hi)
+ARRAY_LADDER_R = {
+    "ball": [1, 40, 50, 50, 63, 84, 97, 103, 118, 126, 135, 140, 150, 152],
+    "rectangle": [0, 66, 85, 85, 113, 154, 194, 233, 260, 282, 301, 331, 351, 353],
+}
+
+
+class TestStreamedCounts:
+    """The digit engine walks the steps block by block and holds one block."""
+
+    @pytest.mark.parametrize("narrow", [False, True], ids=["windows", "narrow-windows"])
+    @pytest.mark.parametrize("shape, betas", [("ball", (2, 3)), ("rectangle", ("g", 2))])
+    def test_rows_at_every_block_boundary(self, monkeypatch, shape, betas, narrow):
+        # 512-step blocks: ten full blocks and a partial one, a checkpoint
+        # at each boundary and three inside the blocks
+        target = {"ball": ball((0.3, 0.0), RateFunction.power(0.5, 0.25)),
+                  "rectangle": rectangle((0.3, 0.0), (RateFunction.power(0.4, 0.2),
+                                                      RateFunction.power(0.3, 0.1)))}[shape]
+        n_steps = 10 * 512 + 100
+        cps = list(range(512, n_steps, 512)) + [1, 700, 701]
+        if narrow:  # most steps go on to the fine and the exact stage
+            monkeypatch.setattr(counting, "COARSE_BITS", 2)
+            monkeypatch.setattr(counting, "FINE_BITS", 3)
+
+        def rows():
+            res = count_hits(DiagonalTorusSystem(betas), target, None, n_steps,
+                             checkpoints=cps, rng=np.random.default_rng(3))
+            return res.checkpoints
+
+        whole = rows()  # one block
+        monkeypatch.setattr(counting, "COARSE_CHUNK", 64)
+        monkeypatch.setattr(counting, "BLOCK_CHUNKS", 8)
+        assert rows() == whole
+        assert [row.n for row in whole] == sorted(cps) + [n_steps]
+        assert [(row.r_lo, row.r_hi) for row in whole] == [(r, r) for r in ARRAY_LADDER_R[shape]]
+
+    @pytest.mark.parametrize("blocks", [100, 1000])
+    def test_memory_does_not_grow_with_the_blocks(self, monkeypatch, blocks):
+        # 128-step blocks, and Phi sums 1024 steps a chunk: a count holds a
+        # few such chunks' arrays, whatever N
+        monkeypatch.setattr(counting, "COARSE_CHUNK", 16)
+        monkeypatch.setattr(counting, "BLOCK_CHUNKS", 8)
+        monkeypatch.setattr(targets, "PHI_CHUNK", 1024)
+        system = DiagonalTorusSystem((2, 3))
+        t = ball((0.0, 0.0), RateFunction.power(0.5, 0.25))
+        count_hits(system, t, None, 1000, rng=np.random.default_rng(1))  # warm the caches
+        tracemalloc.start()
+        try:
+            res = count_hits(system, t, None, blocks * 128, rng=np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.final.r_lo > 0
+        assert peak < 200_000
+
+    def test_one_source_holds_a_block_at_a_time(self, monkeypatch):
+        # a batch's sources walk each block in turn: while one holds the
+        # block, every other holds its lookahead alone
+        monkeypatch.setattr(counting, "COARSE_CHUNK", 64)
+        betas, n_steps = (2, 3), 3000
+        systems = counting._digit_systems(DiagonalTorusSystem(betas), None, None)
+        sources = [DigitSource(systems, n_steps, rng.spawn(2))
+                   for rng in np.random.default_rng(6).spawn(5)]
+        t = ball((0.0, 0.0), RateFunction.power(0.5, 0.25))
+        block = counting.BLOCK_CHUNKS * 64
+        seen = []
+        for k, hit_lo, _ in counting._digit_blocks(sources, t, n_steps):
+            start = sources[k].offset
+            assert len(hit_lo) == min(block, n_steps - start)
+            for j, source in enumerate(sources):
+                held = [len(d) for d in source.digits]
+                if j == k:
+                    assert held == [min(start + block, n_steps) + _digit_window(b) - start
+                                    for b in betas]
+                else:
+                    assert all(h <= _digit_window(b) + 64 for h, b in zip(held, betas)), (j, held)
+            seen.append((start, k))
+        assert seen == [(start, k) for start in range(0, n_steps, block) for k in range(5)]
 
 
 class TestMonteCarloCounting:
@@ -1294,11 +1427,11 @@ class TestAmbiguityBudget:
 
     def test_monte_carlo_counting_enforces_the_budget(self, monkeypatch):
         # 2 ambiguous hits of R_hi = 1000 is past AMBIGUITY_BUDGET = 1e-3
-        def noisy(system, target, x, cps, phi, epsilon, measure, sample_id, rng):
+        def noisy(system, target, x, cps, phi, epsilon, measure, samples):
             row = counting.CheckpointRow(cps[-1], 998, 1000, float(phi[-1]), None)
-            return counting.CountingResult(sample_id, (row,), 2, epsilon)
+            return [counting.CountingResult(i, (row,), 2, epsilon) for i, _ in samples]
 
-        monkeypatch.setattr(counting, "_count_sample", noisy)
+        monkeypatch.setattr(counting, "_count_samples", noisy)
         system = DiagonalTorusSystem((2,))
         t = ball((0.0,), RateFunction.power(0.3, 0.1))
         with pytest.raises(AmbiguityBudgetExceeded, match="sample 0: 2 ambiguous hits"):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from shrinktarget import cylinders
 from shrinktarget.cylinders import (
     BetaAutomaton,
     _EMPTY_SCAN,
@@ -108,6 +109,16 @@ class TestFullness:
             is_full_cylinder(cyl)
 
 
+def doubled(scan, m):
+    """Oracle: ``m`` copies of ``scan`` joined by doubling."""
+    out = _EMPTY_SCAN
+    while m:
+        if m & 1:
+            out = _join(out, scan)
+        scan, m = _join(scan, scan), m >> 1
+    return out
+
+
 class TestFullCylinderGap:
     def test_dyadic_all_full(self):
         assert full_cylinder_stats(2, 5)["max_gap"] == 0.0
@@ -171,7 +182,18 @@ class TestFullCylinderGap:
             assert scan.inner_w == max(gaps, default=0.0)
             if scan.fulls:
                 assert (scan.head_run, scan.tail_run) == (runs[1], runs[-1])
-            assert _repeat(scan, 3) == _join(scan, _join(scan, scan))
+            if scan.fulls:
+                for m in range(6):
+                    assert _repeat(scan, m) == doubled(scan, m)
+
+    @pytest.mark.parametrize("beta, n", [("g", 120), ("e", 120), (1.8, 120), (2.5, 120),
+                                         (1.05, 120), ("5/2", 60), (7.5, 60), (100.5, 60),
+                                         (1000.3, 30)])
+    def test_closed_form_repeats_are_the_doubling(self, monkeypatch, beta, n):
+        # the same float additions in the same order: the stats are equal, not close
+        closed = full_cylinder_stats(beta, n)
+        monkeypatch.setattr(cylinders, "_repeat", doubled)
+        assert closed == full_cylinder_stats(beta, n)
 
     @pytest.mark.parametrize("beta,bf", [("g", GOLDEN), ("e", math.e), (1.8, 1.8), (1.05, 1.05)])
     def test_deep_scan(self, beta, bf):

@@ -56,6 +56,12 @@ CONFIGS = {
     "count_ball_2_3_5": ("count", {"system": "diag:2,3,5", "center": [0, 0, 0],
                                    "rate": "pow:0.5,0.1", "samples": 4, "steps": 50000,
                                    "seed": 1}, 1),
+    # N past 2^20, with a checkpoint at 2^20: several blocks and many Phi
+    # chunks, on two workers of one sample each
+    "count_ball_2_3_past_2_20": ("count", {"system": "diag:2,3", "center": [0, 0],
+                                           "rate": "pow:0.5,0.25", "samples": 2,
+                                           "steps": 1_100_000, "checkpoints": [1 << 20],
+                                           "seed": 1}, 2),
     # a rational beta that is not an integer: the interval engine
     "count_5over2": ("count", {"system": "diag:5/2", "center": [0], "rate": "pow:0.5,1",
                                "samples": 2, "steps": 400, "seed": 1}, 1),
