@@ -37,6 +37,11 @@ GOLDEN_PARRY = {"system": "diag:g,g", "center": [0, 0], "rate": "pow:0.5,0.25",
                 "measure": "parry", "samples": 4, "steps": 50000, "checkpoints": [1000],
                 "seed": 1}
 
+# 5000 table radii between 0.05 and 0.25: a zigzag of period 50 whose height
+# doubles and halves every 1500 steps
+ZIGZAG = "table:" + ",".join(f"{0.05 + 0.004 * abs(j % 50 - 25) * (1 + j // 1500 % 2):.3f}"
+                             for j in range(5000)) + ":hold"
+
 # name -> (command, params, jobs)
 CONFIGS = {
     **{f"count_{shape}_2_3_jobs{jobs}": ("count", dict(HEADLINE, shape=shape, **rates), jobs)
@@ -62,6 +67,16 @@ CONFIGS = {
                                            "rate": "pow:0.5,0.25", "samples": 2,
                                            "steps": 1_100_000, "checkpoints": [1 << 20],
                                            "seed": 1}, 2),
+    # a constant radius, past one 2^19-step block: most steps reach coordinate 1
+    "count_ball_2_3_constant": ("count", {"system": "diag:2,3", "center": [0, 0],
+                                          "rate": "pow:0.3,0", "samples": 2,
+                                          "steps": 600_000, "checkpoints": [1 << 19],
+                                          "seed": 1}, 1),
+    # a radius that rises and falls over many steps and is held past the table's end
+    "count_ball_2_g_table_parry": ("count", {"system": "diag:2,g", "center": [0, 0],
+                                             "rate": ZIGZAG, "measure": "parry",
+                                             "samples": 4, "steps": 40_000,
+                                             "checkpoints": [1000, 5000], "seed": 1}, 1),
     # a rational beta that is not an integer: the interval engine
     "count_5over2": ("count", {"system": "diag:5/2", "center": [0], "rate": "pow:0.5,1",
                                "samples": 2, "steps": 400, "seed": 1}, 1),
@@ -105,6 +120,8 @@ CONFIGS = {
     "orbit": ("orbit", {"system": "diag:2.7,g", "x": ["1/3", 0.1], "steps": 60,
                         "stride": 5}, 1),
     "orbit_matrix": ("orbit", {"system": "matrix:2,1;1,1", "x": ["0.3", "0.7"], "steps": 200}, 1),
+    "volume_ball": ("volume", {"shape": "ball", "d": 2, "rate": "pow:0.3,1"}, 1),
+    "volume_rectangle": ("volume", {"shape": "rectangle", "d": 3, "rate": "pow:0.2,1"}, 1),
     "volume_hyperboloid_3": ("volume", {"shape": "hyperboloid", "d": 3,
                                         "rate": "pow:0.05,1"}, 1),
     "support_minus_1_3": ("support", {"beta": "-1.3"}, 1),
