@@ -22,20 +22,23 @@ extends a shorter one.  An integer coordinate draws i.i.d. base-b digits
 from a byte table (with b^k <= 256 the largest such power, each raw byte
 below the largest multiple of b^k is k digits), a golden one its greedy
 digits from the two-state chain of the orbit of 1 (Renyi 1957, Parry
-1960), whose state carries from one read to the next.  The ladder makes
-two reads of the source and never sees a base: ``window`` values with
-their band, a ~10-bit window read in cache-sized chunks of steps one
-coordinate at a time (a ball or rectangle reads a coordinate only at the
-steps the earlier ones leave open), which decides all but a few hundred
-of 10^6 steps, then a ~42-bit window for those; and for the rare steps
+1960), whose state carries from one read to the next.  The ladder reads
+the source and never sees a base: ~10-bit digit ``words``, int16 keys
+into one ``word_table`` of distance bounds per digit system and centre,
+read in cache-sized chunks of steps one coordinate at a time (a ball or
+rectangle reads a coordinate only at the steps the earlier ones leave
+open) against bounds of the radii over runs of RADIUS_RUN steps, which
+decide all but a few hundred of 10^6 steps; then a ~42-bit float
+``window`` for those against their own radii; and for the rare steps
 still open, exact ``brackets`` from digit prefixes (exact integers for
 b, Z[g] for g), which read on into the stream as deep as they go, up to
 a reserve of 2N + W + 96 digits.  This is what makes N = 10^6 runs
 cheap.  A count walks the steps in blocks of BLOCK_CHUNKS coarse chunks,
-all the samples of a worker's batch together: the radii of a block are
-evaluated once for the batch, and a sample's source holds that block's
-digits and W digits of lookahead alone (a given point is expanded to
-the reserve at once), so memory does not grow with N.  Everything else
+all the samples of a worker's batch together: a block's radius bounds
+are evaluated once for the batch, psi at two steps per run, and a
+sample's source holds that block's digits and W digits of lookahead
+alone (a given point is expanded to the reserve at once), so memory
+does not grow with N.  Everything else
 (e, other reals, negative beta, integer bases above 128, given
 enclosures, given points on non-integer systems, integer matrices) runs
 on the interval engine.
@@ -88,15 +91,21 @@ DEFAULT_EPSILON = 0.5
 AMBIGUITY_BUDGET = 1e-3
 MIN_MU_F = 1e-6
 KAPPA_LAGS = 30
-# Bits of T^n x in the digit engine's two float windows.  The coarse window
-# is read at every step; np.convolve stays cheap up to about ten taps.  The
-# fine window is read only at the steps the coarse one leaves open.
+# Bits of T^n x in the digit engine's two windows.  The coarse window is a
+# digit word S < b^k <= 2^15, k = ceil(COARSE_BITS / log2 beta) digits, read
+# at every step through one table of its distance bounds; the fine window,
+# a float of FINE_BITS, is read only at the steps the coarse one leaves open.
 COARSE_BITS = 10
 FINE_BITS = 42
-# Steps per coarse pass: its float temporaries stay in cache.
+# Steps per coarse pass: its int16 words and float distances stay in cache.
 COARSE_CHUNK = 1 << 15
+# Steps per run of radius bounds: the coarse stage compares against a lower
+# and an upper bound of each radius over a run, not against psi at each step.
+RADIUS_RUN = 1 << 10
+# Steps per piece of an index gather: its (steps, window) digit rows stay small.
+GATHER_PIECE = 1 << 12
 # Coarse chunks per block: a worker walks its samples through the steps a
-# block at a time, so it holds one block's radii, digits and hits for any N
+# block at a time, so it holds one block's digits and hits for any N
 # (2^19 steps: a few MB, while the fine stage's fixed cost per block stays
 # small against a sample).
 BLOCK_CHUNKS = 16
@@ -170,16 +179,6 @@ def invariant_measure(system) -> Optional[ProductMeasure]:
             "coordinates off with the degenerate reduction first"
         )
     return None if system.is_integer else ProductMeasure(system.betas)
-
-
-def _window_values(digits: np.ndarray, base: int, n_steps: int, window: int) -> np.ndarray:
-    """values[n-1] ~ T^n(x) for n = 1..N, from ``window`` leading digits.
-
-    values[n-1] = sum_k digits[n+k] base^-(k+1) over k < window, as one
-    convolution with the reversed weights.
-    """
-    weights = float(base) ** -np.arange(window, 0, -1)
-    return np.convolve(digits[1:n_steps + window].astype(np.float64), weights, "valid")
 
 
 def _combine_pairwise(parts: list, scale, mul, add):
@@ -282,6 +281,11 @@ class IntegerDigits:
 
     beta: int
 
+    @property
+    def radix(self) -> int:
+        """The digits' count, the radix of their :func:`_words`."""
+        return self.beta
+
     def lead(self, rng: np.random.Generator) -> np.ndarray:
         """The digits a stream starts with before its first batch: none."""
         return np.empty(0, dtype=np.int8)
@@ -337,6 +341,7 @@ class GoldenDigits:
 
     state1_weight: float = 0.0
     beta = GOLDEN_RATIO
+    radix = 2
 
     def lead(self, rng: np.random.Generator) -> np.ndarray:
         """The digits a stream starts with: a state-1 start's forced 0."""
@@ -385,8 +390,9 @@ def _digit_systems(system, measure, x) -> Optional[list]:
     integer 2 <= b <= MAX_DIGIT_BASE or the token "g", from a random start
     or, on an all-integer system, a given rational point.  A system reads
     x as sum_k d_k beta^-k, so T^n x is its stream from index n on.  It
-    has a ``beta``, the ``lead`` and ``batch``es a random start draws, the
-    ``bracket`` of a prefix and (integers only) the ``expand``-sion of x.
+    has a ``beta`` and the ``radix`` of its digits, the ``lead`` and
+    ``batch``es a random start draws, the ``bracket`` of a prefix and
+    (integers only) the ``expand``-sion of x.
     """
     if not isinstance(system, DiagonalTorusSystem) or system.degenerate:
         return None
@@ -404,19 +410,76 @@ def _digit_systems(system, measure, x) -> Optional[list]:
     return systems
 
 
-def _window_at(digits: np.ndarray, base: int, idx: np.ndarray, window: int) -> np.ndarray:
-    """:func:`_window_values` at the steps n = idx + 1 only.
+def _words(digits: np.ndarray, radix: int, k: int, count: int) -> np.ndarray:
+    """int16 words S[j] = sum_l digits[j + l] radix^(k-1-l) over l < k, j < count.
 
-    Horner's rule from the last window digit, one gathered digit per step
-    and pass, so memory stays O(len(idx)) for any window.
+    Each pass doubles the word length by one shift-add, and the lengths of
+    k's binary expansion join, leading digits first: a few int16 passes
+    over the steps for any k.  Every word is below radix^k <= 2^15.
     """
-    pos = idx + window
-    vals = np.zeros(len(idx))
-    for _ in range(window):
-        vals += digits[pos]
-        vals /= base
-        pos -= 1
-    return vals
+    total = count + k - 1
+    part = digits[:total].astype(np.int16)        # the words of ``length`` digits
+    words, have, length = None, 0, 1
+    while True:
+        if k & length:
+            tail = part[have:total - length + 1]
+            words = tail if words is None else words[:len(tail)] * radix ** length + tail
+            have += length
+        if 2 * length > k:
+            return words
+        part = part[:-length] * radix ** length + part[length:]
+        length *= 2
+
+
+def _word_values(radix: int, beta: float, k: int) -> np.ndarray:
+    """values[S] = sum_l s_l beta^-(l+1) for every k-digit word S of
+    :func:`_words`, s_l its digits: the left end of S's cylinder.
+
+    Built as :func:`_words` joins digits: a word of m + n digits is one of
+    m followed by one of n, so its values are an outer sum of theirs.
+    """
+    part = np.arange(radix) / beta
+    values, have, length = None, 0, 1
+    while True:
+        if k & length:
+            values = part if values is None else np.add.outer(values, beta ** -have * part).ravel()
+            have += length
+        if 2 * length > k:
+            return values
+        part = np.add.outer(part, beta ** -length * part).ravel()
+        length *= 2
+
+
+@lru_cache(maxsize=None)
+def _word_table(system, bits: int, center: float) -> tuple:
+    """(dist, band): dist[S] = ||v_S - center|| for every ``bits``-bit word
+    S of the digit ``system``, v_S the left end of its cylinder, which
+    spans beta^-k.  So every point of the cylinder lies at a wrap distance
+    in [max(dist[S] - band, 0), dist[S] + band] from ``center``, with band
+    = beta^-k + MARGIN for the float rounding.  Built once per process.
+    """
+    k = _digit_window(system.beta, bits)
+    dist = _word_values(system.radix, float(system.beta), k)
+    dist -= center
+    # mod 1 (a golden key with two 1s in a row, no greedy word, may pass 1);
+    # floor is far cheaper than np.mod on a cold 2^15-entry table
+    dist -= np.floor(dist)
+    np.minimum(dist, 1.0 - dist, out=dist)
+    dist.flags.writeable = False
+    return dist, float(system.beta) ** -k + MARGIN
+
+
+def _gathered(digits: np.ndarray, idx: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_l digits[j + l] weights[l] at each j of ``idx``.
+
+    One sliding-window gather of len(weights) digits per step, GATHER_PIECE
+    steps at a time, so memory stays O(len(idx)) for any window.
+    """
+    rows = np.lib.stride_tricks.sliding_window_view(digits, len(weights))
+    out = np.empty(len(idx))
+    for at in range(0, len(idx), GATHER_PIECE):
+        out[at:at + GATHER_PIECE] = rows[idx[at:at + GATHER_PIECE]] @ weights
+    return out
 
 
 class DigitSource:
@@ -478,20 +541,30 @@ class DigitSource:
         for i, ds in enumerate(self.systems):
             self.read(i, stop + _digit_window(ds.beta))
 
-    def window(self, i: int, bits: int, steps) -> tuple:
-        """(values, band) of a window of about ``bits`` bits at the ``steps``
-        n - 1, a slice (:func:`_window_values`) or a sorted non-empty index
-        array (:func:`_window_at`): T^n x_i in [v, v + band] up to rounding."""
-        base = self.systems[i].beta
-        window = _digit_window(base, bits)
-        last = steps.stop if isinstance(steps, slice) else int(steps[-1]) + 1
-        digits = self.read(i, last + window)
-        if isinstance(steps, slice):
-            values = _window_values(digits[steps.start - self.offset:], base,
-                                    steps.stop - steps.start, window)
-        else:
-            values = _window_at(digits, base, steps - self.offset, window)
-        return values, float(base) ** -window
+    def words(self, i: int, bits: int, steps: slice) -> np.ndarray:
+        """Coordinate i's ``bits``-bit digit words (:func:`_words`) at the
+        steps n - 1 in ``steps``: T^n x_i lies in the cylinder of its word,
+        whose distance bounds :meth:`word_table` holds."""
+        ds = self.systems[i]
+        k = _digit_window(ds.beta, bits)
+        digits = self.read(i, steps.stop + k)
+        return _words(digits[steps.start + 1 - self.offset:], ds.radix, k,
+                      steps.stop - steps.start)
+
+    def word_table(self, i: int, bits: int, center: float) -> tuple:
+        """(dist, band) of coordinate i's ``bits``-bit words about
+        ``center`` (:func:`_word_table`)."""
+        return _word_table(self.systems[i], bits, center)
+
+    def window(self, i: int, bits: int, idx: np.ndarray) -> tuple:
+        """(values, band) of a float window of about ``bits`` bits at the
+        steps n - 1 in the sorted non-empty index array ``idx``
+        (:func:`_gathered`): T^n x_i in [v, v + band] up to rounding."""
+        beta = float(self.systems[i].beta)
+        window = _digit_window(beta, bits)
+        digits = self.read(i, int(idx[-1]) + 1 + window)
+        values = _gathered(digits, idx + 1 - self.offset, beta ** -np.arange(1.0, window + 1))
+        return values, beta ** -window
 
     def brackets(self, n: int):
         """Each coordinate's exact (lo, width), T^n x_i in [lo, lo + width],
@@ -507,59 +580,82 @@ class DigitSource:
             k *= 4
 
 
-def _digit_membership(source: DigitSource, target: TargetSpec, steps: slice, radii):
-    """(hit_lo, hit_hi) boolean arrays for the block of steps n - 1 in
-    ``steps``, decided coarse to fine; ``radii`` are ``target.radii`` there.
+def _per_step(per_run: np.ndarray, at: slice) -> np.ndarray:
+    """The value of each run of RADIUS_RUN steps at each block step in ``at``."""
+    first = at.start // RADIUS_RUN
+    steps = np.repeat(per_run[first:(at.stop - 1) // RADIUS_RUN + 1], RADIUS_RUN)
+    return steps[at.start - first * RADIUS_RUN:at.stop - first * RADIUS_RUN]
 
-    Every stage reads the :class:`DigitSource` alone.  A float stage reads
-    T^n x_i as a ``window`` value v with T^n x_i in [v, v + band] (up to
-    rounding), so ||T^n x_i - a_i|| is within that band plus MARGIN of
-    ||v - a_i||.  It runs on a COARSE_BITS window, COARSE_CHUNK steps at
-    a time: a ball or rectangle is an AND over coordinates, so coordinate
-    0 is read at every step and each next one only where the earlier ones
-    leave the step open (a hyperboloid reads every coordinate).  Then a
-    FINE_BITS window re-reads the block's steps still open, and the exact
-    stage takes what is left from the source's ``brackets``, which read
-    on into later digits of the same streams.  Each stage is sound, so the
-    ladder decides exactly what the exact stage alone would.
+
+def _digit_membership(source: DigitSource, target: TargetSpec, steps: slice,
+                      radius_bounds):
+    """(hit_lo, hit_hi) boolean arrays for the block of steps n - 1 in
+    ``steps``, decided coarse to fine; ``radius_bounds`` are
+    ``target.radius_bounds`` over the block's runs of RADIUS_RUN steps.
+
+    Every stage reads the :class:`DigitSource` alone.  The coarse stage
+    reads T^n x_i as a COARSE_BITS digit ``words`` S, whose ``word_table``
+    puts ||T^n x_i - a_i|| within band of dist[S]: one table lookup per
+    step, compared with the lower bound of the radius over the step's run
+    for "surely in" and with the upper one for "maybe in".  It runs
+    COARSE_CHUNK steps at a time: a ball or rectangle is an AND over
+    coordinates, so coordinate 0 is looked up at every step and each next
+    one only where the earlier ones leave the step open (a hyperboloid
+    reads every coordinate).  Then a FINE_BITS float ``window`` re-reads the
+    block's steps still open against their radii, ``target.radii`` there,
+    and the exact stage takes what is left from the source's ``brackets``,
+    which read on into later digits of the same streams.  Each stage is
+    sound, so the ladder decides exactly what the exact stage alone would.
     """
     first, size = steps.start, steps.stop - steps.start
     centers = [float(a) for a in target.center]
-    every = (range(target.d), radii)  # the (coordinates, radii) verdict reads
-    groups = ([every] if target.shape == Shape.HYPERBOLOID
-              else [([i], radii[i:i + 1]) for i in every[0]])
+    tables = [source.word_table(i, COARSE_BITS, a) for i, a in enumerate(centers)]
 
-    def window_verdict(group, bits, at):
-        """verdict on ``group`` at the block's steps ``at``, a slice or an
-        index array counted from the block's first step"""
-        coords, rs = group
+    def dists(i, at, idx=slice(None)):
+        """coordinate i's word distances at the block's steps ``at``, a
+        slice, or at the steps ``idx`` counted from its start"""
+        words = source.words(i, COARSE_BITS, slice(first + at.start, first + at.stop))
+        return np.take(tables[i][0], words[idx])
+
+    hit_lo, hit_hi = np.empty((2, size), dtype=bool)
+    if target.shape == Shape.HYPERBOLOID:
+        (lower, upper), = radius_bounds
+        for start in range(0, size, COARSE_CHUNK):
+            at = slice(start, min(start + COARSE_CHUNK, size))
+            near = [(dists(i, at), band) for i, (_, band) in enumerate(tables)]
+            hit_lo[at] = math.prod(d + band for d, band in near) <= _per_step(lower, at)
+            hit_hi[at] = (math.prod(np.maximum(d - band, 0.0) for d, band in near)
+                          <= _per_step(upper, at))
+    else:
+        # coordinate i is surely in where dist <= lower - band, maybe in
+        # where dist <= upper + band
+        limits = [(lower - band, upper + band)
+                  for (lower, upper), (_, band) in zip(radius_bounds, tables)]
+        for start in range(0, size, COARSE_CHUNK):
+            at = slice(start, min(start + COARSE_CHUNK, size))
+            dist = dists(0, at)
+            surely, maybe = (dist <= _per_step(limit, at) for limit in limits[0])
+            for i in range(1, target.d):
+                idx = np.flatnonzero(maybe)
+                if not len(idx):
+                    break
+                dist, runs = dists(i, at, idx), (idx + start) // RADIUS_RUN
+                surely[idx] &= dist <= limits[i][0][runs]
+                maybe[idx] = dist <= limits[i][1][runs]   # maybe[idx] is all True
+            hit_lo[at], hit_hi[at] = surely, maybe
+    idx = np.flatnonzero(hit_hi & ~hit_lo)
+    if len(idx):
         lows, highs = [], []
-        for i in coords:
-            dist, band = source.window(i, bits, slice(first + at.start, first + at.stop)
-                                       if isinstance(at, slice) else first + at)
-            dist -= centers[i]
+        for i, a in enumerate(centers):
+            dist, band = source.window(i, FINE_BITS, first + idx)
+            dist -= a
             np.abs(dist, out=dist)
             np.minimum(dist, 1.0 - dist, out=dist)
             band += MARGIN
             lows.append(np.maximum(dist - band, 0.0))
             highs.append(dist + band)
-        return verdict(target.shape, lows, highs, [r[at] for r in rs])
-
-    hit_lo, hit_hi = np.empty((2, size), dtype=bool)
-    for start in range(0, size, COARSE_CHUNK):
-        at = slice(start, min(start + COARSE_CHUNK, size))
-        lo, hi = window_verdict(groups[0], COARSE_BITS, at)
-        for group in groups[1:]:
-            idx = np.flatnonzero(hi)
-            if not len(idx):
-                break
-            lo_g, hi_g = window_verdict(group, COARSE_BITS, idx + start)
-            lo[idx] &= lo_g
-            hi[idx] &= hi_g
-        hit_lo[at], hit_hi[at] = lo, hi
-    idx = np.flatnonzero(hit_hi & ~hit_lo)
-    if len(idx):
-        hit_lo[idx], hit_hi[idx] = window_verdict(every, FINE_BITS, idx)
+        hit_lo[idx], hit_hi[idx] = verdict(target.shape, lows, highs, target.radii(
+            (first + 1 + idx).astype(np.float64)))
     for i in np.flatnonzero(hit_hi & ~hit_lo):
         n = first + int(i) + 1
         for brackets in source.brackets(n):
@@ -690,21 +786,19 @@ def _digit_blocks(sources: list, target: TargetSpec, n_steps: int):
     """(k, hit_lo, hit_hi) of source k for each block of BLOCK_CHUNKS
     coarse chunks of the steps n = 1..N in turn.
 
-    Every source walks the steps together: a block's radii are evaluated
-    once and read by each source's :func:`_digit_membership`, and a source
-    holds the block's digits only while its ladder runs, so memory grows
-    neither with N nor with the number of sources.
+    Every source walks the steps together: a block's radius bounds are
+    evaluated once and read by each source's :func:`_digit_membership`,
+    and a source holds the block's digits only while its ladder runs, so
+    memory grows neither with N nor with the number of sources.
     """
     block = BLOCK_CHUNKS * COARSE_CHUNK
     for start in range(0, n_steps, block):
         steps = slice(start, min(start + block, n_steps))
-        # float steps: psi reads them as floats, so no int copy is made
-        radii = target.radii(np.arange(steps.start + 1, steps.stop + 1, dtype=np.float64))
+        bounds = target.radius_bounds(steps.start + 1, steps.stop + 1, RADIUS_RUN)
         for k, source in enumerate(sources):
             source.hold(steps.stop)
-            yield (k, *_digit_membership(source, target, steps, radii))
+            yield (k, *_digit_membership(source, target, steps, bounds))
             source.forget(steps.stop)
-        del radii  # freed before the next block's are evaluated
 
 
 def _interval_count(system, target, x, measure, rng, tally, n_steps) -> None:
@@ -775,10 +869,12 @@ def monte_carlo_counting(system, target: TargetSpec, num_samples: int,
     sample order, so output is identical for any ``jobs``.  The samples
     run on min(jobs, samples, CPUs) worker processes, as a pool forks all
     its workers at once, each taking one batch of consecutive samples (so
-    the digit engine evaluates the radii once per worker).  The summary
-    reports the fraction of samples with |R/Phi - 1| <= band_tol at the
-    final checkpoint and the largest |e(N)| seen.  A sample whose ambiguous hits exceed ``AMBIGUITY_BUDGET`` of its
-    R_hi raises AmbiguityBudgetExceeded.
+    the digit engine bounds the radii over each block once per worker, and
+    evaluates them only at the steps its coarse stage leaves open).  The
+    summary reports the fraction of samples with |R/Phi - 1| <= band_tol
+    at the final checkpoint and the largest |e(N)| seen.  A sample whose
+    ambiguous hits exceed ``AMBIGUITY_BUDGET`` of its R_hi raises
+    AmbiguityBudgetExceeded.
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")

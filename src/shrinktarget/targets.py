@@ -29,6 +29,12 @@ MARGIN = 1e-13
 # float temporaries stay in cache, and Phi(N) holds no N-length array.
 PHI_CHUNK = 1 << 15
 
+# Relative widening of the closed-form run bounds of psi.  Two evaluations
+# of psi(n) (an array's SIMD lanes, a scalar) differ by a few ulps, far
+# below 2^-40; a radius too small for that to hold (subnormal) lies far
+# below the float stages' MARGIN, where no bound on it moves a verdict.
+RUN_SLACK = 2.0 ** -40
+
 
 class Shape(enum.Enum):
     BALL = "ball"
@@ -100,6 +106,33 @@ class RateFunction:
         else:
             raise ValueError(f"unknown kind {self.kind}")
         return float(out) if np.ndim(n) == 0 else out
+
+    def run_bounds(self, first: int, stop: int, run: int) -> tuple:
+        """(lower, upper) arrays with lower[j] <= psi(n) <= upper[j] for every
+        n of run j, first + j run <= n < min(first + (j + 1) run, stop).
+
+        The closed forms are non-increasing (t >= 0 and kappa >= 0), so a
+        run's bounds are psi at its last and its first step, widened by
+        RUN_SLACK.  A table's are its exact min and max over the run (held
+        past its end, or OutOfTable as :meth:`psi` raises).
+        """
+        starts = np.arange(first, stop, run)
+        if self.kind != "table":
+            lasts = np.minimum(starts + run, stop) - 1
+            return (self.psi(lasts.astype(np.float64)) * (1.0 - RUN_SLACK),
+                    self.psi(starts.astype(np.float64)) * (1.0 + RUN_SLACK))
+        values = np.asarray(self.values, dtype=np.float64)
+        if stop - 1 > len(values) and self.extend == "none":
+            raise OutOfTable(f"n={stop - 1} past table of {len(values)}")
+        # the runs from a step up to the table's length; a run past it reads
+        # the held last value, which a run across the end reads too
+        inside = np.count_nonzero(starts <= len(values))
+        lower, upper = np.full((2, len(starts)), values[-1])
+        if inside:
+            cuts = starts[:inside] - first
+            lower[:inside] = np.minimum.reduceat(values[first - 1:stop - 1], cuts)
+            upper[:inside] = np.maximum.reduceat(values[first - 1:stop - 1], cuts)
+        return lower, upper
 
     def log_psi(self, n):
         """log psi(n) evaluated symbolically (no underflow at large n)."""
@@ -285,6 +318,14 @@ class TargetSpec:
             return [r.psi(n) for r in self.rates]
         psi = self.rates[0].psi(n)
         return [psi] if self.shape == Shape.HYPERBOLOID else [psi] * self.d
+
+    def radius_bounds(self, first: int, stop: int, run: int) -> list:
+        """:meth:`radii` as (lower, upper) bounds over the runs of ``run``
+        steps from n = first to stop - 1 (:meth:`RateFunction.run_bounds`)."""
+        if self.shape == Shape.RECTANGLE:
+            return [r.run_bounds(first, stop, run) for r in self.rates]
+        bounds = self.rates[0].run_bounds(first, stop, run)
+        return [bounds] if self.shape == Shape.HYPERBOLOID else [bounds] * self.d
 
 
 def ball(center, rate: RateFunction) -> TargetSpec:

@@ -308,6 +308,14 @@ class TestMainExitCodes:
             assert code == 3
             assert "checkpoints must be <= N = 10" in capsys.readouterr().err
 
+    def test_table_rate_shorter_than_n_is_three(self, tmp_path, capsys):
+        # Phi reads psi at every step first, so the digit engine never starts
+        code = main(["count", "--system", "diag:2,3", "--center", "0,0",
+                     "--rate", "table:0.3,0.2,0.1", "--steps", "10", "--samples", "2",
+                     "--seed", "1", "--out", str(tmp_path)])
+        assert code == 3
+        assert "past table of 3" in capsys.readouterr().err
+
     @pytest.mark.parametrize("exc, code", [
         (Indeterminate("enclosure too wide"), 4),
         (AmbiguityBudgetExceeded("sample 0: 9 ambiguous hits"), 5),

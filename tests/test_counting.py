@@ -1,5 +1,6 @@
 """Counting lab tests: hit counts, determinism, mixing, variance."""
 
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -16,10 +17,11 @@ from shrinktarget.counting import (
     IntegerDigits,
     _digit_window,
     _digits_to_int,
+    _gathered,
     _random_bits,
     _sample_rng,
-    _window_at,
-    _window_values,
+    _word_table,
+    _words,
     correlation_estimate,
     correlation_series,
     count_hits,
@@ -375,29 +377,26 @@ def exact_windows(digits, base, n_steps, window):
 
 
 class TestWindowValues:
-    @pytest.mark.parametrize("base", [2, 3, 5, 10])
+    @pytest.mark.parametrize("base", [2, 3, 5, 10, 31, 128])
     def test_matches_exact_windows(self, base):
+        # the shift-add doubling of the coarse words against the exact
+        # windows, whose numerators they are, at the coarse window and the
+        # lengths 1, 2 and 15 (golden keys)
         rng = np.random.default_rng(100 + base)
         n_steps = 3000
-        window = _digit_window(base)
-        random = rng.integers(0, base, size=n_steps + window + 1, dtype=np.int8)
-        # a rational stream just long enough for 10 window digits at step N
-        short = IntegerDigits(base).expand(Fraction(5, 7), n_steps + 11)
-        for digits, w in ((random, window), (short, len(short) - n_steps - 1)):
-            got = _window_values(digits, base, n_steps, w)
-            want = exact_windows(digits, base, n_steps, w)
-            assert len(got) == n_steps
-            if base == 2:
-                # every partial sum is a multiple of 2^-w below 1: exact in any order
-                assert [Fraction(v) for v in got] == want
-            else:
-                # each term carries two roundings (weight, product) and the
-                # w - 1 additions, in any order, at most w - 1 more, on a sum
-                # below 1: (w + 1) 2^-53 in all, doubled here; MARGIN is far wider
-                tol = Fraction(2 * w + 1, 2 ** 53)
-                assert tol < Fraction(MARGIN) / 10
-                assert max(abs(Fraction(v) - x) for v, x in zip(got, want)) <= tol
-
+        for k in {counting._digit_window(base, counting.COARSE_BITS), 1, 2} | (
+                {15} if base == 2 else set()):
+            random = rng.integers(0, base, size=n_steps + k + 1, dtype=np.int8)
+            # a rational stream just long enough for k window digits at step N
+            short = IntegerDigits(base).expand(Fraction(5, 7), n_steps + k)
+            for digits in (random, short):
+                got = _words(digits[1:], base, k, n_steps)
+                want = exact_windows(digits, base, n_steps, k)
+                assert got.dtype == np.int16 and len(got) == n_steps
+                assert [Fraction(int(s), base ** k) for s in got] == want, k
+        k = counting._digit_window(base, counting.COARSE_BITS)
+        top = np.full(k, base - 1, dtype=np.int8)
+        assert _words(top, base, k, 1).tolist() == [base ** k - 1]  # below 2^15: no wrap
 
     @pytest.mark.parametrize("base", [2, 3, 7, 10])
     def test_gathered_windows_match_exact_windows(self, base):
@@ -405,27 +404,70 @@ class TestWindowValues:
         n_steps = 2000
         window = _digit_window(base)
         digits = rng.integers(0, base, size=n_steps + window + 1, dtype=np.int8)
-        idx = np.sort(rng.choice(n_steps, size=300, replace=False))
-        got = _window_at(digits, base, idx, window)
+        weights = float(base) ** -np.arange(1.0, window + 1)
         want = exact_windows(digits, base, n_steps, window)
-        # each Horner pass rounds twice (add, divide) and shrinks the error
-        # carried so far by the base: below 4 * 2^-53 in all
-        assert max(abs(Fraction(v) - want[i]) for v, i in zip(got, idx)) <= Fraction(4, 2 ** 53)
+        for idx in (np.sort(rng.choice(n_steps, size=300, replace=False)), np.arange(n_steps)):
+            got = _gathered(digits, idx + 1, weights)
+            # each term carries two roundings (weight, product) and the
+            # w - 1 additions, in any order, at most w - 1 more, on a sum
+            # below 1: (w + 1) 2^-53 in all, doubled here; MARGIN is far wider
+            tol = Fraction(2 * window + 1, 2 ** 53)
+            assert tol < Fraction(MARGIN) / 10
+            assert max(abs(Fraction(v) - want[i]) for v, i in zip(got, idx)) <= tol
 
     def test_gather_memory_is_linear_in_the_steps(self):
-        # every step open: no (steps, window) index matrix may be built
+        # every step open: no (steps, window) digit or float matrix may be built
         n_steps, window = 10 ** 6, 42
         digits = np.random.default_rng(3).integers(0, 2, size=n_steps + window + 1,
                                                    dtype=np.int8)
-        idx = np.arange(n_steps)
+        idx = np.arange(1, n_steps + 1)
+        weights = 2.0 ** -np.arange(1.0, window + 1)
         tracemalloc.start()
         try:
-            vals = _window_at(digits, 2, idx, window)
+            vals = _gathered(digits, idx, weights)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(vals) == n_steps
         assert peak < 4 * 8 * n_steps
+
+
+@functools.lru_cache(maxsize=None)
+def exact_word_values(base, k):
+    """Oracle: the left end of each k-digit word's cylinder, exact (Fractions
+    for an integer base; for g, whose keys are the binary words of its
+    digits, in 200-bit mpmath)."""
+    if base != "g":
+        return tuple(Fraction(s, base ** k) for s in range(base ** k))
+    with mpmath.workprec(200):
+        g = (1 + mpmath.sqrt(5)) / 2
+        values = [mpmath.mpf(0)]
+        for j in range(k):
+            step = g ** -(j + 1)
+            values = [v + digit * step for v in values for digit in (0, 1)]
+    return tuple(values)
+
+
+class TestWordTables:
+    @pytest.mark.parametrize("center", [0.0, 0.25, 0.7071, 1 - 2.0 ** -40])
+    @pytest.mark.parametrize("bits", [2, 10])
+    @pytest.mark.parametrize("base", [2, 3, 10, 31, 128, "g"])
+    def test_bounds_hold_the_whole_cylinder(self, base, bits, center):
+        # every word's [max(dist - band, 0), dist + band] holds the exact wrap
+        # distance to the centre of every point of its cylinder [v, v + beta^-k]
+        system, = counting._digit_systems(DiagonalTorusSystem((base,)), None, None)
+        k = _digit_window(system.beta, bits)
+        dist, band = _word_table(system, bits, center)
+        assert len(dist) == system.radix ** k <= 2 ** 15
+        lows, highs = np.maximum(dist - band, 0.0).tolist(), (dist + band).tolist()
+        with mpmath.workprec(200):
+            if base == "g":
+                width, a = ((1 + mpmath.sqrt(5)) / 2) ** -k, mpmath.mpf(center)
+            else:
+                width, a = Fraction(1, base ** k), Fraction(center)
+            for lo, hi, v in zip(lows, highs, exact_word_values(base, k)):
+                d_min, d_max = wrap_distance_bounds(v, width, a)
+                assert lo <= d_min and d_max <= hi, (v, lo, hi)
 
 
 def full_tail_verdicts(target, digit_arrays, bases, n_steps):
@@ -467,15 +509,19 @@ class TestDigitSourceWindows:
     @pytest.mark.parametrize("base", [2, 3, 10, 128, "g"])
     def test_every_window_read_is_sound(self, base, bits, read):
         # oracle: T^n x_i in [P_n, P_n + beta^-(L-n)], P_n the L stored digits
-        # from index n on (a golden 1 is followed by a 0), in mpmath; the
-        # window's float sum is off by rounding alone, at most (2w + 1) 2^-53,
-        # far below the ladder's MARGIN
+        # from index n on (a golden 1 is followed by a 0), in mpmath.  The
+        # ladder reads a slice of steps at the coarse bits as digit words,
+        # which put it in the word's cylinder [v_S, v_S + beta^-k] exactly;
+        # a float window (an index array, or every step of a slice at the
+        # fine bits) is off by rounding alone, at most (2w + 1) 2^-53, far
+        # below the ladder's MARGIN
         n_steps = 1500
         systems = counting._digit_systems(DiagonalTorusSystem((base, 3)), None, None)
         source = DigitSource(systems, n_steps, np.random.default_rng(31).spawn(2))
         rng = np.random.default_rng(32)
         steps = ([slice(0, n_steps), slice(700, 1300)] if read == "slice" else
                  [np.sort(rng.choice(n_steps, size=300, replace=False)), np.arange(5)])
+        as_words = read == "slice" and bits == counting.COARSE_BITS
         for i, ds in enumerate(systems):
             # every digit the windows read: the steps' last one reads up to index N + W
             digits = source.read(i, n_steps + _digit_window(ds.beta) + 1)
@@ -490,13 +536,25 @@ class TestDigitSourceWindows:
                 prefix = [mpmath.mpf(0)] * (len(digits) + 1)   # prefix[n] = P_n
                 for n in range(len(digits) - 1, -1, -1):
                     prefix[n] = (int(digits[n]) + prefix[n + 1]) / b
+                values = exact_word_values("g" if golden else ds.beta, w) if as_words else None
                 for at in steps:
-                    values, band = source.window(i, bits, at)
-                    ns = (np.arange(at.start, at.stop) if read == "slice" else at) + 1
-                    assert len(values) == len(ns) and band <= 2.0 ** -bits
-                    for v, n in zip(values.tolist(), ns.tolist()):
+                    if as_words:
+                        words = source.words(i, bits, at)
+                        ns = np.arange(at.start, at.stop) + 1
+                        assert words.dtype == np.int16 and len(words) == len(ns)
+                        lows = [values[s] if golden else mpmath.mpf(values[s].numerator)
+                                / values[s].denominator for s in words.tolist()]
+                        slack, bands = 0, [b ** -w] * len(ns)
+                    else:
+                        if isinstance(at, slice):
+                            at = np.arange(at.start, at.stop)
+                        lows, band = source.window(i, bits, at)
+                        ns = at + 1
+                        assert len(lows) == len(ns) and band <= 2.0 ** -bits
+                        slack, lows, bands = tol, lows.tolist(), [band] * len(ns)
+                    for v, band, n in zip(lows, bands, ns.tolist()):
                         lo, hi = prefix[n], prefix[n] + b ** -(len(digits) - n)
-                        assert v - tol <= lo and hi <= v + band + tol, (n, v, band)
+                        assert v - slack <= lo and hi <= v + band + slack, (n, v, band)
 
 
 def reserves(source, n_steps):
@@ -506,20 +564,25 @@ def reserves(source, n_steps):
 
 
 def count_stages(monkeypatch, stages):
-    """Count the ladder's reads in ``stages``: index windows at the coarse
-    and the fine bits, and the steps that read ``brackets``; ``stages["exact"]``
-    lists those steps."""
-    window, brackets = DigitSource.window, DigitSource.brackets
+    """Count the ladder's reads in ``stages``: the coordinates whose coarse
+    ``words`` are read (``stages["coarse"]`` lists them, one per chunk
+    read), the fine float windows, and the steps that read ``brackets``
+    (``stages["exact"]`` lists them)."""
+    words, window, brackets = DigitSource.words, DigitSource.window, DigitSource.brackets
+
+    def counted_words(self, i, bits, steps):
+        stages["coarse"].append(i)
+        return words(self, i, bits, steps)
 
     def counted_window(self, i, bits, steps):
-        if not isinstance(steps, slice):
-            stages["fine" if bits == counting.FINE_BITS else "coarse"] += 1
+        stages["fine"] += 1
         return window(self, i, bits, steps)
 
     def counted_brackets(self, n):
         stages["exact"].append(n)
         return brackets(self, n)
 
+    monkeypatch.setattr(DigitSource, "words", counted_words)
     monkeypatch.setattr(DigitSource, "window", counted_window)
     monkeypatch.setattr(DigitSource, "brackets", counted_brackets)
 
@@ -552,18 +615,26 @@ class TestDigitLadder:
         oracle = full_tail_verdicts(target, reserves(source(), n_steps), betas, n_steps)
         # two-bit coarse windows leave most steps to the fine and exact stages
         monkeypatch.setattr(counting, "COARSE_BITS", 2)
-        stages = {"coarse": 0, "fine": 0, "exact": []}
+        stages = {"coarse": [], "fine": 0, "exact": []}
         count_stages(monkeypatch, stages)
         # one partial chunk; then two blocks of eight 16-step chunks, the last partial
         monkeypatch.setattr(counting, "BLOCK_CHUNKS", 8)
         for chunk in (counting.COARSE_CHUNK, 16):
             monkeypatch.setattr(counting, "COARSE_CHUNK", chunk)
-            stages.update(coarse=0, fine=0, exact=[])
+            stages.update(coarse=[], fine=0, exact=[])
             hit_lo, hit_hi = ladder(source(), target, n_steps)
             assert list(zip(hit_lo.tolist(), hit_hi.tolist())) == oracle, chunk
             assert stages["fine"] > 0
-            # a hyperboloid's coarse stage reads every coordinate by convolution
-            assert (stages["coarse"] > 0) == (shape != "hyperboloid")
+            # coordinate 0's words are read in every chunk; a hyperboloid reads
+            # every coordinate's there, a ball or rectangle a later one's only
+            # in a chunk that the earlier ones leave open
+            chunks = -(-n_steps // chunk)
+            reads = [stages["coarse"].count(i) for i in range(d)]
+            assert reads[0] == chunks and sum(reads) == len(stages["coarse"])
+            if shape == "hyperboloid":
+                assert reads == [chunks] * d
+            else:
+                assert all(chunks >= a >= b for a, b in zip(reads, reads[1:]))
             if start == "ties":
                 assert len(stages["exact"]) == n_steps
                 assert not hit_lo.any() and hit_hi.all()
@@ -590,7 +661,7 @@ class TestDigitLadder:
         oracle = full_tail_verdicts(target, reserves(source(), n_steps), betas, n_steps)
         monkeypatch.setattr(counting, "COARSE_BITS", 2)
         monkeypatch.setattr(counting, "FINE_BITS", 3)
-        stages = {"coarse": 0, "fine": 0, "exact": []}
+        stages = {"coarse": [], "fine": 0, "exact": []}
         count_stages(monkeypatch, stages)
         loud = source()
         hit_lo, hit_hi = ladder(loud, target, n_steps)
@@ -616,25 +687,54 @@ class TestDigitLadder:
             assert lo == Fraction(_digits_to_int(stream[n:n + k], 2), 2 ** k)
 
     @pytest.mark.parametrize("chunk", [counting.COARSE_CHUNK, 64])
-    def test_radii_once_per_step_per_batch(self, monkeypatch, chunk):
-        # --jobs 1 is one batch of the three samples: psi at each step once,
-        # block by block (at 64-step chunks, five blocks of 1024 steps)
-        calls = []
-        radii = TargetSpec.radii
+    def test_radii_only_at_the_open_steps(self, monkeypatch, chunk):
+        # --jobs 1 is one batch of three samples: Phi evaluates psi at each
+        # step once; the workers evaluate the per-step radii only at the
+        # steps the coarse stage leaves open to the fine one, and psi at the
+        # two ends of each run of RADIUS_RUN steps of a block (at 64-step
+        # chunks, five blocks of 1024 steps, one run each)
+        calls, opened, radii_calls, in_phi = {"phi": [], "ladder": []}, [], [], []
+        psi, radii = RateFunction.psi, TargetSpec.radii
+        window, phi_values = DigitSource.window, counting.phi_values
 
-        def counted(self, n):
+        def counted_psi(self, n):
             if np.ndim(n):
-                calls.append(np.array(n))
+                calls["phi" if in_phi else "ladder"].append(np.array(n))
+            return psi(self, n)
+
+        def counted_phi(*args, **kwargs):
+            in_phi.append(True)
+            try:
+                return phi_values(*args, **kwargs)
+            finally:
+                in_phi.pop()
+
+        def counted_radii(self, n):
+            if np.ndim(n):
+                radii_calls.append(np.array(n))
             return radii(self, n)
 
-        monkeypatch.setattr(TargetSpec, "radii", counted)
+        def counted_window(self, i, bits, idx):
+            if i == 0:
+                opened.append(idx + 1)
+            return window(self, i, bits, idx)
+
+        monkeypatch.setattr(RateFunction, "psi", counted_psi)
+        monkeypatch.setattr(counting, "phi_values", counted_phi)
+        monkeypatch.setattr(TargetSpec, "radii", counted_radii)
+        monkeypatch.setattr(DigitSource, "window", counted_window)
         monkeypatch.setattr(counting, "COARSE_CHUNK", chunk)
         s = DiagonalTorusSystem((2, 3))
         t = ball((0.0, 0.0), RateFunction.power(0.5, 0.25))
         monte_carlo_counting(s, t, 3, 5000, seed=4, checkpoints=[1000, 5000])
+        assert np.array_equal(np.concatenate(calls["phi"]), np.arange(1, 5001))
+        assert len(radii_calls) == len(opened)
+        assert all(np.array_equal(r, n) for r, n in zip(radii_calls, opened))
+        open_steps = sum(map(len, opened))
+        assert 0 < open_steps < 3 * 5000 / 4
         block = counting.BLOCK_CHUNKS * chunk
-        assert [len(c) for c in calls] == [min(block, 5000 - k) for k in range(0, 5000, block)]
-        assert np.array_equal(np.concatenate(calls), np.arange(1, 5001))
+        runs = sum(-(-min(block, 5000 - k) // counting.RADIUS_RUN) for k in range(0, 5000, block))
+        assert sum(map(len, calls["ladder"])) == open_steps + 2 * runs
 
 
 def chi_square_pvalues(digits, base):
@@ -878,7 +978,7 @@ class TestGoldenDigitEngine:
         monkeypatch.setattr(counting, "FINE_BITS", 6)
         monkeypatch.setattr(counting, "COARSE_CHUNK", 100)
         monkeypatch.setattr(counting, "BLOCK_CHUNKS", 8)  # two blocks of 800, a partial one
-        stages = {"coarse": 0, "fine": 0, "exact": []}
+        stages = {"coarse": [], "fine": 0, "exact": []}
         count_stages(monkeypatch, stages)
         hit_lo, hit_hi = ladder(source, target, n_steps)
         assert len(stages["exact"]) > 20

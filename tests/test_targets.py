@@ -48,6 +48,40 @@ class TestRates:
             t.psi(3)
         assert RateFunction.table([0.5, 0.25], extend="hold").psi(9) == 0.25
 
+    @pytest.mark.parametrize("rate", [
+        RateFunction.power(0.5, 0.0), RateFunction.power(0.5, 0.25), RateFunction.power(3.0, 2.0),
+        RateFunction.exponential(0.0), RateFunction.exponential(0.05),
+        RateFunction.superexponential(),
+        # rises and falls inside a run and across runs
+        RateFunction.table([0.1 + 0.05 * abs(j % 37 - 18) + 0.3 * (j // 700 % 2)
+                            for j in range(3000)]),
+        # read far past its end, held
+        RateFunction.table([0.2, 0.05, 0.3, 0.1], extend="hold"),
+    ], ids=["pow-kappa-0", "pow", "pow-steep", "exp-t-0", "exp", "superexp", "table",
+            "table-hold"])
+    @pytest.mark.parametrize("first, stop, run", [(1, 3001, 1024), (1, 2, 1), (5, 40, 1),
+                                                  (700, 3001, 100), (1, 2000, 7)],
+                             ids=["runs+partial", "one-step", "1-step-runs", "offset",
+                                  "odd-runs"])
+    def test_run_bounds_hold_psi(self, rate, first, stop, run):
+        lower, upper = rate.run_bounds(first, stop, run)
+        assert len(lower) == len(upper) == -(-(stop - first) // run)
+        for j, (lo, hi) in enumerate(zip(lower.tolist(), upper.tolist())):
+            ns = range(first + j * run, min(first + (j + 1) * run, stop))
+            values = [rate.psi(n) for n in ns]
+            assert lo <= min(values) and max(values) <= hi, (j, lo, hi)
+            # the array evaluation too, whose SIMD lanes may round differently
+            arr = rate.psi(np.arange(ns.start, ns.stop, dtype=np.float64))
+            assert lo <= arr.min() and arr.max() <= hi
+            if rate.kind == "table":  # exact min and max over the run
+                assert (lo, hi) == (min(values), max(values))
+
+    def test_run_bounds_past_a_table_without_hold(self):
+        t = RateFunction.table([0.5, 0.25])
+        assert [b.tolist() for b in t.run_bounds(1, 3, 4)] == [[0.25], [0.5]]
+        with pytest.raises(OutOfTable):
+            t.run_bounds(1, 4, 4)
+
     def test_lower_orders(self):
         assert RateFunction.exponential(5.0).lower_order() == 5.0
         assert RateFunction.power(2.0, 3.0).lower_order() == 0.0
