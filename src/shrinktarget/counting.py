@@ -15,14 +15,14 @@ Engine dispatch: :func:`_digit_systems` is the one place that says which
 counts run on digits: a diagonal system whose every beta is an integer
 2 <= b <= 128 or the golden ratio g, from a random start or (all-integer
 systems only) a given rational point.  A sample's digits are one
-:class:`DigitSource`, a function of (seed, sample, coordinate) alone:
-coordinate i of sample s draws from its own generator, spawned from
-(seed, s, i), and a run reads only the prefix it needs, so a longer run
-extends a shorter one.  An integer coordinate draws i.i.d. base-b digits
-from a byte table (with b^k <= 256 the largest such power, each raw byte
-below the largest multiple of b^k is k digits), a golden one its greedy
-digits from the two-state chain of the orbit of 1 (Renyi 1957, Parry
-1960), whose state carries from one read to the next.  The ladder reads
+:class:`DigitSource`, each coordinate one stream of digit batches read
+only as far as a run needs, so a longer run extends a shorter one: a
+given point's long division, or the draws of a random start's generator,
+spawned from (seed, s, i) for coordinate i of sample s.  An integer
+coordinate draws i.i.d. base-b digits from a byte table (with b^k <= 256
+the largest such power, each raw byte below the largest multiple of b^k
+is k digits), a golden one its greedy digits from the two-state chain of
+the orbit of 1 (Renyi 1957, Parry 1960).  The ladder reads
 the source and never sees a base: ~10-bit digit ``words``, int16 keys
 into one ``word_table`` of distance bounds per digit system and centre,
 read in cache-sized chunks of steps one coordinate at a time (a ball or
@@ -36,12 +36,11 @@ a reserve of 2N + W + 96 digits.  This is what makes N = 10^6 runs
 cheap.  A count walks the steps in blocks of BLOCK_CHUNKS coarse chunks,
 all the samples of a worker's batch together: a block's radius bounds
 are evaluated once for the batch, psi at two steps per run, and a
-sample's source holds that block's digits and W digits of lookahead
-alone (a given point is expanded to the reserve at once), so memory
-does not grow with N.  Everything else
-(e, other reals, negative beta, integer bases above 128, given
-enclosures, given points on non-integer systems, integer matrices) runs
-on the interval engine.
+sample's source, from a random start or a given point, holds that
+block's digits and W digits of lookahead alone, so memory does not grow
+with N.  Everything else (e, other reals, negative beta, integer bases
+above 128, given enclosures, given points on non-integer systems,
+integer matrices) runs on the interval engine.
 
 Determinism: every sample derives its own generator from
 (seed, sample_id), and each digit coordinate i one from
@@ -111,6 +110,9 @@ GATHER_PIECE = 1 << 12
 BLOCK_CHUNKS = 16
 # Digits are int8, so the digit engine takes integer bases up to 128.
 MAX_DIGIT_BASE = 128
+# Word tables a process keeps, the last used: a count reads one per
+# coordinate, each at most 2^15 float64s, whatever centres came before.
+WORD_TABLES = 16
 
 
 @dataclass(frozen=True)
@@ -286,20 +288,19 @@ class IntegerDigits:
         """The digits' count, the radix of their :func:`_words`."""
         return self.beta
 
-    def lead(self, rng: np.random.Generator) -> np.ndarray:
-        """The digits a stream starts with before its first batch: none."""
-        return np.empty(0, dtype=np.int8)
-
-    def batch(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """About ``count`` further digits, from the bytes below the limit of
-        :func:`_byte_digits`.  The bytes are read in whole 4-byte words, so
-        successive batches tile one byte stream."""
+    def draws(self, rng: np.random.Generator):
+        """A random start's digits from ``rng``, in batches: the lead (none),
+        then about each count sent, from the bytes below the limit of
+        :func:`_byte_digits`, read in whole 4-byte words so that the
+        batches tile one byte stream."""
         limit, table = _byte_digits(self.beta)
-        n_bytes = -(-count // table.shape[1]) * 256 / limit
-        # three standard deviations of the kept count to spare: one batch all but always does
-        raw = np.frombuffer(rng.bytes(4 * math.ceil((n_bytes + 3 * math.sqrt(n_bytes)) / 4)),
-                            dtype=np.uint8)
-        return np.take(table, raw[raw < limit].astype(np.intp), axis=0).reshape(-1)
+        count = yield np.empty(0, dtype=np.int8)
+        while True:
+            n_bytes = -(-count // table.shape[1]) * 256 / limit
+            # three standard deviations of the kept count to spare: one batch all but always does
+            raw = np.frombuffer(rng.bytes(4 * math.ceil((n_bytes + 3 * math.sqrt(n_bytes)) / 4)),
+                                dtype=np.uint8)
+            count = yield np.take(table, raw[raw < limit].astype(np.intp), axis=0).reshape(-1)
 
     def bracket(self, digits: np.ndarray) -> tuple:
         """(lo, width), Fractions: the point whose leading digits are ``digits``
@@ -307,20 +308,22 @@ class IntegerDigits:
         scale = self.beta ** len(digits)
         return Fraction(_digits_to_int(digits, self.beta), scale), Fraction(1, scale)
 
-    def expand(self, x: Fraction, total: int) -> np.ndarray:
-        """First ``total`` base-b digits of x in [0,1), vectorized in blocks."""
+    def expansion(self, x: Fraction):
+        """The base-b digits of x in [0, 1) in batches, as :meth:`draws` yields
+        them: long division by int64 blocks, its remainder carried on."""
         base = self.beta
         p, q = (x % 1).as_integer_ratio()
         block = max(1, int(62 // math.log2(base)))
         scale = base ** block
-        blocks = []
-        for _ in range(-(-total // block)):
-            p *= scale
-            v, p = divmod(p, q)
-            blocks.append(v)
         powers = base ** np.arange(block - 1, -1, -1, dtype=np.int64)
-        digits = np.array(blocks, dtype=np.int64)[:, None] // powers % base
-        return digits.astype(np.int8).reshape(-1)[:total]
+        count = yield np.empty(0, dtype=np.int8)
+        while True:
+            blocks = []
+            for _ in range(-(-count // block)):
+                v, p = divmod(p * scale, q)
+                blocks.append(v)
+            digits = np.array(blocks, dtype=np.int64)[:, None] // powers % base
+            count = yield digits.astype(np.int8).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -343,20 +346,19 @@ class GoldenDigits:
     beta = GOLDEN_RATIO
     radix = 2
 
-    def lead(self, rng: np.random.Generator) -> np.ndarray:
-        """The digits a stream starts with: a state-1 start's forced 0."""
-        return np.zeros(int(self.state1_weight > 0 and rng.random() < self.state1_weight),
-                        dtype=np.int8)
-
-    def batch(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """About ``count`` further digits, in whole words from state 0, one
-        uniform per word (a "10" word at the end of a batch ends it)."""
-        words = math.ceil(count / (1 + GOLDEN_RATIO ** -2) + math.sqrt(count))
-        tens = np.flatnonzero(rng.random(words) < GOLDEN_RATIO ** -2)
-        digits = np.zeros(words + len(tens), dtype=np.int8)
-        # the j-th "10" word, word i, starts after i words of which j are two digits long
-        digits[tens + np.arange(len(tens))] = 1
-        return digits
+    def draws(self, rng: np.random.Generator):
+        """:meth:`IntegerDigits.draws` for g: the lead is a state-1 start's
+        forced 0, then each batch is whole words from state 0, one uniform
+        per word (a "10" word at the end of a batch ends it)."""
+        count = yield np.zeros(int(self.state1_weight > 0 and rng.random() < self.state1_weight),
+                               dtype=np.int8)
+        while True:
+            words = math.ceil(count / (1 + GOLDEN_RATIO ** -2) + math.sqrt(count))
+            tens = np.flatnonzero(rng.random(words) < GOLDEN_RATIO ** -2)
+            digits = np.zeros(words + len(tens), dtype=np.int8)
+            # the j-th "10" word, word i, starts after i words of which j are two digits long
+            digits[tens + np.arange(len(tens))] = 1
+            count = yield digits
 
     def bracket(self, digits: np.ndarray) -> tuple:
         """:meth:`IntegerDigits.bracket` for base g.
@@ -390,9 +392,9 @@ def _digit_systems(system, measure, x) -> Optional[list]:
     integer 2 <= b <= MAX_DIGIT_BASE or the token "g", from a random start
     or, on an all-integer system, a given rational point.  A system reads
     x as sum_k d_k beta^-k, so T^n x is its stream from index n on.  It
-    has a ``beta`` and the ``radix`` of its digits, the ``lead`` and
-    ``batch``es a random start draws, the ``bracket`` of a prefix and
-    (integers only) the ``expand``-sion of x.
+    has a ``beta`` and the ``radix`` of its digits, the ``bracket`` of a
+    prefix and the stream of digit batches of a start: the ``draws`` of a
+    random one and (integers only) the ``expansion`` of a given x.
     """
     if not isinstance(system, DiagonalTorusSystem) or system.degenerate:
         return None
@@ -450,13 +452,13 @@ def _word_values(radix: int, beta: float, k: int) -> np.ndarray:
         length *= 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=WORD_TABLES)
 def _word_table(system, bits: int, center: float) -> tuple:
     """(dist, band): dist[S] = ||v_S - center|| for every ``bits``-bit word
     S of the digit ``system``, v_S the left end of its cylinder, which
     spans beta^-k.  So every point of the cylinder lies at a wrap distance
     in [max(dist[S] - band, 0), dist[S] + band] from ``center``, with band
-    = beta^-k + MARGIN for the float rounding.  Built once per process.
+    = beta^-k + MARGIN for the float rounding.  The last WORD_TABLES are kept.
     """
     k = _digit_window(system.beta, bits)
     dist = _word_values(system.radix, float(system.beta), k)
@@ -487,41 +489,34 @@ class DigitSource:
     sliding window: all the digit engine's ladder reads.
 
     ``digits[i]`` holds coordinate i's digits from index ``offset`` on, as
-    far as they have been read.  A random start reads coordinate i from
-    its own generator ``rngs[i]`` (for sample s of a seeded run, spawned
-    from (seed, s, i)): first the system's ``lead``, then ``batch``es of
-    whole words, drawn only when a read reaches them.  A batch's digits
-    past a read wait for the next one (so does the 0 of a golden "10" word
-    that straddles it), so the digits do not depend on how they are read,
-    and a longer run extends a shorter one.  ``hold`` draws one block of
-    steps' digits and their W digits of lookahead, and ``forget`` drops
-    the block once the ladder is done with it, so a source holds at most
-    a block of digits whatever N.  A given rational ``x`` is expanded to
-    the whole reserve, 2N + W + 96 digits, at once.
+    far as they have been read, from the generator of digit batches
+    ``streams[i]``: a given point's ``expansion`` or a random start's
+    ``draws`` (for sample s of a seeded run, from (seed, s, i)).  The first
+    batch, the lead, is taken at once, and each next one is sent the count
+    a read still needs.  A batch's digits past a read wait for the next
+    one (so does the 0 of a golden "10" word that straddles it), so the
+    digits do not depend on how they are read, and a longer run extends a
+    shorter one.  ``hold`` draws one block of steps' digits and their W
+    digits of lookahead, and ``forget`` drops the block once the ladder is
+    done with it, so a source holds at most a block of digits whatever N.
     """
 
-    def __init__(self, systems: list, n_steps: int, rngs: Optional[list] = None,
-                 x: Optional[Sequence] = None):
-        self.systems, self._rngs, self.offset = systems, rngs, 0
+    def __init__(self, systems: list, n_steps: int, streams: list):
+        self.systems, self._streams, self.offset = systems, streams, 0
         # 2N + W + 96: the most digits of a coordinate the exact stage reads
         self._reserves = [2 * n_steps + _digit_window(ds.beta) + 96 for ds in systems]
-        if x is not None:
-            self.digits = [ds.expand(as_fraction(v), total)
-                           for ds, v, total in zip(systems, x, self._reserves)]
-            return
         self.digits = [np.empty(0, dtype=np.int8) for _ in systems]
-        self._left = [ds.lead(rng) for ds, rng in zip(systems, rngs)]
+        self._left = [next(stream) for stream in streams]
 
     def read(self, i: int, total: int) -> np.ndarray:
-        """Coordinate i's digits from index ``offset`` up to index ``total``
-        or further (a given point has only its expansion)."""
+        """Coordinate i's digits from index ``offset`` to index ``total`` or further."""
         have = self.digits[i]
         count = total - self.offset - len(have)
-        if self._rngs is None or count <= 0:
+        if count <= 0:
             return have
         out = self._left[i]
         while len(out) < count:
-            more = self.systems[i].batch(self._rngs[i], count - len(out))
+            more = self._streams[i].send(count - len(out))
             out = np.concatenate([out, more]) if len(out) else more
         self._left[i] = out[count:].copy()
         self.digits[i] = np.concatenate([have, out[:count]]) if len(have) else out[:count]
@@ -774,8 +769,11 @@ def _count_samples(system, target, x, cps, phi, epsilon, measure, samples) -> li
         for (_, rng), tally in zip(samples, tallies):
             _interval_count(system, target, x, measure, rng, tally, n_steps)
     else:
-        sources = [DigitSource(systems, n_steps, None if x is not None
-                               else rng.spawn(len(systems)), x) for _, rng in samples]
+        sources = [DigitSource(systems, n_steps,
+                               [ds.expansion(as_fraction(v)) for ds, v in zip(systems, x)]
+                               if x is not None else
+                               [ds.draws(r) for ds, r in zip(systems, rng.spawn(len(systems)))])
+                   for _, rng in samples]
         for k, hit_lo, hit_hi in _digit_blocks(sources, target, n_steps):
             tallies[k].add(hit_lo, hit_hi)
     return [CountingResult(i, tuple(tally.rows), tally.r_hi - tally.r_lo, epsilon)
@@ -878,6 +876,8 @@ def monte_carlo_counting(system, target: TargetSpec, num_samples: int,
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, not {jobs}")
     cps, phi, measure = _experiment(system, target, n_steps, checkpoints, start)
     workers = min(jobs, num_samples, os.cpu_count() or 1)
     payloads = [(system, target, cps, phi, epsilon, measure, seed,

@@ -269,9 +269,34 @@ def golden_chain_digits(rng, state1_weight, count):
     return out[:count]
 
 
+def long_division(x, base, total):
+    """Oracle: the first ``total`` base-b digits of x in [0, 1), one at a time."""
+    p, q = (x % 1).as_integer_ratio()
+    out = []
+    for _ in range(total):
+        digit, p = divmod(p * base, q)
+        out.append(digit)
+    return np.array(out, dtype=np.int8)
+
+
+def draws(systems, rng):
+    """Each coordinate's stream of a random start: the draws of ``rng``'s spawns."""
+    return [ds.draws(r) for ds, r in zip(systems, rng.spawn(len(systems)))]
+
+
+def expansions(systems, x):
+    """Each coordinate's stream of the given point ``x``: its expansion."""
+    return [ds.expansion(v) for ds, v in zip(systems, x)]
+
+
 def drawn(system, rng, total):
     """One read of ``total`` digits from ``rng`` by a one-coordinate source."""
-    return DigitSource([system], 0, [rng]).read(0, total)
+    return DigitSource([system], 0, [system.draws(rng)]).read(0, total)
+
+
+def expanded(system, x, total):
+    """One read of the first ``total`` digits of ``x`` by a one-coordinate source."""
+    return DigitSource([system], 0, [system.expansion(x)]).read(0, total)
 
 
 def capture_source(monkeypatch):
@@ -330,11 +355,11 @@ class TestDigitPrefix:
             assert np.array_equal(digits, byte_table_digits(rng, base, end)[500:])
 
     def test_rational_digits(self):
-        assert list(IntegerDigits(2).expand(Fraction(1, 3), 6)) == [0, 1, 0, 1, 0, 1]
+        assert list(expanded(IntegerDigits(2), Fraction(1, 3), 6)) == [0, 1, 0, 1, 0, 1]
 
     def test_prefixes_bracket_the_exact_orbit(self):
         # oracle: exact rational orbit of 1/7 under x -> 3x mod 1
-        digits = IntegerDigits(3).expand(Fraction(1, 7), 70)
+        digits = expanded(IntegerDigits(3), Fraction(1, 7), 70)
         x = Fraction(1, 7)
         for n in range(1, 30):
             x = (3 * x) % 1
@@ -352,12 +377,17 @@ class TestDigitPrefix:
         (Fraction(1, 4), 0.25, 0.25, None),
     ], ids=["outside", "inside", "off-center", "antipodal", "on-boundary"])
     def test_exact_distances_are_three_valued(self, x, center, radius, want):
-        # a given point is expanded to the reserve, 2N + W + 96 = 200 digits at N = 31
-        source = DigitSource([IntegerDigits(2)], 31, x=(x,))
-        assert len(source.digits[0]) == 200
+        # a given point reads only what the brackets ask for: nothing before
+        # them, digits 1..16 for the first, and the last reads to the
+        # reserve, 2N + W + 96 = 200 digits at N = 31
+        source = DigitSource([IntegerDigits(2)], 31, [IntegerDigits(2).expansion(x)])
+        assert len(source.digits[0]) == 0
         t = ball((center,), RateFunction.power(radius, 0.0))
-        verdicts = [exact_verdict(t, 1, [wrap_distance_bounds(*bracket, t.center[0])])
-                    for bracket, in source.brackets(1)]
+        verdicts = []
+        for bracket, in source.brackets(1):
+            verdicts.append(exact_verdict(t, 1, [wrap_distance_bounds(*bracket, t.center[0])]))
+            assert len(source.digits[0]) == min(1 + 16 * 4 ** (len(verdicts) - 1), 200)
+        assert len(source.digits[0]) == 200
         if want is None:
             assert set(verdicts) == {(False, True)}
         else:
@@ -388,7 +418,7 @@ class TestWindowValues:
                 {15} if base == 2 else set()):
             random = rng.integers(0, base, size=n_steps + k + 1, dtype=np.int8)
             # a rational stream just long enough for k window digits at step N
-            short = IntegerDigits(base).expand(Fraction(5, 7), n_steps + k)
+            short = expanded(IntegerDigits(base), Fraction(5, 7), n_steps + k)
             for digits in (random, short):
                 got = _words(digits[1:], base, k, n_steps)
                 want = exact_windows(digits, base, n_steps, k)
@@ -469,6 +499,22 @@ class TestWordTables:
                 d_min, d_max = wrap_distance_bounds(v, width, a)
                 assert lo <= d_min and d_max <= hi, (v, lo, hi)
 
+    def test_tables_are_bounded_over_many_centres(self):
+        # a process that counts about many centres keeps the last WORD_TABLES
+        # tables, not one per centre, and a table built again counts the same
+        system = DiagonalTorusSystem(("g", "g"))
+        rate = RateFunction.power(0.5, 0.25)
+        centres = np.linspace(0.0, 1.0, 300, endpoint=False)
+
+        def counts(cs):
+            return [count_hits(system, ball((c, c), rate), None, 200,
+                               rng=np.random.default_rng(1)) for c in cs]
+
+        first = counts(centres)
+        assert _word_table.cache_info().currsize == counting.WORD_TABLES
+        assert counts(centres[::-7]) == first[::-7]
+        assert _word_table.cache_info().currsize == counting.WORD_TABLES
+
 
 def full_tail_verdicts(target, digit_arrays, bases, n_steps):
     """Oracle: exact_verdict at each step on the whole stored digit tail.
@@ -517,7 +563,7 @@ class TestDigitSourceWindows:
         # below the ladder's MARGIN
         n_steps = 1500
         systems = counting._digit_systems(DiagonalTorusSystem((base, 3)), None, None)
-        source = DigitSource(systems, n_steps, np.random.default_rng(31).spawn(2))
+        source = DigitSource(systems, n_steps, draws(systems, np.random.default_rng(31)))
         rng = np.random.default_rng(32)
         steps = ([slice(0, n_steps), slice(700, 1300)] if read == "slice" else
                  [np.sort(rng.choice(n_steps, size=300, replace=False)), np.arange(5)])
@@ -608,8 +654,8 @@ class TestDigitLadder:
         systems = counting._digit_systems(DiagonalTorusSystem(betas), None, x)
 
         def source():
-            rngs = None if x else np.random.default_rng(5).spawn(d)
-            return DigitSource(systems, n_steps, rngs, x)
+            return DigitSource(systems, n_steps, expansions(systems, x) if x
+                               else draws(systems, np.random.default_rng(5)))
 
         # the oracle reads every digit the exact stage may read
         oracle = full_tail_verdicts(target, reserves(source(), n_steps), betas, n_steps)
@@ -649,7 +695,7 @@ class TestDigitLadder:
         systems = counting._digit_systems(DiagonalTorusSystem(betas), None, None)
 
         def source():
-            return DigitSource(systems, n_steps, np.random.default_rng(21).spawn(2))
+            return DigitSource(systems, n_steps, draws(systems, np.random.default_rng(21)))
 
         def ends(src):
             return [src.offset + len(d) for d in src.digits]
@@ -677,8 +723,9 @@ class TestDigitLadder:
         x = (Fraction(17, 97),) if start == "rational" else None
 
         def source():
-            return DigitSource([IntegerDigits(2)], n_steps,
-                               None if x else [np.random.default_rng(12)], x)
+            system = IntegerDigits(2)
+            return DigitSource([system], n_steps, [system.expansion(x[0]) if x
+                                                   else system.draws(np.random.default_rng(12))])
 
         stream = source().read(0, 338)
         got = [bracket for bracket, in source().brackets(n)]
@@ -750,6 +797,12 @@ def chi_square_pvalues(digits, base):
 
 DRAW_SYSTEMS = {"2": IntegerDigits(2), "3": IntegerDigits(3), "100": IntegerDigits(100),
                 "g": GoldenDigits(), "g-parry": GoldenDigits(0.3)}
+# (system, x): the draws of a random start (x None) or the expansion of x
+TILE_STREAMS = {**{name: (system, None) for name, system in DRAW_SYSTEMS.items()},
+                "2-17/97": (IntegerDigits(2), Fraction(17, 97)),
+                "3-23/89": (IntegerDigits(3), Fraction(23, 89)),
+                "10-1/7": (IntegerDigits(10), Fraction(1, 7)),
+                "128-big": (IntegerDigits(128), Fraction(10 ** 30 + 7, 3 ** 70))}
 
 
 class TestDigitStream:
@@ -766,13 +819,20 @@ class TestDigitStream:
         digits = drawn(IntegerDigits(3), np.random.default_rng(3), 100_360)
         assert min(chi_square_pvalues(digits, 3)) < 1e-6
 
-    @pytest.mark.parametrize("system", DRAW_SYSTEMS.values(), ids=DRAW_SYSTEMS.keys())
-    def test_draws_tile_one_stream(self, system):
-        whole = drawn(system, np.random.default_rng(9), 30_000)
+    @pytest.mark.parametrize("name", TILE_STREAMS)
+    def test_draws_tile_one_stream(self, name):
+        system, x = TILE_STREAMS[name]
+
+        def stream():
+            return system.draws(np.random.default_rng(9)) if x is None else system.expansion(x)
+
+        whole = DigitSource([system], 0, [stream()]).read(0, 30_000)
+        if x is not None:
+            assert np.array_equal(whole, long_division(x, system.beta, 30_000))
         head = _digit_window(system.beta) + 1
         for cuts in ([0, 1, 7, 1000, 30_000], [12_345, 30_000], [1, 2, 3, 29_999, 30_000],
                      [head + 1, head + 7, 1000, 30_000]):
-            source, have = DigitSource([system], 0, [np.random.default_rng(9)]), 0
+            source, have = DigitSource([system], 0, [stream()]), 0
             for total in cuts:
                 have = max(have, total)  # a read never gives digits back
                 assert np.array_equal(source.read(0, total), whole[:have]), cuts
@@ -780,13 +840,13 @@ class TestDigitStream:
         # place, and holding a block draws it on past the block's last window
         window = _digit_window(system.beta)
         for cuts in ([100, 5000, 29_000], [0, 20_000, 29_000], [7, 7, 12_345, 29_000]):
-            source = DigitSource([system], 0, [np.random.default_rng(9)])
+            source = DigitSource([system], 0, [stream()])
             for at, stop in zip(cuts, cuts[1:]):
                 source.forget(at)
                 source.hold(stop)
                 assert source.offset == at
                 assert np.array_equal(source.digits[0], whole[at:stop + window]), cuts
-        source, have = DigitSource([system], 0, [np.random.default_rng(9)]), 0
+        source, have = DigitSource([system], 0, [stream()]), 0
         for total in (5000, 100, 5001, 30_000):
             have = max(have, total)
             assert np.array_equal(source.read(0, total), whole[:have])
@@ -798,19 +858,26 @@ class TestDigitStream:
         assert whole[0] == 0 or not state1_weight  # a state-1 start's forced 0
         ends = np.flatnonzero(whole[:-1]) + 1   # a read that ends on the 1 of a "10"
         for end in ends[ends > _digit_window(system.beta) + 1][:25].tolist():
-            source = DigitSource([system], 0, [np.random.default_rng(4)])
+            source = DigitSource([system], 0, [system.draws(np.random.default_rng(4))])
             head = source.read(0, end).copy()
             assert len(head) == end and head[-1] == 1
             assert np.array_equal(source.read(0, 2000), whole) and whole[end] == 0
 
-    def test_given_point_reads_the_whole_reserve(self):
+    def test_given_point_reads_only_what_the_ladder_asks_for(self):
+        # a given point streams its expansion as a random start streams its
+        # draws: nothing before a read, and a count that no step sends to the
+        # exact stage reads each coordinate to its last window, N + W, not to
+        # the 2N + W + 96 reserve
         x = (Fraction(17, 97), Fraction(23, 89))
         systems = counting._digit_systems(DiagonalTorusSystem((2, 3)), None, x)
-        source = DigitSource(systems, 1000, x=x)
+        n_steps = 1000
+        source = DigitSource(systems, n_steps, expansions(systems, x))
+        assert [len(d) for d in source.digits] == [0, 0]
+        ladder(source, ball((0.0, 0.0), RateFunction.power(0.5, 0.25)), n_steps)
         for i, (ds, v) in enumerate(zip(systems, x)):
-            total = 2 * 1000 + _digit_window(ds.beta) + 96
-            assert np.array_equal(source.digits[i], ds.expand(v, total))
-            assert source.read(i, 10 * total) is source.digits[i]
+            end = n_steps + _digit_window(ds.beta)
+            assert source.offset == n_steps and source.offset + len(source.digits[i]) == end
+            assert np.array_equal(source.digits[i], long_division(v, ds.beta, end)[n_steps:])
 
 
 class TestRandomBits:
@@ -958,7 +1025,7 @@ class TestGoldenDigitEngine:
     def test_draw_keeps_its_rng_stream(self, parry, draws):
         system = counting._digit_systems(DiagonalTorusSystem(("g",)),
                                          ProductMeasure(["g"]) if parry else None, None)[0]
-        source = DigitSource([system], 0, [np.random.default_rng(2022)])
+        source = DigitSource([system], 0, [system.draws(np.random.default_rng(2022))])
         read = source.read(0, 40 * len(draws))
         assert ["".join(map(str, read[40 * j:40 * j + 40].tolist()))
                 for j in range(len(draws))] == draws
@@ -972,7 +1039,7 @@ class TestGoldenDigitEngine:
         target = GOLDEN_TARGETS[shape]
         n_steps = 2000
         systems = counting._digit_systems(system, None, None)
-        source = DigitSource(systems, n_steps, np.random.default_rng(8).spawn(2))
+        source = DigitSource(systems, n_steps, draws(systems, np.random.default_rng(8)))
         # narrow windows send many steps on to the fine and the exact stage
         monkeypatch.setattr(counting, "COARSE_BITS", 2)
         monkeypatch.setattr(counting, "FINE_BITS", 6)
@@ -984,7 +1051,7 @@ class TestGoldenDigitEngine:
         assert len(stages["exact"]) > 20
         assert np.array_equal(hit_lo, hit_hi)  # no ties on a random orbit
         # the point is the same streams read to the exact stage's reserve, plus the tail box
-        again = DigitSource(systems, n_steps, np.random.default_rng(8).spawn(2))
+        again = DigitSource(systems, n_steps, draws(systems, np.random.default_rng(8)))
         x = [digit_enclosure(d, ds.beta, 3200)
              for d, ds in zip(reserves(again, n_steps), systems)]
         orbit = orbit_enclosures(system, x, n_steps)
@@ -1201,13 +1268,32 @@ class TestStreamedCounts:
         assert res.final.r_lo > 0
         assert peak < 200_000
 
+    def test_given_point_memory_does_not_grow_with_n(self):
+        # a given point holds one block of its expansion and the lookahead, as
+        # a random start does: the same peak at N = 2 10^6 and 4 10^6
+        system = DiagonalTorusSystem((2, 3))
+        t = ball((0.0, 0.0), RateFunction.power(0.5, 0.25))
+        x = (Fraction(17, 97), Fraction(23, 89))
+        count_hits(system, t, x, 1000)  # warm the caches
+        peaks = []
+        for n_steps in (2 * 10 ** 6, 4 * 10 ** 6):
+            tracemalloc.start()
+            try:
+                res = count_hits(system, t, x, n_steps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert res.final.r_lo == res.final.r_hi > 0
+        assert peaks[0] < 32 * 2 ** 20
+        assert peaks[1] <= peaks[0] + 2 ** 20, peaks
+
     def test_one_source_holds_a_block_at_a_time(self, monkeypatch):
         # a batch's sources walk each block in turn: while one holds the
         # block, every other holds its lookahead alone
         monkeypatch.setattr(counting, "COARSE_CHUNK", 64)
         betas, n_steps = (2, 3), 3000
         systems = counting._digit_systems(DiagonalTorusSystem(betas), None, None)
-        sources = [DigitSource(systems, n_steps, rng.spawn(2))
+        sources = [DigitSource(systems, n_steps, draws(systems, rng))
                    for rng in np.random.default_rng(6).spawn(5)]
         t = ball((0.0, 0.0), RateFunction.power(0.5, 0.25))
         block = counting.BLOCK_CHUNKS * 64
@@ -1235,6 +1321,14 @@ class TestMonteCarloCounting:
                                    jobs=2)
         assert one.results == two.results
         assert one.fraction_in_band == two.fraction_in_band
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_are_refused(self, jobs):
+        # zero workers would have no batch to run: a named refusal, not an IndexError
+        s = DiagonalTorusSystem((2, 3))
+        t = ball((0.0, 0.0), RateFunction.power(0.5, 0.25))
+        with pytest.raises(ValueError, match="jobs"):
+            monte_carlo_counting(s, t, 2, 100, seed=1, jobs=jobs)
 
     @pytest.mark.parametrize("jobs, samples, cpus, workers", [
         (500, 1, 2, None), (500, 3, 2, 2), (500, 3, 8, 3), (2, 6, 8, 2), (4, 6, None, None),
