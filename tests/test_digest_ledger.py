@@ -1,4 +1,4 @@
-"""The digest ledger: the sha256 of every data file of about forty desk-scale runs.
+"""The digest ledger: the sha256 of every data file of about fifty desk-scale runs.
 
 Each config runs in-process through ``cli.run`` (the given rational point,
 which the CLI does not take, through ``count_hits``), and its data files'
@@ -11,8 +11,9 @@ and says in CHANGES.md which digests changed, and why.  The configs write
 the same bytes whichever SIMD extensions numpy dispatches to (checked with
 NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR"); a ball on
 diag:e,g centred off 0 does not, as its Phi moves in the last digit, nor
-do a diag:2,g rectangle centred at (0, 3/10) or a pow:0.5,0.25 ball on
-diag:5/2.
+do a diag:2,g rectangle centred at (0, 3/10), a pow:0.5,0.25 ball on
+diag:5/2, or a volume table of an exp: or superexp rate (numpy's SIMD exp
+differs from its baseline one in the last bit of some psi(n)).
 """
 
 import hashlib
@@ -124,6 +125,13 @@ CONFIGS = {
     "volume_rectangle": ("volume", {"shape": "rectangle", "d": 3, "rate": "pow:0.2,1"}, 1),
     "volume_hyperboloid_3": ("volume", {"shape": "hyperboloid", "d": 3,
                                         "rate": "pow:0.05,1"}, 1),
+    # the exponential and superexponential closed forms
+    "count_ball_2_3_exp": ("count", {"system": "diag:2,3", "center": [0, 0],
+                                     "rate": "exp:0.01", "samples": 4, "steps": 20000,
+                                     "checkpoints": [100, 20000], "seed": 1}, 1),
+    "count_ball_2_3_superexp": ("count", {"system": "diag:2,3", "center": [0, 0],
+                                          "rate": "superexp", "samples": 4, "steps": 2000,
+                                          "seed": 1}, 1),
     "support_minus_1_3": ("support", {"beta": "-1.3"}, 1),
     "measure_minus_g": ("measure", {"beta": "-g", "a": 0, "b": 0.5}, 1),
     "dimension": ("dimension", {"method": "ball", "moduli": [2, 3], "lam": 0.5}, 1),
