@@ -421,7 +421,7 @@ def _reduce_one(i: int, b: float, a: float, rate: RateFunction) -> ReductionFact
         if tau == 0.0:
             return ReductionFactor(index=i, kind="fixed", points=(0.0,), tau=tau)
         hi = min(1.0, tau)
-        ambiguous = not _tau_attained(rate, abs(b))
+        ambiguous = not rate.tau_attained
         return ReductionFactor(index=i, kind="interval", interval=(0.0, hi),
                                closure_ambiguous=ambiguous, tau=tau)
     # -1 < b < 0
@@ -434,7 +434,7 @@ def _reduce_one(i: int, b: float, a: float, rate: RateFunction) -> ReductionFact
         return ReductionFactor(index=i, kind="fixed", points=(fixed_pt,), tau=tau)
     lo = max(0.0, fixed_pt - tau)
     hi = min(1.0, fixed_pt + tau)
-    ambiguous = not _tau_attained(rate, abs(b))
+    ambiguous = not rate.tau_attained
     return ReductionFactor(index=i, kind="interval", interval=(lo, hi),
                            closure_ambiguous=ambiguous, tau=tau)
 
@@ -448,16 +448,6 @@ def _is_same_point(a: float, fixed_pt: float, b: float) -> bool:
     except (ValueError, ZeroDivisionError):
         pass
     return abs(a - fixed_pt) < 1e-12
-
-
-def _tau_attained(rate: RateFunction, beta_modulus: float) -> bool:
-    """Whether psi(n)|beta|^-n hits its limsup infinitely often (then the
-    slice is the half-open interval, not its closure)."""
-    if rate.kind == "exponential":
-        return rate.t == math.log(1.0 / beta_modulus)
-    if rate.kind in ("power", "superexponential"):
-        return True  # limsup is 0 or +inf, both attained in the limit sense
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Shrinking-target families: balls, rectangles and hyperboloids on the torus.
 
 Distances are always to the nearest integer (wrap-aware).  Target volumes
-cap at 1 once the radius fills the torus.  The lower order at infinity
+cap at 1 once the radius fills the torus.  A rate psi is one closed form,
+c n^-kappa exp(-t n^p), or a table; its lower order at infinity
 lambda(psi) = liminf -log(psi(n))/n drives every dimension formula.
 """
 
@@ -44,11 +45,11 @@ class Shape(enum.Enum):
 
 @dataclass(frozen=True)
 class RateFunction:
-    """A positive rate psi(n), one of four kinds.
+    """A positive rate psi(n) = c n^-kappa exp(-t n^p), or a table.
 
-    exponential(t):       psi(n) = exp(-n t),  lower order t
-    power(c, kappa):      psi(n) = c n^-kappa, lower order 0
-    superexponential():   psi(n) = exp(-n^2),  lower order +inf
+    exponential(t):       c = 1, kappa = 0, p = 1, so psi(n) = exp(-n t)
+    power(c, kappa):      t = 0, so psi(n) = c n^-kappa
+    superexponential():   t = 1, p = 2, so psi(n) = exp(-n^2)
     table(values, ...):   explicit finite values with an extension rule
     """
 
@@ -73,7 +74,7 @@ class RateFunction:
 
     @classmethod
     def superexponential(cls) -> "RateFunction":
-        return cls(kind="superexponential")
+        return cls(kind="superexponential", t=1.0)
 
     @classmethod
     def table(cls, values: Sequence[float], extend: str = "none") -> "RateFunction":
@@ -84,19 +85,22 @@ class RateFunction:
             raise ValueError("extend must be 'none' or 'hold'")
         return cls(kind="table", values=vals, extend=extend)
 
+    @property
+    def p(self) -> int:
+        """The power of n in the closed form's exponent: 2 if superexponential, else 1."""
+        return 2 if self.kind == "superexponential" else 1
+
     def psi(self, n):
-        """psi(n) for scalar or array n >= 1."""
+        """psi(n) for scalar or array n >= 1.
+
+        n^-kappa, times c in place (one temporary of len(n), not two), times
+        exp(-t n^p) if t > 0: the factors a kind fixes at 1 are exact, so each
+        kind gives the bytes of its textbook expression.
+        """
         arr = np.asarray(n, dtype=np.float64)
         if np.any(arr < 1):
             raise ValueError("n must be >= 1")
-        if self.kind == "exponential":
-            out = np.exp(-arr * self.t)
-        elif self.kind == "power":
-            out = arr ** -self.kappa
-            out *= self.c  # in place: one temporary of len(n), not two
-        elif self.kind == "superexponential":
-            out = np.exp(-(arr ** 2))
-        elif self.kind == "table":
+        if self.kind == "table":
             idx = np.asarray(np.round(arr), dtype=np.int64) - 1
             past = idx >= len(self.values)
             if np.any(past) and self.extend == "none":
@@ -104,7 +108,10 @@ class RateFunction:
             idx = np.minimum(idx, len(self.values) - 1)
             out = np.asarray(self.values, dtype=np.float64)[idx]
         else:
-            raise ValueError(f"unknown kind {self.kind}")
+            out = arr ** -self.kappa
+            out *= self.c
+            if self.t:
+                out *= np.exp(-self.t * arr ** self.p)
         return float(out) if np.ndim(n) == 0 else out
 
     def run_bounds(self, first: int, stop: int, run: int) -> tuple:
@@ -136,32 +143,23 @@ class RateFunction:
 
     def log_psi(self, n):
         """log psi(n) evaluated symbolically (no underflow at large n)."""
-        arr = np.asarray(n, dtype=np.float64)
-        if self.kind == "exponential":
-            out = -arr * self.t
-        elif self.kind == "power":
-            out = math.log(self.c) - self.kappa * np.log(arr)
-        elif self.kind == "superexponential":
-            out = -(arr ** 2)
-        else:
+        if self.kind == "table":
             out = np.log(self.psi(n))
+        else:
+            arr = np.asarray(n, dtype=np.float64)
+            out = math.log(self.c) - self.kappa * np.log(arr) - self.t * arr ** self.p
         return float(out) if np.ndim(n) == 0 else out
 
     @property
     def vanishes(self) -> bool:
-        """Whether psi(n) -> 0."""
-        if self.kind == "exponential":
-            return self.t > 0
-        if self.kind == "power":
-            return self.kappa > 0
-        if self.kind == "superexponential":
-            return True
-        return False  # finite tables with "hold" never vanish; "none" is unknowable
+        """Whether psi(n) -> 0 (never for a finite table: "hold" does not
+        vanish, and "none" is unknowable)."""
+        return self.kind != "table" and (self.t > 0 or self.kappa > 0)
 
     def lower_order(self):
         """lambda(psi) = liminf -log psi(n) / n.
 
-        Closed form for symbolic kinds; for tables, a numeric liminf
+        Closed form t, or +inf once p > 1; for tables, a numeric liminf
         estimate (min over the tail half of the table) returned together
         with the window it was taken over.
         """
@@ -170,17 +168,13 @@ class RateFunction:
     def subsampled_lower_order(self, k: int):
         """liminf over multiples of k of -log psi(kn) / (kn).
 
-        Equals lambda(psi) for decreasing psi.  Closed form for symbolic
-        kinds (where it holds with no monotonicity caveat): t, 0 and +inf.
+        Equals lambda(psi) for decreasing psi.  A closed form's is its
+        lambda for every k (no monotonicity caveat): t, or +inf once p > 1.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        if self.kind == "exponential":
-            return self.t
-        if self.kind == "power":
-            return 0.0
-        if self.kind == "superexponential":
-            return math.inf
+        if self.kind != "table":
+            return math.inf if self.p > 1 else self.t
         n_max = len(self.values) // k
         if n_max < 1:
             raise OutOfTable("table too short for this subsampling")
@@ -191,24 +185,28 @@ class RateFunction:
 
     def tau_limsup(self, beta_modulus: float) -> float:
         """limsup psi(n) |beta|^-n for |beta| <= 1 (degenerate reduction), over
-        a table's first 10^4 terms."""
+        a table's first 10^4 terms.  A closed form's is 0 or +inf by the sign
+        of lambda - log(1/|beta|), and lim c n^-kappa where that is 0.
+        """
         if beta_modulus > 1:
             raise ValueError("tau is used for |beta| <= 1")
         if beta_modulus == 0:
             return math.inf
-        gap = math.log(1.0 / beta_modulus) if beta_modulus < 1 else 0.0
-        if self.kind == "exponential":
-            if self.t > gap:
-                return 0.0
-            if self.t == gap:
-                return 1.0
-            return math.inf
-        if self.kind == "power":
-            return 0.0 if gap == 0.0 and self.kappa > 0 else (math.inf if gap > 0 else 1.0)
-        if self.kind == "superexponential":
-            return 0.0
+        if self.kind != "table":
+            gap = self.lower_order() - math.log(1.0 / beta_modulus)
+            if gap == 0:
+                return 0.0 if self.kappa > 0 else self.c
+            return 0.0 if gap > 0 else math.inf
         ns = np.arange(1, min(10_000, len(self.values)) + 1)
         return float(np.max(self.psi(ns) * beta_modulus ** -ns.astype(float)))
+
+    @property
+    def tau_attained(self) -> bool:
+        """Whether psi(n) |beta|^-n reaches its limsup tau (then the reduced
+        slice is the half-open interval, not its closure).  A closed form's
+        tau is 0 or +inf, reached in the limit, or the constant c n^0; a
+        table's, taken over its first terms, is not."""
+        return self.kind != "table"
 
 
 @dataclass(frozen=True)

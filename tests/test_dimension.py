@@ -445,6 +445,20 @@ class TestDegenerateReduction:
         r = degenerate_reduction((0.5, 2), RateFunction.exponential(1), (0.4, 0))
         assert r.kind == "empty"
 
+    @pytest.mark.parametrize("rate", [RateFunction.exponential(0.0), RateFunction.exponential(0.1),
+                                      RateFunction.power(1.0, 0.0), RateFunction.power(1.0, 2.0)])
+    @pytest.mark.parametrize("beta, center", [(0.5, 0.0), (-0.5, 1 / 1.5)])
+    def test_slower_rates_fill_the_circle_without_ambiguity(self, rate, beta, center):
+        # tau = +inf is reached in the limit: every x is within psi(n) |beta|^-n
+        f = degenerate_reduction((beta, 2), rate, (center, 0)).factors[0]
+        assert (f.kind, f.interval, f.tau) == ("interval", (0.0, 1.0), math.inf)
+        assert not f.closure_ambiguous
+
+    def test_table_tau_closure_is_ambiguous(self):
+        rate = RateFunction.table([0.5 ** n for n in range(1, 50)], extend="hold")
+        f = degenerate_reduction((0.5, 2), rate, (0.0, 0)).factors[0]
+        assert (f.kind, f.interval, f.closure_ambiguous) == ("interval", (0.0, 1.0), True)
+
     def test_negative_contracting_cases(self):
         rate = RateFunction.exponential(2.0)
         r = degenerate_reduction((-0.5, 2), rate, (0.0, 0))

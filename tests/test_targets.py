@@ -86,6 +86,7 @@ class TestRates:
         assert RateFunction.exponential(5.0).lower_order() == 5.0
         assert RateFunction.power(2.0, 3.0).lower_order() == 0.0
         assert RateFunction.superexponential().lower_order() == math.inf
+        assert RateFunction.superexponential().subsampled_lower_order(3) == math.inf
 
     def test_subsampled_equals_lower_order_for_decreasing(self):
         assert RateFunction.exponential(0.7).subsampled_lower_order(5) == 0.7
@@ -117,6 +118,96 @@ class TestRates:
         r = RateFunction.exponential(2.0)
         assert r.log_psi(10_000) == pytest.approx(-20_000.0)
         assert RateFunction.superexponential().log_psi(1000) == pytest.approx(-1e6)
+
+    @pytest.mark.parametrize("rate, textbook", [
+        (RateFunction.exponential(0.37), lambda n: np.exp(-n * 0.37)),
+        (RateFunction.exponential(2.0), lambda n: np.exp(-n * 2.0)),
+        (RateFunction.exponential(0.0), lambda n: np.exp(-n * 0.0)),
+        (RateFunction.power(0.5, 0.25), lambda n: n ** -0.25 * 0.5),
+        (RateFunction.power(3.0, 2.0), lambda n: n ** -2.0 * 3.0),
+        (RateFunction.power(0.3, 0.0), lambda n: n ** -0.0 * 0.3),
+        (RateFunction.superexponential(), lambda n: np.exp(-(n ** 2))),
+    ], ids=["exp", "exp-steep", "exp-t-0", "pow", "pow-steep", "pow-kappa-0", "superexp"])
+    def test_psi_bytes_are_the_textbook_expression(self, rate, textbook):
+        # the one closed form multiplies in factors that are exactly 1, so
+        # each kind keeps the bytes of its own expression, on arrays and on
+        # scalars (0-d arrays, as numpy's scalar pow rounds differently)
+        ns = np.arange(1, 10 ** 5 + 1, dtype=np.float64)
+        assert rate.psi(ns).tobytes() == textbook(ns).tobytes()
+        for n in (1, 2, 7, 26, 27, 1000, 99_991, 10 ** 5):
+            expected = np.float64(textbook(np.array(float(n))))
+            assert np.float64(rate.psi(n)).tobytes() == expected.tobytes(), n
+
+    @pytest.mark.parametrize("c", [0.3, 1.0, 2.5])
+    def test_tau_of_a_constant_rate_is_the_constant(self, c):
+        assert RateFunction.power(c, 0).tau_limsup(1.0) == c
+        assert RateFunction.power(c, 0).tau_attained
+        assert RateFunction.power(c, 0).tau_limsup(0.5) == math.inf
+
+    def test_tau_on_the_unit_circle(self):
+        assert RateFunction.power(0.3, 0.5).tau_limsup(1.0) == 0.0
+        assert RateFunction.exponential(0.2).tau_limsup(1.0) == 0.0
+        assert RateFunction.superexponential().tau_limsup(1.0) == 0.0
+        assert RateFunction.superexponential().tau_limsup(0.0) == math.inf
+
+    def test_exponential_zero_is_the_constant_one(self):
+        zero, one = RateFunction.exponential(0), RateFunction.power(1, 0)
+        ns = np.arange(1, 1001, dtype=np.float64)
+        assert zero.psi(ns).tobytes() == one.psi(ns).tobytes()
+        assert zero.log_psi(ns).tolist() == one.log_psi(ns).tolist()
+        assert (zero.vanishes, zero.lower_order()) == (False, 0.0)
+        assert (one.vanishes, one.lower_order()) == (False, 0.0)
+        for beta in (1.0, 0.9, 0.5, 0.01):
+            assert zero.tau_limsup(beta) == one.tau_limsup(beta)
+            assert zero.tau_attained == one.tau_attained
+
+    def test_superexponential_is_the_closed_form_at_t_1_p_2(self):
+        r = RateFunction.superexponential()
+        assert (r.c, r.kappa, r.t, r.p) == (1.0, 0.0, 1.0, 2)
+        assert (RateFunction.exponential(0.5).p, RateFunction.power(1, 1).p) == (1, 1)
+
+    def test_tables_neither_vanish_nor_attain_tau(self):
+        t = RateFunction.table([0.5, 0.25, 0.125], extend="hold")
+        assert not t.vanishes and not t.tau_attained
+        assert t.tau_limsup(0.5) == 1.0  # psi(n) = 2^-n
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_closed_forms_against_log_psi(self, seed):
+        # vanishes, lambda, the class of tau (0, finite, +inf) and its
+        # attainment, each read off log psi(n) |beta|^-n out to n = 10^4,
+        # for |beta| in (0, 1) and on the unit circle
+        rng = np.random.default_rng(seed)
+        ns = np.arange(1, 10 ** 4 + 1, dtype=np.float64)
+        mid = 5000 - 1
+        for _ in range(40):
+            beta = 1.0 if rng.random() < 0.2 else float(rng.uniform(0.01, 1.0))
+            gap = math.log(1.0 / beta)
+            rate = [RateFunction.exponential(float(rng.uniform(0.0, 3.0))),
+                    RateFunction.exponential(gap),  # psi(n) |beta|^-n == 1
+                    RateFunction.exponential(0.0),
+                    RateFunction.power(*rng.uniform(0.05, 3.0, size=2).tolist()),
+                    RateFunction.power(float(rng.uniform(0.05, 3.0)), 0.0),
+                    RateFunction.superexponential()][rng.integers(6)]
+            case = (rate, beta)
+            log_psi = rate.log_psi(ns)
+            assert rate.vanishes == bool(log_psi[-1] < log_psi[mid]), case
+            slope = -log_psi[-1] / ns[-1]
+            lam = rate.lower_order()
+            if math.isinf(lam):
+                assert slope > 1e3, case
+            else:
+                slack = (rate.kappa * math.log(ns[-1]) + abs(math.log(rate.c))) / ns[-1]
+                assert abs(slope - lam) <= slack + 1e-12, case
+            log_s = log_psi + ns * gap  # log psi(n) |beta|^-n
+            trend = log_s[-1] - log_s[mid]
+            tau = rate.tau_limsup(beta)
+            if trend < -1e-9:
+                assert tau == 0.0, case
+            elif trend > 1e-9:
+                assert tau == math.inf, case
+            else:  # a constant, reached at every n
+                assert np.all(log_s[mid:] == math.log(tau)), case
+            assert rate.tau_attained, case
 
 
 class TestHyperboloidVolume:
