@@ -13,7 +13,6 @@ from .errors import (
     BudgetTooLarge,
     ConfigInvalid,
     DegenerateF,
-    Indeterminate,
     InfiniteCoordinate,
     OutOfTable,
     PieceCapExceeded,
@@ -31,18 +30,14 @@ from .orbits import (
     UnitRealInterval,
     beta_step,
     eigenvalue_moduli,
-    iterate,
     orbit_enclosures,
     required_precision,
     snapped_orbit,
 )
 from .cylinders import (
     BetaAutomaton,
-    Cylinder,
     count_cylinders,
-    cylinders_of_order,
     full_cylinder_stats,
-    is_full_cylinder,
     preimage_intervals,
     preimage_sweep,
 )

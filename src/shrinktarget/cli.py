@@ -30,7 +30,6 @@ from . import __version__, counting, cylinders, markov, measures, orbits
 from .errors import (
     AmbiguityBudgetExceeded,
     ConfigInvalid,
-    Indeterminate,
     PrecisionExhausted,
     TolUnreachable,
 )
@@ -68,7 +67,6 @@ from .targets import (
 
 TOLERANCES = {
     "measure_truncation_tail": measures.TRUNCATION_TOL,
-    "full_cylinder_decision": cylinders.FULL_DECISION_TOL,
     "eigenvalue_moduli": orbits.EIGENVALUE_TOL,
     "perron_rayleigh": markov.PERRON_TOL,
     "support_threshold": measures.SUPPORT_TOL,
@@ -681,7 +679,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigInvalid as exc:
         print(f"config invalid: {exc}", file=sys.stderr)
         return 2
-    except (PrecisionExhausted, Indeterminate) as exc:
+    except PrecisionExhausted as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return 4
     except TolUnreachable as exc:

@@ -5,8 +5,8 @@ whose n-step image is [0, y) splits into floor(beta*y) full children (image
 all of [0,1)) followed by one partial child of image [0, frac(beta*y)).
 That automaton gives exact counts, full/not-full flags, and left-to-right
 scans from one summary per subtree (state, depth), without materializing
-the tree.  A direct interval-refinement engine covers negative beta (and
-doubles as an independent oracle for the automaton).
+the tree.  The preimages of a ball under T_beta^n, for either sign of beta,
+are pulled back one inverse branch at a time.
 
 Boundary convention: cylinders are half-open [a, b); results at points that
 sit exactly on a boundary are convention-dependent.
@@ -15,42 +15,14 @@ sit exactly on a boundary are convention-dependent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import Indeterminate, PieceCapExceeded, PrecisionExhausted
+from .errors import PieceCapExceeded, PrecisionExhausted
 from .orbits import beta_float, snapped_orbit
 
-FULL_DECISION_TOL = 2.0 ** -40
 MAX_EXPLICIT = 2_000_000
-
-
-@dataclass(frozen=True)
-class Cylinder:
-    """Maximal interval of linearity of T_beta^n.
-
-    ``image`` is the (lo, hi) interval T_beta^n maps this cylinder onto;
-    ``uncertainty`` bounds the rounding error carried by the stored
-    endpoints (0 for the exact automaton construction).
-    """
-
-    beta: float
-    word: tuple
-    left: float
-    right: float
-    full: bool
-    image: tuple
-    uncertainty: float = 0.0
-
-    @property
-    def order(self) -> int:
-        return len(self.word)
-
-    @property
-    def length(self) -> float:
-        return self.right - self.left
 
 
 class BetaAutomaton:
@@ -67,6 +39,8 @@ class BetaAutomaton:
         b_float = beta_float(beta)
         if b_float <= 1:
             raise ValueError("automaton requires beta > 1")
+        if depth < 0:
+            raise ValueError("the order must be >= 0")
         self.beta = b_float
         self.depth = depth
         points, self.branch_counts, _ = snapped_orbit(beta, depth + 1)
@@ -88,8 +62,10 @@ class BetaAutomaton:
         and then takes one of the m_j full children back to state 0, or
         stays on the chain to the end:
         N_k = sum_{j<k} P_j m_j N_{k-1-j} + P_k, where P_j = 1 while
-        states 0..j-1 are not terminal.  No recursion, so any n runs.
+        states 0..j-1 are not terminal.  No recursion, so any n >= 0 runs.
         """
+        if n < 0:
+            raise ValueError("the order must be >= 0")
         weights, counts, alive = [], [1], 1
         for k in range(1, n + 1):
             if alive:
@@ -103,111 +79,6 @@ class BetaAutomaton:
 def count_cylinders(beta, n: int) -> int:
     """Exact count N_n of order-n cylinders of T_beta, beta > 1."""
     return BetaAutomaton(beta, n).count(n)
-
-
-def cylinders_of_order(beta, n: int) -> list[Cylinder]:
-    """Ordered list of the order-n cylinders covering [0,1).
-
-    beta > 1 walks the orbit-of-1 automaton; beta < -1 refines intervals
-    directly (a route that also handles beta > 1, so each engine is the
-    other's oracle).  Counts above ~2e6 refuse to materialize; use
-    full_cylinder_stats / count_cylinders instead.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    b = beta_float(beta)
-    if abs(b) <= 1:
-        raise ValueError("|beta| must be > 1")
-    return _cylinders_automaton(beta, n) if b > 1 else _cylinders_refine(beta, n)
-
-
-def _cylinders_automaton(beta, n: int) -> list[Cylinder]:
-    auto = BetaAutomaton(beta, n)
-    total = auto.count(n)
-    if total > MAX_EXPLICIT:
-        raise PieceCapExceeded(
-            f"{total} cylinders at order {n}: too many to materialize; "
-            "full_cylinder_stats / count_cylinders give their statistics without listing them"
-        )
-    b = auto.beta
-    out: list[Cylinder] = []
-    inv_pow = [b ** -(k + 1) for k in range(n)]
-
-    def walk(j: int, depth: int, left: float, word: tuple):
-        if depth == n:
-            _, _, y = auto.state(j)
-            width = y * (b ** -n)
-            out.append(
-                Cylinder(b, word, left, left + width, full=(j == 0),
-                         image=(0.0, y), uncertainty=2e-15 * n)
-            )
-            return
-        m, term, _ = auto.state(j)
-        for digit in range(m):
-            walk(0, depth + 1, left + digit * inv_pow[depth], word + (digit,))
-        if not term:
-            walk(j + 1, depth + 1, left + m * inv_pow[depth], word + (m,))
-
-    walk(0, 0, 0.0, ())
-    return out
-
-
-def _cylinders_refine(beta, n: int) -> list[Cylinder]:
-    """Order-n cylinders by direct refinement; works for either sign of beta."""
-    b = beta_float(beta)
-    absb = abs(b)
-    num_cells = math.floor(absb) + 1
-    # pieces: (left, right, slope, offset) with T^k(x) = slope*x + offset on [left, right)
-    pieces = [(0.0, 1.0, 1.0, 0.0, ())]
-    for _ in range(n):
-        nxt = []
-        for (l, r, s, t, word) in pieces:
-            u, v = sorted((s * l + t, s * r + t))
-            for j in range(num_cells):
-                cell_lo = j / absb
-                cell_hi = min((j + 1) / absb, 1.0)
-                lo = max(u, cell_lo)
-                hi = min(v, cell_hi)
-                if hi - lo <= 1e-15:
-                    continue
-                if s > 0:
-                    xl, xr = (lo - t) / s, (hi - t) / s
-                else:
-                    xl, xr = (hi - t) / s, (lo - t) / s
-                if b > 0:
-                    s2, t2 = b * s, b * t - j
-                else:
-                    s2, t2 = b * s, b * t + j + 1
-                nxt.append((xl, xr, s2, t2, word + (j,)))
-            if len(nxt) > MAX_EXPLICIT:
-                raise PieceCapExceeded("too many cylinders to materialize")
-        pieces = nxt
-    out = []
-    for (l, r, s, t, word) in sorted(pieces, key=lambda p: p[0]):
-        u, v = sorted((s * l + t, s * r + t))
-        unc = 1e-13 * n * max(1.0, absb)
-        full = u <= FULL_DECISION_TOL and v >= 1 - FULL_DECISION_TOL
-        out.append(Cylinder(b, word, l, r, full=full, image=(u, v), uncertainty=unc))
-    return out
-
-
-def is_full_cylinder(cyl: Cylinder) -> bool:
-    """True iff T_beta^n maps the cylinder onto all of [0,1).
-
-    Full is declared only when both image endpoints sit within
-    ``FULL_DECISION_TOL`` of 0 and 1.  Raises Indeterminate when the stored
-    endpoint uncertainty overlaps the decision threshold.
-    """
-    u, v = cyl.image
-    gap, unc = max(u, 1.0 - v), cyl.uncertainty
-    if gap + unc <= FULL_DECISION_TOL:
-        return True
-    if gap - unc > FULL_DECISION_TOL:
-        return False
-    raise Indeterminate(
-        "image endpoint within rounding uncertainty of the fullness threshold; "
-        "rebuild the cylinder at higher precision"
-    )
 
 
 class _Scan(NamedTuple):
@@ -264,9 +135,9 @@ def full_cylinder_stats(beta, n: int) -> dict:
     holds a full cylinder, so its copies are a closed form, and the scan
     takes O(n^2) joins whatever beta is.
     """
-    auto = BetaAutomaton(beta, n)
     if n < 1:
         raise ValueError("n must be >= 1")
+    auto = BetaAutomaton(beta, n)
     # depth-0 subtrees of states 0..n: a leaf is full iff its state is 0, and y_j wide
     level = [_Scan(1, 1, 0, 0.0, 0, 0.0, 0, 0.0)]
     level += [_Scan(1, 0, 1, y, 1, y, 0, 0.0) for _, _, y in map(auto.state, range(1, n + 1))]
@@ -306,6 +177,8 @@ def preimage_piece_bound(beta, n: int, a: float, r: float) -> float:
     inf, found from logs (there are at least beta^n cylinders) without
     building the automaton.
     """
+    if n < 0:
+        raise ValueError("the order must be >= 0")
     arcs = len(_ball_arcs(a % 1.0, r))
     b = beta_float(beta)
     rate = math.log(b) if b > 1 else math.log(math.floor(-b) + 1)

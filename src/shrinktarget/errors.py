@@ -2,8 +2,8 @@
 
 Exit-code mapping used by the CLI: ConfigInvalid -> 2, precondition
 violations (ValueError and subclasses such as SlopeTooSmall) -> 3,
-PrecisionExhausted and Indeterminate (both: more precision needed) -> 4,
-TolUnreachable and AmbiguityBudgetExceeded -> 5.
+PrecisionExhausted (more precision needed) -> 4, TolUnreachable and
+AmbiguityBudgetExceeded -> 5.
 """
 
 
@@ -26,10 +26,6 @@ class BudgetTooLarge(ValueError):
 
 class TolUnreachable(ValueError):
     """A fixed tolerance would need a truncation order past the cap."""
-
-
-class Indeterminate(RuntimeError):
-    """An enclosure is too wide to decide a predicate; retry at higher precision."""
 
 
 class SingularMatrix(ValueError):

@@ -50,17 +50,6 @@ class SupportSet:
             if a2 <= b:
                 raise ValueError("support intervals must be disjoint and sorted")
 
-    @property
-    def is_full_interval(self) -> bool:
-        return self.intervals == ((0.0, 1.0),)
-
-    @property
-    def total_length(self) -> float:
-        return sum(b - a for a, b in self.intervals)
-
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return any(a - tol <= x <= b + tol for a, b in self.intervals)
-
 
 def series_terms(modulus: float) -> int:
     """Terms N of the density series for |beta| = ``modulus`` > 1: the least
@@ -252,12 +241,6 @@ class ProductMeasure:
     @property
     def d(self) -> int:
         return len(self.factors)
-
-    def rectangle(self, rect: Sequence) -> float:
-        """nu of a product of intervals [a_i, b_i]."""
-        if len(rect) != self.d:
-            raise ValueError("rectangle dimension mismatch")
-        return math.prod(mu.measure_interval(a, b) for mu, (a, b) in zip(self.factors, rect))
 
     def ball(self, center: Sequence, radius):
         """nu of the max-norm ball, wrap-aware; an array of radii gives one nu per radius."""

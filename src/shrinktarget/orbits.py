@@ -204,28 +204,11 @@ class UnitRealInterval:
             raise ValueError(f"precision_bits must be >= guard ({GUARD_BITS})")
         lo, hi = _scalar_bounds(x, precision_bits)
         iv = cls(lo, hi - lo, precision_bits)
-        iv._check_guard()
-        return iv
-
-    @classmethod
-    def from_bounds(cls, lo: Number, hi: Number, precision_bits: int = 128) -> "UnitRealInterval":
-        if precision_bits < GUARD_BITS:
-            raise ValueError(f"precision_bits must be >= guard ({GUARD_BITS})")
-        flo = as_fraction(lo) % 1
-        fhi = as_fraction(hi) % 1
-        scale = 1 << precision_bits
-        a = math.floor(flo * scale)
-        width_frac = (fhi - flo) % 1
-        b = a + math.ceil(width_frac * scale)
-        iv = cls(a, b - a, precision_bits)
-        iv._check_guard()
-        return iv
-
-    def _check_guard(self):
-        if self.width > Fraction(1, 1 << GUARD_BITS):
+        if iv.width > Fraction(1, 1 << GUARD_BITS):
             raise ValueError(
-                f"enclosure width {float(self.width):.3e} exceeds 2^-{GUARD_BITS} at construction"
+                f"enclosure width {float(iv.width):.3e} exceeds 2^-{GUARD_BITS} at construction"
             )
+        return iv
 
     @property
     def lo(self) -> Fraction:
@@ -240,15 +223,10 @@ class UnitRealInterval:
     def lo_float(self) -> float:
         return self._start / (1 << self.precision_bits)
 
-    @property
-    def hi_float(self) -> float:
-        scale = 1 << self.precision_bits
-        return ((self._start + self._width) % scale) / scale
-
     def outward_floats(self) -> tuple[float, float]:
         """(lo, hi) as floats rounded outward, lo down and hi up.
 
-        ``lo_float``/``hi_float`` round to nearest; these bound the arc.
+        ``lo_float`` rounds to nearest; these bound the arc.
         """
         scale = 1 << self.precision_bits
         return (_rounded(self._start, scale, up=False),
@@ -266,13 +244,6 @@ class UnitRealInterval:
     def wraps(self) -> bool:
         return self._start + self._width >= (1 << self.precision_bits)
 
-    def contains_value(self, x: Number) -> bool:
-        """Exact membership of a scalar in the enclosure (mod 1)."""
-        frac = as_fraction(x) % 1
-        scale = 1 << self.precision_bits
-        offset = (frac - self.lo) % 1
-        return offset <= Fraction(self._width, scale)
-
     def rescaled(self, bits: int) -> "UnitRealInterval":
         """Outward-rounded copy at ``bits`` bits of precision."""
         if bits == self.precision_bits:
@@ -282,7 +253,7 @@ class UnitRealInterval:
 
     def __repr__(self):
         return (
-            f"UnitRealInterval(lo={self.lo_float:.17g}, hi={self.hi_float:.17g}, "
+            f"UnitRealInterval(lo={self.lo_float:.17g}, hi={float(self.hi):.17g}, "
             f"bits={self.precision_bits}{', wraps' if self.wraps else ''})"
         )
 
@@ -413,7 +384,7 @@ class IntegerMatrixSystem:
 
 
 def required_precision(system, n_steps: int) -> int:
-    """Bits needed so that ``iterate`` never exhausts precision in n steps:
+    """Bits needed so that an orbit never exhausts precision in n steps:
     the start of :func:`orbit_enclosures`' schedule at the fastest
     coordinate, refused past ``precision_cap()``."""
     if n_steps < 1:
@@ -512,35 +483,6 @@ def _matrix_step(matrix, ivs, out_bits: int) -> tuple:
             raise PrecisionExhausted(f"coordinate {i} enclosure too wide")
         out.append(UnitRealInterval(lo, hi - lo, out_bits))
     return tuple(out)
-
-
-def iterate(system, x: Sequence, n: int, precision_bits: Optional[int] = None):
-    """Coordinatewise enclosure (or exact rationals) of T^n(x).
-
-    Exact Fractions are returned when the system is an integer matrix (or
-    integer diagonal) applied to rational points; otherwise the last
-    enclosures of :func:`orbit_enclosures`.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if len(x) != system.d:
-        raise ValueError("point dimension mismatch")
-    if all(isinstance(c, (int, Fraction)) for c in x):
-        if isinstance(system, IntegerMatrixSystem):
-            pt = [Fraction(c) % 1 for c in x]
-            for _ in range(n):
-                pt = [sum(m * c for m, c in zip(row, pt)) % 1 for row in system.matrix]
-            return tuple(pt)
-        if system.is_integer and not system.degenerate:
-            pt = []
-            for b, c in zip(system.betas, x):
-                v = Fraction(c) % 1
-                num, den = v.numerator, v.denominator
-                pt.append(Fraction((num * pow(int(b), n, den)) % den, den))
-            return tuple(pt)
-    for _, ivs in orbit_enclosures(system, x, n, precision_bits):
-        pass
-    return ivs
 
 
 def wrap_distance_bounds(lo, width, a):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Sequence
@@ -163,25 +163,12 @@ class RateFunction:
         estimate (min over the tail half of the table) returned together
         with the window it was taken over.
         """
-        return self.subsampled_lower_order(1)
-
-    def subsampled_lower_order(self, k: int):
-        """liminf over multiples of k of -log psi(kn) / (kn).
-
-        Equals lambda(psi) for decreasing psi.  A closed form's is its
-        lambda for every k (no monotonicity caveat): t, or +inf once p > 1.
-        """
-        if k < 1:
-            raise ValueError("k must be >= 1")
         if self.kind != "table":
             return math.inf if self.p > 1 else self.t
-        n_max = len(self.values) // k
-        if n_max < 1:
-            raise OutOfTable("table too short for this subsampling")
+        n_max = len(self.values)
         lo = max(1, n_max // 2)
-        ns = k * np.arange(lo, n_max + 1)
-        vals = -np.log(self.psi(ns)) / ns
-        return float(vals.min()), (int(k * lo), int(k * n_max))
+        ns = np.arange(lo, n_max + 1)
+        return float((-np.log(self.psi(ns)) / ns).min()), (lo, n_max)
 
     def tau_limsup(self, beta_modulus: float) -> float:
         """limsup psi(n) |beta|^-n for |beta| <= 1 (degenerate reduction), over
@@ -242,6 +229,8 @@ def accumulation_set(rates: Sequence[RateFunction], horizon: int = 2000,
     set is a singleton; table kinds are clustered numerically over the
     horizon tail and the cluster radius is reported.
     """
+    if not rates:
+        raise ValueError("the rate list must be non-empty")
     tables = [r for r in rates if r.kind == "table"]
     if not tables:
         return AccumulationSet((tuple(r.lower_order() for r in rates),))
@@ -261,27 +250,19 @@ def accumulation_set(rates: Sequence[RateFunction], horizon: int = 2000,
     return AccumulationSet(tuple(tuple(c) for c in clusters), radius=cluster_radius)
 
 
-def _hyperboloid_boundary_bound(d: int, delta: float) -> float:
-    # documented non-sharp bound on the (d-1)-content of the boundary surface
-    return (4.0 ** d) * d * (1.0 + math.log(1.0 / min(delta, 0.5))) ** (d - 1)
-
-
 @dataclass(frozen=True)
 class TargetSpec:
     """A target family E_n: shape, center, and rate(s).
 
     Balls (max norm) and hyperboloids take one rate; rectangles take one
-    rate per coordinate.  ``boundary_content_bound`` witnesses the bounded
-    boundary-content property: 2d for balls/rectangles, a documented
-    analytic (non-sharp) constant for hyperboloids.  The center is kept
-    exact, as Fractions reduced mod 1: exact stages read it as it is, and
-    float stages read ``float(a)``, whose rounding MARGIN covers.
+    rate per coordinate.  The center is kept exact, as Fractions reduced
+    mod 1: exact stages read it as it is, and float stages read
+    ``float(a)``, whose rounding MARGIN covers.
     """
 
     shape: Shape
     center: tuple
     rates: tuple
-    boundary_content_bound: float = field(default=0.0)
 
     def __post_init__(self):
         center = tuple(as_fraction(c) % 1 for c in self.center)
@@ -296,12 +277,6 @@ class TargetSpec:
                 raise ValueError("rectangles need one rate per coordinate")
         elif len(rates) != 1:
             raise ValueError("balls and hyperboloids take a single rate")
-        if self.boundary_content_bound == 0.0:
-            if self.shape == Shape.HYPERBOLOID:
-                bound = _hyperboloid_boundary_bound(d, float(rates[0].psi(1)))
-            else:
-                bound = 2.0 * d
-            object.__setattr__(self, "boundary_content_bound", bound)
 
     @property
     def d(self) -> int:

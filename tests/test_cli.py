@@ -8,6 +8,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from oracles import contains_value
 from shrinktarget import cli
 from shrinktarget.cli import (
     ExperimentConfig,
@@ -18,7 +19,7 @@ from shrinktarget.cli import (
     run,
     validate,
 )
-from shrinktarget.errors import AmbiguityBudgetExceeded, ConfigInvalid, Indeterminate
+from shrinktarget.errors import AmbiguityBudgetExceeded, ConfigInvalid, PrecisionExhausted
 from shrinktarget.measures import ProductMeasure
 from shrinktarget.orbits import DiagonalTorusSystem, IntegerMatrixSystem, orbit_enclosures
 from shrinktarget.targets import (
@@ -171,14 +172,13 @@ class TestRun:
             run(cfg, tmp_path)
 
     def test_manifest_tolerances_are_the_module_constants(self, tmp_path):
-        from shrinktarget import counting, cylinders, markov, measures, orbits
+        from shrinktarget import counting, markov, measures, orbits
 
         run(ExperimentConfig("measure", {"beta": "g"}), tmp_path, manifest_only=True)
         written = json.loads((tmp_path / "measure_manifest.json").read_text())["tolerances"]
         assert written == {
             "ambiguity_budget": counting.AMBIGUITY_BUDGET,
             "eigenvalue_moduli": orbits.EIGENVALUE_TOL,
-            "full_cylinder_decision": cylinders.FULL_DECISION_TOL,
             "measure_truncation_tail": measures.TRUNCATION_TOL,
             "perron_rayleigh": markov.PERRON_TOL,
             "support_merge_gap": measures.SUPPORT_MERGE_GAP,
@@ -186,7 +186,6 @@ class TestRun:
         }
         assert written == {
             "ambiguity_budget": 0.001, "eigenvalue_moduli": 1e-12,
-            "full_cylinder_decision": 9.094947017729282e-13,
             "measure_truncation_tail": 1e-12, "perron_rayleigh": 1e-12,
             "support_merge_gap": 1e-06, "support_threshold": 1e-09,
         }
@@ -317,13 +316,13 @@ class TestMainExitCodes:
         assert "past table of 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("exc, code", [
-        (Indeterminate("enclosure too wide"), 4),
+        (PrecisionExhausted("enclosure too wide"), 4),
         (AmbiguityBudgetExceeded("sample 0: 9 ambiguous hits"), 5),
     ])
     def test_counting_refusals_have_exit_codes(self, tmp_path, monkeypatch, capsys,
                                                exc, code):
-        # no config is known to reach either exception through the CLI, so a
-        # raiser stands in for the experiment
+        # a raiser stands in for the experiment: no config is known to exceed
+        # the ambiguity budget through the CLI
         def refuse(*args, **kwargs):
             raise exc
 
@@ -647,9 +646,9 @@ class TestMainExitCodes:
             row = (tmp_path / "orbit.csv").read_text().splitlines()[1 + n]
             assert float(row.split(",")[2]) == pytest.approx(float(value), abs=1e-15)
             enclosures = dict(orbit_enclosures(system, cli.parse_point(text), 5))
-            assert enclosures[n][0].contains_value(value)
+            assert contains_value(enclosures[n][0], value)
         # the double nearest 0.1 lies above 1/10, outside the start's enclosure
-        assert not enclosures[0][0].contains_value(0.1)
+        assert not contains_value(enclosures[0][0], 0.1)
 
     @pytest.mark.parametrize("system", ["diag:2", "diag:3"])
     @pytest.mark.parametrize("text", ["1/3", "1/7"])

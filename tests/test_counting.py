@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from oracles import interval_from_bounds, iterate
 from shrinktarget import counting, targets
 from shrinktarget.counting import (
     DigitSource,
@@ -39,7 +40,7 @@ from shrinktarget.errors import (
 from shrinktarget.cylinders import preimage_sweep
 from shrinktarget.measures import ParryYrrapMeasure, ProductMeasure
 from shrinktarget.orbits import (
-    DiagonalTorusSystem, IntegerMatrixSystem, UnitRealInterval, as_fraction, iterate,
+    DiagonalTorusSystem, IntegerMatrixSystem, UnitRealInterval, as_fraction,
     orbit_enclosures, required_precision, wrap_distance_bounds,
 )
 from shrinktarget.targets import (
@@ -161,8 +162,6 @@ class TestCountHits:
         assert res.checkpoints[1].e is not None
 
     def test_matrix_system_exact_orbit(self):
-        from shrinktarget.orbits import IntegerMatrixSystem, iterate
-
         m = IntegerMatrixSystem(((2, 1), (1, 1)))
         t = ball((0.0, 0.0), RateFunction.power(0.4, 0.3))
         x = (Fraction(3, 17), Fraction(5, 11))
@@ -961,7 +960,7 @@ def digit_enclosure(digits, base, bits):
             value = (value + int(d)) / b
         eps = mpmath.mpf(2) ** -bits
         lo, hi = value - eps, value + b ** -len(digits) + eps
-        return UnitRealInterval.from_bounds(as_fraction(lo), as_fraction(hi), bits)
+        return interval_from_bounds(as_fraction(lo), as_fraction(hi), bits)
 
 
 GOLDEN_TARGETS = {

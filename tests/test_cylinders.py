@@ -5,26 +5,22 @@ import math
 import numpy as np
 import pytest
 
+from oracles import cylinders_automaton, cylinders_of_order, cylinders_refine
 from shrinktarget import cylinders
 from shrinktarget.cylinders import (
     BetaAutomaton,
     _EMPTY_SCAN,
     _Scan,
-    _cylinders_automaton,
     _join,
     _repeat,
-    _cylinders_refine,
     count_cylinders,
-    cylinders_of_order,
     full_cylinder_stats,
-    is_full_cylinder,
     preimage_intervals,
     preimage_piece_bound,
     preimage_sweep,
-    Cylinder,
     MAX_EXPLICIT,
 )
-from shrinktarget.errors import Indeterminate, PieceCapExceeded
+from shrinktarget.errors import PieceCapExceeded
 from shrinktarget.orbits import beta_float
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -39,7 +35,7 @@ class TestCounts:
     def test_golden_fibonacci_count(self):
         # oracle: direct enumeration by interval refinement
         assert count_cylinders("g", 2) == 3
-        assert len(_cylinders_refine(GOLDEN, 2)) == 3
+        assert len(cylinders_refine(GOLDEN, 2)) == 3
         # Fibonacci growth: counts follow c(n) = c(n-1) + c(n-2)
         counts = [count_cylinders("g", n) for n in range(1, 12)]
         for a, b, c in zip(counts, counts[1:], counts[2:]):
@@ -59,8 +55,8 @@ class TestCounts:
 
     def test_engines_agree(self):
         for beta, bf in [("g", GOLDEN), (1.8, 1.8), (2.5, 2.5)]:
-            a = _cylinders_automaton(beta, 6)
-            b = _cylinders_refine(bf, 6)
+            a = cylinders_automaton(beta, 6)
+            b = cylinders_refine(bf, 6)
             assert len(a) == len(b)
             assert np.allclose([c.left for c in a], [c.left for c in b], atol=1e-9)
             assert [c.full for c in a] == [c.full for c in b]
@@ -93,20 +89,13 @@ class TestPartition:
 class TestFullness:
     def test_golden_words(self):
         cyls = cylinders_of_order("g", 1)
-        assert cyls[0].word == (0,) and is_full_cylinder(cyls[0])
-        assert cyls[1].word == (1,) and not is_full_cylinder(cyls[1])
+        assert cyls[0].word == (0,) and cyls[0].full
+        assert cyls[1].word == (1,) and not cyls[1].full
 
     def test_two_point_five_last_cell(self):
         cyls = cylinders_of_order(2.5, 1)
-        assert not is_full_cylinder(cyls[2])
+        assert not cyls[2].full
         assert cyls[2].image[1] - cyls[2].image[0] == pytest.approx(0.5, abs=1e-12)
-
-    def test_indeterminate_band(self):
-        # endpoint gap inside the uncertainty window around the threshold
-        cyl = Cylinder(2.0, (0,), 0.0, 0.5, full=False,
-                       image=(0.0, 1.0 - 0.9 * 2.0 ** -40), uncertainty=0.5 * 2.0 ** -40)
-        with pytest.raises(Indeterminate):
-            is_full_cylinder(cyl)
 
 
 def doubled(scan, m):
@@ -361,5 +350,20 @@ class TestAutomaton:
         assert count_cylinders("g", 3000) == fib[3002]
         # a long orbit of 1: each count against the enumerated cylinders
         for n in range(1, 9):
-            assert count_cylinders(1.3, n) == len(_cylinders_refine(1.3, n))
+            assert count_cylinders(1.3, n) == len(cylinders_refine(1.3, n))
         assert count_cylinders(1.01, 1500) > 1.01 ** 1500
+
+    def test_negative_orders_are_refused(self):
+        # N_-1 is no count, and an orbit of 1 shorter than one point has no states
+        auto = BetaAutomaton(2, 3)
+        for n in (-1, -3):
+            with pytest.raises(ValueError, match=">= 0"):
+                auto.count(n)
+            with pytest.raises(ValueError, match=">= 0"):
+                count_cylinders(2, n)
+            with pytest.raises(ValueError, match=">= 1"):
+                full_cylinder_stats("g", n)
+        for beta in (2, -1.8):  # (floor|beta| + 1)^-2 is no bound either
+            with pytest.raises(ValueError, match=">= 0"):
+                preimage_piece_bound(beta, -2, 0.3, 0.1)
+        assert count_cylinders(2, 0) == auto.count(0) == 1

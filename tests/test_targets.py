@@ -86,11 +86,6 @@ class TestRates:
         assert RateFunction.exponential(5.0).lower_order() == 5.0
         assert RateFunction.power(2.0, 3.0).lower_order() == 0.0
         assert RateFunction.superexponential().lower_order() == math.inf
-        assert RateFunction.superexponential().subsampled_lower_order(3) == math.inf
-
-    def test_subsampled_equals_lower_order_for_decreasing(self):
-        assert RateFunction.exponential(0.7).subsampled_lower_order(5) == 0.7
-        assert RateFunction.power(1, 2).subsampled_lower_order(3) == 0.0
 
     def test_table_lower_order_with_window(self):
         vals = [math.exp(-0.4 * n) for n in range(1, 401)]
@@ -492,15 +487,14 @@ class TestAccumulationSets:
         assert pts[0] == pytest.approx(0.5, abs=0.05)
         assert pts[1] == pytest.approx(1.0, abs=0.05)
 
+    def test_empty_rate_list_is_refused(self):
+        # no rates is no point of U(Psi), not the one point of dimension 0
+        with pytest.raises(ValueError, match="non-empty"):
+            accumulation_set([])
+
 
 class TestTargetSpec:
     def test_rectangle_needs_rate_per_coordinate(self):
         with pytest.raises(ValueError):
             rectangle((0.0, 0.0), [RateFunction.exponential(1)])
 
-    def test_boundary_content_defaults(self):
-        t = ball((0.0, 0.0, 0.0), RateFunction.exponential(1))
-        assert t.boundary_content_bound == 6.0
-        h = hyperboloid((0.0, 0.0), RateFunction.power(0.1, 1))
-        assert math.isfinite(h.boundary_content_bound)
-        assert h.boundary_content_bound > 0
