@@ -68,16 +68,11 @@ from .counting import (
     CorrelationSeries,
     CountingResult,
     CountingSummary,
-    VarianceReport,
-    correlation_estimate,
     correlation_series,
     count_hits,
     fit_exponential,
     invariant_measure,
     monte_carlo_counting,
-    paley_zygmund_bound,
-    variance_check,
-    window_hits,
 )
 from .dimension import (
     DimensionReport,

@@ -476,29 +476,17 @@ def _cmd_volume(p: dict, out_dir: Path, jobs: int):
     return [path]
 
 
-def _report_dict(report) -> dict:
-    return {
-        "value": report.value,
-        "method": report.method,
-        "argmin_index": report.argmin_index,
-        "attained_t": report.attained_t,
-        "partition": report.partition,
-        "error_bound": report.error_bound,
-        "conjectural": report.conjectural,
-    }
-
-
 # dimension method -> (the parameters it needs, its JSON report)
 _METHODS = {
-    "ball": (("moduli", "lam"), lambda p: _report_dict(dim_ball(p["moduli"], p["lam"]))),
+    "ball": (("moduli", "lam"), lambda p: dataclasses.asdict(dim_ball(p["moduli"], p["lam"]))),
     "rect": (("moduli", "t_points"),
-             lambda p: _report_dict(dim_rect(p["moduli"], p["t_points"]))),
+             lambda p: dataclasses.asdict(dim_rect(p["moduli"], p["t_points"]))),
     "onedim": (("beta_modulus", "lam"), lambda p: {
         "value": dim_onedim(p["beta_modulus"], p["lam"]), "method": "onedim"}),
     "mult": (("moduli", "lam"), lambda p: {
         "value": dim_mult(p["moduli"], p["lam"]), "method": "mult"}),
     "mtp": (("deltas", "u", "v"),
-            lambda p: _report_dict(mtp_dimension(MtpInput(p["deltas"], p["u"], p["v"])))),
+            lambda p: dataclasses.asdict(mtp_dimension(MtpInput(p["deltas"], p["u"], p["v"])))),
     "markov": (("beta_modulus", "lam"), lambda p: dict(
         zip(("value", "dim_lb"), markov_bounds(p["beta_modulus"], p["lam"])),
         method="markov_lb")),
@@ -506,7 +494,7 @@ _METHODS = {
         zip(("lower", "upper"), unbounded_bounds(p["moduli"], p["t_points"])),
         method="unbounded_bounds")),
     "hat": (("moduli", "t_points", "deltas"), lambda p: dict(
-        _report_dict(conjectured_dim_hat(p["moduli"], p["t_points"], p["deltas"])),
+        dataclasses.asdict(conjectured_dim_hat(p["moduli"], p["t_points"], p["deltas"])),
         conjectural=True)),
 }
 

@@ -935,23 +935,6 @@ def _beta_adic_order(value: Fraction, base: int) -> Optional[int]:
     return k
 
 
-def correlation_estimate(beta, e_set: tuple, f_set: tuple, lag: int,
-                         num_samples: Optional[int] = None,
-                         seed: Optional[int] = None, method: str = "auto"):
-    """Estimate |mu(E ∩ T^-n F)/mu(F) - mu(E)| for interval sets E, F at one lag.
-
-    Methods: "mc" (Monte Carlo over mu-distributed samples, binomial
-    standard error), "exact" (the transfer operator pushed n times over
-    the density on E, zero standard error), or "auto" (exact-zero fast
-    path for integer beta with beta-adic E of order <= lag, then exact
-    without ``num_samples``, else MC).  It is the one entry of
-    :func:`_estimates` for [lag], so it is that lag's entry of any
-    :func:`correlation_series`.
-    """
-    (_, value, se), = _estimates(beta, e_set, f_set, [lag], num_samples, seed, method)
-    return value, se
-
-
 def _lag_method(beta, e_set: tuple, lag: int, method: str,
                 num_samples: Optional[int]) -> str:
     """What an estimate at ``lag`` > 0 runs: "zero", "exact" or "mc".
@@ -1049,7 +1032,7 @@ def correlation_series(beta, e_set, f_set, lags: Sequence[int],
 
 def _estimates(beta, e_set, f_set, lags, num_samples, seed, method: str) -> tuple:
     """(n, estimate, std_error) for each of the sorted ``lags``: the one
-    route of :func:`correlation_estimate` and :func:`correlation_series`.
+    route of :func:`correlation_series`.
 
     Lag 0 is mu(E ∩ F), exact under every method.  A lag >= 1 runs what
     :func:`_lag_method` says: a "zero" lag is 0, lag 0 and the exact lags
@@ -1081,8 +1064,7 @@ def _mc_series(mu, e_set, f_set, lags, num_samples, seed) -> dict:
     (seed, 0) before any lag is stepped, and one orbit array serves every lag."""
     if num_samples is None:
         raise ValueError("Monte Carlo estimates need num_samples")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
-    orbit = mu.sample(rng, num_samples)
+    orbit = mu.sample(_sample_rng(seed, 0), num_samples)
     in_e = (orbit >= e_set[0]) & (orbit < e_set[1])
     out = {}
     for n in range(1, max(lags) + 1):
@@ -1139,73 +1121,3 @@ def _exact_series(beta, mu, e_set, f_set, lags) -> dict:
             in_f = np.minimum(points[1:], f_set[1]) - np.maximum(points[:-1], f_set[0])
             out[k] = float(np.sum(values * np.maximum(in_f, 0.0))), 0.0
     return out
-
-
-# ---------------------------------------------------------------------------
-# variance diagnostics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class VarianceReport:
-    window: tuple
-    empirical_var: float
-    bound: float
-    kappa_hat: float
-    measure_sum: float
-    num_samples: int
-
-    @property
-    def ratio(self) -> float:
-        return self.empirical_var / self.bound if self.bound > 0 else math.inf
-
-
-def _window(system, target, a: int, b: int, num_samples: int, seed: int,
-            start: str) -> tuple[np.ndarray, float]:
-    """(Z_{a,b} per sample, sum_{a<=n<=b} mu(E_n)), both read off the
-    checkpoints a - 1 and b of one :func:`monte_carlo_counting` run."""
-    if not 1 <= a <= b:
-        raise ValueError("need 1 <= a <= b")
-    results = monte_carlo_counting(system, target, num_samples, b, seed,
-                                   checkpoints=[a - 1], start=start).results
-    if a == 1:  # there is no checkpoint 0: the sums are the totals at b
-        return np.array([res.final.r_mid for res in results]), results[0].final.phi
-    zs = np.array([res.final.r_mid - res.checkpoints[0].r_mid for res in results])
-    return zs, results[0].final.phi - results[0].checkpoints[0].phi
-
-
-def window_hits(system, target: TargetSpec, a: int, b: int, num_samples: int,
-                seed: int, start: str = "lebesgue") -> np.ndarray:
-    """Z_{a,b}(x) = sum_{a<=n<=b} 1[T^n x in E_n] over the samples of
-    :func:`monte_carlo_counting` (so under its ambiguity budget)."""
-    return _window(system, target, a, b, num_samples, seed, start)[0]
-
-
-def variance_check(system, target: TargetSpec, a: int, b: int,
-                   num_samples: int, seed: int, kappa_hat: float = 0.0,
-                   start: str = "lebesgue") -> VarianceReport:
-    """Empirical Var(Z_{a,b}) against the bound (2 kappa + 1) sum mu(E_n)."""
-    zs, measure_sum = _window(system, target, a, b, num_samples, seed, start)
-    emp = float(np.var(zs, ddof=1)) if num_samples > 1 else 0.0
-    bound = (2.0 * kappa_hat + 1.0) * measure_sum
-    return VarianceReport(
-        window=(a, b), empirical_var=emp, bound=bound, kappa_hat=kappa_hat,
-        measure_sum=measure_sum, num_samples=num_samples,
-    )
-
-
-def paley_zygmund_bound(zs: np.ndarray, lam: float) -> tuple[float, float, float]:
-    """(empirical fraction above lam*E[Z], PZ lower bound, its MC error).
-
-    The fraction of samples with Z > lam E[Z] must be at least
-    (1-lam)^2 E[Z]^2 / E[Z^2] up to Monte Carlo noise.
-    """
-    if not 0 < lam < 1:
-        raise ValueError("lambda must be in (0,1)")
-    m1 = float(np.mean(zs))
-    m2 = float(np.mean(zs ** 2))
-    frac = float(np.mean(zs > lam * m1))
-    bound = (1 - lam) ** 2 * m1 * m1 / m2 if m2 > 0 else 0.0
-    n = len(zs)
-    se_frac = math.sqrt(max(frac * (1 - frac), 1e-300) / n)
-    se_moments = 2.0 * float(np.std(zs)) / math.sqrt(n) / max(m1, 1e-300)
-    return frac, bound, se_frac + abs(bound) * se_moments

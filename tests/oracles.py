@@ -10,7 +10,11 @@ checked against:
   ``count_cylinders``;
 - T^n(x) exactly in rationals for integer systems, or as the last
   enclosures of ``orbits.orbit_enclosures``;
-- enclosures built from two bounds, and exact membership in them.
+- enclosures built from two bounds, and exact membership in them;
+- the exact variance of the window count Z_{a,b} = #{a <= n <= b :
+  T^n x in E_n}: under Lebesgue starts on integer diagonals, and under
+  invariant starts on one beta at a constant radius, against the sample
+  variance of ``monte_carlo_counting`` (:func:`variance_z`).
 """
 
 from __future__ import annotations
@@ -19,17 +23,24 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
+from shrinktarget.counting import _exact_series
 from shrinktarget.cylinders import BetaAutomaton
+from shrinktarget.measures import ParryYrrapMeasure
 from shrinktarget.orbits import (
     GUARD_BITS,
+    DiagonalTorusSystem,
     IntegerMatrixSystem,
     UnitRealInterval,
     as_fraction,
     beta_float,
     orbit_enclosures,
 )
+from shrinktarget.targets import Shape
 
-# the refinement calls a cylinder full when both image ends sit this close to 0 and 1
+# the refinement calls a cylinder full when both image ends sit this close to 0 and 1,
+# and drops a piece whose image is at most this many times its slope wide
 FULL_DECISION_TOL = 2.0 ** -40
 
 
@@ -57,9 +68,7 @@ def cylinders_of_order(beta, n: int) -> list[Cylinder]:
     """The order-n cylinders covering [0, 1), left to right.
 
     beta > 1 walks the orbit-of-1 automaton and beta < -1 refines
-    intervals.  The refinement handles beta > 1 too, but float slivers
-    survive its cut: it lists 36 golden cylinders at order 7 where there
-    are 34, so it serves only small orders there.
+    intervals; the refinement handles beta > 1 too.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -93,7 +102,12 @@ def cylinders_automaton(beta, n: int) -> list[Cylinder]:
 
 
 def cylinders_refine(beta, n: int) -> list[Cylinder]:
-    """Order-n cylinders by direct refinement; works for either sign of beta."""
+    """Order-n cylinders by direct refinement; works for either sign of beta.
+
+    A piece whose image is at most FULL_DECISION_TOL |slope| wide is a
+    float sliver and is dropped: the float error of slope * x + offset
+    grows as |beta|^k.
+    """
     b = beta_float(beta)
     absb = abs(b)
     num_cells = math.floor(absb) + 1
@@ -106,7 +120,7 @@ def cylinders_refine(beta, n: int) -> list[Cylinder]:
             for j in range(num_cells):
                 lo = max(u, j / absb)
                 hi = min(v, (j + 1) / absb, 1.0)
-                if hi - lo <= 1e-15:
+                if hi - lo <= FULL_DECISION_TOL * abs(s):
                     continue
                 if s > 0:
                     xl, xr = (lo - t) / s, (hi - t) / s
@@ -168,3 +182,100 @@ def interval_from_bounds(lo, hi, precision_bits: int = 128) -> UnitRealInterval:
 def contains_value(iv: UnitRealInterval, x) -> bool:
     """Exact membership of a scalar in the enclosure (mod 1)."""
     return (as_fraction(x) - iv.lo) % 1 <= iv.width
+
+
+def covariance_lags(modulus: float) -> int:
+    """K, the last lag a second-moment oracle sums: the least k with
+    modulus^k > 2^53 (54 for base 2, 34 for base 3, 77 for g).  A
+    coordinate's covariance at lag k is at most about modulus^-k, so past
+    K it is below float resolution."""
+    return math.floor(53 / math.log2(modulus)) + 1
+
+
+def _hits_below(u, a: float, s):
+    """H(u) = int_0^u 1[||v - a|| <= s] dv for any real u: floor(u) whole
+    periods of min(1, 2s) each, plus the part of one period below u - floor(u)."""
+    whole = np.floor(u)
+    w = u - whole
+    part = sum(np.clip(np.minimum(w, a + s + j) - np.maximum(0.0, a - s + j), 0.0, None)
+               for j in (-1, 0, 1))
+    return whole * np.minimum(1.0, 2.0 * s) + np.where(s >= 0.5, w, part)
+
+
+def _arc_joint(a: float, r, s, base: int, k: int):
+    """m{y : ||y - a|| <= r and ||base^k y - a|| <= s} for y in [0, 1):
+    base^-k [H(base^k (a + r)) - H(base^k (a - r))], H as in :func:`_hits_below`
+    (the first arc is all of [0, 1) once r >= 1/2)."""
+    scale = float(base) ** k
+    lo = np.where(r >= 0.5, 0.0, a - r) * scale
+    hi = np.where(r >= 0.5, 1.0, a + r) * scale
+    return (_hits_below(hi, a, s) - _hits_below(lo, a, s)) / scale
+
+
+def window_variance(system, target, a: int, b: int) -> float:
+    """Var Z_{a,b} for x drawn from Lebesgue measure, on a diagonal system
+    of integer bases >= 2 and a ball or rectangle about any centre:
+
+        sum_n p_n (1 - p_n) + 2 sum_{k=1}^{K} sum_n (J(n, k) - p_n p_{n+k}),
+
+    n and n + k in [a, b], where p_n = m(E_n) and J(n, k) = m(E_n ∩ T^-k
+    E_{n+k}) is the product over coordinates of :func:`_arc_joint`.  K is
+    :func:`covariance_lags` of the smallest base (or b - a, if less).
+    Each (n, k) costs O(1).
+    """
+    if not (isinstance(system, DiagonalTorusSystem) and system.is_integer
+            and all(beta >= 2 for beta in system.betas)):
+        raise ValueError("window_variance needs a diagonal system of integer bases >= 2")
+    if target.shape not in (Shape.BALL, Shape.RECTANGLE):
+        raise ValueError("window_variance needs a ball or a rectangle")
+    if not 1 <= a <= b:
+        raise ValueError("need 1 <= a <= b")
+    ns = np.arange(a, b + 1)
+    radii = [np.broadcast_to(np.asarray(r, dtype=np.float64), ns.shape)
+             for r in target.radii(ns)]
+    bases = [int(beta) for beta in system.betas]
+    coords = list(zip([float(c) for c in target.center], radii, bases))
+    p = math.prod(np.minimum(1.0, 2.0 * r) for r in radii)
+    var = float(np.sum(p * (1.0 - p)))
+    for k in range(1, min(covariance_lags(min(bases)), b - a) + 1):
+        joint = math.prod(_arc_joint(c, r[:-k], r[k:], base, k) for c, r, base in coords)
+        var += 2.0 * float(np.sum(joint - p[:-k] * p[k:]))
+    return var
+
+
+def stationary_variance(system, target, n_steps: int) -> float:
+    """Var Z_{1,N} for x drawn from the invariant measure mu of a
+    one-dimensional system, against a ball of constant radius r whose
+    arc E = [c - r, c + r] lies in [0, 1]:
+
+        N C(0) + 2 sum_{k=1}^{K} (N - k) C(k),   C(k) = mu(E ∩ T^-k E) - mu(E)^2,
+
+    K = min(N - 1, :func:`covariance_lags` of |beta|).  C(k) is signed:
+    mu(E ∩ T^-k E) is read off the exact transfer-operator series.
+    """
+    if not isinstance(system, DiagonalTorusSystem) or system.d != 1:
+        raise ValueError("stationary_variance needs a one-dimensional diagonal system")
+    if target.shape != Shape.BALL:
+        raise ValueError("stationary_variance needs a ball")
+    radii = np.asarray(target.radii(np.arange(1, n_steps + 1))[0], dtype=np.float64)
+    r = float(radii[0])
+    if np.any(radii != r):
+        raise ValueError("stationary_variance needs a constant radius")
+    c = float(target.center[0])
+    e_set = (c - r, c + r)
+    if e_set[0] < 0 or e_set[1] > 1:
+        raise ValueError("the target's arc must lie in [0, 1]")
+    (beta,) = system.betas
+    lags = min(n_steps - 1, covariance_lags(abs(beta_float(beta))))
+    joints = _exact_series(beta, ParryYrrapMeasure(beta), e_set, e_set, set(range(lags + 1)))
+    mu_e = joints[0][0]
+    cov = [joints[k][0] - mu_e * mu_e for k in range(lags + 1)]
+    return n_steps * cov[0] + 2.0 * sum((n_steps - k) * cov[k] for k in range(1, lags + 1))
+
+
+def variance_z(zs: np.ndarray, var: float) -> float:
+    """z of the sample variance of ``zs`` against ``var``, with the standard
+    error of a sample variance from the sample's fourth central moment."""
+    dev = zs - zs.mean()
+    m2, m4 = np.mean(dev ** 2), np.mean(dev ** 4)
+    return float((np.var(zs, ddof=1) - var) / math.sqrt((m4 - m2 * m2) / len(zs)))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from shrinktarget.cli import ExperimentConfig, run as cli_run
-from shrinktarget.counting import correlation_estimate, correlation_series, monte_carlo_counting
+from shrinktarget.counting import correlation_series, monte_carlo_counting
 from shrinktarget.cylinders import count_cylinders, full_cylinder_stats, preimage_intervals
 from shrinktarget.dimension import (
     MtpInput,
@@ -309,7 +309,8 @@ def test_criterion_8_markov_construction():
 
 def test_criterion_9_mixing_estimator():
     for lag in (2, 3, 6, 10):
-        est, se = correlation_estimate(2, (0.0, 0.5), (0.0, 0.25), lag)
+        (_, est, se), = correlation_series(2, (0.0, 0.5), (0.0, 0.25), [lag],
+                                           method="auto").entries
         assert est == 0.0 and se == 0.0
     cell = (0.0, 1 / G)
     lags = list(range(5, 26))

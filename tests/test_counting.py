@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from oracles import interval_from_bounds, iterate
+from oracles import interval_from_bounds, iterate, variance_z, window_variance
 from shrinktarget import counting, targets
 from shrinktarget.counting import (
     DigitSource,
@@ -23,15 +23,11 @@ from shrinktarget.counting import (
     _sample_rng,
     _word_table,
     _words,
-    correlation_estimate,
     correlation_series,
     count_hits,
     fit_exponential,
     invariant_measure,
     monte_carlo_counting,
-    paley_zygmund_bound,
-    variance_check,
-    window_hits,
 )
 from shrinktarget.errors import (
     AmbiguityBudgetExceeded, BudgetTooLarge, DegenerateF, PieceCapExceeded,
@@ -1134,10 +1130,6 @@ class TestEngineDispatch:
                 count_hits(system, t, None, 50, start=start, rng=np.random.default_rng(1))
             with pytest.raises(ValueError, match="start must be"):
                 monte_carlo_counting(system, t, 2, 50, seed=1, start=start)
-            with pytest.raises(ValueError, match="start must be"):
-                window_hits(system, t, 1, 50, 2, seed=1, start=start)
-            with pytest.raises(ValueError, match="start must be"):
-                variance_check(system, t, 1, 50, 2, seed=1, start=start)
 
     def test_enclosure_start_runs_on_the_interval_engine(self, monkeypatch):
         system = DiagonalTorusSystem((2, 3))
@@ -1174,8 +1166,6 @@ class TestEngineDispatch:
             count_hits(system, t, None, 100, rng=np.random.default_rng(1))
         with pytest.raises(ValueError, match="target dimension"):
             monte_carlo_counting(system, t, 2, 100, seed=1)
-        with pytest.raises(ValueError, match="target dimension"):
-            window_hits(system, t, 1, 100, 2, seed=1)
 
 
 class TestInvariantPhi:
@@ -1430,19 +1420,20 @@ SERIES_CONFIGS = [
 
 class TestCorrelation:
     def test_dyadic_exact_zero(self):
-        assert correlation_estimate(2, (0.0, 0.5), (0.0, 0.25), 3) == (0.0, 0.0)
+        assert correlation_series(2, (0.0, 0.5), (0.0, 0.25), [3],
+                                  method="auto").entries == ((3, 0.0, 0.0),)
 
     def test_lag_zero_no_mixing(self):
-        est, se = correlation_estimate(2, (0.0, 0.5), (0.0, 0.5), 0)
+        (_, est, se), = correlation_series(2, (0.0, 0.5), (0.0, 0.5), [0]).entries
         assert est == pytest.approx(0.5)
         assert se == 0.0
 
     def test_exact_matches_mc(self):
         e_set = (0.0, 1 / G)
         for lag in (1, 3, 5):
-            exact, _ = correlation_estimate("g", e_set, e_set, lag, method="exact")
-            mc, se = correlation_estimate("g", e_set, e_set, lag, method="mc",
-                                          num_samples=400_000, seed=11)
+            (_, exact, _), = correlation_series("g", e_set, e_set, [lag]).entries
+            (_, mc, se), = correlation_series("g", e_set, e_set, [lag], method="mc",
+                                              num_samples=400_000, seed=11).entries
             assert abs(exact - mc) < 4 * se
 
     def test_markov_cell_geometric_decay(self):
@@ -1459,16 +1450,14 @@ class TestCorrelation:
     @pytest.mark.parametrize("method", ["exact", "mc", "auto"])
     def test_negative_lags_are_refused(self, method):
         # lag -1 is no pullback: it must not read as lag 0's estimate
-        with pytest.raises(ValueError, match=">= 0"):
-            correlation_series("g", (0.0, 0.5), (0.2, 0.7), [-1, 1], method=method,
-                               num_samples=100, seed=1)
-        with pytest.raises(ValueError, match=">= 0"):
-            correlation_estimate("g", (0.0, 0.5), (0.2, 0.7), -1, method=method,
-                                 num_samples=100, seed=1)
+        for lags in ([-1, 1], [-1]):
+            with pytest.raises(ValueError, match=">= 0"):
+                correlation_series("g", (0.0, 0.5), (0.2, 0.7), lags, method=method,
+                                   num_samples=100, seed=1)
 
     def test_degenerate_f_rejected(self):
         with pytest.raises(DegenerateF):
-            correlation_estimate(2, (0.0, 0.5), (0.3, 0.3 + 1e-9), 2)
+            correlation_series(2, (0.0, 0.5), (0.3, 0.3 + 1e-9), [2], method="auto")
 
     @pytest.mark.parametrize("beta, e_set, f_set, lags", SERIES_CONFIGS)
     @pytest.mark.parametrize("method", ["exact", "auto"])
@@ -1480,9 +1469,9 @@ class TestCorrelation:
             series = correlation_series(beta, e_set, f_set, lags, method=run,
                                         num_samples=num_samples, seed=3)
             assert series.entries == tuple(
-                (n, *correlation_estimate(beta, e_set, f_set, n, method=run,
-                                          num_samples=num_samples, seed=3))
-                for n in sorted(lags))
+                entry for n in sorted(lags)
+                for entry in correlation_series(beta, e_set, f_set, [n], method=run,
+                                                num_samples=num_samples, seed=3).entries)
 
     @pytest.mark.parametrize("beta, e_set, f_set, lags", SERIES_CONFIGS + [
         ("e", (0.1, 0.6), (0.3, 0.8), range(0, 12)),
@@ -1554,53 +1543,38 @@ class TestFitExponential:
 
 
 class TestVariance:
+    """The sample variance of window counts Z_{a,b} against the exact one."""
+
     def test_single_step_bernoulli(self):
+        # Z_{5,5} is R(5) - R(4): one indicator, whose variance is p (1 - p)
         s = DiagonalTorusSystem((2,))
         t = ball((0.0,), RateFunction.power(0.3, 0.0))
-        rep = variance_check(s, t, 5, 5, 4000, seed=9)
         p = 0.6
-        assert rep.empirical_var == pytest.approx(p * (1 - p), abs=0.03)
-        assert rep.measure_sum == pytest.approx(p)
-
-    @pytest.mark.parametrize("a", [1, 3])
-    def test_measure_sum_is_the_counts_phi(self, a):
-        s = DiagonalTorusSystem(("g", 2))
-        t = ball((0.3, 0.0), RateFunction.power(0.5, 0.25))
-        rep = variance_check(s, t, a, 40, 3, seed=2, start="invariant")
-        phi = phi_values(t, [a - 1, 40] if a > 1 else [40], measure=invariant_measure(s))
-        assert rep.measure_sum == phi[-1] - (phi[0] if a > 1 else 0.0)
+        assert window_variance(s, t, 5, 5) == pytest.approx(p * (1 - p), rel=1e-15)
+        results = monte_carlo_counting(s, t, 4000, 5, seed=9, checkpoints=[4]).results
+        zs = np.array([res.final.r_mid - res.checkpoints[0].r_mid for res in results])
+        assert abs(variance_z(zs, p * (1 - p))) <= 5
 
     def test_independent_window_within_bound(self):
-        # dyadic targets under doubling are independent across steps
+        # a dyadic ball of constant radius 1/4 under doubling: E and T^-k E are
+        # independent, so the variance is sum p (1 - p), the kappa = 0 bound
         s = DiagonalTorusSystem((2,))
         t = ball((0.0,), RateFunction.power(0.25, 0.0))
-        rep = variance_check(s, t, 1, 40, 3000, seed=10)
-        assert rep.ratio <= 1.05
+        var = window_variance(s, t, 1, 40)
+        assert var == pytest.approx(40 * 0.25, rel=1e-12)
+        zs = np.array([res.final.r_mid
+                       for res in monte_carlo_counting(s, t, 3000, 40, seed=10).results])
+        assert abs(variance_z(zs, var)) <= 5
 
     def test_mixed_base_window_ratio(self):
-        # shrinking ball targets on diag(2,3): empirical variance against the
-        # kappa = 0 bound, allowing four standard errors of the variance
+        # shrinking ball targets on diag(2,3): the sample variance of R(100)
+        # within five standard errors of the variance
         s = DiagonalTorusSystem((2, 3))
         t = ball((0.0, 0.0), RateFunction.power(0.5, 0.25))
-        rep = variance_check(s, t, 1, 100, 2000, seed=13)
-        zs = window_hits(s, t, 1, 100, 2000, seed=13)
-        m2 = np.mean((zs - zs.mean()) ** 2)
-        m4 = np.mean((zs - zs.mean()) ** 4)
-        se_var = math.sqrt(max(m4 - m2 ** 2, 0.0) / len(zs))
-        assert rep.empirical_var <= rep.bound + 4 * se_var
-
-    def test_window_sum_matches_count_difference(self):
-        s = DiagonalTorusSystem((2, 3))
-        t = ball((0.0, 0.0), RateFunction.power(0.5, 0.25))
-        zs = window_hits(s, t, 11, 60, 5, seed=4)
-        for i in range(5):
-            rng_full = count_hits(
-                s, t, None, 60, checkpoints=[10, 60], sample_id=i,
-                rng=np.random.default_rng(
-                    np.random.SeedSequence(entropy=4, spawn_key=(i,))))
-            first = rng_full.checkpoints[0]
-            last = rng_full.final
-            assert zs[i] == last.r_mid - first.r_mid
+        var = window_variance(s, t, 1, 100)
+        zs = np.array([res.final.r_mid
+                       for res in monte_carlo_counting(s, t, 2000, 100, seed=13).results])
+        assert abs(variance_z(zs, var)) <= 5
 
 
 class TestAmbiguityBudget:
@@ -1629,11 +1603,6 @@ class TestAmbiguityBudget:
         t = ball((0.0,), RateFunction.power(0.3, 0.1))
         with pytest.raises(AmbiguityBudgetExceeded, match="sample 0: 2 ambiguous hits"):
             monte_carlo_counting(system, t, 2, 10, seed=1)
-        # the window sums run on the same samples, under the same budget
-        with pytest.raises(AmbiguityBudgetExceeded, match="sample 0: 2 ambiguous hits"):
-            window_hits(system, t, 3, 10, 2, seed=1)
-        with pytest.raises(AmbiguityBudgetExceeded, match="sample 0: 2 ambiguous hits"):
-            variance_check(system, t, 1, 10, 2, seed=1)
 
 
 class TestNuHyperboloidPhi:
@@ -1657,17 +1626,3 @@ class TestNuHyperboloidPhi:
         phi = summary.phi_final
         mean = sum(res.final.r_mid for res in summary.results) / samples
         assert abs(mean - phi) <= 6 * math.sqrt(2 * phi / samples)
-
-
-class TestPaleyZygmund:
-    def test_bound_holds_for_counting_windows(self):
-        s = DiagonalTorusSystem((2, 3))
-        t = ball((0.0, 0.0), RateFunction.power(0.5, 0.25))
-        zs = window_hits(s, t, 1, 400, 600, seed=12)
-        for lam in (0.25, 0.5):
-            frac, bound, err = paley_zygmund_bound(zs, lam)
-            assert frac >= bound - 4 * err
-
-    def test_validates_lambda(self):
-        with pytest.raises(ValueError):
-            paley_zygmund_bound(np.ones(10), 1.5)

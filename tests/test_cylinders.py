@@ -53,6 +53,13 @@ class TestCounts:
             for n in range(1, 21):
                 assert count_cylinders(beta, n) <= bf ** (n + 1) / (bf - 1)
 
+    @pytest.mark.parametrize("beta", ["g", "e", "3/2", "5/2", 2.7, 1.3])
+    def test_refinement_counts_every_cylinder(self, beta):
+        # float slivers must not count as cylinders: a fixed 1e-15 cut on the
+        # image, not one of 2^-40 |slope|, lists 36 golden ones at order 7 for 34
+        assert [len(cylinders_refine(beta, n)) for n in range(1, 11)] == [
+            count_cylinders(beta, n) for n in range(1, 11)]
+
     def test_engines_agree(self):
         for beta, bf in [("g", GOLDEN), (1.8, 1.8), (2.5, 2.5)]:
             a = cylinders_automaton(beta, 6)
@@ -348,9 +355,6 @@ class TestAutomaton:
         while len(fib) < 3003:
             fib.append(fib[-1] + fib[-2])
         assert count_cylinders("g", 3000) == fib[3002]
-        # a long orbit of 1: each count against the enumerated cylinders
-        for n in range(1, 9):
-            assert count_cylinders(1.3, n) == len(cylinders_refine(1.3, n))
         assert count_cylinders(1.01, 1500) > 1.01 ** 1500
 
     def test_negative_orders_are_refused(self):
