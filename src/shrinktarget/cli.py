@@ -21,6 +21,7 @@ import operator
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -514,9 +515,10 @@ def _cmd_markov(p: dict, out_dir: Path, jobs: int):
     primitive, witness = is_primitive(subsystem.rows)
     h_top, dim_est = entropy_and_dim(subsystem.rows, subsystem.slope_modulus)
     path = out_dir / "markov.json"
-    _write_json(path, {
+    # the rows' text is spliced into the compact JSON of the rest
+    head, tail = _compact_json({
         "pieces": [list(piece) for piece in subsystem.pieces],
-        "matrix_sparse_rows": [list(range(lo, hi)) for lo, hi in subsystem.rows],
+        "matrix_sparse_rows": None,
         "kappa": subsystem.kappa,
         "slope_modulus": subsystem.slope_modulus,
         "certificates": subsystem.certificates,
@@ -524,8 +526,19 @@ def _cmd_markov(p: dict, out_dir: Path, jobs: int):
         "primitive_witness_power": witness,
         "entropy_estimate": h_top,
         "dim_estimate": dim_est,
-    })
+    }).split('"matrix_sparse_rows":null')
+    with path.open("w") as fh:
+        fh.writelines((head, '"matrix_sparse_rows":', _runs_json(subsystem.rows), tail, "\n"))
     return [path]
+
+
+def _runs_json(rows) -> str:
+    """``_compact_json([list(range(lo, hi)) for lo, hi in rows])``: each run
+    sliced out of the one text ",0,1,...,m-1", O(m) work plus the output copy."""
+    cells = [f",{k}" for k in range(max((hi for _, hi in rows), default=0))]
+    text = "".join(cells)
+    starts = list(accumulate(map(len, cells), initial=0))  # cell k is text[starts[k]:starts[k+1]]
+    return "[" + ",".join(f"[{text[starts[lo] + 1:starts[hi]]}]" for lo, hi in rows) + "]"
 
 
 def _cmd_support(p: dict, out_dir: Path, jobs: int):

@@ -14,12 +14,16 @@ checked against:
 - the exact variance of the window count Z_{a,b} = #{a <= n <= b :
   T^n x in E_n}: under Lebesgue starts on integer diagonals, and under
   invariant starts on one beta at a constant radius, against the sample
-  variance of ``monte_carlo_counting`` (:func:`variance_z`).
+  variance of ``monte_carlo_counting`` (:func:`variance_z`);
+- the Markov build of a rational T_beta^k in Fractions: composition,
+  normalization, bisection and trim (:func:`fraction_build_markov`),
+  against the integer-keyed build of ``markov.build_markov``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,6 +31,8 @@ import numpy as np
 
 from shrinktarget.counting import _exact_series
 from shrinktarget.cylinders import BetaAutomaton
+from shrinktarget.errors import PieceCapExceeded, SlopeTooSmall
+from shrinktarget.markov import MAX_DENSE_ENTRIES, MarkovSubsystem
 from shrinktarget.measures import ParryYrrapMeasure
 from shrinktarget.orbits import (
     GUARD_BITS,
@@ -279,3 +285,102 @@ def variance_z(zs: np.ndarray, var: float) -> float:
     dev = zs - zs.mean()
     m2, m4 = np.mean(dev ** 2), np.mean(dev ** 4)
     return float((np.var(zs, ddof=1) - var) / math.sqrt((m4 - m2 * m2) / len(zs)))
+
+
+def fraction_beta_map(beta) -> tuple:
+    """T_beta(x) = beta x mod 1 for a rational beta, as the Fraction lists
+    (breakpoints, slopes, intercepts)."""
+    b = Fraction(beta)
+    absb = abs(b)
+    cells = math.ceil(absb)
+    return ([Fraction(j) / absb for j in range(cells)] + [Fraction(1)],
+            [b] * cells,
+            [Fraction(-j if b > 0 else j + 1) for j in range(cells)])
+
+
+def fraction_compose(outer: tuple, inner: tuple) -> tuple:
+    """outer o inner: inner pieces split where their image crosses an outer
+    breakpoint, each new piece's outer piece read at its midpoint."""
+    obps, oslopes, ointercepts = outer
+    ibps, islopes, iintercepts = inner
+    new_bps = set(ibps)
+    for j, (s, t) in enumerate(zip(islopes, iintercepts)):
+        new_bps.update(x for x in ((c - t) / s for c in obps[1:-1])
+                       if ibps[j] < x < ibps[j + 1])
+    bps = sorted(new_bps)
+    slopes, intercepts = [], []
+    for a, b in zip(bps, bps[1:]):
+        mid = (a + b) / 2
+        j = bisect_right(ibps, mid) - 1
+        k = bisect_right(obps, islopes[j] * mid + iintercepts[j]) - 1
+        slopes.append(oslopes[k] * islopes[j])
+        intercepts.append(oslopes[k] * iintercepts[j] + ointercepts[k])
+    return bps, slopes, intercepts
+
+
+def fraction_power_map(beta, k: int) -> tuple:
+    """T_beta^k for a rational beta, composed k - 1 times in Fractions."""
+    base = current = fraction_beta_map(beta)
+    for _ in range(k - 1):
+        current = fraction_compose(base, current)
+    return current
+
+
+def fraction_normalize(pl: tuple) -> tuple:
+    """Each piece longer than 2 kappa split into 2^l equal parts, with
+    2^l kappa < length <= 2^(l+1) kappa; PieceCapExceeded past the cap."""
+    bps, slopes, intercepts = pl
+    lengths = [b - a for a, b in zip(bps, bps[1:])]
+    kappa = min(lengths)
+    splits = []
+    for length in lengths:
+        pieces = 1
+        if length > 2 * kappa:
+            l = 1
+            while not ((2 ** l) * kappa < length <= (2 ** (l + 1)) * kappa):
+                l += 1
+            pieces = 2 ** l
+        splits.append(pieces)
+    m = sum(splits)
+    if m * m > MAX_DENSE_ENTRIES:
+        raise PieceCapExceeded(
+            f"the normalized partition has {m} pieces: its {m}^2 transition entries "
+            f"pass the cap of {MAX_DENSE_ENTRIES} "
+            f"(at most {math.isqrt(MAX_DENSE_ENTRIES)} pieces)")
+    out = [bps[0]], [], []
+    for j, (length, pieces) in enumerate(zip(lengths, splits)):
+        out[0].extend(bps[j] + p * length / pieces for p in range(1, pieces + 1))
+        out[1].extend([slopes[j]] * pieces)
+        out[2].extend([intercepts[j]] * pieces)
+    return out
+
+
+def fraction_build_markov(pl: tuple) -> MarkovSubsystem:
+    """The Markov subsystem of the Fraction map ``pl``: normalize, bisect
+    each image for the run of pieces it contains, and trim each piece to
+    the preimage of its run, all in Fractions."""
+    b = abs(float(pl[1][0]))
+    if b <= 8:
+        raise SlopeTooSmall(f"slope modulus {b} <= 8")
+    bps, slopes, intercepts = fraction_normalize(pl)
+    m = len(slopes)
+    rows, pieces = [], []
+    for j, (s, t) in enumerate(zip(slopes, intercepts)):
+        u, v = sorted((s * bps[j] + t, s * bps[j + 1] + t))
+        lo = bisect_left(bps, u, 0, m)
+        hi = bisect_right(bps, v, lo + 1, m + 1) - 1
+        rows.append((lo, hi))
+        pieces.append(tuple(float(x) for x in sorted(((bps[lo] - t) / s, (bps[hi] - t) / s))))
+    row_min = min(hi - lo for lo, hi in rows)
+    return MarkovSubsystem(
+        pieces=tuple(pieces),
+        rows=tuple(rows),
+        kappa=float(min(b - a for a, b in zip(bps, bps[1:]))),
+        slope_modulus=b,
+        certificates={
+            "row_min": row_min,
+            "row_min_guarantee": max(math.floor(b / 2) - 2, 1),
+            "entropy_lb": math.log(b / 2 - 3),
+            "dim_lb": 1 - math.log(8) / math.log(b),
+        },
+    )

@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from oracles import contains_value
@@ -20,6 +21,7 @@ from shrinktarget.cli import (
     validate,
 )
 from shrinktarget.errors import AmbiguityBudgetExceeded, ConfigInvalid, PrecisionExhausted
+from shrinktarget.markov import build_markov, power_map
 from shrinktarget.measures import ProductMeasure
 from shrinktarget.orbits import DiagonalTorusSystem, IntegerMatrixSystem, orbit_enclosures
 from shrinktarget.targets import (
@@ -196,6 +198,32 @@ class TestRun:
         manifest = run(cfg, tmp_path, manifest_only=True)
         assert manifest.outputs == {}
         assert not (tmp_path / "dimension.json").exists()
+
+
+class TestRunsJson:
+    """markov.json's rows, sliced out of one text of 0..m-1, are the bytes of
+    the compact JSON of their index lists."""
+
+    @staticmethod
+    def _check(rows):
+        assert cli._runs_json(rows) == cli._compact_json([list(range(lo, hi)) for lo, hi in rows])
+
+    def test_thousand_pieces(self):
+        # m = 1000: the runs cross the digit widths at 9|10, 99|100 and end at 999
+        self._check(build_markov(power_map(10, 3)).rows)
+
+    def test_edges(self):
+        m = 1001
+        self._check([(0, 1), (9, 10), (10, 11), (99, 100), (999, 1000), (1000, 1001),  # one index
+                     (5, 1000), (0, 1000), (998, 1001), (0, m),  # ending at m - 2 and m - 1
+                     (0, 0), (7, 7), (m, m)])  # empty
+        self._check([])
+
+    def test_random_runs(self):
+        rng = np.random.default_rng(34)
+        for m in (1, 7, 12, 150, 1234):
+            ends = np.sort(rng.integers(0, m + 1, size=(m, 2)), axis=1)
+            self._check([(int(lo), int(hi)) for lo, hi in ends])
 
 
 class TestMainExitCodes:

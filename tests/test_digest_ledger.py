@@ -118,6 +118,11 @@ CONFIGS = {
     # support (not primitive) and the least witness power 2
     "markov_minus_g_power_12": ("markov", {"beta": "-g", "power": 12}, 1),
     "markov_g_power_12": ("markov", {"beta": "g", "power": 12}, 1),
+    # the exact branches no other config takes: a negative integer, a rational
+    # of one piece, and a negative rational composed
+    "markov_minus_10": ("markov", {"beta": -10}, 1),
+    "markov_19over2": ("markov", {"beta": "19/2"}, 1),
+    "markov_minus_5over2_power_3": ("markov", {"beta": "-5/2", "power": 3}, 1),
     "orbit": ("orbit", {"system": "diag:2.7,g", "x": ["1/3", 0.1], "steps": 60,
                         "stride": 5}, 1),
     "orbit_matrix": ("orbit", {"system": "matrix:2,1;1,1", "x": ["0.3", "0.7"], "steps": 200}, 1),

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import fraction_build_markov, fraction_normalize, fraction_power_map
 from shrinktarget import markov
 from shrinktarget.cli import main
 from shrinktarget.errors import PieceCapExceeded, SlopeTooSmall
@@ -223,6 +224,83 @@ class TestMarkovRuns:
         ms = build_markov(power_map(10, 3))
         assert ms.size == 1000
         assert min(hi - lo for lo, hi in ms.rows) >= 3
+
+
+# the 1/10 split map: slope -11/10 on [0, 1/10], 11/10 on [1/10, 1]
+SPLIT_TENTH = ((Fraction(0), Fraction(1, 10), Fraction(1)),
+               (Fraction(-11, 10), Fraction(11, 10)),
+               (Fraction(11, 100), Fraction(-11, 100)))
+
+
+def _fields(pl):
+    """(breakpoints, slopes, intercepts) as lists, the oracle's form."""
+    return list(pl.breakpoints), list(pl.slopes), list(pl.intercepts)
+
+
+def _bits(ms):
+    """Every float of a subsystem by its bits (0.0 and -0.0 differ)."""
+    return ([tuple(map(float.hex, piece)) for piece in ms.pieces], ms.rows,
+            float.hex(ms.kappa), float.hex(ms.slope_modulus), ms.certificates)
+
+
+class TestIntegerKeys:
+    """The exact build on integer keys against the Fraction build of the oracle."""
+
+    @pytest.mark.parametrize("beta, k", [
+        (9, 1), (12, 1), (100, 1), (-10, 1), (Fraction(19, 2), 1), (9, 2),
+        (Fraction(5, 2), 3), (Fraction(-5, 2), 3), (Fraction(3, 2), 6)])
+    def test_build_matches_the_fraction_oracle(self, beta, k):
+        pl = power_map(beta, k)
+        assert pl.grid is not None
+        assert _bits(build_markov(pl)) == _bits(fraction_build_markov(fraction_power_map(beta, k)))
+        # the build reads the grid alone: no Fraction view of the map was made
+        assert not {"breakpoints", "slopes", "intercepts"} & set(vars(pl))
+
+    @pytest.mark.parametrize("beta, k", [(Fraction(5, 2), 3), (Fraction(-5, 2), 3),
+                                         (Fraction(3, 2), 6), (-3, 4)])
+    def test_composition_matches_the_fraction_oracle(self, beta, k):
+        base = chain = beta_map(beta)
+        for _ in range(k - 1):
+            chain = _compose(base, chain)
+        assert _fields(chain) == fraction_power_map(beta, k)
+
+    def test_split_map_matches_the_fraction_oracle(self):
+        norm = normalize_partition(PiecewiseLinearMap(*SPLIT_TENTH))
+        assert norm.grid is not None
+        assert _fields(norm) == fraction_normalize(SPLIT_TENTH)
+        with pytest.raises(SlopeTooSmall) as got:
+            build_markov(PiecewiseLinearMap(*SPLIT_TENTH))
+        with pytest.raises(SlopeTooSmall) as want:
+            fraction_build_markov(SPLIT_TENTH)
+        assert str(got.value) == str(want.value)
+
+    def test_refusal_matches_the_fraction_oracle(self):
+        beta = Fraction(80001, 10000)
+        with pytest.raises(PieceCapExceeded) as got:
+            build_markov(power_map(beta, 1))
+        with pytest.raises(PieceCapExceeded) as want:
+            fraction_build_markov(fraction_power_map(beta, 1))
+        assert str(got.value) == str(want.value)
+
+    def test_the_grid_keeps_the_given_map(self):
+        pl = PiecewiseLinearMap(*SPLIT_TENTH)
+        grid = pl.grid
+        assert (grid.den, grid.image_den, grid.xs, grid.rs, grid.taus) == \
+            (10, 100, (0, 1, 10), (-11, 11), (11, -11))
+        assert (pl.breakpoints, pl.slopes, pl.intercepts) == SPLIT_TENTH
+        assert PiecewiseLinearMap((0.0, 0.5, 1.0), (2.0, 2.0), (0.0, -1.0)).grid is None
+
+    @pytest.mark.parametrize("data, message", [
+        (((0, Fraction(1, 2)), (2,), (0,)), "start at 0 and end at 1"),
+        (((0, Fraction(1, 2), Fraction(1, 2), 1), (2, 2, 2), (0, -1, -1)),
+         "strictly increasing"),
+        (((0, Fraction(1, 2), 1), (2, 3), (0, -1)), "constant"),
+        (((0, Fraction(1, 2), 1), (2, 2), (0, Fraction(-1, 2))), "piece 1 maps outside"),
+        (((0, 1), (2, 2), (0,)), "len"),
+    ])
+    def test_exact_maps_are_checked_on_integers(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            PiecewiseLinearMap(*data)
 
 
 def _dense(rows):
